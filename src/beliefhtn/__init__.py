@@ -18,13 +18,7 @@ from .communication import (
     min_comm_bfs,
 )
 from .domfile import DomainFile, ProblemBundle, parse, serialize
-from .engine import (
-    AgentModel,
-    legacy_step,
-    step_belief_protocol,
-    update_on_act,
-    update_on_observe,
-)
+from .engine import legacy_step, step_belief_protocol
 from .errors import BeliefHtnError
 from .htn import (
     AgentDomain,
@@ -38,9 +32,8 @@ from .htn import (
     applicable,
     apply,
     decompose,
-    enumerate_decompositions,
 )
-from .observability import ObsClass, ObservabilityModel, PlacementRule, assess, copresent, place_of
+from .observability import ObsClass, ObservabilityModel, PlacementRule
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
@@ -62,14 +55,12 @@ from .state import (
     StateVariableDecl,
     Universe,
     diverging_attributes,
-    lookup,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentDomain",
-    "AgentModel",
     "BeliefHtnError",
     "BeliefState",
     "BOX_DOM",
@@ -102,26 +93,19 @@ __all__ = [
     "applicable",
     "apply",
     "apply_comm",
-    "assess",
     "builtin",
     "builtin_bundle",
-    "copresent",
     "decompose",
     "detect_deadlock",
     "diverging_attributes",
     "emulate_human_choices",
-    "enumerate_decompositions",
     "enumerate_traces",
     "is_relevant_divergence",
     "legacy_step",
-    "lookup",
     "min_comm_bfs",
     "parse",
-    "place_of",
     "plan",
     "serialize",
     "simulate",
     "step_belief_protocol",
-    "update_on_act",
-    "update_on_observe",
 ]

@@ -18,8 +18,10 @@ sticker, the bucket and everything else is observable.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .domfile import DomainFile, ProblemBundle, parse
-from .errors import UnknownDomain
+from .errors import BeliefHtnError, UnknownDomain
 
 BUILTIN_NAMES = ("cooking", "box")
 
@@ -338,10 +340,6 @@ def box_dom(boxes: int = BOX_COUNT, capacity: int = BOX_CAPACITY, bucket: int = 
 BOX_DOM = box_dom()
 
 
-def is_builtin(name: str) -> bool:
-    return name in BUILTIN_NAMES
-
-
 def builtin(name: str) -> DomainFile:
     """The parsed domain file of a built-in benchmark domain."""
     if name == "cooking":
@@ -353,3 +351,16 @@ def builtin(name: str) -> DomainFile:
 
 def builtin_bundle(name: str) -> ProblemBundle:
     return builtin(name).build()
+
+
+def load_bundle(name_or_path: str) -> ProblemBundle:
+    """A built-in domain by name, or a domain file by path."""
+    if name_or_path in BUILTIN_NAMES:
+        return builtin_bundle(name_or_path)
+    path = Path(name_or_path)
+    if not path.exists():
+        raise BeliefHtnError(
+            f"{name_or_path!r} is neither a builtin domain {BUILTIN_NAMES} "
+            "nor an existing file"
+        )
+    return parse(path.read_text(encoding="utf-8")).build()

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .builtins import BUILTIN_NAMES, builtin_bundle, is_builtin
+from .builtins import BUILTIN_NAMES, load_bundle
 from .domfile import ProblemBundle, parse, serialize
 from .errors import BeliefHtnError
 from .experiment import (
@@ -34,18 +34,6 @@ from .policyio import load_json, to_json, to_text
 OUT_DIR_ENV = "BELIEFHTN_OUT"
 
 
-def _load_bundle(name_or_path: str) -> ProblemBundle:
-    if is_builtin(name_or_path):
-        return builtin_bundle(name_or_path)
-    path = Path(name_or_path)
-    if not path.exists():
-        raise BeliefHtnError(
-            f"{name_or_path!r} is neither a builtin domain {BUILTIN_NAMES} "
-            "nor an existing file"
-        )
-    return parse(path.read_text(encoding="utf-8")).build()
-
-
 def _parse_assignments(pairs: list[str]) -> dict[str, str]:
     out = {}
     for pair in pairs:
@@ -57,7 +45,7 @@ def _parse_assignments(pairs: list[str]) -> dict[str, str]:
 
 
 def _prepare_bundle(args) -> ProblemBundle:
-    bundle = _load_bundle(args.domain)
+    bundle = load_bundle(args.domain)
     if getattr(args, "set", None):
         bundle = bundle.with_world(_parse_assignments(args.set))
     if getattr(args, "believe", None):

@@ -13,59 +13,12 @@ the planner: act/observe updates, then situation assessment for the human.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NotApplicable
-from .htn import GroundedOperator, applicable, apply, apply_effects
+from .htn import GroundedOperator, applicable, apply_effects
 from .observability import ObservabilityModel
 from .state import BeliefState
-
-
-@dataclass(frozen=True)
-class AgentModel:
-    """One agent as tracked during search: identity, belief and agenda view."""
-
-    id: str
-    role: str  # "robot" | "human"
-    belief: BeliefState
-    plan: tuple[GroundedOperator, ...] = ()
-
-    def with_belief(self, belief: BeliefState) -> "AgentModel":
-        return replace(self, belief=belief)
-
-    def record(self, op: GroundedOperator) -> "AgentModel":
-        return replace(self, plan=self.plan + (op,))
-
-
-def update_on_act(actor: AgentModel, op: GroundedOperator) -> AgentModel:
-    """Actor integrates its own action's effects; everything else untouched."""
-    if not applicable(op, actor.belief):
-        raise NotApplicable(f"{op} not applicable in {actor.id}'s belief")
-    return actor.with_belief(apply(op, actor.belief)).record(op)
-
-
-def update_on_observe(
-    observer: AgentModel,
-    actor_id: str,
-    op: GroundedOperator,
-    world_before: BeliefState,
-    world_after: BeliefState,
-    model: ObservabilityModel,
-) -> AgentModel:
-    """Observer integrates the action's effects, if entitled to them.
-
-    The robot observes everything (human moves are deterministic and the
-    robot's belief is the ground truth).  The human observes only when
-    co-present with the actor throughout the action, i.e. in both the pre-
-    and post-state.
-    """
-    if observer.role == "robot":
-        return observer.with_belief(apply_effects(op, observer.belief))
-    if model.copresent(observer.id, actor_id, world_before) and model.copresent(
-        observer.id, actor_id, world_after
-    ):
-        return observer.with_belief(apply_effects(op, observer.belief))
-    return observer
 
 
 @dataclass(frozen=True)
@@ -99,9 +52,12 @@ def step_belief_protocol(
         if not applicable(op, world):
             raise NotApplicable(f"{op} not applicable in the ground truth")
         world = apply_effects(op, world)
-        human = AgentModel(human_id, "human", human_belief)
-        human = update_on_observe(human, actor_id, op, world_before, world, model)
-        human_belief = human.belief
+        # The human observes the action only when co-present with the actor
+        # throughout it, i.e. in both the pre- and the post-state.
+        if model.copresent(human_id, actor_id, world_before) and model.copresent(
+            human_id, actor_id, world
+        ):
+            human_belief = apply_effects(op, human_belief)
     human_belief = model.assess(human_belief, world)
     return StepResult(world, human_belief)
 

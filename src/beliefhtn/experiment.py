@@ -20,9 +20,9 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .builtins import builtin_bundle, is_builtin
-from .domfile import ProblemBundle, parse
-from .errors import SpecMismatch
+from .builtins import load_bundle
+from .domfile import ProblemBundle
+from .errors import DepthExceeded, SpecMismatch, Unsolvable
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
@@ -237,13 +237,6 @@ class ExperimentConfig:
     spec: Optional[GeneratorSpec] = None
 
 
-def _load_bundle(name_or_path: str) -> ProblemBundle:
-    if is_builtin(name_or_path):
-        return builtin_bundle(name_or_path)
-    with open(name_or_path, "r", encoding="utf-8") as fh:
-        return parse(fh.read()).build()
-
-
 def run_instance(
     bundle: ProblemBundle,
     instance: Instance,
@@ -256,7 +249,7 @@ def run_instance(
     config = PlannerConfig(depth_bound=depth_bound)
     try:
         policy = plan(problem, bundle.obs_model, mode, config)
-    except Exception as exc:  # recorded, never aborts the sweep
+    except (Unsolvable, DepthExceeded) as exc:  # declared failures; anything else is a bug
         return InstanceResult(instance, mode, f"error:{type(exc).__name__}")
     report = simulate(policy, bundle.obs_model)
     return InstanceResult(
@@ -276,7 +269,7 @@ def run_instance(
 def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[MetricsTable, list[InstanceResult]]:
-    bundle = _load_bundle(config.domain)
+    bundle = load_bundle(config.domain)
     if config.start is not None:
         bundle = bundle.with_start(config.start)
     spec = config.spec

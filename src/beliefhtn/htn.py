@@ -451,23 +451,3 @@ class HtnProblem:
 
     def domain_of(self, agent: str) -> AgentDomain:
         return self.domains[agent]
-
-
-def is_primitive(w: TaskNetwork, domains: Mapping[str, AgentDomain]) -> bool:
-    op_names = frozenset().union(*(d.operator_names() for d in domains.values()))
-    return all(t.symbol in op_names for _, t in w.nodes)
-
-
-def enumerate_decompositions(
-    w: TaskNetwork, universe: Universe, domain: AgentDomain
-) -> tuple[tuple[int, GroundedMethod], ...]:
-    """All (available non-primitive node, relevant grounded method) pairs."""
-    op_names = domain.operator_names()
-    pairs: list[tuple[int, GroundedMethod]] = []
-    for node_id in w.available():
-        task = w.task_of(node_id)
-        if task.symbol in op_names:
-            continue
-        for method in domain.methods:
-            pairs.extend((node_id, gm) for gm in ground_method(universe, method, task))
-    return tuple(pairs)

@@ -110,17 +110,3 @@ class ObservabilityModel:
             if self.place_of(attr, world) == here:
                 belief = belief.with_value(attr, world.get(attr))
         return belief
-
-
-def place_of(
-    model: ObservabilityModel, attr: GroundedAttribute, state: BeliefState
-) -> Optional[str]:
-    return model.place_of(attr, state)
-
-
-def copresent(model: ObservabilityModel, a1: str, a2: str, state: BeliefState) -> bool:
-    return model.copresent(a1, a2, state)
-
-
-def assess(model: ObservabilityModel, human: BeliefState, world: BeliefState) -> BeliefState:
-    return model.assess(human, world)

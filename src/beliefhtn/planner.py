@@ -87,10 +87,6 @@ class PolicyNode:
     kind: NodeKind = NodeKind.DECISION
     edges: tuple[PolicyEdge, ...] = ()
 
-    def agendas(self, robot: str, human: str) -> dict[str, TaskNetwork]:
-        """Per-agent agenda views; both agents share the joint network."""
-        return {robot: self.network, human: self.network}
-
 
 @dataclass
 class PolicyTree:
@@ -555,10 +551,62 @@ class ExecutionReport:
     n_idl: int
     mean_primitive_length: float
     mean_comm_count: float
-    traces: tuple[TraceResult, ...] = ()  # populated for small policies only
 
 
-_TRACE_LIMIT = 512
+_EMBEDDED_DEADLOCK = "plan-embedded inactivity deadlock"
+
+
+def _replay_start(
+    policy: PolicyTree,
+    obs_model: ObservabilityModel,
+    world0: Optional[BeliefState],
+    human0: Optional[BeliefState],
+) -> tuple[BeliefState, BeliefState]:
+    """True initial beliefs of a replay; the human assesses before acting."""
+    world = world0 if world0 is not None else policy.init_world
+    human = human0 if human0 is not None else policy.init_human
+    return world, obs_model.assess(human, world)
+
+
+def _classify_edge(
+    policy: PolicyTree,
+    obs_model: ObservabilityModel,
+    stall_threshold: int,
+    node: PolicyNode,
+    edge: PolicyEdge,
+    w: BeliefState,
+    h: BeliefState,
+    run: int,
+) -> tuple[str, str, Optional[tuple[BeliefState, BeliefState]], int]:
+    """Execute one prescribed edge; returns (verdict, detail, next state, run).
+
+    The verdict is "" when the edge executes, else "na" or "idl" (the branch
+    ends here).  ``run`` counts consecutive WAIT/IDLE turns.
+    """
+    for ca in edge.comms:
+        try:
+            h = apply_comm(ca, h)
+        except StaleComm:
+            pass  # already aligned in this execution
+    op = edge.action
+    new_run = run + 1 if op.is_pseudo else 0
+    if not op.is_pseudo:
+        actor_belief = w if node.turn == policy.robot else h
+        if not applicable(op, actor_belief):
+            return (
+                "na",
+                f"{op} not applicable in {node.turn}'s belief at execution",
+                None,
+                new_run,
+            )
+        if not applicable(op, w):
+            return "na", f"{op} not applicable in the ground truth", None, new_run
+    elif not node.network.is_empty and new_run >= stall_threshold:
+        return "idl", f"{stall_threshold} consecutive WAIT/IDLE turns", None, new_run
+    res = step_belief_protocol(
+        w, h, op, node.turn, policy.robot, policy.human, obs_model
+    )
+    return "", "", (res.world, res.human_belief), new_run
 
 
 def simulate(
@@ -577,45 +625,11 @@ def simulate(
     executed as zero-time robot actions (already-aligned facts are skipped).
 
     Shared policy subtrees are aggregated through a memo, so the walk is
-    exhaustive over branches without materializing every action sequence;
-    explicit traces are attached whenever their number stays small.
+    exhaustive over branches without materializing any action sequence;
+    :func:`enumerate_traces` lists the branches themselves.
     """
-    world = world0 if world0 is not None else policy.init_world
-    human = human0 if human0 is not None else policy.init_human
-    human = obs_model.assess(human, world)
-    robot_id, human_id = policy.robot, policy.human
+    world, human = _replay_start(policy, obs_model, world0, human0)
     memo: dict[tuple, _SimStats] = {}
-
-    def classify_edge(
-        node: PolicyNode,
-        edge: PolicyEdge,
-        w: BeliefState,
-        h: BeliefState,
-        run: int,
-    ) -> tuple[str, str, Optional[tuple[BeliefState, BeliefState]], int]:
-        """Check one prescribed edge; returns (verdict, detail, next state, run)."""
-        for ca in edge.comms:
-            try:
-                h = apply_comm(ca, h)
-            except StaleComm:
-                pass  # already aligned in this execution
-        op = edge.action
-        new_run = run + 1 if op.is_pseudo else 0
-        if not op.is_pseudo:
-            actor_belief = w if node.turn == robot_id else h
-            if not applicable(op, actor_belief):
-                return (
-                    "na",
-                    f"{op} not applicable in {node.turn}'s belief at execution",
-                    None,
-                    new_run,
-                )
-            if not applicable(op, w):
-                return "na", f"{op} not applicable in the ground truth", None, new_run
-        elif not node.network.is_empty and new_run >= stall_threshold:
-            return "idl", "four consecutive WAIT/IDLE turns", None, new_run
-        res = step_belief_protocol(w, h, op, node.turn, robot_id, human_id, obs_model)
-        return "", "", (res.world, res.human_belief), new_run
 
     def walk(node: PolicyNode, w: BeliefState, h: BeliefState, run: int) -> _SimStats:
         key = (id(node), w.values, h.values, min(run, stall_threshold))
@@ -625,12 +639,14 @@ def simulate(
         if node.kind is NodeKind.SUCCESS:
             stats = _SimStats(1, 1, 0, 0)
         elif node.kind is NodeKind.DEADLOCK or not node.edges:
-            stats = _SimStats(1, 0, 0, 1, "idl", "plan-embedded inactivity deadlock")
+            stats = _SimStats(1, 0, 0, 1, "idl", _EMBEDDED_DEADLOCK)
         else:
             n = s = na = idl = plen = comms = 0
             first, detail = "", ""
             for edge in node.edges:
-                verdict, vdetail, nxt, new_run = classify_edge(node, edge, w, h, run)
+                verdict, vdetail, nxt, new_run = _classify_edge(
+                    policy, obs_model, stall_threshold, node, edge, w, h, run
+                )
                 step_len = 0 if edge.action.is_pseudo else 1
                 if verdict:
                     n += 1
@@ -656,14 +672,8 @@ def simulate(
         return stats
 
     stats = walk(policy.root, world, human, 0)
-    outcome = stats.first_failure or "success"
-    traces: tuple[TraceResult, ...] = ()
-    if stats.n_traces <= _TRACE_LIMIT:
-        traces = tuple(
-            enumerate_traces(policy, obs_model, world, human, stall_threshold)
-        )
     return ExecutionReport(
-        outcome=outcome,
+        outcome=stats.first_failure or "success",
         detail=stats.first_detail,
         n_traces=stats.n_traces,
         n_success=stats.n_success,
@@ -671,7 +681,6 @@ def simulate(
         n_idl=stats.n_idl,
         mean_primitive_length=stats.sum_primitive_len / max(stats.n_traces, 1),
         mean_comm_count=stats.sum_comms / max(stats.n_traces, 1),
-        traces=traces,
     )
 
 
@@ -682,11 +691,12 @@ def enumerate_traces(
     human0: Optional[BeliefState] = None,
     stall_threshold: int = 4,
 ) -> list[TraceResult]:
-    """Explicit per-branch replay; intended for small policies."""
-    world = world0 if world0 is not None else policy.init_world
-    human = human0 if human0 is not None else policy.init_human
-    human = obs_model.assess(human, world)  # idempotent
-    robot_id, human_id = policy.robot, policy.human
+    """Every branch of the policy as an explicit trace, in walk order.
+
+    Applies the same edge rules as :func:`simulate` but without a memo, so
+    the cost grows with the number of branches; intended for small policies.
+    """
+    world, human = _replay_start(policy, obs_model, world0, human0)
     out: list[TraceResult] = []
 
     def walk(
@@ -698,57 +708,22 @@ def enumerate_traces(
         run: int,
     ) -> None:
         if node.kind is NodeKind.SUCCESS:
-            out.append(TraceResult(actions, comms, "success"))
+            out.append(TraceResult(actions, comms))
             return
         if node.kind is NodeKind.DEADLOCK or not node.edges:
-            out.append(
-                TraceResult(actions, comms, "idl", "plan-embedded inactivity deadlock")
-            )
+            out.append(TraceResult(actions, comms, "idl", _EMBEDDED_DEADLOCK))
             return
         for edge in node.edges:
-            w2, h2 = w, h
-            for ca in edge.comms:
-                try:
-                    h2 = apply_comm(ca, h2)
-                except StaleComm:
-                    pass
-            op = edge.action
-            new_run = run + 1 if op.is_pseudo else 0
+            verdict, detail, nxt, new_run = _classify_edge(
+                policy, obs_model, stall_threshold, node, edge, w, h, run
+            )
+            edge_actions = actions + (edge.action,)
             edge_comms = comms + tuple(edge.comms)
-            if not op.is_pseudo:
-                actor_belief = w2 if node.turn == robot_id else h2
-                if not applicable(op, actor_belief):
-                    out.append(
-                        TraceResult(
-                            actions + (op,),
-                            edge_comms,
-                            "na",
-                            f"{op} not applicable in {node.turn}'s belief at execution",
-                        )
-                    )
-                    continue
-                if not applicable(op, w2):
-                    out.append(
-                        TraceResult(
-                            actions + (op,),
-                            edge_comms,
-                            "na",
-                            f"{op} not applicable in the ground truth",
-                        )
-                    )
-                    continue
-            elif not node.network.is_empty and new_run >= stall_threshold:
-                out.append(
-                    TraceResult(
-                        actions + (op,),
-                        edge_comms,
-                        "idl",
-                        "four consecutive WAIT/IDLE turns",
-                    )
-                )
-                continue
-            res = step_belief_protocol(w2, h2, op, node.turn, robot_id, human_id, obs_model)
-            walk(edge.child, res.world, res.human_belief, actions + (op,), edge_comms, new_run)
+            if verdict:
+                out.append(TraceResult(edge_actions, edge_comms, verdict, detail))
+            else:
+                assert nxt is not None
+                walk(edge.child, nxt[0], nxt[1], edge_actions, edge_comms, new_run)
 
     walk(policy.root, world, human, (), (), 0)
     return out

@@ -248,11 +248,6 @@ class DivergenceReport:
         return tuple(e.attr for e in self.entries)
 
 
-def lookup(belief: BeliefState, attr: GroundedAttribute) -> Value:
-    """Read one attribute from a belief; pure."""
-    return belief.get(attr)
-
-
 def diverging_attributes(robot: BeliefState, human: BeliefState) -> DivergenceReport:
     """Scan both beliefs and report every attribute with unequal values."""
     if robot.universe is not human.universe:

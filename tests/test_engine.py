@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from beliefhtn import AgentModel, legacy_step, step_belief_protocol, update_on_act, update_on_observe
+from beliefhtn import legacy_step, parse, step_belief_protocol
 from beliefhtn.errors import NotApplicable
 from beliefhtn.htn import applicable, apply_effects, ground_all_operators, idle_op, wait_op
 
@@ -17,89 +17,119 @@ def op_table(bundle):
     return table
 
 
+def step(bundle, world, human, op, actor):
+    return step_belief_protocol(world, human, op, actor, "robot", "human", bundle.obs_model)
+
+
 def test_update_on_act_applies_effects(cooking):
     u = cooking.universe
     add_salt = op_table(cooking)[("robot", "add-salt", ())]
-    robot = AgentModel("robot", "robot", cooking.problem.world)
-    updated = update_on_act(robot, add_salt)
-    assert updated.belief.get(u.attr("SaltInPot")) == "true"
-    assert updated.plan[-1] is add_salt
+    res = step(cooking, cooking.problem.world, cooking.problem.human_belief, add_salt, "robot")
+    assert res.world.get(u.attr("SaltInPot")) == "true"
 
 
 def test_update_on_act_wait_is_identity(cooking):
-    human = AgentModel("human", "human", cooking.problem.human_belief)
-    assert update_on_act(human, wait_op("human")).belief == human.belief
+    world = cooking.problem.world
+    human = cooking.obs_model.assess(cooking.problem.human_belief, world)
+    res = step(cooking, world, human, wait_op("human"), "human")
+    assert res.world == world
+    assert res.human_belief == human
 
 
 def test_update_on_act_move(cooking):
     u = cooking.universe
     move = op_table(cooking)[("human", "move-to-pasta", ("Kitchen", "Room"))]
-    human = AgentModel("human", "human", cooking.problem.human_belief)
-    updated = update_on_act(human, move)
-    assert updated.belief.get(u.attr("AgtAt", "human")) == "Room"
+    res = step(cooking, cooking.problem.world, cooking.problem.human_belief, move, "human")
+    assert res.human_belief.get(u.attr("AgtAt", "human")) == "Room"
 
 
 def test_update_on_act_checks_own_belief(cooking):
+    # The world allows the pour; the human's own belief (unsalted) does not.
+    u = cooking.universe
     pour = op_table(cooking)[("human", "pour-pasta", ())]
-    human = AgentModel("human", "human", cooking.problem.human_belief)
+    world = (
+        cooking.problem.world.with_value(u.attr("SaltInPot"), "true")
+        .with_value(u.attr("Stove"), "on")
+        .with_value(u.attr("HumanHasPasta"), "true")
+    )
+    human = world.with_owner("human").with_value(u.attr("SaltInPot"), "false")
+    assert applicable(pour, world)
     with pytest.raises(NotApplicable):
-        update_on_act(human, pour)
+        step(cooking, world, human, pour, "human")
 
 
 def test_observe_copresent_learns_inferrable(cooking):
     u = cooking.universe
     add_salt = op_table(cooking)[("robot", "add-salt", ())]
-    world_before = cooking.problem.world
-    world_after = apply_effects(add_salt, world_before)
-    human = AgentModel("human", "human", cooking.problem.human_belief)
-    observed = update_on_observe(
-        human, "robot", add_salt, world_before, world_after, cooking.obs_model
-    )
-    assert observed.belief.get(u.attr("SaltInPot")) == "true"
+    res = step(cooking, cooking.problem.world, cooking.problem.human_belief, add_salt, "robot")
+    assert res.human_belief.get(u.attr("SaltInPot")) == "true"
 
 
 def test_observe_away_learns_nothing(cooking):
     u = cooking.universe
     add_salt = op_table(cooking)[("robot", "add-salt", ())]
-    world_before = cooking.problem.world.with_value(u.attr("AgtAt", "human"), "Room")
-    world_after = apply_effects(add_salt, world_before)
+    world = cooking.problem.world.with_value(u.attr("AgtAt", "human"), "Room")
     away = cooking.problem.human_belief.with_value(u.attr("AgtAt", "human"), "Room")
-    human = AgentModel("human", "human", away)
-    observed = update_on_observe(
-        human, "robot", add_salt, world_before, world_after, cooking.obs_model
-    )
-    assert observed.belief.get(u.attr("SaltInPot")) == "false"
+    res = step(cooking, world, away, add_salt, "robot")
+    assert res.human_belief.get(u.attr("SaltInPot")) == "false"
 
 
 def test_robot_observes_everything_from_anywhere(cooking):
-    # The human pours in another room; the robot's belief updates anyway.
+    # The human grabs the pasta in another room; the robot's belief updates anyway.
     u = cooking.universe
     world = (
         cooking.problem.world.with_value(u.attr("AgtAt", "human"), "Room")
         .with_value(u.attr("AgtAt", "robot"), "Kitchen")
-        .with_value(u.attr("HumanHasPasta"), "true")
+        .with_value(u.attr("HumanHasPasta"), "false")
     )
     grab = op_table(cooking)[("human", "grab-pasta", ("Room",))]
-    world2 = world.with_value(u.attr("HumanHasPasta"), "false")
-    after = apply_effects(grab, world2)
-    robot = AgentModel("robot", "robot", world2)
-    observed = update_on_observe(robot, "human", grab, world2, after, cooking.obs_model)
-    assert observed.belief.get(u.attr("HumanHasPasta")) == "true"
+    res = step(cooking, world, world.with_owner("human"), grab, "human")
+    assert res.world.get(u.attr("HumanHasPasta")) == "true"
 
 
-def test_observation_needs_copresence_throughout(cooking):
+LEAVING_DOM = """\
+beliefhtn-domain 1
+domain leaving
+
+group Places Kitchen Room
+group Agents robot human
+agents robot human
+
+svar AgtAt (?a Agents) -> Places : obs
+svar Salted -> bool : inf
+
+place AgtAt(?a) value-of AgtAt(?a)
+
+operator salt-and-leave for robot
+  pre AgtAt(robot) = Kitchen
+  eff Salted = true
+  eff AgtAt(robot) = Room
+end
+
+operator salt-and-stay for robot
+  pre AgtAt(robot) = Kitchen
+  eff Salted = true
+end
+
+root t0 salt-and-stay
+init AgtAt(robot) = Kitchen
+init AgtAt(human) = Kitchen
+init Salted = false
+start robot
+"""
+
+
+def test_observation_needs_copresence_throughout():
     # Co-present in the pre-state but not the post-state: no observation.
-    u = cooking.universe
-    add_salt = op_table(cooking)[("robot", "add-salt", ())]
-    world_before = cooking.problem.world  # both in Kitchen
-    world_after = apply_effects(add_salt, world_before).with_value(
-        u.attr("AgtAt", "human"), "Room"
-    )
-    human = AgentModel("human", "human", cooking.problem.human_belief)
-    observed = update_on_observe(
-        human, "robot", add_salt, world_before, world_after, cooking.obs_model
-    )
-    assert observed.belief.get(u.attr("SaltInPot")) == "false"
+    bundle = parse(LEAVING_DOM).build()
+    u = bundle.universe
+    ops = {op.name: op for op in op_table(bundle).values()}
+    world, human = bundle.problem.world, bundle.problem.human_belief
+    left = step(bundle, world, human, ops["salt-and-leave"], "robot")
+    assert left.world.get(u.attr("Salted")) == "true"
+    assert left.human_belief.get(u.attr("Salted")) == "false"
+    stayed = step(bundle, world, human, ops["salt-and-stay"], "robot")
+    assert stayed.human_belief.get(u.attr("Salted")) == "true"
 
 
 def test_step_protocol_scenario_a_turn_on(cooking):

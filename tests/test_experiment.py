@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from beliefhtn.errors import SpecMismatch
+from beliefhtn import experiment
+from beliefhtn.errors import BeliefHtnError, SpecMismatch
 from beliefhtn.experiment import (
     DEFAULT_SPECS,
     ExperimentConfig,
@@ -111,3 +112,20 @@ def test_run_instance_records_errors(cooking):
     bad = replace(inst, world=broken, human=broken.with_owner("human"))
     res = run_instance(cooking, bad, "new", depth_bound=24)
     assert res.outcome.startswith("error:")
+
+
+def test_run_instance_lets_invariant_failures_propagate(cooking, monkeypatch):
+    # Only the planner's declared failures become error rows.
+    def broken_plan(*args, **kwargs):
+        raise AssertionError("planner invariant violated")
+
+    monkeypatch.setattr(experiment, "plan", broken_plan)
+    inst = generate_initial_states(cooking, DEFAULT_SPECS["cooking"])[0]
+    with pytest.raises(AssertionError, match="planner invariant violated"):
+        run_instance(cooking, inst, "new")
+
+
+def test_run_experiment_rejects_missing_domain_file(tmp_path):
+    missing = tmp_path / "absent.dom"
+    with pytest.raises(BeliefHtnError, match="neither a builtin domain"):
+        run_experiment(ExperimentConfig(domain=str(missing)))

@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from beliefhtn import enumerate_decompositions
 from beliefhtn.errors import BadArgument, NotApplicable, NotRelevant
 from beliefhtn.htn import (
     GroundedMethod,
@@ -16,7 +15,6 @@ from beliefhtn.htn import (
     ground_all_operators,
     ground_method,
     idle_op,
-    is_primitive,
 )
 
 
@@ -206,40 +204,19 @@ def test_network_build_rejects_cycle():
         TaskNetwork.build([TaskInstance("A"), TaskInstance("B")], [(0, 1), (1, 0)])
 
 
-# -- decomposition enumeration ----------------------------------------------
-
-
-def test_enumerate_primitive_network_empty(cooking):
-    w = TaskNetwork.build([TaskInstance("add-salt"), TaskInstance("turn-on")])
-    dom = cooking.problem.domain_of("robot")
-    assert enumerate_decompositions(w, cooking.universe, dom) == ()
-
-
-def test_enumerate_make_pasta_single_pair(cooking):
-    w = cooking.problem.network
-    dom = cooking.problem.domain_of("robot")
-    pairs = enumerate_decompositions(w, cooking.universe, dom)
-    assert len(pairs) == 1
-    assert pairs[0][1].name == "m-make-pasta"
-
-
-def test_enumerate_fill_box_two_pairs(box):
-    w = TaskNetwork.build([TaskInstance("FillBox", ("box1",))])
-    dom = box.problem.domain_of("human")
-    pairs = enumerate_decompositions(w, box.universe, dom)
-    assert sorted(gm.name for _, gm in pairs) == ["m-fill-by-human", "m-fill-by-robot"]
-
-
 def test_network_fixpoint_iff_primitive(cooking, box):
     # Decomposing any non-primitive node (available or not) until none is
     # left must terminate, and only then is the network primitive.
     for bundle in (cooking, box):
-        domains = bundle.problem.domains
         w = bundle.problem.network
-        assert not is_primitive(w, domains)
         op_names = set()
-        for dom in domains.values():
+        for dom in bundle.problem.domains.values():
             op_names |= dom.operator_names()
+
+        def is_primitive(w):
+            return all(t.symbol in op_names for _, t in w.nodes)
+
+        assert not is_primitive(w)
         for _ in range(200):
             expandable = [
                 (i, t) for i, t in w.nodes if t.symbol not in op_names
@@ -251,7 +228,7 @@ def test_network_fixpoint_iff_primitive(cooking, box):
             w = decompose(w, node_id, gm)
         else:
             pytest.fail("decomposition did not reach a fixpoint")
-        assert is_primitive(w, domains)
+        assert is_primitive(w)
 
 
 def test_ground_operator_rejects_double_assignment(cooking):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefhtn import BeliefState, ObsClass, assess, copresent, place_of
+from beliefhtn import BeliefState, ObsClass
 from beliefhtn.errors import BadRule
 from beliefhtn.observability import ObservabilityModel, PlacementRule
 from beliefhtn.state import Group, StateVariableDecl, Universe
@@ -15,21 +15,21 @@ from beliefhtn.state import Group, StateVariableDecl, Universe
 def test_place_of_stove_is_fixed_kitchen(cooking):
     u = cooking.universe
     world = cooking.problem.world
-    assert place_of(cooking.obs_model, u.attr("Stove"), world) == "Kitchen"
+    assert cooking.obs_model.place_of(u.attr("Stove"), world) == "Kitchen"
 
 
 def test_place_of_agent_location_is_its_value(cooking):
     u = cooking.universe
     world = cooking.problem.world.with_value(u.attr("AgtAt", "human"), "Room")
-    assert place_of(cooking.obs_model, u.attr("AgtAt", "human"), world) == "Room"
+    assert cooking.obs_model.place_of(u.attr("AgtAt", "human"), world) == "Room"
 
 
 def test_place_of_pasta_follows_its_location(cooking):
     u = cooking.universe
     world = cooking.problem.world.with_value(u.attr("PastaLoc"), "Kitchen")
-    assert place_of(cooking.obs_model, u.attr("PastaLoc"), world) == "Kitchen"
+    assert cooking.obs_model.place_of(u.attr("PastaLoc"), world) == "Kitchen"
     moved = world.with_value(u.attr("PastaLoc"), "Room")
-    assert place_of(cooking.obs_model, u.attr("PastaLoc"), moved) == "Room"
+    assert cooking.obs_model.place_of(u.attr("PastaLoc"), moved) == "Room"
 
 
 def test_place_of_unruled_attribute_is_none():
@@ -69,17 +69,17 @@ def test_bad_rule_when_reference_is_not_a_place():
 
 def test_copresent_both_in_kitchen(cooking):
     world = cooking.problem.world  # both agents start in Kitchen
-    assert copresent(cooking.obs_model, "robot", "human", world)
+    assert cooking.obs_model.copresent("robot", "human", world)
 
 
 def test_copresent_reflexive(cooking):
-    assert copresent(cooking.obs_model, "human", "human", cooking.problem.world)
+    assert cooking.obs_model.copresent("human", "human", cooking.problem.world)
 
 
 def test_copresent_split_locations(cooking):
     u = cooking.universe
     world = cooking.problem.world.with_value(u.attr("AgtAt", "human"), "Room")
-    assert not copresent(cooking.obs_model, "robot", "human", world)
+    assert not cooking.obs_model.copresent("robot", "human", world)
 
 
 def test_assess_corrects_observable_stove(cooking):
@@ -87,21 +87,21 @@ def test_assess_corrects_observable_stove(cooking):
     u = cooking.universe
     world = cooking.problem.world.with_value(u.attr("Stove"), "on")
     human = world.with_owner("human").with_value(u.attr("Stove"), "off")
-    assessed = assess(cooking.obs_model, human, world)
+    assessed = cooking.obs_model.assess(human, world)
     assert assessed.get(u.attr("Stove")) == "on"
 
 
 def test_assess_noop_when_aligned(cooking):
     world = cooking.problem.world
     human = world.with_owner("human")
-    assert assess(cooking.obs_model, human, world) == human
+    assert cooking.obs_model.assess(human, world) == human
 
 
 def test_assess_never_reveals_inferrable_salt(cooking):
     u = cooking.universe
     world = cooking.problem.world.with_value(u.attr("SaltInPot"), "true")
     human = world.with_owner("human").with_value(u.attr("SaltInPot"), "false")
-    assessed = assess(cooking.obs_model, human, world)
+    assessed = cooking.obs_model.assess(human, world)
     assert assessed.get(u.attr("SaltInPot")) == "false"
 
 
@@ -113,7 +113,7 @@ def test_assess_skips_attributes_placed_elsewhere(cooking):
         .with_value(u.attr("Stove"), "on")
     )
     human = world.with_owner("human").with_value(u.attr("Stove"), "off")
-    assessed = assess(cooking.obs_model, human, world)
+    assessed = cooking.obs_model.assess(human, world)
     assert assessed.get(u.attr("Stove")) == "off"
 
 
@@ -134,15 +134,15 @@ def cooking_pair(draw):
 @given(cooking_pair())
 def test_assess_is_idempotent(data):
     bundle, world, human = data
-    once = assess(bundle.obs_model, human, world)
-    assert assess(bundle.obs_model, once, world) == once
+    once = bundle.obs_model.assess(human, world)
+    assert bundle.obs_model.assess(once, world) == once
 
 
 @settings(max_examples=150, deadline=None)
 @given(cooking_pair())
 def test_assess_never_touches_inf_attributes(data):
     bundle, world, human = data
-    assessed = assess(bundle.obs_model, human, world)
+    assessed = bundle.obs_model.assess(human, world)
     for attr in bundle.universe.attributes:
         if bundle.obs_model.obs_class(attr) is ObsClass.INF:
             assert assessed.get(attr) == human.get(attr)
@@ -153,7 +153,7 @@ def test_assess_never_touches_inf_attributes(data):
 def test_assess_aligns_obs_attributes_at_human_place(data):
     bundle, world, human = data
     model = bundle.obs_model
-    assessed = assess(model, human, world)
+    assessed = model.assess(human, world)
     here = model.agent_place("human", world)
     for attr in bundle.universe.attributes:
         if (

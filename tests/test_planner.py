@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from beliefhtn import (
@@ -12,9 +14,19 @@ from beliefhtn import (
     plan,
     simulate,
 )
+from beliefhtn.communication import CommPlan
 from beliefhtn.errors import Unsolvable
-from beliefhtn.htn import OpKind, TaskInstance, TaskNetwork, applicable, decompose
-from beliefhtn.planner import NodeKind, policy_comm_edges
+from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
+from beliefhtn.htn import (
+    OpKind,
+    TaskInstance,
+    TaskNetwork,
+    applicable,
+    decompose,
+    ground_all_operators,
+    wait_op,
+)
+from beliefhtn.planner import NodeKind, PolicyEdge, PolicyNode, PolicyTree, policy_comm_edges
 
 
 # -- emulated human choices ---------------------------------------------------
@@ -76,10 +88,6 @@ def test_emulation_idles_when_only_robot_work_remains(cooking):
 # -- golden scenarios ---------------------------------------------------------
 
 
-def trace_strs(report):
-    return [[str(a) for a in t.actions] for t in report.traces]
-
-
 def test_scenario_a_modes_equivalent(cooking):
     new_pol = plan(cooking.problem, cooking.obs_model, MODE_NEW)
     leg_pol = plan(cooking.problem, cooking.obs_model, MODE_LEGACY)
@@ -88,8 +96,10 @@ def test_scenario_a_modes_equivalent(cooking):
     assert new_rep.outcome == "success"
     assert leg_rep.outcome == "success"
     assert not policy_comm_edges(new_pol)
-    new_seqs = sorted(tuple(str(a) for a in t.actions) for t in new_rep.traces)
-    leg_seqs = sorted(tuple(str(a) for a in t.actions) for t in leg_rep.traces)
+    new_traces = enumerate_traces(new_pol, cooking.obs_model)
+    leg_traces = enumerate_traces(leg_pol, cooking.obs_model)
+    new_seqs = sorted(tuple(str(a) for a in t.actions) for t in new_traces)
+    leg_seqs = sorted(tuple(str(a) for a in t.actions) for t in leg_traces)
     assert new_seqs == leg_seqs
 
 
@@ -103,7 +113,7 @@ def test_scenario_b_one_salt_tell(cooking):
     assert tells == ["tell(SaltInPot, true)"]
     # The stove correction comes from assessment alone: the pour happens with
     # the stove believed on, yet no stove fact was ever communicated.
-    (trace,) = report.traces
+    (trace,) = enumerate_traces(policy, bundle.obs_model)
     actions = [str(a) for a in trace.actions]
     assert "pour-pasta" in actions
     assert all("Stove" not in c for c in [str(x) for x in trace.comms])
@@ -173,6 +183,128 @@ def test_salt_already_achieved_legacy_deadlocks(cooking):
     assert "tell(SaltInPot, true)" in tells
 
 
+# -- replay: the memoised aggregate against the explicit traces ---------------
+
+
+def trace_totals(traces):
+    first = next((t for t in traces if t.outcome != "success"), None)
+    return (
+        len(traces),
+        sum(t.outcome == "success" for t in traces),
+        sum(t.outcome == "na" for t in traces),
+        sum(t.outcome == "idl" for t in traces),
+        sum(t.primitive_length for t in traces),
+        sum(len(t.comms) for t in traces),
+        first.outcome if first else "success",
+        first.detail if first else "",
+    )
+
+
+def report_totals(report):
+    return (
+        report.n_traces,
+        report.n_success,
+        report.n_na,
+        report.n_idl,
+        round(report.mean_primitive_length * report.n_traces),
+        round(report.mean_comm_count * report.n_traces),
+        report.outcome,
+        report.detail,
+    )
+
+
+STUDY_STRIDE = 17
+
+
+@pytest.mark.parametrize("domain", ["cooking", "box"])
+def test_simulate_totals_match_enumerated_traces_on_study(domain, cooking, box):
+    bundle = cooking if domain == "cooking" else box
+    instances = generate_initial_states(bundle, DEFAULT_SPECS[domain])[::STUDY_STRIDE]
+    outcomes = set()
+    for mode in (MODE_LEGACY, MODE_NEW):
+        for inst in instances:
+            problem = replace(bundle.problem, world=inst.world, human_belief=inst.human)
+            policy = plan(problem, bundle.obs_model, mode, PlannerConfig(depth_bound=128))
+            report = simulate(policy, bundle.obs_model)
+            traces = enumerate_traces(policy, bundle.obs_model)
+            assert report_totals(report) == trace_totals(traces), (mode, inst.index)
+            outcomes.add(report.outcome)
+    # The sample holds failing policies, not only successes.
+    assert outcomes - {"success"}
+
+
+def test_simulate_totals_match_enumerated_traces_on_failures(cooking):
+    scenario_c = (
+        cooking.with_world({"PastaLoc": "Kitchen"})
+        .with_human_belief({"PastaLoc": "Room"})
+        .with_start("human")
+    )
+    salt = cooking.with_world({"SaltInPot": "true"}).with_human_belief(
+        {"SaltInPot": "false"}
+    )
+    for bundle, expected in ((scenario_c, "na"), (salt, "idl")):
+        policy = plan(bundle.problem, bundle.obs_model, MODE_LEGACY)
+        report = simulate(policy, bundle.obs_model)
+        assert report.outcome == expected
+        assert report_totals(report) == trace_totals(
+            enumerate_traces(policy, bundle.obs_model)
+        )
+
+
+def wait_chain(bundle, n_waits):
+    """A hand-built policy of alternating WAIT turns over the full agenda."""
+    problem = bundle.problem
+    world = problem.world
+    human = bundle.obs_model.assess(problem.human_belief, world)
+    turns = [problem.robot, problem.human] * n_waits
+    node = PolicyNode(world, human, problem.network, turns[n_waits], NodeKind.SUCCESS)
+    for turn in reversed(turns[:n_waits]):
+        edge = PolicyEdge(wait_op(turn), CommPlan(), (), None, node)
+        node = PolicyNode(world, human, problem.network, turn, NodeKind.DECISION, (edge,))
+    return PolicyTree(
+        MODE_NEW, problem.robot, problem.human, world, problem.human_belief, node
+    )
+
+
+@pytest.mark.parametrize("threshold", [4, 2])
+def test_stall_verdict_names_its_threshold(cooking, threshold):
+    policy = wait_chain(cooking, 6)
+    # Below the threshold the chain replays to its success leaf.
+    assert simulate(policy, cooking.obs_model, stall_threshold=7).outcome == "success"
+    report = simulate(policy, cooking.obs_model, stall_threshold=threshold)
+    assert report.outcome == "idl"
+    assert report.detail == f"{threshold} consecutive WAIT/IDLE turns"
+    (trace,) = enumerate_traces(policy, cooking.obs_model, stall_threshold=threshold)
+    assert (trace.outcome, trace.detail) == ("idl", report.detail)
+    assert len(trace.actions) == threshold
+    assert report_totals(report) == trace_totals([trace])
+
+
+def test_first_failure_follows_walk_order(cooking):
+    # The human may pour (not applicable: nothing is ready) or wait into a
+    # stall; the report names the first failure in walk order.
+    chain = wait_chain(cooking, 6)
+    root = chain.root
+    human_ops = cooking.problem.domain_of("human").operators
+    pour = next(
+        op for op in ground_all_operators(cooking.universe, human_ops) if op.name == "pour-pasta"
+    )
+    success = PolicyNode(root.world, root.human_belief, root.network, "robot", NodeKind.SUCCESS)
+    edges = (
+        PolicyEdge(pour, CommPlan(), (), None, success),
+        PolicyEdge(wait_op("human"), CommPlan(), (), None, root),
+    )
+    human_root = PolicyNode(root.world, root.human_belief, root.network, "human", edges=edges)
+    policy = PolicyTree(
+        MODE_NEW, "robot", "human", chain.init_world, chain.init_human, human_root
+    )
+    report = simulate(policy, cooking.obs_model)
+    assert (report.n_na, report.n_idl) == (1, 1)
+    assert report.outcome == "na"
+    assert report.detail.startswith("pour-pasta")
+    assert report_totals(report) == trace_totals(enumerate_traces(policy, cooking.obs_model))
+
+
 # -- deadlock detector --------------------------------------------------------
 
 
@@ -186,8 +318,7 @@ def test_detect_deadlock_boundary_cases():
 
 def test_detect_deadlock_excludes_terminal_idle_pair(cooking):
     policy = plan(cooking.problem, cooking.obs_model, MODE_NEW)
-    report = simulate(policy, cooking.obs_model)
-    (trace,) = report.traces
+    (trace,) = enumerate_traces(policy, cooking.obs_model)
     kinds = [a.kind.value for a in trace.actions]
     assert kinds[-2:] == ["idle", "idle"]
     assert not detect_deadlock(trace.actions)

@@ -10,7 +10,6 @@ from beliefhtn import (
     StateVariableDecl,
     Universe,
     diverging_attributes,
-    lookup,
 )
 from beliefhtn.errors import BadArgument, BadValue, UniverseMismatch, UnknownAttribute
 from beliefhtn.htn import apply
@@ -72,7 +71,7 @@ def test_lookup_stove_after_turn_on(cooking):
         if key[1] == "turn-on"
     )
     after = apply(turn_on, world)
-    assert lookup(after, u.attr("Stove")) == "on"
+    assert after.get(u.attr("Stove")) == "on"
 
 
 def _op_table(bundle):
@@ -89,13 +88,13 @@ def test_lookup_read_after_write():
     u = small_universe()
     b = total_state(u, "human")
     b2 = b.with_value(u.attr("AgtAt", "human"), "Kitchen")
-    assert lookup(b2, u.attr("AgtAt", "human")) == "Kitchen"
+    assert b2.get(u.attr("AgtAt", "human")) == "Kitchen"
 
 
 def test_lookup_fresh_box_initial_state(box):
     # All boxes start empty in the built-in initial state.
     world = box.problem.world
-    assert lookup(world, box.universe.attr("BallsInBox", "box1")) == 0
+    assert world.get(box.universe.attr("BallsInBox", "box1")) == 0
 
 
 def test_lookup_unknown_symbol_and_bad_argument():
