@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .errors import NoAlignment, StaleComm
-from .htn import GroundedOperator, TaskNetwork, applicable, apply_effects
+from .htn import GroundedOperator, applicable, apply_effects
 from .state import BeliefState, GroundedAttribute, Value, diverging_attributes
 
 
@@ -70,52 +70,24 @@ def apply_comm_plan(plan: CommPlan, receiver_belief: BeliefState) -> BeliefState
     return belief
 
 
-def _reachable_symbols(
-    network: TaskNetwork, domain, universe
-) -> frozenset[str]:
-    """Operator symbols the agenda can still call for (transitively)."""
-    op_names = domain.operator_names()
-    seen: set[str] = set()
-    frontier = [t.symbol for _, t in network.nodes]
-    methods_by_task: dict[str, list] = {}
-    for m in domain.methods:
-        methods_by_task.setdefault(m.task_symbol, []).append(m)
-    while frontier:
-        sym = frontier.pop()
-        if sym in seen:
-            continue
-        seen.add(sym)
-        for m in methods_by_task.get(sym, []):
-            for sub_sym, _ in m.subtasks:
-                if sub_sym not in seen:
-                    frontier.append(sub_sym)
-    return frozenset(s for s in seen if s in op_names)
-
-
 def is_relevant_divergence(
     world: BeliefState,
     human_belief: BeliefState,
     human_ops: Sequence[GroundedOperator],
-    agenda: Optional[TaskNetwork] = None,
-    agenda_domain=None,
 ) -> bool:
     """True iff the divergence changes the human's options or their outcomes.
 
+    Over every grounded human operator, whether or not the remaining agenda
+    can still call for it:
     (a) the sets of human actions applicable under the two beliefs differ, or
     (b) some action applicable under both yields different values on its
     effect-touched attributes when applied to each belief.
-
-    By default every grounded human operator is considered (a safe,
-    myopic over-approximation); passing ``agenda`` + ``agenda_domain``
-    restricts the check to operators the remaining agenda can still reach.
+    This one rule decides both whether the planner must communicate before a
+    turn and when :func:`min_comm_bfs` may stop aligning.
     """
     if world.values == human_belief.values:
         return False
-    ops: Iterable[GroundedOperator] = human_ops
-    if agenda is not None and agenda_domain is not None:
-        reachable = _reachable_symbols(agenda, agenda_domain, world.universe)
-        ops = [op for op in human_ops if op.name in reachable]
-    for op in ops:
+    for op in human_ops:
         if op.is_pseudo:
             continue
         in_belief = applicable(op, human_belief)
@@ -135,8 +107,6 @@ def min_comm_bfs(
     world: BeliefState,
     human_belief: BeliefState,
     human_ops: Sequence[GroundedOperator],
-    agenda: Optional[TaskNetwork] = None,
-    agenda_domain=None,
 ) -> CommPlan:
     """Minimum-cardinality communication sequence removing relevance.
 
@@ -155,7 +125,7 @@ def min_comm_bfs(
     visited: set[frozenset[int]] = {frozenset()}
     while queue:
         belief, aligned = queue.popleft()
-        if not is_relevant_divergence(world, belief, human_ops, agenda, agenda_domain):
+        if not is_relevant_divergence(world, belief, human_ops):
             actions = tuple(
                 CommAction(
                     world.owner, human_belief.owner, divergent[i], world.get(divergent[i])

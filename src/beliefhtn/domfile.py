@@ -514,18 +514,6 @@ class ProblemBundle:
         ref = _parse_attr_ref(text, 0)
         return self.universe.attr(ref.symbol, *ref.args)
 
-    def _coerce(self, attr: GroundedAttribute, token: str) -> Value:
-        domain = self.universe.value_domain(attr)
-        if token in domain:
-            return token
-        try:
-            iv = int(token)
-        except ValueError:
-            iv = None
-        if iv is not None and iv in domain:
-            return iv
-        raise DomainSyntaxError(f"{token!r} is not a legal value for {attr}")
-
     def with_world(self, overrides: Mapping[str, Value | str]) -> "ProblemBundle":
         """New bundle with world-belief attributes overridden (human follows
         unless itself overridden later via :meth:`with_human_belief`)."""
@@ -533,7 +521,7 @@ class ProblemBundle:
         human = self.problem.human_belief
         for text, val in overrides.items():
             attr = self.attr(text)
-            value = self._coerce(attr, str(val))
+            value = _coerce_value(self.universe, attr, str(val))
             aligned = human.get(attr) == world.get(attr)
             world = world.with_value(attr, value)
             if aligned:
@@ -545,7 +533,7 @@ class ProblemBundle:
         human = self.problem.human_belief
         for text, val in overrides.items():
             attr = self.attr(text)
-            human = human.with_value(attr, self._coerce(attr, str(val)))
+            human = human.with_value(attr, _coerce_value(self.universe, attr, str(val)))
         problem = replace(self.problem, human_belief=human)
         return ProblemBundle(self.domfile, self.universe, problem, self.obs_model)
 

@@ -15,8 +15,9 @@ Two solver modes share the machinery:
   backtracked.
 * ``legacy`` -- the omniscient baseline: every effect updates both beliefs,
   no assessment, no communication, and the solver plans optimistically:
-  a run of four consecutive WAIT/IDLE turns closes the branch as an
-  embedded deadlock leaf instead of failing.
+  a run of ``PlannerConfig.stall_threshold`` (default 4) consecutive
+  WAIT/IDLE turns closes the branch as an embedded deadlock leaf instead of
+  failing.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class PlannerConfig:
     depth_bound: int = 64
     stall_threshold: int = 4
     max_nodes: int = 500_000
-    agenda_restricted_relevance: bool = False
 
 
 class NodeKind(Enum):
@@ -101,8 +101,10 @@ class PolicyTree:
 
 @dataclass(frozen=True)
 class _Candidate:
+    """One move of the agent on turn; ``network`` is the agenda after it."""
+
     op: GroundedOperator
-    node_id: int
+    node_id: Optional[int]  # None for WAIT/IDLE
     network: TaskNetwork
     decomps: tuple[tuple[int, GroundedMethod], ...]
 
@@ -130,10 +132,6 @@ def _multiset_lt(a: tuple, b: tuple) -> bool:
 @lru_cache(maxsize=65536)
 def _canonical(network: TaskNetwork) -> tuple:
     return network.canonical_key()
-
-
-def _op_sort_key(c: _Candidate) -> tuple:
-    return (c.op.name, c.op.args, _canonical(c.network.without_node(c.node_id)))
 
 
 class _Search:
@@ -191,12 +189,15 @@ class _Search:
     ) -> list[_Candidate]:
         """All (decomposition path, applicable own primitive) choices.
 
-        A decomposition sequence only belongs to a choice when it is needed
-        to expose the chosen primitive: among candidates for the same
-        grounded action, any whose committed-decomposition multiset strictly
-        contains another's is dropped (gratuitous commitments of unrelated
-        tasks would both multiply branches and discard the other agent's
-        options).
+        Each candidate carries the network after the primitive has run, and
+        choices leading to the same action and the same resulting network
+        are one.  A decomposition sequence only belongs to a choice when it
+        is needed to expose the chosen primitive: among candidates for the
+        same grounded action, any whose committed-decomposition multiset
+        strictly contains another's is dropped (gratuitous commitments of
+        unrelated tasks would both multiply branches and discard the other
+        agent's options).  The result is sorted by action, then resulting
+        network.
         """
         dom = self.problem.domain_of(agent)
         results: dict[tuple, _Candidate] = {}
@@ -213,9 +214,10 @@ class _Search:
                 if task.symbol in self.op_names[agent]:
                     op = self.op_table.get((agent, task.symbol, task.args))
                     if op is not None and applicable(op, belief):
-                        dkey = (op.name, op.args, _canonical(w.without_node(node_id)))
+                        after = w.without_node(node_id)
+                        dkey = (op.name, op.args, _canonical(after))
                         if dkey not in results:
-                            results[dkey] = _Candidate(op, node_id, w, trace)
+                            results[dkey] = _Candidate(op, node_id, after, trace)
                 elif task.symbol not in self.op_names[self._other(agent)]:
                     for method in dom.methods:
                         for gm in ground_method(self.universe, method, task):
@@ -230,13 +232,26 @@ class _Search:
             for i, cand in enumerate(group):
                 if not any(_multiset_lt(sigs[j], sigs[i]) for j in range(len(group))):
                     minimal.append(cand)
-        return sorted(minimal, key=_op_sort_key)
+        return sorted(minimal, key=lambda c: (c.op.name, c.op.args, _canonical(c.network)))
+
+    def _moves(
+        self, belief: BeliefState, network: TaskNetwork, agent: str
+    ) -> list[_Candidate]:
+        """The agent's choices, or the single WAIT/IDLE turn when it has none.
+
+        The agent WAITs while the network still holds work that can lead to
+        one of its own primitives, and IDLEs otherwise; either way the
+        network is unchanged.
+        """
+        choices = self._choices(belief, network, agent)
+        if choices:
+            return choices
+        if any(t.symbol in self.can_yield[agent] for _, t in network.nodes):
+            return [_Candidate(wait_op(agent), None, network, ())]
+        return [_Candidate(idle_op(agent), None, network, ())]
 
     def _other(self, agent: str) -> str:
         return self.human if agent == self.robot else self.robot
-
-    def _agent_has_work(self, network: TaskNetwork, agent: str) -> bool:
-        return any(t.symbol in self.can_yield[agent] for _, t in network.nodes)
 
     # -- belief stepping ----------------------------------------------------
 
@@ -298,7 +313,17 @@ class _Search:
         stall: int,
         path: frozenset,
     ) -> tuple[Optional[PolicyNode], bool]:
-        """Returns (policy node or None, failure-tainted-by-pruning)."""
+        """Expand one state; returns (policy node or None, tainted).
+
+        ``tainted`` is true when the failure may be due to a depth or cycle
+        prune along ``path`` rather than to the state itself, so the state is
+        not recorded as failed.  In the new mode a relevant divergence first
+        fixes the minimal communication for every outgoing edge.  Then one
+        loop tries the agent's moves (:meth:`_moves`) in order: a robot (OR)
+        node keeps the first move whose child is solved, a human (AND) node
+        needs every move solved.  A WAIT/IDLE move leaves the network as it
+        is and extends the stall run; any other move resets it.
+        """
         self.nodes_expanded += 1
         if self.nodes_expanded > self.config.max_nodes:
             raise DepthExceeded(f"search exceeded {self.config.max_nodes} nodes")
@@ -327,103 +352,52 @@ class _Search:
 
         comms = CommPlan()
         post_comm_belief = human_belief
-        if self.mode == MODE_NEW:
-            agenda, agenda_dom = None, None
-            if self.config.agenda_restricted_relevance:
-                agenda, agenda_dom = network, self.problem.domain_of(self.human)
-            if is_relevant_divergence(world, human_belief, self.human_ops, agenda, agenda_dom):
-                comms = min_comm_bfs(world, human_belief, self.human_ops, agenda, agenda_dom)
-                post_comm_belief = apply_comm_plan(comms, human_belief)
+        if self.mode == MODE_NEW and is_relevant_divergence(
+            world, human_belief, self.human_ops
+        ):
+            comms = min_comm_bfs(world, human_belief, self.human_ops)
+            post_comm_belief = apply_comm_plan(comms, human_belief)
 
-        belief_for_choice = post_comm_belief if turn == self.human else world
-        candidates = self._choices(belief_for_choice, network, turn)
-
+        is_human = turn == self.human
+        moves = self._moves(post_comm_belief if is_human else world, network, turn)
         sub_path = path | {key}
         tainted = False
-
-        if not candidates:
-            pseudo = (
-                wait_op(turn)
-                if self._agent_has_work(network, turn)
-                else idle_op(turn)
-            )
-            w2, hb2 = self._step(world, post_comm_belief, pseudo, turn)
-            child, t = self._solve(
-                w2, hb2, network, self._other(turn), depth + 1, stall + 1, sub_path
-            )
-            if child is None:
-                if not t:
-                    self.failed.add(key)
-                return None, t
-            node = PolicyNode(
-                world,
-                human_belief,
-                network,
-                turn,
-                NodeKind.DECISION,
-                (PolicyEdge(pseudo, comms, (), None, child),),
-            )
-            self.memo[key] = node
-            return node, False
-
-        if turn == self.robot:
-            for cand in candidates:
-                edge, t = self._try_candidate(
-                    world, post_comm_belief, cand, turn, depth, sub_path, comms
-                )
-                tainted = tainted or t
-                if edge is not None:
-                    node = PolicyNode(
-                        world, human_belief, network, turn, NodeKind.DECISION, (edge,)
-                    )
-                    self.memo[key] = node
-                    return node, False
-            if not tainted:
-                self.failed.add(key)
-            return None, tainted
-
-        # Human turn: every emulated choice must be covered.
         edges: list[PolicyEdge] = []
-        for cand in candidates:
-            if self.mode == MODE_NEW and not applicable(cand.op, world):
+        for move in moves:
+            if is_human and self.mode == MODE_NEW and not applicable(move.op, world):
                 raise AssertionError(
-                    f"emulated human action {cand.op} is belief-applicable but not "
+                    f"emulated human action {move.op} is belief-applicable but not "
                     "applicable in the ground truth; the relevance check should "
                     "have forced communication first"
                 )
-            edge, t = self._try_candidate(
-                world, post_comm_belief, cand, turn, depth, sub_path, comms
+            w2, hb2 = self._step(world, post_comm_belief, move.op, turn)
+            child, t = self._solve(
+                w2,
+                hb2,
+                move.network,
+                self._other(turn),
+                depth + 1,
+                stall + 1 if move.op.is_pseudo else 0,
+                sub_path,
             )
-            if edge is None:
+            if child is None:
                 tainted = tainted or t
-                if not tainted:
-                    self.failed.add(key)
-                return None, tainted
-            edges.append(edge)
-        node = PolicyNode(
-            world, human_belief, network, turn, NodeKind.DECISION, tuple(edges)
-        )
-        self.memo[key] = node
-        return node, False
+                if is_human:
+                    break  # one uncovered human choice fails the AND node
+                continue
+            edges.append(PolicyEdge(move.op, comms, move.decomps, move.node_id, child))
+            if not is_human:
+                break  # the OR node commits to its first solved move
 
-    def _try_candidate(
-        self,
-        world: BeliefState,
-        belief: BeliefState,
-        cand: _Candidate,
-        turn: str,
-        depth: int,
-        path: frozenset,
-        comms: CommPlan,
-    ) -> tuple[Optional[PolicyEdge], bool]:
-        network_after = cand.network.without_node(cand.node_id)
-        w2, hb2 = self._step(world, belief, cand.op, turn)
-        child, tainted = self._solve(
-            w2, hb2, network_after, self._other(turn), depth + 1, 0, path
-        )
-        if child is None:
-            return None, tainted
-        return PolicyEdge(cand.op, comms, cand.decomps, cand.node_id, child), False
+        if len(edges) == (len(moves) if is_human else 1):
+            node = PolicyNode(
+                world, human_belief, network, turn, NodeKind.DECISION, tuple(edges)
+            )
+            self.memo[key] = node
+            return node, False
+        if not tainted:
+            self.failed.add(key)
+        return None, tainted
 
     def _terminal(
         self, world: BeliefState, human_belief: BeliefState, network: TaskNetwork, turn: str
@@ -464,16 +438,8 @@ def emulate_human_choices(
     human-relevant work but nothing is applicable; {IDLE} otherwise.
     """
     search = _Search(problem, obs_model, MODE_NEW, config)
-    candidates = search._choices(human_belief, network, problem.human)
-    if candidates:
-        out: list[GroundedOperator] = []
-        for c in candidates:
-            if c.op not in out:
-                out.append(c.op)
-        return tuple(out)
-    if search._agent_has_work(network, problem.human):
-        return (wait_op(problem.human),)
-    return (idle_op(problem.human),)
+    moves = search._moves(human_belief, network, problem.human)
+    return tuple(dict.fromkeys(m.op for m in moves))
 
 
 def plan(

@@ -184,22 +184,3 @@ def test_min_comm_upper_bound_and_determinism(cooking):
         plan2 = min_comm_bfs(world, human, ops)
         assert plan1 == plan2
         assert len(plan1) <= len(diverging_attributes(world, human))
-
-
-def test_agenda_restricted_relevance_flag(cooking):
-    # With the agenda exhausted, no operator can be called for, so even a
-    # pour-blocking divergence stops being relevant under the restriction.
-    from beliefhtn.htn import TaskNetwork
-
-    u = cooking.universe
-    world = (
-        cooking.problem.world.with_value(u.attr("SaltInPot"), "true")
-        .with_value(u.attr("Stove"), "on")
-        .with_value(u.attr("HumanHasPasta"), "true")
-    )
-    human = world.with_owner("human").with_value(u.attr("SaltInPot"), "false")
-    ops = human_ops(cooking)
-    empty = TaskNetwork.build([])
-    dom = cooking.problem.domain_of("human")
-    assert is_relevant_divergence(world, human, ops)
-    assert not is_relevant_divergence(world, human, ops, empty, dom)

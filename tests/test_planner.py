@@ -11,6 +11,7 @@ from beliefhtn import (
     detect_deadlock,
     emulate_human_choices,
     enumerate_traces,
+    parse,
     plan,
     simulate,
 )
@@ -26,7 +27,14 @@ from beliefhtn.htn import (
     ground_all_operators,
     wait_op,
 )
-from beliefhtn.planner import NodeKind, PolicyEdge, PolicyNode, PolicyTree, policy_comm_edges
+from beliefhtn.planner import (
+    NodeKind,
+    PolicyEdge,
+    PolicyNode,
+    PolicyTree,
+    _Search,
+    policy_comm_edges,
+)
 
 
 # -- emulated human choices ---------------------------------------------------
@@ -458,3 +466,51 @@ def test_simulate_respects_overridden_initial_state(cooking):
     true_world = cooking.problem.world.with_value(u.attr("PastaLoc"), "Kitchen")
     report = simulate(policy, cooking.obs_model, true_world, cooking.problem.human_belief)
     assert report.outcome in ("na", "idl")
+
+
+# -- choice enumeration -------------------------------------------------------
+
+MINIMALITY_DOM = """\
+beliefhtn-domain 1
+domain minimality
+group Places Here
+group Agents bot person
+agents bot person
+svar AgtAt (?a Agents) -> Places : obs
+place AgtAt(?a) value-of AgtAt(?a)
+operator work for bot
+end
+operator rest for person
+end
+method a-work for both
+  task A
+  sub w work
+end
+method b-empty for both
+  task B
+end
+method b-rest for both
+  task B
+  sub r rest
+end
+root a1 A
+root b B
+root a2 A
+rootorder b < a2
+init AgtAt(bot) = Here
+init AgtAt(person) = Here
+start bot
+"""
+
+
+def test_choices_keep_only_minimal_commitments_per_action():
+    # `work` is reachable through a1 alone, or through a2 after emptying the
+    # B that blocks it.  Only the choice committing A's method survives.
+    bundle = parse(MINIMALITY_DOM).build()
+    problem = bundle.problem
+    search = _Search(problem, bundle.obs_model, MODE_NEW, PlannerConfig())
+    choices = search._choices(problem.world, problem.network, problem.robot)
+    assert [str(c.op) for c in choices] == ["work"]
+    (choice,) = choices
+    assert [gm.name for _, gm in choice.decomps] == ["a-work"]
+    assert sorted(t.symbol for _, t in choice.network.nodes) == ["A", "B"]
