@@ -8,7 +8,8 @@ world belief, optional human-belief overrides, and the starting agent.
 The format is deliberately flat: section keywords at column zero,
 ``operator``/``method`` blocks closed by ``end``, one fact per line, and no
 expression language beyond ``+=``/``-=`` on bounded-integer attributes.
-Every diagnostic carries the offending line number.
+Parsing also builds and grounds the bundle, so a bad value, group or variable
+raises :class:`DomainSyntaxError` too, without a line number.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
-from .errors import DomainSyntaxError
+from .errors import BadValue, BeliefHtnError, DomainSyntaxError
 from .htn import (
     AgentDomain,
     Effect,
@@ -30,6 +31,8 @@ from .htn import (
     TaskNetwork,
     Term,
     Test,
+    ground_all_methods,
+    ground_all_operators,
 )
 from .observability import ObsClass, ObservabilityModel, PlacementRule
 from .state import (
@@ -133,7 +136,13 @@ class DomainFile:
         return serialize(self) == serialize(other)
 
     def build(self) -> "ProblemBundle":
-        return _build_bundle(self)
+        """Ground the domain; every defect raises :class:`DomainSyntaxError`."""
+        try:
+            return _build_bundle(self)
+        except DomainSyntaxError:
+            raise
+        except BeliefHtnError as exc:
+            raise DomainSyntaxError(str(exc)) from exc
 
 
 def _tokens(line: str) -> list[str]:
@@ -153,7 +162,7 @@ def _tokens(line: str) -> list[str]:
     return out
 
 
-def _parse_attr_ref(token: str, line: int) -> AttrRef:
+def _parse_attr_ref(token: str, line: Optional[int] = None) -> AttrRef:
     m = _ATTR_RE.match(token)
     if not m:
         raise DomainSyntaxError(f"malformed attribute reference {token!r}", line)
@@ -511,7 +520,7 @@ class ProblemBundle:
     obs_model: ObservabilityModel
 
     def attr(self, text: str) -> GroundedAttribute:
-        ref = _parse_attr_ref(text, 0)
+        ref = _parse_attr_ref(text)
         return self.universe.attr(ref.symbol, *ref.args)
 
     def with_world(self, overrides: Mapping[str, Value | str]) -> "ProblemBundle":
@@ -557,9 +566,6 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
             raise DomainSyntaxError(
                 f"svar {sv.symbol}: unknown value group {sv.range_group!r}"
             )
-        for g in sv.param_groups:
-            if g not in groups:
-                raise DomainSyntaxError(f"svar {sv.symbol}: unknown group {g!r}")
         decls.append(
             StateVariableDecl(sv.symbol, sv.param_groups, sv.value_domain(groups))
         )
@@ -592,6 +598,7 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
     op_entries_by_agent: dict[str, list[OperatorSchema]] = {dom.robot: [], dom.human: []}
     seen_ops: set[tuple[str, str]] = set()
     for op in dom.operators:
+        _check_groups(f"operator {op.name}", op.params, groups)
         owners = (
             [dom.robot, dom.human] if op.owner == "both" else [op.owner]
         )
@@ -615,7 +622,6 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
                 ),
                 tuple(_build_effect(ref, eop, val) for ref, eop, val in op.eff),
             )
-            _check_schema_refs(universe, schema, op)
             op_entries_by_agent[owner].append(schema)
 
     method_by_agent: dict[str, list[MethodSchema]] = {dom.robot: [], dom.human: []}
@@ -628,6 +634,7 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
             raise DomainSyntaxError(
                 f"method {m.name}: task parameters must be typed '(?v Group)'"
             )
+        _check_groups(f"method {m.name}", task_params + m.free_vars, groups)
         label_index = {label: i for i, (label, _) in enumerate(m.subtasks)}
         if len(label_index) != len(m.subtasks):
             raise DomainSyntaxError(f"method {m.name}: duplicate subtask label")
@@ -654,8 +661,14 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
             method_by_agent[owner].append(schema)
 
     domains = {
-        agent: AgentDomain(agent, tuple(op_entries_by_agent[agent]), tuple(method_by_agent[agent]))
-        for agent in (dom.robot, dom.human)
+        agent: AgentDomain(
+            agent,
+            tuple(ops),
+            tuple(method_by_agent[agent]),
+            {(g.name, g.args): g for g in ground_all_operators(universe, ops)},
+            ground_all_methods(universe, method_by_agent[agent]),
+        )
+        for agent, ops in op_entries_by_agent.items()
     }
 
     # Initial network; every root task must be resolvable.
@@ -679,15 +692,8 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
     # Total initial world belief; human = world overlaid with explicit deltas.
     assignment: dict[GroundedAttribute, Value] = {}
     for ref, val in dom.init:
-        if any(a.startswith("?") for a in ref.args):
-            raise DomainSyntaxError(f"init {ref} must be ground")
         attr = universe.attr(ref.symbol, *ref.args)
-        assignment[attr] = _coerce_value(universe, attr, val)
-    missing = [str(a) for a in universe.attributes if a not in assignment]
-    if missing:
-        raise DomainSyntaxError(
-            "initial world belief is not total; missing: " + ", ".join(missing)
-        )
+        assignment[attr] = universe.parse_value(attr, val)
     world = BeliefState.from_mapping(dom.robot, universe, assignment)
     human = world.with_owner(dom.human)
     for agent, ref, val in dom.beliefs:
@@ -696,7 +702,7 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
                 f"belief overrides are only supported for the human agent, got {agent!r}"
             )
         attr = universe.attr(ref.symbol, *ref.args)
-        human = human.with_value(attr, _coerce_value(universe, attr, val))
+        human = human.with_value(attr, universe.parse_value(attr, val))
 
     obs_model = ObservabilityModel(universe, classes, rules)
     problem = HtnProblem(
@@ -706,16 +712,16 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
 
 
 def _coerce_value(universe: Universe, attr: GroundedAttribute, token: str) -> Value:
-    domain = universe.value_domain(attr)
-    if token in domain:
-        return token
     try:
-        iv = int(token)
-    except ValueError:
-        iv = None
-    if iv is not None and iv in domain:
-        return iv
-    raise DomainSyntaxError(f"{token!r} is not a legal value for {attr}")
+        return universe.parse_value(attr, token)
+    except BadValue as exc:
+        raise DomainSyntaxError(str(exc)) from exc
+
+
+def _check_groups(owner: str, params: tuple[tuple[str, str], ...], groups: Mapping) -> None:
+    for var, group in params:
+        if group not in groups:
+            raise DomainSyntaxError(f"{owner}: {var} has unknown group {group!r}")
 
 
 def _build_effect(ref: AttrRef, eop: str, val: str) -> Effect:
@@ -728,32 +734,3 @@ def _build_effect(ref: AttrRef, eop: str, val: str) -> Effect:
     op = EffectOp.INC if eop == "+=" else EffectOp.DEC
     return Effect(ref.symbol, tuple(map(_term, ref.args)), op, delta)
 
-
-def _check_schema_refs(universe: Universe, schema: OperatorSchema, entry: OpEntry) -> None:
-    params = dict(schema.params)
-    for test_like in list(schema.pre) + list(schema.eff):
-        symbol = test_like.symbol
-        decl = universe.decls.get(symbol)
-        if decl is None:
-            raise DomainSyntaxError(
-                f"operator {schema.name}: undeclared attribute {symbol!r}"
-            )
-        if len(test_like.args) != decl.arity:
-            raise DomainSyntaxError(
-                f"operator {schema.name}: {symbol} takes {decl.arity} argument(s)"
-            )
-        for t, group in zip(test_like.args, decl.param_groups):
-            if t.is_var:
-                if t.name not in params:
-                    raise DomainSyntaxError(
-                        f"operator {schema.name}: unbound variable {t.name}"
-                    )
-                if params[t.name] != group:
-                    raise DomainSyntaxError(
-                        f"operator {schema.name}: {t.name} has group "
-                        f"{params[t.name]!r}, expected {group!r}"
-                    )
-            elif t.name not in universe.groups[group]:
-                raise DomainSyntaxError(
-                    f"operator {schema.name}: {t.name!r} is not in group {group!r}"
-                )

@@ -4,6 +4,8 @@ Operators carry conjunctions of equality preconditions and unconditional
 effects.  Effects on bounded-integer attributes may also be increments or
 decrements; these saturate at the domain bounds so that observers applying
 an action's effects to an already-diverged belief stay inside the domain.
+Each domain is grounded once, when its bundle is built, into the tables of
+:class:`AgentDomain`; grounding raises for every bad value and argument.
 
 Task networks are immutable: decomposition returns a new network with fresh
 node ids, re-targeting every precedence constraint that touched the expanded
@@ -20,7 +22,6 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import (
     BadArgument,
-    BadValue,
     CycleIntroduced,
     NotApplicable,
     NotRelevant,
@@ -125,20 +126,6 @@ def wait_op(agent: str) -> GroundedOperator:
     return GroundedOperator("WAIT", agent, (), OpKind.WAIT, (), ())
 
 
-def _parse_value_term(universe: Universe, attr: GroundedAttribute, token: str) -> Value:
-    """Interpret a constant token against an attribute's value domain."""
-    domain = universe.value_domain(attr)
-    if token in domain:
-        return token
-    try:
-        as_int = int(token)
-    except ValueError:
-        as_int = None
-    if as_int is not None and as_int in domain:
-        return as_int
-    raise BadValue(f"{token!r} is not in the value domain of {attr}")
-
-
 def ground_operator(
     universe: Universe, schema: OperatorSchema, binding: Mapping[str, str]
 ) -> GroundedOperator:
@@ -149,7 +136,7 @@ def ground_operator(
             test.symbol, *(_substitute(t, binding) for t in test.args)
         )
         value_token = _substitute(test.value, binding)
-        pre.append((attr, _parse_value_term(universe, attr, value_token)))
+        pre.append((attr, universe.parse_value(attr, value_token)))
     eff: list[tuple[GroundedAttribute, EffectOp, Value | int]] = []
     seen_eff: set[GroundedAttribute] = set()
     for effect in schema.eff:
@@ -162,7 +149,7 @@ def ground_operator(
         if effect.op is EffectOp.SET:
             assert isinstance(effect.value, Term)
             value_token = _substitute(effect.value, binding)
-            eff.append((attr, EffectOp.SET, _parse_value_term(universe, attr, value_token)))
+            eff.append((attr, EffectOp.SET, universe.parse_value(attr, value_token)))
         else:
             if not universe.decls[attr.symbol].is_integer:
                 raise BadArgument(
@@ -322,6 +309,20 @@ def ground_method(
     return tuple(out)
 
 
+def ground_all_methods(
+    universe: Universe, schemas: Iterable[MethodSchema]
+) -> dict[TaskInstance, tuple[GroundedMethod, ...]]:
+    """Every grounding of every schema, keyed by the task it decomposes;
+    per task in declaration order, then lexical order."""
+    grounded: dict[TaskInstance, tuple[GroundedMethod, ...]] = {}
+    for schema in schemas:
+        member_lists = [universe.groups[g].members for _, g in schema.task_params]
+        for combo in itertools.product(*member_lists):
+            task = TaskInstance(schema.task_symbol, combo)
+            grounded[task] = grounded.get(task, ()) + ground_method(universe, schema, task)
+    return grounded
+
+
 @dataclass(frozen=True)
 class TaskNetwork:
     """Partially ordered multiset of task nodes; immutable."""
@@ -426,11 +427,13 @@ def decompose(w: TaskNetwork, node_id: int, m: GroundedMethod) -> TaskNetwork:
 
 @dataclass(frozen=True)
 class AgentDomain:
-    """One agent's operators and methods."""
+    """One agent's operators and methods, lifted and grounded."""
 
     agent: str
     operators: tuple[OperatorSchema, ...]
     methods: tuple[MethodSchema, ...]
+    ground_ops: Mapping[tuple[str, tuple[str, ...]], GroundedOperator]  # lexical
+    ground_methods: Mapping[TaskInstance, tuple[GroundedMethod, ...]]
 
     def operator_names(self) -> frozenset[str]:
         return frozenset(o.name for o in self.operators)

@@ -44,8 +44,6 @@ from .htn import (
     TaskNetwork,
     applicable,
     decompose,
-    ground_all_operators,
-    ground_method,
     idle_op,
     wait_op,
 )
@@ -150,15 +148,11 @@ class _Search:
         self.config = config
         self.robot = problem.robot
         self.human = problem.human
-        self.universe = problem.universe
-        self.op_names: dict[str, frozenset[str]] = {}
-        self.op_table: dict[tuple[str, str, tuple[str, ...]], GroundedOperator] = {}
-        for agent, dom in problem.domains.items():
-            self.op_names[agent] = dom.operator_names()
-            for gop in ground_all_operators(self.universe, dom.operators):
-                self.op_table[(agent, gop.name, gop.args)] = gop
+        self.op_names: dict[str, frozenset[str]] = {
+            agent: dom.operator_names() for agent, dom in problem.domains.items()
+        }
         self.human_ops: tuple[GroundedOperator, ...] = tuple(
-            op for key, op in sorted(self.op_table.items()) if key[0] == self.human
+            problem.domain_of(self.human).ground_ops.values()
         )
         self.can_yield: dict[str, frozenset[str]] = {
             agent: self._yield_closure(agent) for agent in problem.domains
@@ -212,17 +206,16 @@ class _Search:
             for node_id in w.available():
                 task = w.task_of(node_id)
                 if task.symbol in self.op_names[agent]:
-                    op = self.op_table.get((agent, task.symbol, task.args))
+                    op = dom.ground_ops.get((task.symbol, task.args))
                     if op is not None and applicable(op, belief):
                         after = w.without_node(node_id)
                         dkey = (op.name, op.args, _canonical(after))
                         if dkey not in results:
                             results[dkey] = _Candidate(op, node_id, after, trace)
                 elif task.symbol not in self.op_names[self._other(agent)]:
-                    for method in dom.methods:
-                        for gm in ground_method(self.universe, method, task):
-                            w2 = decompose(w, node_id, gm)
-                            stack.append((w2, trace + ((node_id, gm),)))
+                    for gm in dom.ground_methods.get(task, ()):
+                        w2 = decompose(w, node_id, gm)
+                        stack.append((w2, trace + ((node_id, gm),)))
         by_action: dict[tuple, list[_Candidate]] = {}
         for cand in results.values():
             by_action.setdefault((cand.op.name, cand.op.args), []).append(cand)

@@ -16,7 +16,7 @@ from typing import Optional
 from .communication import CommAction, CommPlan
 from .domfile import ProblemBundle, parse
 from .errors import DomainSyntaxError
-from .htn import GroundedOperator, TaskInstance, TaskNetwork, ground_all_operators, idle_op, wait_op
+from .htn import TaskInstance, TaskNetwork, idle_op, wait_op
 from .planner import NodeKind, PolicyEdge, PolicyNode, PolicyTree
 from .state import BeliefState
 
@@ -138,11 +138,6 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
     init_world = belief_from(obj["init_world"], obj["robot"])
     init_human = belief_from(obj["init_human"], obj["human"])
 
-    op_table: dict[tuple[str, str, tuple[str, ...]], GroundedOperator] = {}
-    for agent, dom in bundle.problem.domains.items():
-        for gop in ground_all_operators(universe, dom.operators):
-            op_table[(agent, gop.name, gop.args)] = gop
-
     empty_net = TaskNetwork.build([])
     pending_net = TaskNetwork.build([TaskInstance("pending")])
 
@@ -166,7 +161,7 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
             elif kind == "wait":
                 op = wait_op(a["agent"])
             else:
-                op = op_table[(a["agent"], a["name"], tuple(a["args"]))]
+                op = bundle.problem.domain_of(a["agent"]).ground_ops[(a["name"], tuple(a["args"]))]
             comms = CommPlan(
                 tuple(
                     CommAction(

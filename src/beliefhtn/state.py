@@ -150,6 +150,19 @@ class Universe:
     def value_domain(self, attr: GroundedAttribute) -> tuple[Value, ...]:
         return self.value_domains[self.index_of(attr)]
 
+    def parse_value(self, attr: GroundedAttribute, token: str) -> Value:
+        """Interpret a constant token against the attribute's value domain."""
+        domain = self.value_domain(attr)
+        if token in domain:
+            return token
+        try:
+            as_int = int(token)
+        except ValueError:
+            as_int = None
+        if as_int is not None and as_int in domain:
+            return as_int
+        raise BadValue(f"{token!r} is not in the value domain of {attr}")
+
     def check_value(self, attr: GroundedAttribute, value: Value) -> None:
         if value not in self.value_domains[self.index_of(attr)]:
             raise BadValue(
@@ -202,12 +215,6 @@ class BeliefState:
         vals = list(self.values)
         vals[idx] = value
         return BeliefState(self.owner, self.universe, tuple(vals))
-
-    def with_values(self, assignment: Mapping[GroundedAttribute, Value]) -> "BeliefState":
-        state = self
-        for attr, value in assignment.items():
-            state = state.with_value(attr, value)
-        return state
 
     def with_owner(self, owner: str) -> "BeliefState":
         return BeliefState(owner, self.universe, self.values)

@@ -24,6 +24,17 @@ def test_validate_domain_reports_error(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+def test_validate_domain_reports_grounding_error(tmp_path, capsys):
+    from test_domfile import MINI
+
+    path = tmp_path / "bad-value.dom"
+    path.write_text(MINI.replace("pre Flag = false", "pre Flag = maybe"))
+    assert main(["validate-domain", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out
+    assert "maybe" in out
+
+
 def test_plan_scenario_b_prints_tell(capsys):
     code = main(["plan", "--domain", "cooking", "--mode", "new", "--start", "human"])
     assert code == 0

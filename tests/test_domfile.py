@@ -141,3 +141,30 @@ def test_belief_override_for_robot_rejected():
     with pytest.raises(DomainSyntaxError) as err:
         parse(bad)
     assert "human" in str(err.value)
+
+
+MALFORMED = [
+    ("pre Flag = false", "pre Flag = maybe"),
+    ("eff Flag = true", "eff Flag += 1"),
+    ("eff Flag = true", "eff Flag = 7"),
+    ("operator toggle for bot\n", "operator toggle for bot\n  param ?x Nowhere\n"),
+    ("  task Root\n", "  task Root\n  var ?p Nowhere\n"),
+    ("sub a toggle\n", "sub a toggle(?q)\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "old,new", MALFORMED, ids=[new.strip().splitlines()[-1].strip() for _, new in MALFORMED]
+)
+def test_grounding_defects_rejected_at_parse(old, new):
+    assert old in MINI
+    with pytest.raises(DomainSyntaxError):
+        parse(MINI.replace(old, new))
+
+
+def test_bundle_attr_error_has_no_line_prefix():
+    bundle = parse(MINI).build()
+    with pytest.raises(DomainSyntaxError) as err:
+        bundle.with_world({"Stove((": "on"})
+    assert "malformed attribute reference" in str(err.value)
+    assert not str(err.value).startswith("line")

@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from beliefhtn import BOX_DOM, COOKING_DOM, parse
+from beliefhtn.builtins import box_dom
 from beliefhtn.errors import BadArgument, NotApplicable, NotRelevant
 from beliefhtn.htn import (
     GroundedMethod,
@@ -246,3 +248,28 @@ def test_ground_operator_rejects_double_assignment(cooking):
     )
     with pytest.raises(BadArgument):
         ground_operator(cooking.universe, schema, {})
+
+
+def test_method_table_matches_per_schema_grounding():
+    # Reference: the loop over method schemas that the table replaces.
+    def reference(bundle, dom, task):
+        return tuple(gm for m in dom.methods for gm in ground_method(bundle.universe, m, task))
+
+    texts = [COOKING_DOM, BOX_DOM] + [box_dom(boxes=n) for n in range(2, 6)]
+    outside = TaskInstance("FillBox", ("Storage",))
+    for text in texts:
+        bundle = parse(text).build()
+        domains = bundle.problem.domains.values()
+        seen = {t for _, t in bundle.problem.network.nodes}
+        frontier = list(seen)
+        while frontier:
+            task = frontier.pop()
+            for dom in domains:
+                expected = reference(bundle, dom, task)
+                assert dom.ground_methods.get(task, ()) == expected, (dom.agent, task)
+                for sub in {s for gm in expected for s in gm.subtasks} - seen:
+                    seen.add(sub)
+                    frontier.append(sub)
+        assert len(seen) > len(bundle.problem.network.nodes)
+        # A task whose argument lies outside the head's group has no method.
+        assert all(dom.ground_methods.get(outside, ()) == () for dom in domains)
