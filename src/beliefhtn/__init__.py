@@ -22,7 +22,6 @@ from .engine import legacy_step, step_belief_protocol
 from .errors import BeliefHtnError
 from .htn import (
     AgentDomain,
-    GroundedAttribute,
     GroundedOperator,
     HtnProblem,
     MethodSchema,
@@ -52,6 +51,7 @@ from .state import (
     BeliefState,
     DivergenceReport,
     Group,
+    GroundedAttribute,
     StateVariableDecl,
     Universe,
     diverging_attributes,

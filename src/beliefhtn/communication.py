@@ -91,14 +91,13 @@ def is_relevant_divergence(
         if op.is_pseudo:
             continue
         in_belief = applicable(op, human_belief)
-        in_world = applicable(op, world)
-        if in_belief != in_world:
+        if in_belief != applicable(op, world):
             return True
-        if in_belief and in_world and op.eff:
-            after_belief = apply_effects(op, human_belief)
-            after_world = apply_effects(op, world)
-            for attr, _, _ in op.eff:
-                if after_belief.get(attr) != after_world.get(attr):
+        if in_belief and op.eff:
+            after_belief = apply_effects(op, human_belief).values
+            after_world = apply_effects(op, world).values
+            for index, _, _ in op.eff:
+                if after_belief[index] != after_world[index]:
                     return True
     return False
 
@@ -119,29 +118,28 @@ def min_comm_bfs(
     aligned-attribute subset, so the result is deterministic.  Full
     alignment always removes relevance, so the search cannot fail.
     """
+    universe = world.universe
     report = diverging_attributes(world, human_belief)
-    divergent = list(report.attributes)  # already in interned index order
+    divergent = [universe.index_of(attr) for attr in report.attributes]  # index order
+    truth = world.values
     queue: deque[tuple[BeliefState, tuple[int, ...]]] = deque([(human_belief, ())])
     visited: set[frozenset[int]] = {frozenset()}
     while queue:
         belief, aligned = queue.popleft()
         if not is_relevant_divergence(world, belief, human_ops):
             actions = tuple(
-                CommAction(
-                    world.owner, human_belief.owner, divergent[i], world.get(divergent[i])
-                )
+                CommAction(world.owner, human_belief.owner, universe.attributes[i], truth[i])
                 for i in aligned
             )
             return CommPlan(actions)
-        for i in range(len(divergent)):
+        for i in divergent:
             if i in aligned:
                 continue
             key = frozenset(aligned) | {i}
             if key in visited:
                 continue
             visited.add(key)
-            next_belief = belief.with_value(divergent[i], world.get(divergent[i]))
-            queue.append((next_belief, aligned + (i,)))
+            queue.append((belief.with_values_at(((i, truth[i]),)), aligned + (i,)))
     raise NoAlignment(
         "full alignment failed to remove relevance; this cannot happen"
     )  # pragma: no cover

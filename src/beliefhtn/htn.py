@@ -5,7 +5,8 @@ effects.  Effects on bounded-integer attributes may also be increments or
 decrements; these saturate at the domain bounds so that observers applying
 an action's effects to an already-diverged belief stay inside the domain.
 Each domain is grounded once, when its bundle is built, into the tables of
-:class:`AgentDomain`; grounding raises for every bad value and argument.
+:class:`AgentDomain`; grounding raises for every bad value and argument, and
+stores each precondition and effect by its dense ``Universe`` index.
 
 Task networks are immutable: decomposition returns a new network with fresh
 node ids, re-targeting every precedence constraint that touched the expanded
@@ -26,7 +27,7 @@ from .errors import (
     NotApplicable,
     NotRelevant,
 )
-from .state import BeliefState, GroundedAttribute, Universe, Value
+from .state import BeliefState, Universe, Value
 
 
 class OpKind(Enum):
@@ -99,14 +100,14 @@ class OperatorSchema:
 
 @dataclass(frozen=True)
 class GroundedOperator:
-    """Fully instantiated operator; pre/eff reference interned attributes."""
+    """Fully instantiated operator; pre/eff hold interned attribute indices."""
 
     name: str
     agent: str
     args: tuple[str, ...]
     kind: OpKind
-    pre: tuple[tuple[GroundedAttribute, Value], ...]
-    eff: tuple[tuple[GroundedAttribute, EffectOp, Value | int], ...]
+    pre: tuple[tuple[int, Value], ...]
+    eff: tuple[tuple[int, EffectOp, Value | int], ...]
 
     def __str__(self) -> str:
         if not self.args:
@@ -130,33 +131,32 @@ def ground_operator(
     universe: Universe, schema: OperatorSchema, binding: Mapping[str, str]
 ) -> GroundedOperator:
     args = tuple(binding[var] for var, _ in schema.params)
-    pre: list[tuple[GroundedAttribute, Value]] = []
+    pre: list[tuple[int, Value]] = []
     for test in schema.pre:
         attr = universe.attr(
             test.symbol, *(_substitute(t, binding) for t in test.args)
         )
         value_token = _substitute(test.value, binding)
-        pre.append((attr, universe.parse_value(attr, value_token)))
-    eff: list[tuple[GroundedAttribute, EffectOp, Value | int]] = []
-    seen_eff: set[GroundedAttribute] = set()
+        pre.append((universe.index_of(attr), universe.parse_value(attr, value_token)))
+    eff: list[tuple[int, EffectOp, Value | int]] = []
     for effect in schema.eff:
         attr = universe.attr(
             effect.symbol, *(_substitute(t, binding) for t in effect.args)
         )
-        if attr in seen_eff:
+        index = universe.index_of(attr)
+        if any(index == seen for seen, _, _ in eff):
             raise BadArgument(f"operator {schema.name} assigns {attr} twice")
-        seen_eff.add(attr)
         if effect.op is EffectOp.SET:
             assert isinstance(effect.value, Term)
             value_token = _substitute(effect.value, binding)
-            eff.append((attr, EffectOp.SET, universe.parse_value(attr, value_token)))
+            eff.append((index, EffectOp.SET, universe.parse_value(attr, value_token)))
         else:
             if not universe.decls[attr.symbol].is_integer:
                 raise BadArgument(
                     f"increment effect on non-integer attribute {attr}"
                 )
             assert isinstance(effect.value, int)
-            eff.append((attr, effect.op, effect.value))
+            eff.append((index, effect.op, effect.value))
     return GroundedOperator(schema.name, schema.agent, args, schema.kind, tuple(pre), tuple(eff))
 
 
@@ -176,7 +176,11 @@ def ground_all_operators(
 
 def applicable(op: GroundedOperator, belief: BeliefState) -> bool:
     """True iff every precondition equality holds in the belief."""
-    return all(belief.get(attr) == value for attr, value in op.pre)
+    values = belief.values
+    for index, value in op.pre:
+        if values[index] != value:
+            return False
+    return True
 
 
 def apply(op: GroundedOperator, state: BeliefState) -> BeliefState:
@@ -192,18 +196,16 @@ def apply_effects(op: GroundedOperator, state: BeliefState) -> BeliefState:
     Used by observation channels, where an observer integrates an action's
     effects into a belief the action was not checked against.
     """
-    new = state
-    for attr, eop, value in op.eff:
-        if eop is EffectOp.SET:
-            new = new.with_value(attr, value)
-        else:
-            domain = state.universe.value_domain(attr)
-            lo, hi = domain[0], domain[-1]
-            current = new.get(attr)
-            assert isinstance(current, int) and isinstance(value, int)
+    values = state.values
+    domains = state.universe.value_domains
+    updates: list[tuple[int, Value]] = []
+    for index, eop, value in op.eff:
+        if eop is not EffectOp.SET:
+            domain = domains[index]
             delta = value if eop is EffectOp.INC else -value
-            new = new.with_value(attr, min(hi, max(lo, current + delta)))
-    return new
+            value = min(domain[-1], max(domain[0], values[index] + delta))
+        updates.append((index, value))
+    return state.with_values_at(updates)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ spatially assessable.
 Situation assessment overwrites, in the observer's belief, every OBS
 attribute whose place (in the ground truth) equals the observer's current
 place (in the ground truth).  It is idempotent and never touches INF
-attributes.
+attributes.  Placements and agent locations are resolved to dense attribute
+indices when the model is built, and assessment reads beliefs by index.
 """
 
 from __future__ import annotations
@@ -45,7 +46,11 @@ class PlacementRule:
 
 
 class ObservabilityModel:
-    """OBS/INF classification plus the grounded placement map."""
+    """OBS/INF classification plus the grounded placement map, by index.
+
+    ``placements`` maps an attribute index to (reference index or None,
+    fixed place or None); ``assessable`` lists the OBS entries in index order.
+    """
 
     def __init__(
         self,
@@ -66,31 +71,50 @@ class ObservabilityModel:
                 "observability class missing for: " + ", ".join(sorted(missing))
             )
         self.classes = dict(classes)
-        for attr in rules:
-            universe.check_attr(attr)
-        self.rules = dict(rules)
+        self.placements: dict[int, tuple[Optional[int], Optional[str]]] = {}
+        for attr, rule in rules.items():
+            reference = None if rule.reference is None else universe.index_of(rule.reference)
+            self.placements[universe.index_of(attr)] = (reference, rule.fixed_place)
+        self.assessable = tuple(
+            (index, reference, place)
+            for index, (reference, place) in sorted(self.placements.items())
+            if self.classes[universe.attributes[index].symbol] is ObsClass.OBS
+        )
+        self.locations: dict[str, int] = {
+            attr.args[0]: index
+            for index, attr in enumerate(universe.attributes)
+            if attr.symbol == location_symbol and len(attr.args) == 1
+        }
 
     def obs_class(self, attr: GroundedAttribute) -> ObsClass:
         return self.classes[attr.symbol]
 
     def place_of(self, attr: GroundedAttribute, state: BeliefState) -> Optional[str]:
         """The place where the attribute is currently assessable, if any."""
-        rule = self.rules.get(attr)
-        if rule is None:
+        index = self.universe.index_of(attr)
+        placement = self.placements.get(index)
+        if placement is None:
             return None
-        if rule.fixed_place is not None:
-            return rule.fixed_place
-        assert rule.reference is not None
-        value = state.get(rule.reference)
-        if value not in self.places:
+        reference, place = placement
+        if reference is None:
+            return place
+        return self._referenced_place(index, reference, state.values)
+
+    def _referenced_place(self, index: int, reference: int, values: tuple[Value, ...]) -> str:
+        value = values[reference]
+        if value not in self.places.members:
+            attributes = self.universe.attributes
             raise BadRule(
-                f"placement of {attr} references {rule.reference} whose value "
-                f"{value!r} is not a place"
+                f"placement of {attributes[index]} references {attributes[reference]} "
+                f"whose value {value!r} is not a place"
             )
         return value
 
     def agent_place(self, agent: str, state: BeliefState) -> Value:
-        return state.get(self.universe.attr(self.location_symbol, agent))
+        index = self.locations.get(agent)
+        if index is None:  # raises, naming what is undeclared
+            index = self.universe.index_of(GroundedAttribute(self.location_symbol, (agent,)))
+        return state.values[index]
 
     def copresent(self, a1: str, a2: str, state: BeliefState) -> bool:
         return self.agent_place(a1, state) == self.agent_place(a2, state)
@@ -100,13 +124,16 @@ class ObservabilityModel:
 
         Both the observer's location and each attribute's place are taken
         from the ground truth: assessment reflects what is actually visible,
-        not what the observer believes is visible.
+        not what the observer believes is visible.  Returns the observer's
+        belief itself when nothing changes.
         """
         here = self.agent_place(observer_belief.owner, world)
-        belief = observer_belief
-        for attr in self.universe.attributes:
-            if self.classes[attr.symbol] is not ObsClass.OBS:
-                continue
-            if self.place_of(attr, world) == here:
-                belief = belief.with_value(attr, world.get(attr))
-        return belief
+        truth = world.values
+        believed = observer_belief.values
+        updates: list[tuple[int, Value]] = []
+        for index, reference, place in self.assessable:
+            if reference is not None:
+                place = self._referenced_place(index, reference, truth)
+            if place == here and believed[index] != truth[index]:
+                updates.append((index, truth[index]))
+        return observer_belief.with_values_at(updates)

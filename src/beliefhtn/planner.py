@@ -449,8 +449,11 @@ def plan(
 # Deadlock detection and simulation
 
 
-def detect_deadlock(actions: Iterable[GroundedOperator | str]) -> bool:
-    """True iff the trace stalls for four or more consecutive turns.
+def detect_deadlock(
+    actions: Iterable[GroundedOperator | str], stall_threshold: int = 4
+) -> bool:
+    """True iff the trace stalls for ``stall_threshold`` or more consecutive
+    WAIT/IDLE turns, the run :func:`simulate` reports as IDL.
 
     Accepts operators or their kind strings; the terminal all-done IDLE
     pair of a completed plan does not count.
@@ -467,7 +470,7 @@ def detect_deadlock(actions: Iterable[GroundedOperator | str]) -> bool:
     for k in kinds:
         if k in ("wait", "idle"):
             run += 1
-            if run >= 4:
+            if run >= stall_threshold:
                 return True
         else:
             run = 0

@@ -2,8 +2,10 @@
 
 A universe interns every grounded attribute to a dense index at load time,
 so a belief state is a fixed-width tuple of values: comparison, hashing and
-full-state diffs are all O(#attributes).  Belief states are immutable;
-"mutation" is copy-and-update via :meth:`BeliefState.with_value`.
+full-state diffs are all O(#attributes).  Grounded operators and the
+situation-assessment table hold these indices, resolved when the bundle is
+built.  Belief states are immutable; "mutation" is copy-and-update via
+:meth:`BeliefState.with_values_at` (by index) or ``with_value``.
 
 Values are always drawn from finite domains: members of a declared group,
 the builtin booleans (``"true"``/``"false"``) or a bounded integer range.
@@ -163,11 +165,12 @@ class Universe:
             return as_int
         raise BadValue(f"{token!r} is not in the value domain of {attr}")
 
-    def check_value(self, attr: GroundedAttribute, value: Value) -> None:
-        if value not in self.value_domains[self.index_of(attr)]:
+    def check_value(self, index: int, value: Value) -> None:
+        """Raise unless ``value`` is in the domain of the attribute at ``index``."""
+        if value not in self.value_domains[index]:
             raise BadValue(
-                f"{value!r} is not in the value domain of {attr} "
-                f"{self.value_domains[self.index_of(attr)]}"
+                f"{value!r} is not in the value domain of {self.attributes[index]} "
+                f"{self.value_domains[index]}"
             )
 
     def __len__(self) -> int:
@@ -188,11 +191,11 @@ class BeliefState:
     ) -> "BeliefState":
         values: list[Value] = []
         missing: list[str] = []
-        for attr in universe.attributes:
+        for index, attr in enumerate(universe.attributes):
             if attr not in assignment:
                 missing.append(str(attr))
                 continue
-            universe.check_value(attr, assignment[attr])
+            universe.check_value(index, assignment[attr])
             values.append(assignment[attr])
         if missing:
             raise BadValue(
@@ -208,13 +211,19 @@ class BeliefState:
         return self.values[self.universe.index_of(attr)]
 
     def with_value(self, attr: GroundedAttribute, value: Value) -> "BeliefState":
-        idx = self.universe.index_of(attr)
-        self.universe.check_value(attr, value)
-        if self.values[idx] == value:
+        return self.with_values_at(((self.universe.index_of(attr), value),))
+
+    def with_values_at(self, updates: Iterable[tuple[int, Value]]) -> "BeliefState":
+        """Copy with each ``(index, value)`` written, every value checked
+        against its domain; the same object when no value changes."""
+        values = list(self.values)
+        for index, value in updates:
+            self.universe.check_value(index, value)
+            values[index] = value
+        new = tuple(values)
+        if new == self.values:
             return self
-        vals = list(self.values)
-        vals[idx] = value
-        return BeliefState(self.owner, self.universe, tuple(vals))
+        return BeliefState(self.owner, self.universe, new)
 
     def with_owner(self, owner: str) -> "BeliefState":
         return BeliefState(owner, self.universe, self.values)

@@ -114,7 +114,7 @@ def test_apply_frame_axiom_over_all_grounded_ops(box):
         if not applicable(op, world):
             continue
         after = apply(op, world)
-        touched = {attr for attr, _, _ in op.eff}
+        touched = {box.universe.attributes[index] for index, _, _ in op.eff}
         for attr in box.universe.attributes:
             if attr not in touched:
                 assert after.get(attr) == world.get(attr), (op, attr)

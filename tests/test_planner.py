@@ -286,6 +286,8 @@ def test_stall_verdict_names_its_threshold(cooking, threshold):
     assert (trace.outcome, trace.detail) == ("idl", report.detail)
     assert len(trace.actions) == threshold
     assert report_totals(report) == trace_totals([trace])
+    assert detect_deadlock(trace.actions, threshold)
+    assert not detect_deadlock(trace.actions[: threshold - 1], threshold)
 
 
 def test_first_failure_follows_walk_order(cooking):
