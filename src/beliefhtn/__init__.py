@@ -17,7 +17,7 @@ from .communication import (
     is_relevant_divergence,
     min_comm_bfs,
 )
-from .domfile import DomainFile, ProblemBundle, parse, serialize
+from .domfile import DomainFile, ProblemBundle, parse, parse_bundle, serialize
 from .engine import legacy_step, step_belief_protocol
 from .errors import BeliefHtnError
 from .htn import (
@@ -104,6 +104,7 @@ __all__ = [
     "legacy_step",
     "min_comm_bfs",
     "parse",
+    "parse_bundle",
     "plan",
     "serialize",
     "simulate",

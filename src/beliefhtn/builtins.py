@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .domfile import DomainFile, ProblemBundle, parse
+from .domfile import DomainFile, ProblemBundle, parse, parse_bundle
 from .errors import BeliefHtnError, UnknownDomain
 
 BUILTIN_NAMES = ("cooking", "box")
@@ -340,17 +340,21 @@ def box_dom(boxes: int = BOX_COUNT, capacity: int = BOX_CAPACITY, bucket: int = 
 BOX_DOM = box_dom()
 
 
-def builtin(name: str) -> DomainFile:
-    """The parsed domain file of a built-in benchmark domain."""
+def _builtin_text(name: str) -> str:
     if name == "cooking":
-        return parse(COOKING_DOM)
+        return COOKING_DOM
     if name == "box":
-        return parse(BOX_DOM)
+        return BOX_DOM
     raise UnknownDomain(f"no builtin domain {name!r}; choose from {BUILTIN_NAMES}")
 
 
+def builtin(name: str) -> DomainFile:
+    """The parsed domain file of a built-in benchmark domain."""
+    return parse(_builtin_text(name))
+
+
 def builtin_bundle(name: str) -> ProblemBundle:
-    return builtin(name).build()
+    return parse_bundle(_builtin_text(name))
 
 
 def load_bundle(name_or_path: str) -> ProblemBundle:
@@ -363,4 +367,4 @@ def load_bundle(name_or_path: str) -> ProblemBundle:
             f"{name_or_path!r} is neither a builtin domain {BUILTIN_NAMES} "
             "nor an existing file"
         )
-    return parse(path.read_text(encoding="utf-8")).build()
+    return parse_bundle(path.read_text(encoding="utf-8"))

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .builtins import BUILTIN_NAMES, load_bundle
-from .domfile import ProblemBundle, parse, serialize
+from .domfile import ProblemBundle, parse_bundle, serialize
 from .errors import BeliefHtnError
 from .experiment import (
     DEFAULT_SPECS,
@@ -139,12 +139,11 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-        dom = parse(text)
+        bundle = parse_bundle(Path(args.file).read_text(encoding="utf-8"))
     except (BeliefHtnError, OSError) as exc:
         print(f"INVALID: {exc}")
         return 1
-    bundle = dom.build()
+    dom = bundle.domfile
     print(
         f"OK: domain {dom.name!r}, {len(dom.groups)} groups, "
         f"{len(dom.svars)} attribute templates, "
@@ -154,6 +153,12 @@ def _cmd_validate(args) -> int:
     if args.echo:
         print(serialize(dom), end="")
     return 0
+
+
+_DEPTH_HELP = (
+    "search depth bound; it bounds the search, not the depth of the returned "
+    "policy, which can reuse a subtree solved at a shallower depth"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override an initial world value (repeatable)")
         p.add_argument("--believe", action="append", metavar="ATTR=VALUE",
                        help="override an initial human-belief value (repeatable)")
-        p.add_argument("--depth", type=int, default=64, help="search depth bound")
+        p.add_argument("--depth", type=int, default=64, help=_DEPTH_HELP)
 
     p_plan = sub.add_parser("plan", help="plan one instance and report the policy")
     common(p_plan)
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_x.add_argument("--modes", help="comma list, default legacy,new")
     p_x.add_argument("--start", default=None)
     p_x.add_argument("--seed", type=int, default=0)
-    p_x.add_argument("--depth", type=int, default=128)
+    p_x.add_argument("--depth", type=int, default=128, help=_DEPTH_HELP)
     p_x.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p_x.set_defaults(func=_cmd_experiment)
 

@@ -186,7 +186,27 @@ def _parse_typed_params(tokens: list[str], line: int) -> tuple[tuple[str, str], 
 
 
 def parse(text: str) -> DomainFile:
-    """Parse a domain document; raises :class:`DomainSyntaxError` on defects."""
+    """Parse a domain document; raises :class:`DomainSyntaxError` on defects.
+
+    Validation grounds the domain and discards the result; a caller that
+    plans on the document uses :func:`parse_bundle`, which grounds it once.
+    """
+    dom = _read(text)
+    dom.build()  # full cross-reference validation
+    return dom
+
+
+def parse_bundle(text: str) -> ProblemBundle:
+    """Parse and build a domain document, grounding it once.
+
+    Rejects exactly the documents :func:`parse` rejects, with the same
+    errors; the parsed file is the bundle's ``domfile``.
+    """
+    return _read(text).build()
+
+
+def _read(text: str) -> DomainFile:
+    """Parse a document and check its mandatory sections; no grounding."""
     dom = DomainFile()
     lines = text.splitlines()
     block: Optional[dict] = None
@@ -275,7 +295,7 @@ def parse(text: str) -> DomainFile:
     if block is not None:
         fail(f"unterminated {block['type']} block opened here", block["line"])
 
-    _validate(dom)
+    _require_sections(dom)
     return dom
 
 
@@ -413,7 +433,7 @@ def _close_block(dom: DomainFile, block: dict) -> None:
     )
 
 
-def _validate(dom: DomainFile) -> None:
+def _require_sections(dom: DomainFile) -> None:
     missing = []
     if not dom.name:
         missing.append("domain")
@@ -435,7 +455,6 @@ def _validate(dom: DomainFile) -> None:
         raise DomainSyntaxError(
             "missing mandatory section(s): " + ", ".join(missing)
         )
-    dom.build()  # full cross-reference validation
 
 
 def serialize(dom: DomainFile) -> str:

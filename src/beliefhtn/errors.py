@@ -30,7 +30,14 @@ class NotRelevant(BeliefHtnError):
 
 
 class CycleIntroduced(BeliefHtnError):
-    """A decomposition produced a cyclic precedence relation."""
+    """A precedence relation is cyclic.
+
+    Raised where a cycle can enter: a method's subtask order, checked when a
+    :class:`~beliefhtn.htn.MethodSchema` or a
+    :class:`~beliefhtn.htn.GroundedMethod` is constructed, and the initial
+    network's order, checked by :meth:`~beliefhtn.htn.TaskNetwork.build`.
+    Decomposition cannot introduce a cycle (see :func:`~beliefhtn.htn.decompose`).
+    """
 
 
 class BadRule(BeliefHtnError):

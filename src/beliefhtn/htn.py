@@ -8,18 +8,20 @@ Each domain is grounded once, when its bundle is built, into the tables of
 :class:`AgentDomain`; grounding raises for every bad value and argument, and
 stores each precondition and effect by its dense ``Universe`` index.
 
-Task networks are immutable: decomposition returns a new network with fresh
-node ids, re-targeting every precedence constraint that touched the expanded
-node onto all of the method's subtasks (or contracting it through the node
-for an empty expansion).
+Task networks are immutable and hold one predecessor bitmask per node:
+decomposition returns a new network with fresh node ids, re-targeting every
+precedence constraint that touched the expanded node onto all of the
+method's subtasks (or contracting it through the node for an empty
+expansion) in one pass over the masks.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     BadArgument,
@@ -235,23 +237,38 @@ class MethodSchema:
     order: tuple[tuple[int, int], ...] = ()  # indices into subtasks
 
     def __post_init__(self) -> None:
-        n = len(self.subtasks)
-        for i, j in self.order:
-            if not (0 <= i < n and 0 <= j < n):
-                raise BadArgument(f"method {self.name}: ordering index out of range")
-        if _has_cycle_pairs(range(n), self.order):
-            raise CycleIntroduced(f"method {self.name}: subtask ordering is cyclic")
+        _check_order(self.name, len(self.subtasks), self.order)
 
 
 @dataclass(frozen=True)
 class GroundedMethod:
+    """One grounding of a method; its ``order`` is checked acyclic here,
+    which is what keeps every decomposed network acyclic."""
+
     name: str
     task: TaskInstance
     subtasks: tuple[TaskInstance, ...]
     order: tuple[tuple[int, int], ...]
+    # Bit j of order_masks[i] is set iff subtask j must precede subtask i.
+    order_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_order(self.name, len(self.subtasks), self.order)
+        masks = [0] * len(self.subtasks)
+        for i, j in self.order:
+            masks[j] |= 1 << i
+        object.__setattr__(self, "order_masks", tuple(masks))
 
     def __str__(self) -> str:
         return f"{self.name}<{self.task}>"
+
+
+def _check_order(name: str, n: int, order: tuple[tuple[int, int], ...]) -> None:
+    for i, j in order:
+        if not (0 <= i < n and 0 <= j < n):
+            raise BadArgument(f"method {name}: ordering index out of range")
+    if _has_cycle_pairs(range(n), order):
+        raise CycleIntroduced(f"method {name}: subtask ordering is cyclic")
 
 
 def _has_cycle_pairs(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
@@ -325,48 +342,124 @@ def ground_all_methods(
     return grounded
 
 
-@dataclass(frozen=True)
-class TaskNetwork:
-    """Partially ordered multiset of task nodes; immutable."""
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    nodes: tuple[tuple[int, TaskInstance], ...]  # sorted by node id
-    constraints: frozenset[tuple[int, int]]  # (before, after) node ids
-    next_id: int = 0
+
+class TaskNetwork:
+    """Partially ordered multiset of task nodes; immutable.
+
+    Three parallel tuples sorted by node id: ``ids``, their ``tasks``, and
+    one predecessor bitmask per node in ``preds``, where bit j of
+    ``preds[k]`` is set iff node j must run before node ``ids[k]``.  So the
+    available nodes are those whose mask is 0, and removing node j clears
+    bit j.  Ids are never reused: decomposition numbers new nodes from
+    ``next_id`` on, which keeps the tuples sorted.  No method rebinds a
+    field after construction.
+
+    Equality is by value -- the same ids, tasks, precedence pairs and
+    ``next_id`` -- and the hash, computed once, agrees with it.  ``nodes``
+    and ``constraints`` give the (id, task) pairs and the (before, after)
+    pairs.
+    """
+
+    __slots__ = ("ids", "tasks", "preds", "next_id", "_hash")
+
+    def __init__(
+        self,
+        ids: tuple[int, ...],
+        tasks: tuple[TaskInstance, ...],
+        preds: tuple[int, ...],
+        next_id: int,
+    ):
+        self.ids = ids
+        self.tasks = tasks
+        self.preds = preds
+        self.next_id = next_id
+        self._hash = hash((ids, tasks, preds, next_id))
 
     @staticmethod
     def build(tasks: Iterable[TaskInstance], order: Iterable[tuple[int, int]] = ()) -> "TaskNetwork":
-        nodes = tuple(enumerate(tasks))
-        ids = {i for i, _ in nodes}
+        tasks = tuple(tasks)
+        ids = range(len(tasks))
         constraints = frozenset((a, b) for a, b in order)
         for a, b in constraints:
             if a not in ids or b not in ids:
                 raise BadArgument("ordering references unknown task node")
         if _has_cycle_pairs(ids, constraints):
             raise CycleIntroduced("initial task network ordering is cyclic")
-        return TaskNetwork(nodes, constraints, len(nodes))
+        preds = [0] * len(tasks)
+        for a, b in constraints:
+            preds[b] |= 1 << a
+        return TaskNetwork(tuple(ids), tasks, tuple(preds), len(tasks))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, TaskNetwork):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.next_id == other.next_id
+            and self.ids == other.ids
+            and self.preds == other.preds
+            and self.tasks == other.tasks
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (
+            f"TaskNetwork(nodes={self.nodes!r}, "
+            f"constraints={sorted(self.constraints)!r}, next_id={self.next_id!r})"
+        )
+
+    @property
+    def nodes(self) -> tuple[tuple[int, TaskInstance], ...]:
+        """(id, task) pairs in id order."""
+        return tuple(zip(self.ids, self.tasks))
+
+    @property
+    def constraints(self) -> frozenset[tuple[int, int]]:
+        """(before, after) node-id pairs."""
+        return frozenset(
+            (j, i) for i, mask in zip(self.ids, self.preds) for j in _bits(mask)
+        )
 
     @property
     def is_empty(self) -> bool:
-        return not self.nodes
+        return not self.ids
+
+    def _slot(self, node_id: int) -> int:
+        k = bisect_left(self.ids, node_id)
+        if k == len(self.ids) or self.ids[k] != node_id:
+            raise BadArgument(f"no task node {node_id}")
+        return k
 
     def task_of(self, node_id: int) -> TaskInstance:
-        for i, t in self.nodes:
-            if i == node_id:
-                return t
-        raise BadArgument(f"no task node {node_id}")
+        return self.tasks[self._slot(node_id)]
 
     def available(self) -> tuple[int, ...]:
         """Nodes with no pending predecessor, in id order."""
-        blocked = {b for _, b in self.constraints}
-        return tuple(i for i, _ in self.nodes if i not in blocked)
+        return tuple([i for i, mask in zip(self.ids, self.preds) if not mask])
 
     def without_node(self, node_id: int) -> "TaskNetwork":
         """Remove an executed node; its ordering edges dissolve."""
-        nodes = tuple((i, t) for i, t in self.nodes if i != node_id)
-        constraints = frozenset(
-            (a, b) for a, b in self.constraints if a != node_id and b != node_id
+        k = self._slot(node_id)
+        keep = ~(1 << node_id)
+        preds = [mask & keep for mask in self.preds]
+        del preds[k]
+        return TaskNetwork(
+            self.ids[:k] + self.ids[k + 1 :],
+            self.tasks[:k] + self.tasks[k + 1 :],
+            tuple(preds),
+            self.next_id,
         )
-        return TaskNetwork(nodes, constraints, self.next_id)
 
     def canonical_key(self) -> tuple:
         """Id-free structural key; isomorphic networks share keys.
@@ -375,56 +468,61 @@ class TaskNetwork:
         multisets) distinguish every network shape arising from acyclic
         decomposition hierarchies of practical size.
         """
-        labels: dict[int, tuple] = {i: (str(t),) for i, t in self.nodes}
-        preds: dict[int, list[int]] = {i: [] for i, _ in self.nodes}
-        succs: dict[int, list[int]] = {i: [] for i, _ in self.nodes}
-        for a, b in self.constraints:
-            preds[b].append(a)
-            succs[a].append(b)
+        slot = {i: k for k, i in enumerate(self.ids)}
+        preds = [[slot[j] for j in _bits(mask)] for mask in self.preds]
+        succs: list[list[int]] = [[] for _ in self.ids]
+        for k, before in enumerate(preds):
+            for p in before:
+                succs[p].append(k)
+        labels: list[tuple] = [(str(t),) for t in self.tasks]
         for _ in range(2):
-            labels = {
-                i: (
-                    labels[i],
-                    tuple(sorted(labels[p] for p in preds[i])),
-                    tuple(sorted(labels[s] for s in succs[i])),
+            labels = [
+                (
+                    labels[k],
+                    tuple(sorted(labels[p] for p in preds[k])),
+                    tuple(sorted(labels[s] for s in succs[k])),
                 )
-                for i, _ in self.nodes
-            }
-        return tuple(sorted(labels.values()))
+                for k in range(len(labels))
+            ]
+        return tuple(sorted(labels))
 
 
 def decompose(w: TaskNetwork, node_id: int, m: GroundedMethod) -> TaskNetwork:
     """Replace a task node with a grounded method's sub-network.
 
-    Every precedence constraint that referenced the node is re-targeted to
-    all of the method's subtasks; with zero subtasks the constraint is
-    contracted through the node (predecessors stay before successors).
+    The subtasks take new ids from ``w.next_id`` on.  Each subtask inherits
+    the node's predecessors plus its own method-order predecessors, and
+    every successor of the node waits for all of the subtasks instead; with
+    zero subtasks a successor inherits the node's predecessors (the
+    constraint is contracted through the node).  One pass over the masks
+    does both.
+
+    The result cannot hold a cycle when ``w`` holds none: a node of an
+    acyclic graph is replaced by an acyclic sub-network (every
+    :class:`GroundedMethod` order is checked at construction) that sits
+    after all of the node's predecessors and before all of its successors,
+    and a contraction p -> s only adds an edge where the path
+    p -> node -> s already existed.  So no cycle check runs here.
     """
-    task = w.task_of(node_id)
-    if m.task != task:
+    k = w._slot(node_id)
+    task = w.tasks[k]
+    if m.task is not task and m.task != task:
         raise NotRelevant(f"method {m.name} does not decompose {task}")
-    new_ids = tuple(range(w.next_id, w.next_id + len(m.subtasks)))
-    nodes = tuple((i, t) for i, t in w.nodes if i != node_id) + tuple(
-        zip(new_ids, m.subtasks)
+    base = w.next_id
+    n = len(m.subtasks)
+    own = w.preds[k]
+    bit = 1 << node_id
+    clear = ~bit
+    replacement = (((1 << n) - 1) << base) if n else own
+    preds = [((mask & clear) | replacement) if mask & bit else mask for mask in w.preds]
+    del preds[k]
+    preds.extend(own | (order << base) for order in m.order_masks)
+    return TaskNetwork(
+        w.ids[:k] + w.ids[k + 1 :] + tuple(range(base, base + n)),
+        w.tasks[:k] + w.tasks[k + 1 :] + m.subtasks,
+        tuple(preds),
+        base + n,
     )
-    constraints: set[tuple[int, int]] = set()
-    preds = [a for a, b in w.constraints if b == node_id]
-    succs = [b for a, b in w.constraints if a == node_id]
-    for a, b in w.constraints:
-        if node_id in (a, b):
-            continue
-        constraints.add((a, b))
-    if m.subtasks:
-        for p in preds:
-            constraints.update((p, n) for n in new_ids)
-        for s in succs:
-            constraints.update((n, s) for n in new_ids)
-    else:
-        constraints.update((p, s) for p in preds for s in succs)
-    constraints.update((new_ids[i], new_ids[j]) for i, j in m.order)
-    if _has_cycle_pairs([i for i, _ in nodes], constraints):
-        raise CycleIntroduced(f"decomposing {task} by {m.name} created a cycle")
-    return TaskNetwork(tuple(sorted(nodes)), frozenset(constraints), w.next_id + len(m.subtasks))
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,15 @@ MODE_LEGACY = "legacy"
 
 @dataclass(frozen=True)
 class PlannerConfig:
+    """Search limits.
+
+    ``depth_bound`` bounds the search, not the depth of the returned policy:
+    the memo key omits depth, so a subtree solved at a shallow depth can be
+    reused deeper, and a policy branch can run past the bound.
+    ``stall_threshold`` is the WAIT/IDLE run that ends a branch (see the
+    module docstring); ``max_nodes`` caps the states expanded per plan.
+    """
+
     depth_bound: int = 64
     stall_threshold: int = 4
     max_nodes: int = 500_000
@@ -239,7 +248,7 @@ class _Search:
         choices = self._choices(belief, network, agent)
         if choices:
             return choices
-        if any(t.symbol in self.can_yield[agent] for _, t in network.nodes):
+        if any(t.symbol in self.can_yield[agent] for t in network.tasks):
             return [_Candidate(wait_op(agent), None, network, ())]
         return [_Candidate(idle_op(agent), None, network, ())]
 

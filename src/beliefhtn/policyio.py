@@ -14,7 +14,7 @@ import json
 from typing import Optional
 
 from .communication import CommAction, CommPlan
-from .domfile import ProblemBundle, parse
+from .domfile import ProblemBundle, parse_bundle
 from .errors import DomainSyntaxError
 from .htn import TaskInstance, TaskNetwork, idle_op, wait_op
 from .planner import NodeKind, PolicyEdge, PolicyNode, PolicyTree
@@ -128,7 +128,7 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
         raise DomainSyntaxError("not a beliefhtn policy file")
     if "domain_text" not in obj:
         raise DomainSyntaxError("policy file has no embedded domain text")
-    bundle = parse(obj["domain_text"]).build()
+    bundle = parse_bundle(obj["domain_text"])
     universe = bundle.universe
 
     def belief_from(table: dict, owner: str) -> BeliefState:

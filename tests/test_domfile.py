@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from beliefhtn import BOX_DOM, COOKING_DOM, parse, serialize
+from beliefhtn import BOX_DOM, COOKING_DOM, parse, parse_bundle, serialize
 from beliefhtn.errors import DomainSyntaxError
 
 MINI = """\
@@ -160,6 +160,26 @@ def test_grounding_defects_rejected_at_parse(old, new):
     assert old in MINI
     with pytest.raises(DomainSyntaxError):
         parse(MINI.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [MINI, MINI.replace("start bot\n", ""), MINI.replace("root t0 Root", "root t0 Phantom")]
+    + [MINI.replace(old, new) for old, new in MALFORMED],
+)
+def test_parse_bundle_rejects_what_parse_rejects(text):
+    # parse_bundle grounds once where parse(...).build() grounds twice; both
+    # must accept and reject the same documents with the same message.
+    try:
+        expected = parse(text).build()
+    except DomainSyntaxError as exc:
+        with pytest.raises(DomainSyntaxError) as err:
+            parse_bundle(text)
+        assert str(err.value) == str(exc)
+    else:
+        bundle = parse_bundle(text)
+        assert bundle.domfile == expected.domfile
+        assert bundle.problem.network == expected.problem.network
 
 
 def test_bundle_attr_error_has_no_line_prefix():

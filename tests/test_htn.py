@@ -206,6 +206,18 @@ def test_network_build_rejects_cycle():
         TaskNetwork.build([TaskInstance("A"), TaskInstance("B")], [(0, 1), (1, 0)])
 
 
+def test_grounded_method_rejects_bad_order():
+    # decompose runs no cycle check, so a hand-built method must not carry
+    # a cyclic (or dangling) subtask order in the first place.
+    from beliefhtn.errors import BadArgument, CycleIntroduced
+
+    subtasks = (TaskInstance("A"), TaskInstance("B"), TaskInstance("C"))
+    with pytest.raises(CycleIntroduced):
+        GroundedMethod("m-cyclic", TaskInstance("T"), subtasks, ((0, 1), (1, 2), (2, 0)))
+    with pytest.raises(BadArgument):
+        GroundedMethod("m-dangling", TaskInstance("T"), subtasks, ((0, 3),))
+
+
 def test_network_fixpoint_iff_primitive(cooking, box):
     # Decomposing any non-primitive node (available or not) until none is
     # left must terminate, and only then is the network primitive.
