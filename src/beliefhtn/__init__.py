@@ -12,7 +12,6 @@ solver and a reproducible experiment harness are included.
 from .builtins import BOX_DOM, COOKING_DOM, builtin, builtin_bundle
 from .communication import (
     CommAction,
-    CommPlan,
     apply_comm,
     is_relevant_divergence,
     min_comm_bfs,
@@ -49,7 +48,6 @@ from .planner import (
 )
 from .state import (
     BeliefState,
-    DivergenceReport,
     Group,
     GroundedAttribute,
     StateVariableDecl,
@@ -66,8 +64,6 @@ __all__ = [
     "BOX_DOM",
     "COOKING_DOM",
     "CommAction",
-    "CommPlan",
-    "DivergenceReport",
     "DomainFile",
     "ExecutionReport",
     "Group",

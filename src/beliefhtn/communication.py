@@ -33,29 +33,6 @@ class CommAction:
         return f"tell({self.attr}, {self.value})"
 
 
-@dataclass(frozen=True)
-class CommPlan:
-    actions: tuple[CommAction, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.actions)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __iter__(self):
-        return iter(self.actions)
-
-
-def build_comm_action(
-    world: BeliefState, human_belief: BeliefState, attr: GroundedAttribute
-) -> CommAction:
-    value = world.get(attr)
-    if human_belief.get(attr) == value:
-        raise StaleComm(f"receiver already believes {attr} = {value}")
-    return CommAction(world.owner, human_belief.owner, attr, value)
-
-
 def apply_comm(ca: CommAction, receiver_belief: BeliefState) -> BeliefState:
     """Receiver adopts the communicated value; nothing else changes."""
     if receiver_belief.get(ca.attr) == ca.value:
@@ -63,7 +40,9 @@ def apply_comm(ca: CommAction, receiver_belief: BeliefState) -> BeliefState:
     return receiver_belief.with_value(ca.attr, ca.value)
 
 
-def apply_comm_plan(plan: CommPlan, receiver_belief: BeliefState) -> BeliefState:
+def apply_comm_plan(
+    plan: tuple[CommAction, ...], receiver_belief: BeliefState
+) -> BeliefState:
     belief = receiver_belief
     for ca in plan:
         belief = apply_comm(ca, belief)
@@ -106,7 +85,7 @@ def min_comm_bfs(
     world: BeliefState,
     human_belief: BeliefState,
     human_ops: Sequence[GroundedOperator],
-) -> CommPlan:
+) -> tuple[CommAction, ...]:
     """Minimum-cardinality communication sequence removing relevance.
 
     Breadth-first search over belief states: the source is the human's
@@ -118,20 +97,18 @@ def min_comm_bfs(
     aligned-attribute subset, so the result is deterministic.  Full
     alignment always removes relevance, so the search cannot fail.
     """
-    universe = world.universe
-    report = diverging_attributes(world, human_belief)
-    divergent = [universe.index_of(attr) for attr in report.attributes]  # index order
+    attributes = world.universe.attributes
+    divergent = diverging_attributes(world, human_belief)
     truth = world.values
     queue: deque[tuple[BeliefState, tuple[int, ...]]] = deque([(human_belief, ())])
     visited: set[frozenset[int]] = {frozenset()}
     while queue:
         belief, aligned = queue.popleft()
         if not is_relevant_divergence(world, belief, human_ops):
-            actions = tuple(
-                CommAction(world.owner, human_belief.owner, universe.attributes[i], truth[i])
+            return tuple(
+                CommAction(world.owner, human_belief.owner, attributes[i], truth[i])
                 for i in aligned
             )
-            return CommPlan(actions)
         for i in divergent:
             if i in aligned:
                 continue

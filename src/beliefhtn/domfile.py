@@ -371,12 +371,12 @@ def _operator_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
 
 def _method_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
     if head == "task":
-        ref = _parse_attr_ref(tokens[1], ln) if len(tokens) == 2 else None
-        if ref is None:
-            # allow: task Name (?b Boxes) ...
-            ref = _parse_attr_ref(tokens[1], ln)
+        # task Name   |   task Name (?b Boxes) ...
+        if len(tokens) < 2:
+            raise DomainSyntaxError("usage: task <name> [(?var Group) ...]", ln)
+        block["task"] = _parse_attr_ref(tokens[1], ln)
+        if len(tokens) > 2:
             block["task_params"] = _parse_typed_params(tokens[2:], ln)
-        block["task"] = ref
     elif head == "var":
         if len(tokens) != 3 or not tokens[1].startswith("?"):
             raise DomainSyntaxError("usage: var ?name <Group>", ln)
@@ -572,10 +572,6 @@ class ProblemBundle:
         return ProblemBundle(self.domfile, self.universe, problem, self.obs_model)
 
 
-def _term(token: str) -> Term:
-    return Term(token)
-
-
 def _build_bundle(dom: DomainFile) -> ProblemBundle:
     groups = {g.name: g for g in dom.groups}
     decls = []
@@ -636,7 +632,7 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
                 owner,
                 op.params,
                 tuple(
-                    Test(ref.symbol, tuple(map(_term, ref.args)), _term(val))
+                    Test(ref.symbol, tuple(map(Term, ref.args)), Term(val))
                     for ref, val in op.pre
                 ),
                 tuple(_build_effect(ref, eop, val) for ref, eop, val in op.eff),
@@ -670,7 +666,7 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
             task_params,
             m.free_vars,
             tuple(
-                (ref.symbol, tuple(map(_term, ref.args))) for _, ref in m.subtasks
+                (ref.symbol, tuple(map(Term, ref.args))) for _, ref in m.subtasks
             ),
             tuple(order),
         )
@@ -679,16 +675,19 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
                 raise DomainSyntaxError(f"method {m.name}: unknown owner {m.owner!r}")
             method_by_agent[owner].append(schema)
 
-    domains = {
-        agent: AgentDomain(
+    domains = {}
+    for agent, ops in op_entries_by_agent.items():
+        methods = method_by_agent[agent]
+        op_names = frozenset(o.name for o in ops)
+        domains[agent] = AgentDomain(
             agent,
             tuple(ops),
-            tuple(method_by_agent[agent]),
+            tuple(methods),
             {(g.name, g.args): g for g in ground_all_operators(universe, ops)},
-            ground_all_methods(universe, method_by_agent[agent]),
+            ground_all_methods(universe, methods),
+            op_names,
+            _yield_closure(op_names, methods),
         )
-        for agent, ops in op_entries_by_agent.items()
-    }
 
     # Initial network; every root task must be resolvable.
     known_symbols = {o.name for o in dom.operators} | {m.task_symbol for m in dom.methods}
@@ -730,6 +729,19 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
     return ProblemBundle(dom, universe, problem, obs_model)
 
 
+def _yield_closure(op_names: frozenset[str], methods: list[MethodSchema]) -> frozenset[str]:
+    """Task symbols that can lead to one of ``op_names`` through ``methods``."""
+    yields = set(op_names)
+    changed = True
+    while changed:
+        changed = False
+        for m in methods:
+            if m.task_symbol not in yields and any(sym in yields for sym, _ in m.subtasks):
+                yields.add(m.task_symbol)
+                changed = True
+    return frozenset(yields)
+
+
 def _coerce_value(universe: Universe, attr: GroundedAttribute, token: str) -> Value:
     try:
         return universe.parse_value(attr, token)
@@ -745,11 +757,11 @@ def _check_groups(owner: str, params: tuple[tuple[str, str], ...], groups: Mappi
 
 def _build_effect(ref: AttrRef, eop: str, val: str) -> Effect:
     if eop == "=":
-        return Effect(ref.symbol, tuple(map(_term, ref.args)), EffectOp.SET, _term(val))
+        return Effect(ref.symbol, tuple(map(Term, ref.args)), EffectOp.SET, Term(val))
     try:
         delta = int(val)
     except ValueError:
         raise DomainSyntaxError(f"increment effects need an integer, got {val!r}")
     op = EffectOp.INC if eop == "+=" else EffectOp.DEC
-    return Effect(ref.symbol, tuple(map(_term, ref.args)), op, delta)
+    return Effect(ref.symbol, tuple(map(Term, ref.args)), op, delta)
 

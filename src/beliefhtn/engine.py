@@ -9,6 +9,9 @@ unconditionally.
 
 ``step_belief_protocol`` composes the channels in the fixed order used by
 the planner: act/observe updates, then situation assessment for the human.
+It and the omniscient ``legacy_step`` share one applicability rule: a human
+actor's action must be applicable in the human's belief, a robot actor's in
+the ground truth.
 """
 
 from __future__ import annotations
@@ -27,6 +30,22 @@ class StepResult:
     human_belief: BeliefState
 
 
+def _check_actor(
+    world: BeliefState,
+    human_belief: BeliefState,
+    op: GroundedOperator,
+    actor_id: str,
+    human_id: str,
+) -> None:
+    """The one actor rule of both steps: a human actor acts on its own
+    belief, a robot actor on the ground truth."""
+    if actor_id == human_id:
+        if not applicable(op, human_belief):
+            raise NotApplicable(f"{op} not applicable in the human's belief")
+    elif not applicable(op, world):
+        raise NotApplicable(f"{op} not applicable in the ground truth")
+
+
 def step_belief_protocol(
     world: BeliefState,
     human_belief: BeliefState,
@@ -42,22 +61,16 @@ def step_belief_protocol(
     receives effects through acting or observing, then assesses the world
     from their new location.
     """
+    _check_actor(world, human_belief, op, actor_id, human_id)
     world_before = world
-    if actor_id == human_id:
-        if not applicable(op, human_belief):
-            raise NotApplicable(f"{op} not applicable in the human's belief")
+    world = apply_effects(op, world)
+    # A robot's action is observed only when the human is co-present with
+    # the actor throughout it, i.e. in both the pre- and the post-state.
+    if actor_id == human_id or (
+        model.copresent(human_id, actor_id, world_before)
+        and model.copresent(human_id, actor_id, world)
+    ):
         human_belief = apply_effects(op, human_belief)
-        world = apply_effects(op, world)
-    else:
-        if not applicable(op, world):
-            raise NotApplicable(f"{op} not applicable in the ground truth")
-        world = apply_effects(op, world)
-        # The human observes the action only when co-present with the actor
-        # throughout it, i.e. in both the pre- and the post-state.
-        if model.copresent(human_id, actor_id, world_before) and model.copresent(
-            human_id, actor_id, world
-        ):
-            human_belief = apply_effects(op, human_belief)
     human_belief = model.assess(human_belief, world)
     return StepResult(world, human_belief)
 
@@ -70,10 +83,5 @@ def legacy_step(
     human_id: str,
 ) -> StepResult:
     """Omniscient baseline update: every belief absorbs every effect."""
-    if actor_id == human_id:
-        if not applicable(op, human_belief):
-            raise NotApplicable(f"{op} not applicable in the human's belief")
-    else:
-        if not applicable(op, world):
-            raise NotApplicable(f"{op} not applicable in the ground truth")
+    _check_actor(world, human_belief, op, actor_id, human_id)
     return StepResult(apply_effects(op, world), apply_effects(op, human_belief))

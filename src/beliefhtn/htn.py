@@ -527,16 +527,19 @@ def decompose(w: TaskNetwork, node_id: int, m: GroundedMethod) -> TaskNetwork:
 
 @dataclass(frozen=True)
 class AgentDomain:
-    """One agent's operators and methods, lifted and grounded."""
+    """One agent's operators and methods, lifted and grounded.
+
+    ``op_names`` are the agent's primitive task symbols; ``yields`` are the
+    task symbols that can lead to one of them through the agent's methods.
+    """
 
     agent: str
     operators: tuple[OperatorSchema, ...]
     methods: tuple[MethodSchema, ...]
     ground_ops: Mapping[tuple[str, tuple[str, ...]], GroundedOperator]  # lexical
     ground_methods: Mapping[TaskInstance, tuple[GroundedMethod, ...]]
-
-    def operator_names(self) -> frozenset[str]:
-        return frozenset(o.name for o in self.operators)
+    op_names: frozenset[str]
+    yields: frozenset[str]
 
 
 @dataclass(frozen=True)

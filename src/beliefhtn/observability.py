@@ -45,6 +45,10 @@ class PlacementRule:
             raise BadArgument("placement rule needs exactly one of place/reference")
 
 
+PLACES_GROUP = "Places"  # the group whose members are places
+LOCATION_SYMBOL = "AgtAt"  # AgtAt(agent) is the agent's current place
+
+
 class ObservabilityModel:
     """OBS/INF classification plus the grounded placement map, by index.
 
@@ -57,14 +61,11 @@ class ObservabilityModel:
         universe: Universe,
         classes: Mapping[str, ObsClass],
         rules: Mapping[GroundedAttribute, PlacementRule],
-        places_group: str = "Places",
-        location_symbol: str = "AgtAt",
     ):
         self.universe = universe
-        if places_group not in universe.groups:
-            raise BadArgument(f"no group {places_group!r} declared")
-        self.places = universe.groups[places_group]
-        self.location_symbol = location_symbol
+        if PLACES_GROUP not in universe.groups:
+            raise BadArgument(f"no group {PLACES_GROUP!r} declared")
+        self.places = universe.groups[PLACES_GROUP]
         missing = [s for s in universe.decls if s not in classes]
         if missing:
             raise BadArgument(
@@ -83,7 +84,7 @@ class ObservabilityModel:
         self.locations: dict[str, int] = {
             attr.args[0]: index
             for index, attr in enumerate(universe.attributes)
-            if attr.symbol == location_symbol and len(attr.args) == 1
+            if attr.symbol == LOCATION_SYMBOL and len(attr.args) == 1
         }
 
     def obs_class(self, attr: GroundedAttribute) -> ObsClass:
@@ -113,7 +114,7 @@ class ObservabilityModel:
     def agent_place(self, agent: str, state: BeliefState) -> Value:
         index = self.locations.get(agent)
         if index is None:  # raises, naming what is undeclared
-            index = self.universe.index_of(GroundedAttribute(self.location_symbol, (agent,)))
+            index = self.universe.index_of(GroundedAttribute(LOCATION_SYMBOL, (agent,)))
         return state.values[index]
 
     def copresent(self, a1: str, a2: str, state: BeliefState) -> bool:

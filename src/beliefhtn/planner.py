@@ -18,6 +18,11 @@ Two solver modes share the machinery:
   a run of ``PlannerConfig.stall_threshold`` (default 4) consecutive
   WAIT/IDLE turns closes the branch as an embedded deadlock leaf instead of
   failing.
+
+One stall rule, :func:`_stall_run`, counts that run for the search, for
+replay (:func:`simulate`, :func:`enumerate_traces`) and for
+:func:`detect_deadlock`.  One step rule, :func:`_step`, moves the beliefs
+along an edge for the search and for a reloaded policy.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .communication import (
-    CommPlan,
+    CommAction,
     apply_comm,
     apply_comm_plan,
     is_relevant_divergence,
@@ -79,7 +84,7 @@ class NodeKind(Enum):
 @dataclass
 class PolicyEdge:
     action: GroundedOperator
-    comms: CommPlan
+    comms: tuple[CommAction, ...]
     decomps: tuple[tuple[int, GroundedMethod], ...]
     node_id: Optional[int]  # executed task node, None for WAIT/IDLE
     child: "PolicyNode"
@@ -141,6 +146,39 @@ def _canonical(network: TaskNetwork) -> tuple:
     return network.canonical_key()
 
 
+def _stall_run(run: int, pseudo: bool) -> int:
+    """The WAIT/IDLE run after one more turn: one longer when the turn is a
+    WAIT/IDLE (``pseudo``), 0 after any other turn."""
+    return run + 1 if pseudo else 0
+
+
+def _root_human(
+    mode: str, obs_model: ObservabilityModel, world: BeliefState, human_belief: BeliefState
+) -> BeliefState:
+    """The human's belief at the root: assessed first in the new mode."""
+    if mode == MODE_NEW:
+        return obs_model.assess(human_belief, world)
+    return human_belief
+
+
+def _step(
+    mode: str,
+    obs_model: ObservabilityModel,
+    robot: str,
+    human: str,
+    world: BeliefState,
+    human_belief: BeliefState,
+    op: GroundedOperator,
+    actor: str,
+) -> tuple[BeliefState, BeliefState]:
+    """Both beliefs after ``actor`` runs ``op`` under the mode's update."""
+    if mode == MODE_NEW:
+        res = step_belief_protocol(world, human_belief, op, actor, robot, human, obs_model)
+    else:
+        res = legacy_step(world, human_belief, op, actor, human)
+    return res.world, res.human_belief
+
+
 class _Search:
     def __init__(
         self,
@@ -157,33 +195,10 @@ class _Search:
         self.config = config
         self.robot = problem.robot
         self.human = problem.human
-        self.op_names: dict[str, frozenset[str]] = {
-            agent: dom.operator_names() for agent, dom in problem.domains.items()
-        }
-        self.human_ops: tuple[GroundedOperator, ...] = tuple(
-            problem.domain_of(self.human).ground_ops.values()
-        )
-        self.can_yield: dict[str, frozenset[str]] = {
-            agent: self._yield_closure(agent) for agent in problem.domains
-        }
+        self.human_ops = tuple(problem.domain_of(self.human).ground_ops.values())
         self.nodes_expanded = 0
         self.memo: dict[tuple, PolicyNode] = {}
         self.failed: set[tuple] = set()
-
-    def _yield_closure(self, agent: str) -> frozenset[str]:
-        """Task symbols that can lead to a primitive owned by the agent."""
-        dom = self.problem.domain_of(agent)
-        yields: set[str] = set(self.op_names[agent])
-        changed = True
-        while changed:
-            changed = False
-            for m in dom.methods:
-                if m.task_symbol in yields:
-                    continue
-                if any(sym in yields for sym, _ in m.subtasks):
-                    yields.add(m.task_symbol)
-                    changed = True
-        return frozenset(yields)
 
     # -- choice enumeration -------------------------------------------------
 
@@ -203,6 +218,8 @@ class _Search:
         network.
         """
         dom = self.problem.domain_of(agent)
+        own_ops = dom.op_names
+        other_ops = self.problem.domain_of(self._other(agent)).op_names
         results: dict[tuple, _Candidate] = {}
         visited: set[tuple] = set()
         stack: list[tuple[TaskNetwork, tuple]] = [(network, ())]
@@ -214,14 +231,14 @@ class _Search:
             visited.add(key)
             for node_id in w.available():
                 task = w.task_of(node_id)
-                if task.symbol in self.op_names[agent]:
+                if task.symbol in own_ops:
                     op = dom.ground_ops.get((task.symbol, task.args))
                     if op is not None and applicable(op, belief):
                         after = w.without_node(node_id)
                         dkey = (op.name, op.args, _canonical(after))
                         if dkey not in results:
                             results[dkey] = _Candidate(op, node_id, after, trace)
-                elif task.symbol not in self.op_names[self._other(agent)]:
+                elif task.symbol not in other_ops:
                     for gm in dom.ground_methods.get(task, ()):
                         w2 = decompose(w, node_id, gm)
                         stack.append((w2, trace + ((node_id, gm),)))
@@ -248,33 +265,19 @@ class _Search:
         choices = self._choices(belief, network, agent)
         if choices:
             return choices
-        if any(t.symbol in self.can_yield[agent] for t in network.tasks):
+        yields = self.problem.domain_of(agent).yields
+        if any(t.symbol in yields for t in network.tasks):
             return [_Candidate(wait_op(agent), None, network, ())]
         return [_Candidate(idle_op(agent), None, network, ())]
 
     def _other(self, agent: str) -> str:
         return self.human if agent == self.robot else self.robot
 
-    # -- belief stepping ----------------------------------------------------
-
-    def _step(
-        self, world: BeliefState, human_belief: BeliefState, op: GroundedOperator, actor: str
-    ) -> tuple[BeliefState, BeliefState]:
-        if self.mode == MODE_NEW:
-            res = step_belief_protocol(
-                world, human_belief, op, actor, self.robot, self.human, self.obs
-            )
-        else:
-            res = legacy_step(world, human_belief, op, actor, self.human)
-        return res.world, res.human_belief
-
     # -- search -------------------------------------------------------------
 
     def run(self) -> PolicyTree:
         world = self.problem.world
-        human_belief = self.problem.human_belief
-        if self.mode == MODE_NEW:
-            human_belief = self.obs.assess(human_belief, world)
+        human_belief = _root_human(self.mode, self.obs, world, self.problem.human_belief)
         node, tainted = self._solve(
             world, human_belief, self.problem.network, self.problem.start_agent, 0, 0, frozenset()
         )
@@ -324,7 +327,7 @@ class _Search:
         loop tries the agent's moves (:meth:`_moves`) in order: a robot (OR)
         node keeps the first move whose child is solved, a human (AND) node
         needs every move solved.  A WAIT/IDLE move leaves the network as it
-        is and extends the stall run; any other move resets it.
+        is; :func:`_stall_run` extends or resets the stall run.
         """
         self.nodes_expanded += 1
         if self.nodes_expanded > self.config.max_nodes:
@@ -352,7 +355,7 @@ class _Search:
         if key in self.failed:
             return None, False
 
-        comms = CommPlan()
+        comms: tuple[CommAction, ...] = ()
         post_comm_belief = human_belief
         if self.mode == MODE_NEW and is_relevant_divergence(
             world, human_belief, self.human_ops
@@ -372,14 +375,17 @@ class _Search:
                     "applicable in the ground truth; the relevance check should "
                     "have forced communication first"
                 )
-            w2, hb2 = self._step(world, post_comm_belief, move.op, turn)
+            w2, hb2 = _step(
+                self.mode, self.obs, self.robot, self.human, world, post_comm_belief,
+                move.op, turn,
+            )
             child, t = self._solve(
                 w2,
                 hb2,
                 move.network,
                 self._other(turn),
                 depth + 1,
-                stall + 1 if move.op.is_pseudo else 0,
+                _stall_run(stall, move.op.is_pseudo),
                 sub_path,
             )
             if child is None:
@@ -413,7 +419,7 @@ class _Search:
             network,
             other,
             NodeKind.DECISION,
-            (PolicyEdge(idle_op(other), CommPlan(), (), None, leaf),),
+            (PolicyEdge(idle_op(other), (), (), None, leaf),),
         )
         return PolicyNode(
             world,
@@ -421,7 +427,7 @@ class _Search:
             network,
             turn,
             NodeKind.DECISION,
-            (PolicyEdge(idle_op(turn), CommPlan(), (), None, second),),
+            (PolicyEdge(idle_op(turn), (), (), None, second),),
         )
 
 
@@ -431,7 +437,6 @@ def emulate_human_choices(
     world: BeliefState,
     human_belief: BeliefState,
     network: TaskNetwork,
-    config: PlannerConfig = PlannerConfig(),
 ) -> tuple[GroundedOperator, ...]:
     """Grounded human actions available as next steps of the agenda.
 
@@ -439,7 +444,7 @@ def emulate_human_choices(
     applicable in the human's belief; {WAIT} when the agenda still holds
     human-relevant work but nothing is applicable; {IDLE} otherwise.
     """
-    search = _Search(problem, obs_model, MODE_NEW, config)
+    search = _Search(problem, obs_model, MODE_NEW, PlannerConfig())
     moves = search._moves(human_belief, network, problem.human)
     return tuple(dict.fromkeys(m.op for m in moves))
 
@@ -477,12 +482,9 @@ def detect_deadlock(
         kinds = kinds[:-2]
     run = 0
     for k in kinds:
-        if k in ("wait", "idle"):
-            run += 1
-            if run >= stall_threshold:
-                return True
-        else:
-            run = 0
+        run = _stall_run(run, k in ("wait", "idle"))
+        if run and run >= stall_threshold:
+            return True
     return False
 
 
@@ -560,7 +562,7 @@ def _classify_edge(
         except StaleComm:
             pass  # already aligned in this execution
     op = edge.action
-    new_run = run + 1 if op.is_pseudo else 0
+    new_run = _stall_run(run, op.is_pseudo)
     if not op.is_pseudo:
         actor_belief = w if node.turn == policy.robot else h
         if not applicable(op, actor_belief):

@@ -3,8 +3,10 @@
 The JSON form embeds the domain text and the initial beliefs, so a saved
 policy is self-contained: reloading rebuilds the problem bundle and the
 policy DAG, enough to re-simulate or re-export.  Node beliefs are exported
-as short digests (the simulator re-derives beliefs by replaying the
-protocol); reloaded nodes carry the initial beliefs as placeholders.
+as short digests.  Reloading re-derives them as the search did: from the
+root beliefs, each edge applies its ``tell``s and then the mode's step, so a
+reloaded policy prints exactly as the original.  Reloaded nodes carry a
+placeholder network (empty when done, one pending task otherwise).
 """
 
 from __future__ import annotations
@@ -13,11 +15,20 @@ import hashlib
 import json
 from typing import Optional
 
-from .communication import CommAction, CommPlan
+from .communication import CommAction, apply_comm_plan
 from .domfile import ProblemBundle, parse_bundle
 from .errors import DomainSyntaxError
 from .htn import TaskInstance, TaskNetwork, idle_op, wait_op
-from .planner import NodeKind, PolicyEdge, PolicyNode, PolicyTree
+from .planner import (
+    MODE_LEGACY,
+    MODE_NEW,
+    NodeKind,
+    PolicyEdge,
+    PolicyNode,
+    PolicyTree,
+    _root_human,
+    _step,
+)
 from .state import BeliefState
 
 POLICY_FORMAT = "beliefhtn-policy"
@@ -140,18 +151,23 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
 
     empty_net = TaskNetwork.build([])
     pending_net = TaskNetwork.build([TaskInstance("pending")])
-
+    mode, robot, human = obj["mode"], obj["robot"], obj["human"]
+    if mode not in (MODE_NEW, MODE_LEGACY):
+        raise DomainSyntaxError(f"unknown solver mode {mode!r}")
+    specs = {spec["id"]: spec for spec in obj["nodes"]}
     nodes: dict[int, PolicyNode] = {}
-    for spec in obj["nodes"]:
-        nodes[spec["id"]] = PolicyNode(
-            init_world,
-            init_human,
+
+    def build(nid: int, world: BeliefState, human_belief: BeliefState) -> PolicyNode:
+        if nid in nodes:  # the search memoised it: same beliefs on every path
+            return nodes[nid]
+        spec = specs[nid]
+        node = nodes[nid] = PolicyNode(
+            world,
+            human_belief,
             empty_net if spec["done"] else pending_net,
             spec["turn"],
             NodeKind(spec["kind"]),
-            (),
         )
-    for spec in obj["nodes"]:
         edges = []
         for e in spec["edges"]:
             a = e["action"]
@@ -162,23 +178,19 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
                 op = wait_op(a["agent"])
             else:
                 op = bundle.problem.domain_of(a["agent"]).ground_ops[(a["name"], tuple(a["args"]))]
-            comms = CommPlan(
-                tuple(
-                    CommAction(
-                        obj["robot"], obj["human"], bundle.attr(c["attr"]), c["value"]
-                    )
-                    for c in e["comms"]
-                )
+            comms = tuple(
+                CommAction(robot, human, bundle.attr(c["attr"]), c["value"])
+                for c in e["comms"]
             )
-            edges.append(PolicyEdge(op, comms, (), None, nodes[e["child"]]))
-        nodes[spec["id"]].edges = tuple(edges)
+            w2, h2 = _step(
+                mode, bundle.obs_model, robot, human, world,
+                apply_comm_plan(comms, human_belief), op, node.turn,
+            )
+            edges.append(PolicyEdge(op, comms, (), None, build(e["child"], w2, h2)))
+        node.edges = tuple(edges)
+        return node
 
-    policy = PolicyTree(
-        obj["mode"],
-        obj["robot"],
-        obj["human"],
-        init_world,
-        init_human,
-        nodes[obj["root"]],
+    root = build(
+        obj["root"], init_world, _root_human(mode, bundle.obs_model, init_world, init_human)
     )
-    return bundle, policy
+    return bundle, PolicyTree(mode, robot, human, init_world, init_human, root)

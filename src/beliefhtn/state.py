@@ -240,39 +240,13 @@ class BeliefState:
         return hash(self.values)
 
 
-@dataclass(frozen=True)
-class DivergenceEntry:
-    attr: GroundedAttribute
-    robot_value: Value
-    human_value: Value
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Exactly the attributes on which two beliefs disagree, in index order."""
-
-    entries: tuple[DivergenceEntry, ...]
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def attributes(self) -> tuple[GroundedAttribute, ...]:
-        return tuple(e.attr for e in self.entries)
-
-
-def diverging_attributes(robot: BeliefState, human: BeliefState) -> DivergenceReport:
-    """Scan both beliefs and report every attribute with unequal values."""
+def diverging_attributes(robot: BeliefState, human: BeliefState) -> tuple[int, ...]:
+    """Indices of every attribute on which the two beliefs disagree, in
+    index order."""
     if robot.universe is not human.universe:
         raise UniverseMismatch(
             "beliefs were built from different declaration universes"
         )
-    entries = tuple(
-        DivergenceEntry(attr, rv, hv)
-        for attr, rv, hv in zip(robot.universe.attributes, robot.values, human.values)
-        if rv != hv
+    return tuple(
+        i for i, (rv, hv) in enumerate(zip(robot.values, human.values)) if rv != hv
     )
-    return DivergenceReport(entries)

@@ -252,14 +252,12 @@ def _human_ops(bundle):
 
 
 def _subset_minimum(world, human, ops):
-    divergent = list(diverging_attributes(world, human).attributes)
+    divergent = diverging_attributes(world, human)
     if not is_relevant_divergence(world, human, ops):
         return 0
     for k in range(len(divergent) + 1):
         for combo in itertools.combinations(divergent, k):
-            belief = human
-            for attr in combo:
-                belief = belief.with_value(attr, world.get(attr))
+            belief = human.with_values_at((i, world.values[i]) for i in combo)
             if not is_relevant_divergence(world, belief, ops):
                 return k
     raise AssertionError("full alignment must remove relevance")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from beliefhtn import COOKING_DOM
 from beliefhtn.cli import main
 from beliefhtn.policyio import load_json, to_json, to_text
@@ -101,18 +103,40 @@ def test_export_writes_both_formats(tmp_path, capsys):
     assert "n0" in text
 
 
-def test_policy_json_round_trip(cooking):
-    from beliefhtn import MODE_NEW, plan, simulate
+ROUND_TRIP_CASES = [
+    (domain, start, mode)
+    for domain in ("cooking", "box")
+    for start in ("robot", "human")
+    for mode in ("new", "legacy")
+] + [(f"box_dom-{boxes}", None, mode) for boxes in (2, 3, 4) for mode in ("new", "legacy")]
 
-    bundle = cooking.with_start("human")
-    policy = plan(bundle.problem, bundle.obs_model, MODE_NEW)
-    blob = to_json(policy, bundle)
-    bundle2, policy2 = load_json(blob)
-    report = simulate(policy2, bundle2.obs_model)
-    assert report.outcome == "success"
-    assert to_text(policy2).count("tell(SaltInPot, true)") == to_text(policy).count(
-        "tell(SaltInPot, true)"
-    )
+
+@pytest.mark.parametrize("domain,start,mode", ROUND_TRIP_CASES)
+def test_policy_json_round_trip(domain, start, mode):
+    # A reloaded policy re-derives every node's beliefs, so it prints and
+    # replays exactly as the policy that was saved.
+    from beliefhtn import builtin_bundle, parse_bundle, plan, simulate
+    from beliefhtn.builtins import box_dom
+
+    if start is None:
+        bundle = parse_bundle(box_dom(boxes=int(domain.split("-")[1])))
+    else:
+        bundle = builtin_bundle(domain).with_start(start)
+    policy = plan(bundle.problem, bundle.obs_model, mode)
+    bundle2, policy2 = load_json(to_json(policy, bundle))
+    assert to_text(policy2) == to_text(policy)
+    assert simulate(policy2, bundle2.obs_model) == simulate(policy, bundle.obs_model)
+
+
+def test_policy_load_rejects_unknown_mode(cooking):
+    # The mode selects the step that re-derives each node's beliefs.
+    from beliefhtn import plan
+    from beliefhtn.errors import DomainSyntaxError
+
+    obj = json.loads(to_json(plan(cooking.problem, cooking.obs_model), cooking))
+    obj["mode"] = "optimistic"
+    with pytest.raises(DomainSyntaxError, match="unknown solver mode"):
+        load_json(json.dumps(obj))
 
 
 def test_plan_rejects_unknown_domain(capsys):

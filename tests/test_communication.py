@@ -13,9 +13,14 @@ from beliefhtn import (
     is_relevant_divergence,
     min_comm_bfs,
 )
-from beliefhtn.communication import apply_comm_plan, build_comm_action
+from beliefhtn.communication import apply_comm_plan
 from beliefhtn.errors import StaleComm
 from beliefhtn.htn import ground_all_operators
+
+
+def tell(world, human, attr):
+    """The robot telling the human its ground-truth value of ``attr``."""
+    return CommAction(world.owner, human.owner, attr, world.get(attr))
 
 
 def human_ops(bundle):
@@ -27,7 +32,7 @@ def test_apply_comm_salt(cooking):
     u = cooking.universe
     world = cooking.problem.world.with_value(u.attr("SaltInPot"), "true")
     human = cooking.problem.human_belief
-    ca = build_comm_action(world, human, u.attr("SaltInPot"))
+    ca = tell(world, human, u.attr("SaltInPot"))
     updated = apply_comm(ca, human)
     assert updated.get(u.attr("SaltInPot")) == "true"
     for attr in u.attributes:
@@ -41,15 +46,15 @@ def test_apply_comm_stale_rejected(cooking):
     ca = CommAction("robot", "human", u.attr("SaltInPot"), human.get(u.attr("SaltInPot")))
     with pytest.raises(StaleComm):
         apply_comm(ca, human)
-    with pytest.raises(StaleComm):
-        build_comm_action(cooking.problem.world, human, u.attr("SaltInPot"))
+    with pytest.raises(StaleComm):  # the human already holds the true value
+        apply_comm(tell(cooking.problem.world, human, u.attr("SaltInPot")), human)
 
 
 def test_apply_comm_pasta_location(cooking):
     u = cooking.universe
     world = cooking.problem.world.with_value(u.attr("PastaLoc"), "Kitchen")
     human = cooking.problem.human_belief.with_value(u.attr("PastaLoc"), "Room")
-    ca = build_comm_action(world, human, u.attr("PastaLoc"))
+    ca = tell(world, human, u.attr("PastaLoc"))
     assert apply_comm(ca, human).get(u.attr("PastaLoc")) == "Kitchen"
 
 
@@ -105,7 +110,7 @@ def test_min_comm_single_salt_tell(cooking):
     human = world.with_owner("human").with_value(u.attr("SaltInPot"), "false")
     plan = min_comm_bfs(world, human, human_ops(cooking))
     assert len(plan) == 1
-    assert str(plan.actions[0]) == "tell(SaltInPot, true)"
+    assert str(plan[0]) == "tell(SaltInPot, true)"
 
 
 def test_min_comm_empty_when_not_relevant(cooking):
@@ -137,14 +142,12 @@ def test_min_comm_skips_irrelevant_divergence(cooking):
 
 def subset_minimum(world, human, ops):
     """Exhaustive oracle: smallest aligning subset of diverging attributes."""
-    divergent = list(diverging_attributes(world, human).attributes)
+    divergent = diverging_attributes(world, human)
     if not is_relevant_divergence(world, human, ops):
         return 0
     for k in range(len(divergent) + 1):
         for combo in itertools.combinations(divergent, k):
-            belief = human
-            for attr in combo:
-                belief = belief.with_value(attr, world.get(attr))
+            belief = human.with_values_at((i, world.values[i]) for i in combo)
             if not is_relevant_divergence(world, belief, ops):
                 return k
     raise AssertionError("full alignment must remove relevance")

@@ -150,6 +150,7 @@ MALFORMED = [
     ("operator toggle for bot\n", "operator toggle for bot\n  param ?x Nowhere\n"),
     ("  task Root\n", "  task Root\n  var ?p Nowhere\n"),
     ("sub a toggle\n", "sub a toggle(?q)\n"),
+    ("  task Root\n", "  task\n"),
 ]
 
 

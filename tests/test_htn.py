@@ -225,7 +225,7 @@ def test_network_fixpoint_iff_primitive(cooking, box):
         w = bundle.problem.network
         op_names = set()
         for dom in bundle.problem.domains.values():
-            op_names |= dom.operator_names()
+            op_names |= dom.op_names
 
         def is_primitive(w):
             return all(t.symbol in op_names for _, t in w.nodes)

@@ -21,7 +21,7 @@ from beliefhtn import BeliefState, ObsClass, domfile, parse
 from beliefhtn.builtins import BOX_DOM, COOKING_DOM, box_dom
 from beliefhtn.errors import BadRule, BadValue
 from beliefhtn.htn import EffectOp, applicable, apply_effects
-from beliefhtn.observability import ObservabilityModel
+from beliefhtn.observability import LOCATION_SYMBOL, ObservabilityModel
 
 PAIRS = 60
 
@@ -72,7 +72,7 @@ def ref_place_of(model, rules, attr, state):
 
 
 def ref_assess(model, rules, observer_belief, world):
-    here = world.get(model.universe.attr(model.location_symbol, observer_belief.owner))
+    here = world.get(model.universe.attr(LOCATION_SYMBOL, observer_belief.owner))
     belief = observer_belief
     for attr in model.universe.attributes:
         if model.classes[attr.symbol] is not ObsClass.OBS:

@@ -15,7 +15,6 @@ from beliefhtn import (
     plan,
     simulate,
 )
-from beliefhtn.communication import CommPlan
 from beliefhtn.errors import Unsolvable
 from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
 from beliefhtn.htn import (
@@ -267,7 +266,7 @@ def wait_chain(bundle, n_waits):
     turns = [problem.robot, problem.human] * n_waits
     node = PolicyNode(world, human, problem.network, turns[n_waits], NodeKind.SUCCESS)
     for turn in reversed(turns[:n_waits]):
-        edge = PolicyEdge(wait_op(turn), CommPlan(), (), None, node)
+        edge = PolicyEdge(wait_op(turn), (), (), None, node)
         node = PolicyNode(world, human, problem.network, turn, NodeKind.DECISION, (edge,))
     return PolicyTree(
         MODE_NEW, problem.robot, problem.human, world, problem.human_belief, node
@@ -301,8 +300,8 @@ def test_first_failure_follows_walk_order(cooking):
     )
     success = PolicyNode(root.world, root.human_belief, root.network, "robot", NodeKind.SUCCESS)
     edges = (
-        PolicyEdge(pour, CommPlan(), (), None, success),
-        PolicyEdge(wait_op("human"), CommPlan(), (), None, root),
+        PolicyEdge(pour, (), (), None, success),
+        PolicyEdge(wait_op("human"), (), (), None, root),
     )
     human_root = PolicyNode(root.world, root.human_belief, root.network, "human", edges=edges)
     policy = PolicyTree(

@@ -3,12 +3,13 @@ from __future__ import annotations
 import dataclasses
 
 import beliefhtn
-from beliefhtn import engine, htn, observability, planner, state
+from beliefhtn import communication, engine, htn, observability, planner, state
 
 REMOVED = {
+    communication: ("CommPlan", "build_comm_action"),
     engine: ("AgentModel", "update_on_act", "update_on_observe"),
     observability: ("place_of", "copresent", "assess"),
-    state: ("lookup",),
+    state: ("lookup", "DivergenceReport", "DivergenceEntry"),
     htn: ("enumerate_decompositions", "is_primitive"),
     planner: ("_TRACE_LIMIT",),
 }
@@ -28,5 +29,6 @@ def test_removed_aliases_are_gone():
             assert not hasattr(beliefhtn, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(planner.PolicyNode, "agendas")
+    assert not hasattr(htn.AgentDomain, "operator_names")
     fields = {f.name for f in dataclasses.fields(planner.ExecutionReport)}
     assert "traces" not in fields
