@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .builtins import BUILTIN_NAMES, load_bundle
@@ -44,13 +45,17 @@ def _parse_assignments(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _prepare_bundle(args) -> ProblemBundle:
-    bundle = load_bundle(args.domain)
-    if getattr(args, "set", None):
+def _with_overrides(bundle: ProblemBundle, args) -> ProblemBundle:
+    if args.set:
         bundle = bundle.with_world(_parse_assignments(args.set))
-    if getattr(args, "believe", None):
+    if args.believe:
         bundle = bundle.with_human_belief(_parse_assignments(args.believe))
-    if getattr(args, "start", None):
+    return bundle
+
+
+def _prepare_bundle(args) -> ProblemBundle:
+    bundle = _with_overrides(load_bundle(args.domain), args)
+    if args.start:
         bundle = bundle.with_start(args.start)
     return bundle
 
@@ -82,19 +87,11 @@ def _cmd_plan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     bundle, policy = load_json(Path(args.policy).read_text(encoding="utf-8"))
-    world = policy.init_world
-    human = policy.init_human
-    if args.set:
-        b2 = bundle.with_world(_parse_assignments(args.set))
-        world = b2.problem.world
-        human = b2.problem.human_belief
-    if args.believe:
-        overrides = _parse_assignments(args.believe)
-        b2 = bundle.with_human_belief(overrides)
-        for text in overrides:
-            attr = bundle.attr(text)
-            human = human.with_value(attr, b2.problem.human_belief.get(attr))
-    report = simulate(policy, bundle.obs_model, world, human)
+    # Overrides apply to the beliefs the policy was planned from, not to
+    # the embedded domain file's init.
+    problem = replace(bundle.problem, world=policy.init_world, human_belief=policy.init_human)
+    bundle = _with_overrides(replace(bundle, problem=problem), args)
+    report = simulate(policy, bundle.obs_model, bundle.problem.world, bundle.problem.human_belief)
     print(
         f"simulated mode={policy.mode}: outcome={report.outcome} "
         f"branches={report.n_traces} success={report.n_success} "

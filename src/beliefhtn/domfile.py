@@ -8,8 +8,12 @@ world belief, optional human-belief overrides, and the starting agent.
 The format is deliberately flat: section keywords at column zero,
 ``operator``/``method`` blocks closed by ``end``, one fact per line, and no
 expression language beyond ``+=``/``-=`` on bounded-integer attributes.
-Parsing also builds and grounds the bundle, so a bad value, group or variable
-raises :class:`DomainSyntaxError` too, without a line number.
+Operator and method blocks are read straight into the lifted
+:class:`~beliefhtn.htn.OperatorSchema` and :class:`~beliefhtn.htn.MethodSchema`
+that grounding reads; a method's label and order defects carry the line of
+its ``method`` line.  Parsing also builds and grounds the bundle, so a bad
+value, group or variable raises :class:`DomainSyntaxError` too, without a
+line number.
 """
 
 from __future__ import annotations
@@ -21,16 +25,13 @@ from typing import Mapping, Optional
 from .errors import BadValue, BeliefHtnError, DomainSyntaxError
 from .htn import (
     AgentDomain,
-    Effect,
+    AttrRef,
     EffectOp,
     HtnProblem,
     MethodSchema,
     OperatorSchema,
-    OpKind,
     TaskInstance,
     TaskNetwork,
-    Term,
-    Test,
     ground_all_methods,
     ground_all_operators,
 )
@@ -80,37 +81,6 @@ class PlaceEntry:
     ref_args: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AttrRef:
-    symbol: str
-    args: tuple[str, ...]  # constants or ?vars
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({', '.join(self.args)})"
-
-
-@dataclass(frozen=True)
-class OpEntry:
-    name: str
-    owner: str  # robot-id, human-id, or "both"
-    params: tuple[tuple[str, str], ...] = ()
-    pre: tuple[tuple[AttrRef, str], ...] = ()
-    eff: tuple[tuple[AttrRef, str, str], ...] = ()  # (attr, "="|"+="|"-=", value)
-
-
-@dataclass(frozen=True)
-class MethodEntry:
-    name: str
-    owner: str
-    task_symbol: str
-    task_params: tuple[tuple[str, str], ...] = ()
-    free_vars: tuple[tuple[str, str], ...] = ()
-    subtasks: tuple[tuple[str, AttrRef], ...] = ()  # (label, task ref)
-    order: tuple[tuple[str, str], ...] = ()  # label pairs
-
-
 @dataclass
 class DomainFile:
     """Parsed, serializable representation of one ``.dom`` document."""
@@ -122,8 +92,8 @@ class DomainFile:
     human: str = ""
     svars: list[SvarEntry] = field(default_factory=list)
     places: list[PlaceEntry] = field(default_factory=list)
-    operators: list[OpEntry] = field(default_factory=list)
-    methods: list[MethodEntry] = field(default_factory=list)
+    operators: list[OperatorSchema] = field(default_factory=list)
+    methods: list[MethodSchema] = field(default_factory=list)
     roots: list[tuple[str, AttrRef]] = field(default_factory=list)
     root_order: list[tuple[str, str]] = field(default_factory=list)
     init: list[tuple[AttrRef, str]] = field(default_factory=list)
@@ -364,7 +334,13 @@ def _operator_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
     elif head == "eff":
         if len(tokens) != 4 or tokens[2] not in ("=", "+=", "-="):
             raise DomainSyntaxError("usage: eff <attribute> =|+=|-= <value>", ln)
-        block["eff"].append((_parse_attr_ref(tokens[1], ln), tokens[2], tokens[3]))
+        eop, value = EffectOp(tokens[2]), tokens[3]
+        if eop is not EffectOp.SET:
+            try:
+                value = int(value)
+            except ValueError:
+                raise DomainSyntaxError(f"increment effects need an integer, got {value!r}", ln)
+        block["eff"].append((_parse_attr_ref(tokens[1], ln), eop, value))
     else:
         raise DomainSyntaxError(f"unknown operator directive {head!r}", ln)
 
@@ -374,9 +350,13 @@ def _method_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
         # task Name   |   task Name (?b Boxes) ...
         if len(tokens) < 2:
             raise DomainSyntaxError("usage: task <name> [(?var Group) ...]", ln)
-        block["task"] = _parse_attr_ref(tokens[1], ln)
-        if len(tokens) > 2:
-            block["task_params"] = _parse_typed_params(tokens[2:], ln)
+        head_ref = _parse_attr_ref(tokens[1], ln)
+        if head_ref.args:
+            raise DomainSyntaxError(
+                f"method {block['name']}: task parameters must be typed '(?v Group)'", ln
+            )
+        block["task"] = head_ref.symbol
+        block["task_params"] = _parse_typed_params(tokens[2:], ln)
     elif head == "var":
         if len(tokens) != 3 or not tokens[1].startswith("?"):
             raise DomainSyntaxError("usage: var ?name <Group>", ln)
@@ -403,7 +383,7 @@ def _method_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
 def _close_block(dom: DomainFile, block: dict) -> None:
     if block["type"] == "operator":
         dom.operators.append(
-            OpEntry(
+            OperatorSchema(
                 block["name"],
                 block["owner"],
                 tuple(block["params"]),
@@ -416,21 +396,19 @@ def _close_block(dom: DomainFile, block: dict) -> None:
         raise DomainSyntaxError(
             f"method {block['name']} has no 'task' line", block["line"]
         )
-    dom.methods.append(
-        MethodEntry(
+    try:
+        method = MethodSchema(
             block["name"],
             block["owner"],
-            block["task"].symbol,
-            tuple(
-                block["task_params"]
-                if block["task_params"]
-                else tuple((a, "") for a in block["task"].args)
-            ),
+            block["task"],
+            block["task_params"],
             tuple(block["vars"]),
             tuple(block["subs"]),
             tuple(block["order"]),
         )
-    )
+    except BeliefHtnError as exc:
+        raise DomainSyntaxError(str(exc), block["line"]) from exc
+    dom.methods.append(method)
 
 
 def _require_sections(dom: DomainFile) -> None:
@@ -497,14 +475,14 @@ def serialize(dom: DomainFile) -> str:
         for ref, val in op.pre:
             out.append(f"  pre {ref} = {val}")
         for ref, eop, val in op.eff:
-            out.append(f"  eff {ref} {eop} {val}")
+            out.append(f"  eff {ref} {eop.value} {val}")
         out.append("end")
     out.append("")
     for m in dom.methods:
         out.append(f"method {m.name} for {m.owner}")
         params = " ".join(f"({v} {g})" for v, g in m.task_params)
         out.append(f"  task {m.task_symbol}{' ' + params if params else ''}")
-        for v, g in m.free_vars:
+        for v, g in m.free_params:
             out.append(f"  var {v} {g}")
         for label, ref in m.subtasks:
             out.append(f"  sub {label} {ref}")
@@ -610,74 +588,27 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
                 ref = universe.attr(p.ref_symbol, *ref_args)
                 rules[attr] = PlacementRule(reference=ref)
 
-    op_entries_by_agent: dict[str, list[OperatorSchema]] = {dom.robot: [], dom.human: []}
+    ops_by_agent: dict[str, list[OperatorSchema]] = {dom.robot: [], dom.human: []}
     seen_ops: set[tuple[str, str]] = set()
     for op in dom.operators:
         _check_groups(f"operator {op.name}", op.params, groups)
-        owners = (
-            [dom.robot, dom.human] if op.owner == "both" else [op.owner]
-        )
-        for owner in owners:
-            if owner not in (dom.robot, dom.human):
-                raise DomainSyntaxError(
-                    f"operator {op.name}: unknown owner {op.owner!r}"
-                )
+        for owner in _owners(dom, f"operator {op.name}", op.owner):
             if (owner, op.name) in seen_ops:
                 raise DomainSyntaxError(
                     f"operator {op.name} declared twice for {owner}"
                 )
             seen_ops.add((owner, op.name))
-            schema = OperatorSchema(
-                op.name,
-                owner,
-                op.params,
-                tuple(
-                    Test(ref.symbol, tuple(map(Term, ref.args)), Term(val))
-                    for ref, val in op.pre
-                ),
-                tuple(_build_effect(ref, eop, val) for ref, eop, val in op.eff),
-            )
-            op_entries_by_agent[owner].append(schema)
+            ops_by_agent[owner].append(replace(op, owner=owner))
 
-    method_by_agent: dict[str, list[MethodSchema]] = {dom.robot: [], dom.human: []}
+    methods_by_agent: dict[str, list[MethodSchema]] = {dom.robot: [], dom.human: []}
     for m in dom.methods:
-        owners = [dom.robot, dom.human] if m.owner == "both" else [m.owner]
-        task_params = tuple(
-            (v, g) for v, g in m.task_params if v.startswith("?")
-        )
-        if any(not g for _, g in task_params):
-            raise DomainSyntaxError(
-                f"method {m.name}: task parameters must be typed '(?v Group)'"
-            )
-        _check_groups(f"method {m.name}", task_params + m.free_vars, groups)
-        label_index = {label: i for i, (label, _) in enumerate(m.subtasks)}
-        if len(label_index) != len(m.subtasks):
-            raise DomainSyntaxError(f"method {m.name}: duplicate subtask label")
-        order = []
-        for a, b in m.order:
-            if a not in label_index or b not in label_index:
-                raise DomainSyntaxError(
-                    f"method {m.name}: ordering references unknown label"
-                )
-            order.append((label_index[a], label_index[b]))
-        schema = MethodSchema(
-            m.name,
-            m.task_symbol,
-            task_params,
-            m.free_vars,
-            tuple(
-                (ref.symbol, tuple(map(Term, ref.args))) for _, ref in m.subtasks
-            ),
-            tuple(order),
-        )
-        for owner in owners:
-            if owner not in (dom.robot, dom.human):
-                raise DomainSyntaxError(f"method {m.name}: unknown owner {m.owner!r}")
-            method_by_agent[owner].append(schema)
+        _check_groups(f"method {m.name}", m.task_params + m.free_params, groups)
+        for owner in _owners(dom, f"method {m.name}", m.owner):
+            methods_by_agent[owner].append(m)
 
     domains = {}
-    for agent, ops in op_entries_by_agent.items():
-        methods = method_by_agent[agent]
+    for agent, ops in ops_by_agent.items():
+        methods = methods_by_agent[agent]
         op_names = frozenset(o.name for o in ops)
         domains[agent] = AgentDomain(
             agent,
@@ -736,7 +667,9 @@ def _yield_closure(op_names: frozenset[str], methods: list[MethodSchema]) -> fro
     while changed:
         changed = False
         for m in methods:
-            if m.task_symbol not in yields and any(sym in yields for sym, _ in m.subtasks):
+            if m.task_symbol not in yields and any(
+                ref.symbol in yields for _, ref in m.subtasks
+            ):
                 yields.add(m.task_symbol)
                 changed = True
     return frozenset(yields)
@@ -749,19 +682,15 @@ def _coerce_value(universe: Universe, attr: GroundedAttribute, token: str) -> Va
         raise DomainSyntaxError(str(exc)) from exc
 
 
+def _owners(dom: DomainFile, what: str, owner: str) -> tuple[str, ...]:
+    if owner == "both":
+        return (dom.robot, dom.human)
+    if owner not in (dom.robot, dom.human):
+        raise DomainSyntaxError(f"{what}: unknown owner {owner!r}")
+    return (owner,)
+
+
 def _check_groups(owner: str, params: tuple[tuple[str, str], ...], groups: Mapping) -> None:
     for var, group in params:
         if group not in groups:
             raise DomainSyntaxError(f"{owner}: {var} has unknown group {group!r}")
-
-
-def _build_effect(ref: AttrRef, eop: str, val: str) -> Effect:
-    if eop == "=":
-        return Effect(ref.symbol, tuple(map(Term, ref.args)), EffectOp.SET, Term(val))
-    try:
-        delta = int(val)
-    except ValueError:
-        raise DomainSyntaxError(f"increment effects need an integer, got {val!r}")
-    op = EffectOp.INC if eop == "+=" else EffectOp.DEC
-    return Effect(ref.symbol, tuple(map(Term, ref.args)), op, delta)
-

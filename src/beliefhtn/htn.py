@@ -4,9 +4,11 @@ Operators carry conjunctions of equality preconditions and unconditional
 effects.  Effects on bounded-integer attributes may also be increments or
 decrements; these saturate at the domain bounds so that observers applying
 an action's effects to an already-diverged belief stay inside the domain.
-Each domain is grounded once, when its bundle is built, into the tables of
-:class:`AgentDomain`; grounding raises for every bad value and argument, and
-stores each precondition and effect by its dense ``Universe`` index.
+The lifted :class:`OperatorSchema` and :class:`MethodSchema` are what the
+domain-file parser builds.  Each domain is grounded once, when its bundle
+is built, into the tables of :class:`AgentDomain`; grounding raises for
+every bad value and argument, and stores each precondition and effect by
+its dense ``Universe`` index.
 
 Task networks are immutable and hold one predecessor bitmask per node:
 decomposition returns a new network with fresh node ids, re-targeting every
@@ -29,7 +31,7 @@ from .errors import (
     NotApplicable,
     NotRelevant,
 )
-from .state import BeliefState, Universe, Value
+from .state import BeliefState, GroundedAttribute, Universe, Value
 
 
 class OpKind(Enum):
@@ -40,64 +42,55 @@ class OpKind(Enum):
 
 
 @dataclass(frozen=True)
-class Term:
-    """Either a variable (``?x``) or a constant symbol in a schema."""
-
-    name: str
-
-    @property
-    def is_var(self) -> bool:
-        return self.name.startswith("?")
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def _substitute(term: Term, binding: Mapping[str, str]) -> str:
-    if term.is_var:
-        if term.name not in binding:
-            raise BadArgument(f"unbound variable {term.name}")
-        return binding[term.name]
-    return term.name
-
-
-@dataclass(frozen=True)
-class Test:
-    """Precondition: grounded attribute equals a value."""
+class AttrRef:
+    """An attribute or task in a lifted schema; each argument is a constant
+    or a ``?var``."""
 
     symbol: str
-    args: tuple[Term, ...]
-    value: Term
+    args: tuple[str, ...] = ()
+
+    def __str__(self) -> str:
+        if not self.args:
+            return self.symbol
+        return f"{self.symbol}({', '.join(self.args)})"
+
+
+def _substitute(token: str, binding: Mapping[str, str]) -> str:
+    if token.startswith("?"):
+        if token not in binding:
+            raise BadArgument(f"unbound variable {token}")
+        return binding[token]
+    return token
+
+
+def _ground_ref(
+    universe: Universe, ref: AttrRef, binding: Mapping[str, str]
+) -> GroundedAttribute:
+    return universe.attr(ref.symbol, *(_substitute(a, binding) for a in ref.args))
 
 
 class EffectOp(Enum):
-    SET = "set"
-    INC = "inc"
-    DEC = "dec"
+    """An effect's assignment; the values are the domain-file tokens."""
 
-
-@dataclass(frozen=True)
-class Effect:
-    symbol: str
-    args: tuple[Term, ...]
-    op: EffectOp
-    value: Term | int  # Term for SET, int delta for INC/DEC
+    SET = "="
+    INC = "+="
+    DEC = "-="
 
 
 @dataclass(frozen=True)
 class OperatorSchema:
-    """Lifted operator, owned by one agent."""
+    """Lifted operator, owned by an agent id or ``both``.
+
+    ``pre`` holds (attribute, value token) equalities; ``eff`` holds
+    (attribute, op, value) triples, whose value is a token for SET and an
+    int delta for INC/DEC.
+    """
 
     name: str
-    agent: str
+    owner: str
     params: tuple[tuple[str, str], ...] = ()  # (?var, group)
-    pre: tuple[Test, ...] = ()
-    eff: tuple[Effect, ...] = ()
-    kind: OpKind = OpKind.REGULAR
-
-    def __post_init__(self) -> None:
-        if self.kind in (OpKind.IDLE, OpKind.WAIT) and (self.pre or self.eff):
-            raise BadArgument(f"{self.kind.value} operators must have empty pre/eff")
+    pre: tuple[tuple[AttrRef, str], ...] = ()
+    eff: tuple[tuple[AttrRef, EffectOp, str | int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -134,32 +127,30 @@ def ground_operator(
 ) -> GroundedOperator:
     args = tuple(binding[var] for var, _ in schema.params)
     pre: list[tuple[int, Value]] = []
-    for test in schema.pre:
-        attr = universe.attr(
-            test.symbol, *(_substitute(t, binding) for t in test.args)
+    for ref, token in schema.pre:
+        attr = _ground_ref(universe, ref, binding)
+        pre.append(
+            (universe.index_of(attr), universe.parse_value(attr, _substitute(token, binding)))
         )
-        value_token = _substitute(test.value, binding)
-        pre.append((universe.index_of(attr), universe.parse_value(attr, value_token)))
     eff: list[tuple[int, EffectOp, Value | int]] = []
-    for effect in schema.eff:
-        attr = universe.attr(
-            effect.symbol, *(_substitute(t, binding) for t in effect.args)
-        )
+    for ref, eop, value in schema.eff:
+        attr = _ground_ref(universe, ref, binding)
         index = universe.index_of(attr)
         if any(index == seen for seen, _, _ in eff):
             raise BadArgument(f"operator {schema.name} assigns {attr} twice")
-        if effect.op is EffectOp.SET:
-            assert isinstance(effect.value, Term)
-            value_token = _substitute(effect.value, binding)
-            eff.append((index, EffectOp.SET, universe.parse_value(attr, value_token)))
+        if eop is EffectOp.SET:
+            assert isinstance(value, str)
+            eff.append((index, eop, universe.parse_value(attr, _substitute(value, binding))))
         else:
             if not universe.decls[attr.symbol].is_integer:
                 raise BadArgument(
                     f"increment effect on non-integer attribute {attr}"
                 )
-            assert isinstance(effect.value, int)
-            eff.append((index, effect.op, effect.value))
-    return GroundedOperator(schema.name, schema.agent, args, schema.kind, tuple(pre), tuple(eff))
+            assert isinstance(value, int)
+            eff.append((index, eop, value))
+    return GroundedOperator(
+        schema.name, schema.owner, args, OpKind.REGULAR, tuple(pre), tuple(eff)
+    )
 
 
 def ground_all_operators(
@@ -227,17 +218,32 @@ class TaskInstance:
 
 @dataclass(frozen=True)
 class MethodSchema:
-    """Decomposition rule: a non-primitive task expands into a sub-network."""
+    """Decomposition rule: a non-primitive task expands into a sub-network.
+
+    Subtasks carry labels and ``order`` pairs labels; construction resolves
+    them to ``order_index`` pairs and rejects a duplicate label, an unknown
+    label and a cyclic order.
+    """
 
     name: str
+    owner: str  # agent id or "both"
     task_symbol: str
     task_params: tuple[tuple[str, str], ...] = ()  # typed vars of the task head
     free_params: tuple[tuple[str, str], ...] = ()  # extra method variables
-    subtasks: tuple[tuple[str, tuple[Term, ...]], ...] = ()
-    order: tuple[tuple[int, int], ...] = ()  # indices into subtasks
+    subtasks: tuple[tuple[str, AttrRef], ...] = ()  # (label, task)
+    order: tuple[tuple[str, str], ...] = ()  # (before, after) labels
+    order_index: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_order(self.name, len(self.subtasks), self.order)
+        slot = {label: i for i, (label, _) in enumerate(self.subtasks)}
+        if len(slot) != len(self.subtasks):
+            raise BadArgument(f"method {self.name}: duplicate subtask label")
+        for a, b in self.order:
+            if a not in slot or b not in slot:
+                raise BadArgument(f"method {self.name}: ordering references unknown label")
+        order_index = tuple((slot[a], slot[b]) for a, b in self.order)
+        _check_order(self.name, len(self.subtasks), order_index)
+        object.__setattr__(self, "order_index", order_index)
 
 
 @dataclass(frozen=True)
@@ -321,10 +327,10 @@ def ground_method(
         binding = dict(base)
         binding.update({var: const for (var, _), const in zip(free, combo)})
         subtasks = tuple(
-            TaskInstance(sym, tuple(_substitute(t, binding) for t in args))
-            for sym, args in method.subtasks
+            TaskInstance(ref.symbol, tuple(_substitute(a, binding) for a in ref.args))
+            for _, ref in method.subtasks
         )
-        out.append(GroundedMethod(method.name, task, subtasks, method.order))
+        out.append(GroundedMethod(method.name, task, subtasks, method.order_index))
     return tuple(out)
 
 
@@ -528,6 +534,9 @@ def decompose(w: TaskNetwork, node_id: int, m: GroundedMethod) -> TaskNetwork:
 @dataclass(frozen=True)
 class AgentDomain:
     """One agent's operators and methods, lifted and grounded.
+
+    Each lifted operator's ``owner`` is this agent; a method keeps the owner
+    it was declared with, which may be ``both``.
 
     ``op_names`` are the agent's primitive task symbols; ``yields`` are the
     task symbols that can lead to one of them through the agent's methods.

@@ -40,7 +40,7 @@ from .communication import (
     min_comm_bfs,
 )
 from .engine import legacy_step, step_belief_protocol
-from .errors import DepthExceeded, StaleComm, Unsolvable
+from .errors import BadArgument, DepthExceeded, StaleComm, Unsolvable
 from .htn import (
     GroundedMethod,
     GroundedOperator,
@@ -67,12 +67,18 @@ class PlannerConfig:
     the memo key omits depth, so a subtree solved at a shallow depth can be
     reused deeper, and a policy branch can run past the bound.
     ``stall_threshold`` is the WAIT/IDLE run that ends a branch (see the
-    module docstring); ``max_nodes`` caps the states expanded per plan.
+    module docstring); it must be at least 1, since a run of 0 would end
+    every branch at its root.  ``max_nodes`` caps the states expanded per
+    plan.
     """
 
     depth_bound: int = 64
     stall_threshold: int = 4
     max_nodes: int = 500_000
+
+    def __post_init__(self) -> None:
+        if self.stall_threshold < 1:
+            raise BadArgument(f"stall_threshold must be at least 1, got {self.stall_threshold}")
 
 
 class NodeKind(Enum):

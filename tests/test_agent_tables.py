@@ -47,7 +47,7 @@ def ref_yield_closure(problem, agent) -> frozenset[str]:
         for m in dom.methods:
             if m.task_symbol in yields:
                 continue
-            if any(sym in yields for sym, _ in m.subtasks):
+            if any(ref.symbol in yields for _, ref in m.subtasks):
                 yields.add(m.task_symbol)
                 changed = True
     return frozenset(yields)

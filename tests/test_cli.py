@@ -88,6 +88,21 @@ def test_simulate_with_divergent_truth(tmp_path, capsys):
     assert "outcome=na" in out or "outcome=idl" in out
 
 
+def test_simulate_overrides_start_from_the_policy_beliefs(tmp_path, capsys):
+    # The policy was planned with PastaLoc=Kitchen and the human believing
+    # Room; overriding Stove (already off) must keep those beliefs, not fall
+    # back to the embedded domain file's init.
+    out_file = tmp_path / "policy.json"
+    plan_args = ["--start", "human", "--set", "PastaLoc=Kitchen", "--believe", "PastaLoc=Room"]
+    assert main(["plan", "--domain", "cooking", *plan_args, "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    for extra in ([], ["--set", "Stove=off"], ["--believe", "PastaLoc=Room"]):
+        code = main(["simulate", "--policy", str(out_file), *extra])
+        out = capsys.readouterr().out
+        assert code == 0, (extra, out)
+        assert "outcome=success" in out
+
+
 def test_export_writes_both_formats(tmp_path, capsys):
     base = tmp_path / "pol"
     code = main(

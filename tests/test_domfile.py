@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from beliefhtn import BOX_DOM, COOKING_DOM, parse, parse_bundle, serialize
@@ -151,6 +154,7 @@ MALFORMED = [
     ("  task Root\n", "  task Root\n  var ?p Nowhere\n"),
     ("sub a toggle\n", "sub a toggle(?q)\n"),
     ("  task Root\n", "  task\n"),
+    ("  task Root\n", "  task Root(Here)\n"),
 ]
 
 
@@ -161,6 +165,30 @@ def test_grounding_defects_rejected_at_parse(old, new):
     assert old in MINI
     with pytest.raises(DomainSyntaxError):
         parse(MINI.replace(old, new))
+
+
+# (old, new, line the message names, message fragment); a defect found when
+# a method block closes names the block's 'method' line.
+LINE_DEFECTS = [
+    ("sub b observe", "sub a observe", 15, "duplicate subtask label"),
+    ("order a < b", "order a < c", 15, "unknown label"),
+    ("order a < b", "order a < b\n  order b < a", 15, "cyclic"),
+    ("  task Root\n", "  task Root(?x)\n", 16, "must be typed"),
+    ("  task Root\n", "  task Root(Here)\n", 16, "must be typed"),
+    ("eff Flag = true", "eff Flag += a", 11, "need an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "old,new,line,fragment", LINE_DEFECTS, ids=[new.strip() for _, new, _, _ in LINE_DEFECTS]
+)
+def test_method_and_operator_defects_name_their_line(old, new, line, fragment):
+    assert old in MINI
+    with pytest.raises(DomainSyntaxError) as err:
+        parse(MINI.replace(old, new))
+    assert str(err.value).startswith(f"line {line}: ")
+    assert fragment in str(err.value)
+    assert err.value.line == line
 
 
 @pytest.mark.parametrize(
@@ -189,3 +217,59 @@ def test_bundle_attr_error_has_no_line_prefix():
         bundle.with_world({"Stove((": "on"})
     assert "malformed attribute reference" in str(err.value)
     assert not str(err.value).startswith("line")
+
+
+def one_line_mutations(text, rng, count):
+    """``count`` variants of ``text``, each with one line changed: a token
+    replaced by a word of the document, given an argument list, dropped or
+    doubled, or the whole line dropped or doubled.  Yields (line, variant)."""
+    lines = text.splitlines(keepends=True)
+    body = [i for i, line in enumerate(lines) if line.strip()]
+    words = sorted(set(re.findall(r"[^\s(),]+", text)))
+    for _ in range(count):
+        i = rng.choice(body)
+        line = lines[i]
+        indent = line[: len(line) - len(line.lstrip())]
+        tokens = line.split()
+        k = rng.randrange(len(tokens))
+        kind = rng.randrange(6)
+        if kind == 0:
+            tokens[k] = rng.choice(words)
+        elif kind == 1:
+            tokens[k] += f"({rng.choice(words)})"
+        elif kind == 2:
+            del tokens[k]
+        elif kind == 3:
+            tokens.insert(k, tokens[k])
+        if kind == 4 or not tokens:
+            new = ""
+        elif kind == 5:
+            new = line + line
+        else:
+            new = f"{indent}{' '.join(tokens)}\n"
+        yield new or "<deleted>", "".join(lines[:i] + [new] + lines[i + 1 :])
+
+
+@pytest.mark.parametrize("name", ["cooking", "box"])
+def test_one_line_mutations_round_trip_or_reject(name):
+    # Seeded and bounded: 300 variants per builtin.  An accepted variant's
+    # canonical form must parse back to itself; a rejected one must raise
+    # DomainSyntaxError and nothing else.
+    text = {"cooking": COOKING_DOM, "box": BOX_DOM}[name]
+    accepted = rejected = 0
+    for line, variant in one_line_mutations(text, random.Random(f"mutate-{name}"), 300):
+        try:
+            dom = parse(variant)
+        except DomainSyntaxError:
+            rejected += 1
+            continue
+        except Exception as exc:  # any other type is the defect; name the line
+            pytest.fail(f"{line.strip()!r} raised {type(exc).__name__}: {exc}")
+        accepted += 1
+        canonical = serialize(dom)
+        try:
+            again = serialize(parse(canonical))
+        except DomainSyntaxError as exc:
+            pytest.fail(f"{line.strip()!r}: canonical form does not parse: {exc}")
+        assert again == canonical, line
+    assert accepted and rejected

@@ -246,17 +246,14 @@ def test_network_fixpoint_iff_primitive(cooking, box):
 
 
 def test_ground_operator_rejects_double_assignment(cooking):
-    from beliefhtn.htn import Effect, EffectOp, OperatorSchema, Term, ground_operator
+    from beliefhtn.htn import AttrRef, EffectOp, OperatorSchema, ground_operator
 
     schema = OperatorSchema(
         "bad",
         "robot",
         (),
         (),
-        (
-            Effect("Stove", (), EffectOp.SET, Term("on")),
-            Effect("Stove", (), EffectOp.SET, Term("off")),
-        ),
+        ((AttrRef("Stove"), EffectOp.SET, "on"), (AttrRef("Stove"), EffectOp.SET, "off")),
     )
     with pytest.raises(BadArgument):
         ground_operator(cooking.universe, schema, {})

@@ -86,16 +86,12 @@ def ref_op(universe, schema, op):
     """The operator's pre/eff keyed by attributes grounded from its schema."""
     binding = {var: arg for (var, _), arg in zip(schema.params, op.args)}
 
-    def attr(symbol, terms):
-        return universe.attr(symbol, *(binding.get(t.name, t.name) for t in terms))
+    def attr(ref):
+        return universe.attr(ref.symbol, *(binding.get(a, a) for a in ref.args))
 
-    pre = tuple(
-        (attr(test.symbol, test.args), value)
-        for test, (_, value) in zip(schema.pre, op.pre)
-    )
+    pre = tuple((attr(ref), value) for (ref, _), (_, value) in zip(schema.pre, op.pre))
     eff = tuple(
-        (attr(effect.symbol, effect.args), eop, value)
-        for effect, (_, eop, value) in zip(schema.eff, op.eff)
+        (attr(ref), eop, value) for (ref, _, _), (_, eop, value) in zip(schema.eff, op.eff)
     )
     return pre, eff
 

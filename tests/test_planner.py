@@ -15,7 +15,7 @@ from beliefhtn import (
     plan,
     simulate,
 )
-from beliefhtn.errors import Unsolvable
+from beliefhtn.errors import BadArgument, Unsolvable
 from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
 from beliefhtn.htn import (
     OpKind,
@@ -515,3 +515,11 @@ def test_choices_keep_only_minimal_commitments_per_action():
     (choice,) = choices
     assert [gm.name for _, gm in choice.decomps] == ["a-work"]
     assert sorted(t.symbol for _, t in choice.network.nodes) == ["A", "B"]
+
+
+@pytest.mark.parametrize("threshold", [0, -1])
+def test_config_rejects_stall_threshold_below_one(threshold):
+    # A run of 0 WAIT/IDLE turns would end every branch at its root.
+    with pytest.raises(BadArgument, match="stall_threshold"):
+        PlannerConfig(stall_threshold=threshold)
+    assert PlannerConfig(stall_threshold=1).stall_threshold == 1

@@ -3,14 +3,15 @@ from __future__ import annotations
 import dataclasses
 
 import beliefhtn
-from beliefhtn import communication, engine, htn, observability, planner, state
+from beliefhtn import communication, domfile, engine, htn, observability, planner, state
 
 REMOVED = {
     communication: ("CommPlan", "build_comm_action"),
     engine: ("AgentModel", "update_on_act", "update_on_observe"),
     observability: ("place_of", "copresent", "assess"),
     state: ("lookup", "DivergenceReport", "DivergenceEntry"),
-    htn: ("enumerate_decompositions", "is_primitive"),
+    htn: ("enumerate_decompositions", "is_primitive", "Term", "Test", "Effect"),
+    domfile: ("OpEntry", "MethodEntry", "_build_effect"),
     planner: ("_TRACE_LIMIT",),
 }
 
@@ -32,3 +33,6 @@ def test_removed_aliases_are_gone():
     assert not hasattr(htn.AgentDomain, "operator_names")
     fields = {f.name for f in dataclasses.fields(planner.ExecutionReport)}
     assert "traces" not in fields
+    # One lifted operator form: every schema is REGULAR and names its owner.
+    fields = {f.name for f in dataclasses.fields(htn.OperatorSchema)}
+    assert fields.isdisjoint({"kind", "agent"})
