@@ -8,11 +8,16 @@ world belief, optional human-belief overrides, and the starting agent.
 The format is deliberately flat: section keywords at column zero,
 ``operator``/``method`` blocks closed by ``end``, one fact per line, and no
 expression language beyond ``+=``/``-=`` on bounded-integer attributes.
-Operator and method blocks are read straight into the lifted
-:class:`~beliefhtn.htn.OperatorSchema` and :class:`~beliefhtn.htn.MethodSchema`
-that grounding reads; a method's label and order defects carry the line of
-its ``method`` line.  Parsing also builds and grounds the bundle, so a bad
-value, group or variable raises :class:`DomainSyntaxError` too, without a
+Each line or block is read straight into the one form the rest of the
+package reads: ``svar`` lines into :class:`~beliefhtn.state.StateVariableDecl`,
+``place`` lines into lifted :class:`~beliefhtn.observability.PlacementRule`s,
+and operator and method blocks into :class:`~beliefhtn.htn.OperatorSchema`
+and :class:`~beliefhtn.htn.MethodSchema`.  A method's label and order
+defects carry the line of its ``method`` line, and a directive that may
+appear once (``domain``, ``agents``, ``start``, a method's ``task``, a root
+label, an ``init`` or ``belief`` attribute) names its repeated line.
+Parsing also builds and grounds the bundle, so a bad value, group,
+variable or placement raises :class:`DomainSyntaxError` too, without a
 line number.
 """
 
@@ -25,7 +30,6 @@ from typing import Mapping, Optional
 from .errors import BadValue, BeliefHtnError, DomainSyntaxError
 from .htn import (
     AgentDomain,
-    AttrRef,
     EffectOp,
     HtnProblem,
     MethodSchema,
@@ -35,50 +39,23 @@ from .htn import (
     ground_all_methods,
     ground_all_operators,
 )
-from .observability import ObsClass, ObservabilityModel, PlacementRule
+from .observability import ObservabilityModel, PlacementRule
 from .state import (
-    BOOL_DOMAIN,
+    AttrRef,
     BeliefState,
     Group,
     GroundedAttribute,
+    ObsClass,
     StateVariableDecl,
     Universe,
     Value,
+    ValueRange,
 )
 
 FORMAT_HEADER = "beliefhtn-domain"
 FORMAT_VERSION = 1
 
 _ATTR_RE = re.compile(r"^([A-Za-z][\w-]*)(?:\(([^()]*)\))?$")
-
-
-@dataclass(frozen=True)
-class SvarEntry:
-    symbol: str
-    param_vars: tuple[str, ...]
-    param_groups: tuple[str, ...]
-    range_kind: str  # "group" | "bool" | "int"
-    range_group: Optional[str] = None
-    int_lo: int = 0
-    int_hi: int = 0
-    obs: ObsClass = ObsClass.OBS
-
-    def value_domain(self, groups: Mapping[str, Group]) -> tuple[Value, ...]:
-        if self.range_kind == "bool":
-            return BOOL_DOMAIN
-        if self.range_kind == "int":
-            return tuple(range(self.int_lo, self.int_hi + 1))
-        assert self.range_group is not None
-        return tuple(groups[self.range_group].members)
-
-
-@dataclass(frozen=True)
-class PlaceEntry:
-    symbol: str
-    kind: str  # "at" | "value-of"
-    place: Optional[str] = None
-    ref_symbol: Optional[str] = None
-    ref_args: tuple[str, ...] = ()
 
 
 @dataclass
@@ -90,8 +67,8 @@ class DomainFile:
     groups: list[Group] = field(default_factory=list)
     robot: str = ""
     human: str = ""
-    svars: list[SvarEntry] = field(default_factory=list)
-    places: list[PlaceEntry] = field(default_factory=list)
+    svars: list[StateVariableDecl] = field(default_factory=list)
+    places: list[PlacementRule] = field(default_factory=list)
     operators: list[OperatorSchema] = field(default_factory=list)
     methods: list[MethodSchema] = field(default_factory=list)
     roots: list[tuple[str, AttrRef]] = field(default_factory=list)
@@ -181,9 +158,15 @@ def _read(text: str) -> DomainFile:
     lines = text.splitlines()
     block: Optional[dict] = None
     header_seen = False
+    seen: set[str] = set()  # directives that may appear once
 
     def fail(msg: str, ln: int) -> None:
         raise DomainSyntaxError(msg, ln)
+
+    def once(what: str, ln: int) -> None:
+        if what in seen:
+            fail(f"repeated {what}", ln)
+        seen.add(what)
 
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -215,6 +198,7 @@ def _read(text: str) -> DomainFile:
         if head == "domain":
             if len(tokens) != 2:
                 fail("usage: domain <name>", ln)
+            once("'domain' line", ln)
             dom.name = tokens[1]
         elif head == "group":
             if len(tokens) < 3:
@@ -223,6 +207,7 @@ def _read(text: str) -> DomainFile:
         elif head == "agents":
             if len(tokens) != 3:
                 fail("usage: agents <robot-id> <human-id>", ln)
+            once("'agents' line", ln)
             dom.robot, dom.human = tokens[1], tokens[2]
         elif head == "svar":
             dom.svars.append(_parse_svar(tokens, ln))
@@ -242,6 +227,7 @@ def _read(text: str) -> DomainFile:
         elif head == "root":
             if len(tokens) != 3:
                 fail("usage: root <label> <task>", ln)
+            once(f"root label {tokens[1]!r}", ln)
             dom.roots.append((tokens[1], _parse_attr_ref(tokens[2], ln)))
         elif head == "rootorder":
             if len(tokens) != 4 or tokens[2] != "<":
@@ -250,14 +236,19 @@ def _read(text: str) -> DomainFile:
         elif head == "init":
             if len(tokens) != 4 or tokens[2] != "=":
                 fail("usage: init <attribute> = <value>", ln)
-            dom.init.append((_parse_attr_ref(tokens[1], ln), tokens[3]))
+            ref = _parse_attr_ref(tokens[1], ln)
+            once(f"'init' line for {ref}", ln)
+            dom.init.append((ref, tokens[3]))
         elif head == "belief":
             if len(tokens) != 5 or tokens[3] != "=":
                 fail("usage: belief <agent> <attribute> = <value>", ln)
-            dom.beliefs.append((tokens[1], _parse_attr_ref(tokens[2], ln), tokens[4]))
+            ref = _parse_attr_ref(tokens[2], ln)
+            once(f"'belief' line for {tokens[1]} {ref}", ln)
+            dom.beliefs.append((tokens[1], ref, tokens[4]))
         elif head == "start":
             if len(tokens) != 2:
                 fail("usage: start <agent>", ln)
+            once("'start' line", ln)
             dom.start = tokens[1]
         else:
             fail(f"unknown directive {head!r}", ln)
@@ -269,44 +260,37 @@ def _read(text: str) -> DomainFile:
     return dom
 
 
-def _parse_svar(tokens: list[str], ln: int) -> SvarEntry:
+def _parse_svar(tokens: list[str], ln: int) -> StateVariableDecl:
     # svar Name [(?v Group) ...] -> <range> : obs|inf
     try:
         arrow = tokens.index("->")
         colon = tokens.index(":")
     except ValueError:
         raise DomainSyntaxError("svar needs '-> <range> : obs|inf'", ln)
-    symbol = tokens[1]
     params = _parse_typed_params(tokens[2:arrow], ln)
     range_tokens = tokens[arrow + 1 : colon]
     obs_token = tokens[colon + 1 :]
     if len(obs_token) != 1 or obs_token[0] not in ("obs", "inf"):
         raise DomainSyntaxError("svar class must be 'obs' or 'inf'", ln)
-    obs = ObsClass.OBS if obs_token[0] == "obs" else ObsClass.INF
-    pvars = tuple(v for v, _ in params)
-    pgroups = tuple(g for _, g in params)
     if not range_tokens:
         raise DomainSyntaxError("svar is missing its value range", ln)
-    if range_tokens[0] == "bool":
-        if len(range_tokens) != 1:
-            raise DomainSyntaxError("bool range takes no arguments", ln)
-        return SvarEntry(symbol, pvars, pgroups, "bool", obs=obs)
+    value_range: ValueRange = range_tokens[0]
     if range_tokens[0] == "int":
         if len(range_tokens) != 3:
             raise DomainSyntaxError("usage: -> int <lo> <hi>", ln)
         try:
-            lo, hi = int(range_tokens[1]), int(range_tokens[2])
+            value_range = (int(range_tokens[1]), int(range_tokens[2]))
         except ValueError:
             raise DomainSyntaxError("integer range bounds must be integers", ln)
-        if lo > hi:
-            raise DomainSyntaxError("empty integer range", ln)
-        return SvarEntry(symbol, pvars, pgroups, "int", int_lo=lo, int_hi=hi, obs=obs)
-    if len(range_tokens) != 1:
+    elif len(range_tokens) != 1:
         raise DomainSyntaxError("range must be 'bool', 'int lo hi' or a group name", ln)
-    return SvarEntry(symbol, pvars, pgroups, "group", range_group=range_tokens[0], obs=obs)
+    try:
+        return StateVariableDecl(tokens[1], params, value_range, ObsClass(obs_token[0]))
+    except BeliefHtnError as exc:
+        raise DomainSyntaxError(str(exc), ln) from exc
 
 
-def _parse_place(tokens: list[str], ln: int) -> PlaceEntry:
+def _parse_place(tokens: list[str], ln: int) -> PlacementRule:
     # place <template> at <Place>   |   place <template> value-of <attr>
     if len(tokens) != 4 or tokens[2] not in ("at", "value-of"):
         raise DomainSyntaxError(
@@ -314,12 +298,12 @@ def _parse_place(tokens: list[str], ln: int) -> PlaceEntry:
             ln,
         )
     template = _parse_attr_ref(tokens[1], ln)
-    if tokens[2] == "at":
-        return PlaceEntry(template.symbol, "at", place=tokens[3])
-    ref = _parse_attr_ref(tokens[3], ln)
-    return PlaceEntry(
-        template.symbol, "value-of", ref_symbol=ref.symbol, ref_args=ref.args
-    )
+    try:
+        if tokens[2] == "at":
+            return PlacementRule(template, place=tokens[3])
+        return PlacementRule(template, reference=_parse_attr_ref(tokens[3], ln))
+    except BeliefHtnError as exc:
+        raise DomainSyntaxError(str(exc), ln) from exc
 
 
 def _operator_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
@@ -350,6 +334,8 @@ def _method_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
         # task Name   |   task Name (?b Boxes) ...
         if len(tokens) < 2:
             raise DomainSyntaxError("usage: task <name> [(?var Group) ...]", ln)
+        if block["task"] is not None:
+            raise DomainSyntaxError(f"method {block['name']}: repeated 'task' line", ln)
         head_ref = _parse_attr_ref(tokens[1], ln)
         if head_ref.args:
             raise DomainSyntaxError(
@@ -443,30 +429,12 @@ def serialize(dom: DomainFile) -> str:
     out.append(f"agents {dom.robot} {dom.human}")
     out.append("")
     for sv in dom.svars:
-        params = " ".join(
-            f"({v} {g})" for v, g in zip(sv.param_vars, sv.param_groups)
-        )
-        if sv.range_kind == "bool":
-            rng = "bool"
-        elif sv.range_kind == "int":
-            rng = f"int {sv.int_lo} {sv.int_hi}"
-        else:
-            rng = sv.range_group
-        cls = "obs" if sv.obs is ObsClass.OBS else "inf"
-        mid = f" {params}" if params else ""
-        out.append(f"svar {sv.symbol}{mid} -> {rng} : {cls}")
-    for p in dom.places:
-        sv = next(s for s in dom.svars if s.symbol == p.symbol)
-        tmpl = p.symbol
-        if sv.param_vars:
-            tmpl += "(" + ", ".join(sv.param_vars) + ")"
-        if p.kind == "at":
-            out.append(f"place {tmpl} at {p.place}")
-        else:
-            ref = p.ref_symbol + (
-                "(" + ", ".join(p.ref_args) + ")" if p.ref_args else ""
-            )
-            out.append(f"place {tmpl} value-of {ref}")
+        params = "".join(f" ({v} {g})" for v, g in sv.params)
+        rng = sv.value_range
+        if isinstance(rng, tuple):
+            rng = f"int {rng[0]} {rng[1]}"
+        out.append(f"svar {sv.symbol}{params} -> {rng} : {sv.obs.value}")
+    out.extend(str(p) for p in dom.places)
     out.append("")
     for op in dom.operators:
         out.append(f"operator {op.name} for {op.owner}")
@@ -551,47 +519,19 @@ class ProblemBundle:
 
 
 def _build_bundle(dom: DomainFile) -> ProblemBundle:
-    groups = {g.name: g for g in dom.groups}
-    decls = []
-    svar_by_name: dict[str, SvarEntry] = {}
-    for sv in dom.svars:
-        if sv.range_kind == "group" and sv.range_group not in groups:
-            raise DomainSyntaxError(
-                f"svar {sv.symbol}: unknown value group {sv.range_group!r}"
-            )
-        decls.append(
-            StateVariableDecl(sv.symbol, sv.param_groups, sv.value_domain(groups))
-        )
-        svar_by_name[sv.symbol] = sv
-    universe = Universe(dom.groups, decls)
+    universe = Universe(dom.groups, dom.svars)
 
     for agent in (dom.robot, dom.human):
         if agent not in universe.group_of_constant:
             raise DomainSyntaxError(f"agent {agent!r} is not a declared constant")
     if dom.start not in (dom.robot, dom.human):
         raise DomainSyntaxError(f"starting agent {dom.start!r} is not an agent")
-
-    classes = {sv.symbol: sv.obs for sv in dom.svars}
-    rules: dict[GroundedAttribute, PlacementRule] = {}
-    for p in dom.places:
-        sv = svar_by_name.get(p.symbol)
-        if sv is None:
-            raise DomainSyntaxError(f"place rule for undeclared attribute {p.symbol!r}")
-        for attr in universe.attributes:
-            if attr.symbol != p.symbol:
-                continue
-            binding = dict(zip(sv.param_vars, attr.args))
-            if p.kind == "at":
-                rules[attr] = PlacementRule(fixed_place=p.place)
-            else:
-                ref_args = tuple(binding.get(a, a) for a in p.ref_args)
-                ref = universe.attr(p.ref_symbol, *ref_args)
-                rules[attr] = PlacementRule(reference=ref)
+    obs_model = ObservabilityModel(universe, dom.places)
 
     ops_by_agent: dict[str, list[OperatorSchema]] = {dom.robot: [], dom.human: []}
     seen_ops: set[tuple[str, str]] = set()
     for op in dom.operators:
-        _check_groups(f"operator {op.name}", op.params, groups)
+        _check_groups(f"operator {op.name}", op.params, universe.groups)
         for owner in _owners(dom, f"operator {op.name}", op.owner):
             if (owner, op.name) in seen_ops:
                 raise DomainSyntaxError(
@@ -602,7 +542,7 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
 
     methods_by_agent: dict[str, list[MethodSchema]] = {dom.robot: [], dom.human: []}
     for m in dom.methods:
-        _check_groups(f"method {m.name}", m.task_params + m.free_params, groups)
+        _check_groups(f"method {m.name}", m.task_params + m.free_params, universe.groups)
         for owner in _owners(dom, f"method {m.name}", m.owner):
             methods_by_agent[owner].append(m)
 
@@ -653,7 +593,6 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
         attr = universe.attr(ref.symbol, *ref.args)
         human = human.with_value(attr, universe.parse_value(attr, val))
 
-    obs_model = ObservabilityModel(universe, classes, rules)
     problem = HtnProblem(
         universe, world, human, network, domains, dom.robot, dom.human, dom.start
     )

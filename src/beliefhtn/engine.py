@@ -11,7 +11,9 @@ unconditionally.
 the planner: act/observe updates, then situation assessment for the human.
 It and the omniscient ``legacy_step`` share one applicability rule: a human
 actor's action must be applicable in the human's belief, a robot actor's in
-the ground truth.
+the ground truth; the belief protocol also requires a human's action to be
+applicable in the ground truth.  Replay executes each edge through
+``step_belief_protocol``, so its NA verdicts carry these messages.
 """
 
 from __future__ import annotations
@@ -36,13 +38,16 @@ def _check_actor(
     op: GroundedOperator,
     actor_id: str,
     human_id: str,
+    protocol: bool,
 ) -> None:
     """The one actor rule of both steps: a human actor acts on its own
-    belief, a robot actor on the ground truth."""
-    if actor_id == human_id:
-        if not applicable(op, human_belief):
-            raise NotApplicable(f"{op} not applicable in the human's belief")
-    elif not applicable(op, world):
+    belief, a robot actor on the ground truth.  Under the belief protocol
+    (``protocol``) a human's action must also be applicable in the ground
+    truth, which is what it changes."""
+    human = actor_id == human_id
+    if human and not applicable(op, human_belief):
+        raise NotApplicable(f"{op} not applicable in the human's belief")
+    if (protocol or not human) and not applicable(op, world):
         raise NotApplicable(f"{op} not applicable in the ground truth")
 
 
@@ -61,7 +66,7 @@ def step_belief_protocol(
     receives effects through acting or observing, then assesses the world
     from their new location.
     """
-    _check_actor(world, human_belief, op, actor_id, human_id)
+    _check_actor(world, human_belief, op, actor_id, human_id, protocol=True)
     world_before = world
     world = apply_effects(op, world)
     # A robot's action is observed only when the human is co-present with
@@ -83,5 +88,5 @@ def legacy_step(
     human_id: str,
 ) -> StepResult:
     """Omniscient baseline update: every belief absorbs every effect."""
-    _check_actor(world, human_belief, op, actor_id, human_id)
+    _check_actor(world, human_belief, op, actor_id, human_id, protocol=False)
     return StepResult(apply_effects(op, world), apply_effects(op, human_belief))

@@ -31,28 +31,13 @@ from .errors import (
     NotApplicable,
     NotRelevant,
 )
-from .state import BeliefState, GroundedAttribute, Universe, Value
+from .state import AttrRef, BeliefState, GroundedAttribute, Universe, Value
 
 
 class OpKind(Enum):
     REGULAR = "regular"
     IDLE = "idle"
     WAIT = "wait"
-    COMMUNICATION = "communication"
-
-
-@dataclass(frozen=True)
-class AttrRef:
-    """An attribute or task in a lifted schema; each argument is a constant
-    or a ``?var``."""
-
-    symbol: str
-    args: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({', '.join(self.args)})"
 
 
 def _substitute(token: str, binding: Mapping[str, str]) -> str:

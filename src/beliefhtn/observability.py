@@ -1,48 +1,58 @@
 """Places, attribute placement rules, OBS/INF classes and situation assessment.
 
-An attribute template is classified observable (OBS) or inferrable (INF)
-independently of the state.  A placement rule optionally maps each grounded
-attribute to the place where it can be assessed: either a fixed place, or
-the current value of a reference attribute (e.g. an object located wherever
-its own location attribute says).  Attributes without a rule are never
-spatially assessable.
+Each state-variable declaration classifies its attributes observable (OBS)
+or inferrable (INF), independently of the state.  A placement rule maps the
+attributes matching its template to the place where they can be assessed:
+either a fixed place, or the current value of a reference attribute (e.g.
+an object located wherever its own location attribute says).  Attributes
+without a rule are never spatially assessable.
 
 Situation assessment overwrites, in the observer's belief, every OBS
 attribute whose place (in the ground truth) equals the observer's current
 place (in the ground truth).  It is idempotent and never touches INF
-attributes.  Placements and agent locations are resolved to dense attribute
-indices when the model is built, and assessment reads beliefs by index.
+attributes.  The lifted rules are grounded, and placements and agent
+locations resolved to dense attribute indices, when the model is built;
+assessment reads beliefs by index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Mapping, Optional
+from typing import Iterable, Optional
 
-from .errors import BadArgument, BadRule
-from .state import BeliefState, GroundedAttribute, Universe, Value
-
-
-class ObsClass(Enum):
-    OBS = "obs"
-    INF = "inf"
+from .errors import BadArgument, BadRule, UnknownAttribute
+from .state import AttrRef, BeliefState, GroundedAttribute, ObsClass, Universe, Value
 
 
 @dataclass(frozen=True)
 class PlacementRule:
-    """Where one grounded attribute is assessable.
+    """Where the attributes matching ``template`` are assessable.
 
-    Exactly one of ``fixed_place`` / ``reference`` is set.  ``reference``
-    names another grounded attribute whose current value *is* the place.
+    Each template argument is a distinct ``?var``, bound by position to the
+    arguments of a grounded attribute.  Exactly one of ``place`` (a fixed
+    place) and ``reference`` is set; ``reference`` names an attribute, over
+    constants and the template's variables, whose current value *is* the
+    place.
     """
 
-    fixed_place: Optional[str] = None
-    reference: Optional[GroundedAttribute] = None
+    template: AttrRef
+    place: Optional[str] = None
+    reference: Optional[AttrRef] = None
 
     def __post_init__(self) -> None:
-        if (self.fixed_place is None) == (self.reference is None):
+        if (self.place is None) == (self.reference is None):
             raise BadArgument("placement rule needs exactly one of place/reference")
+        args = self.template.args
+        if not all(a.startswith("?") for a in args) or len(set(args)) != len(args):
+            raise BadArgument(f"{self}: template arguments must be distinct variables")
+        for arg in self.reference.args if self.reference is not None else ():
+            if arg.startswith("?") and arg not in args:
+                raise BadArgument(f"{self}: {arg} is not a variable of the template")
+
+    def __str__(self) -> str:
+        if self.place is not None:
+            return f"place {self.template} at {self.place}"
+        return f"place {self.template} value-of {self.reference}"
 
 
 PLACES_GROUP = "Places"  # the group whose members are places
@@ -50,36 +60,52 @@ LOCATION_SYMBOL = "AgtAt"  # AgtAt(agent) is the agent's current place
 
 
 class ObservabilityModel:
-    """OBS/INF classification plus the grounded placement map, by index.
+    """The grounded placement map, by index, of the lifted rules.
 
     ``placements`` maps an attribute index to (reference index or None,
-    fixed place or None); ``assessable`` lists the OBS entries in index order.
+    fixed place or None); ``assessable`` lists the entries of OBS
+    attributes in index order.  A rule is rejected when its template has
+    the wrong arity, its fixed place is not a member of ``Places``, or it
+    places a symbol that an earlier rule already places.
     """
 
-    def __init__(
-        self,
-        universe: Universe,
-        classes: Mapping[str, ObsClass],
-        rules: Mapping[GroundedAttribute, PlacementRule],
-    ):
+    def __init__(self, universe: Universe, rules: Iterable[PlacementRule]):
         self.universe = universe
         if PLACES_GROUP not in universe.groups:
             raise BadArgument(f"no group {PLACES_GROUP!r} declared")
         self.places = universe.groups[PLACES_GROUP]
-        missing = [s for s in universe.decls if s not in classes]
-        if missing:
-            raise BadArgument(
-                "observability class missing for: " + ", ".join(sorted(missing))
-            )
-        self.classes = dict(classes)
         self.placements: dict[int, tuple[Optional[int], Optional[str]]] = {}
-        for attr, rule in rules.items():
-            reference = None if rule.reference is None else universe.index_of(rule.reference)
-            self.placements[universe.index_of(attr)] = (reference, rule.fixed_place)
+        placed: set[str] = set()
+        for rule in rules:
+            symbol, variables = rule.template.symbol, rule.template.args
+            decl = universe.decls.get(symbol)
+            if decl is None:
+                raise UnknownAttribute(f"{rule}: undeclared attribute {symbol!r}")
+            if len(variables) != decl.arity:
+                raise BadArgument(
+                    f"{rule}: {symbol!r} takes {decl.arity} argument(s), got {len(variables)}"
+                )
+            if rule.place is not None and rule.place not in self.places:
+                raise BadArgument(f"{rule}: {rule.place!r} is not a member of {PLACES_GROUP!r}")
+            if symbol in placed:
+                raise BadArgument(f"{rule}: {symbol!r} is already placed")
+            placed.add(symbol)
+            for index, attr in enumerate(universe.attributes):
+                if attr.symbol != symbol:
+                    continue
+                reference = None
+                if rule.reference is not None:
+                    binding = dict(zip(variables, attr.args))
+                    ref = GroundedAttribute(
+                        rule.reference.symbol,
+                        tuple(binding.get(a, a) for a in rule.reference.args),
+                    )
+                    reference = universe.index_of(ref)
+                self.placements[index] = (reference, rule.place)
         self.assessable = tuple(
             (index, reference, place)
             for index, (reference, place) in sorted(self.placements.items())
-            if self.classes[universe.attributes[index].symbol] is ObsClass.OBS
+            if self.obs_class(universe.attributes[index]) is ObsClass.OBS
         )
         self.locations: dict[str, int] = {
             attr.args[0]: index
@@ -88,7 +114,7 @@ class ObservabilityModel:
         }
 
     def obs_class(self, attr: GroundedAttribute) -> ObsClass:
-        return self.classes[attr.symbol]
+        return self.universe.decls[attr.symbol].obs
 
     def place_of(self, attr: GroundedAttribute, state: BeliefState) -> Optional[str]:
         """The place where the attribute is currently assessable, if any."""

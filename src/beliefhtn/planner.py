@@ -40,7 +40,7 @@ from .communication import (
     min_comm_bfs,
 )
 from .engine import legacy_step, step_belief_protocol
-from .errors import BadArgument, DepthExceeded, StaleComm, Unsolvable
+from .errors import BadArgument, DepthExceeded, NotApplicable, StaleComm, Unsolvable
 from .htn import (
     GroundedMethod,
     GroundedOperator,
@@ -375,12 +375,6 @@ class _Search:
         tainted = False
         edges: list[PolicyEdge] = []
         for move in moves:
-            if is_human and self.mode == MODE_NEW and not applicable(move.op, world):
-                raise AssertionError(
-                    f"emulated human action {move.op} is belief-applicable but not "
-                    "applicable in the ground truth; the relevance check should "
-                    "have forced communication first"
-                )
             w2, hb2 = _step(
                 self.mode, self.obs, self.robot, self.human, world, post_comm_belief,
                 move.op, turn,
@@ -569,22 +563,14 @@ def _classify_edge(
             pass  # already aligned in this execution
     op = edge.action
     new_run = _stall_run(run, op.is_pseudo)
-    if not op.is_pseudo:
-        actor_belief = w if node.turn == policy.robot else h
-        if not applicable(op, actor_belief):
-            return (
-                "na",
-                f"{op} not applicable in {node.turn}'s belief at execution",
-                None,
-                new_run,
-            )
-        if not applicable(op, w):
-            return "na", f"{op} not applicable in the ground truth", None, new_run
-    elif not node.network.is_empty and new_run >= stall_threshold:
+    if op.is_pseudo and not node.network.is_empty and new_run >= stall_threshold:
         return "idl", f"{stall_threshold} consecutive WAIT/IDLE turns", None, new_run
-    res = step_belief_protocol(
-        w, h, op, node.turn, policy.robot, policy.human, obs_model
-    )
+    try:
+        res = step_belief_protocol(
+            w, h, op, node.turn, policy.robot, policy.human, obs_model
+        )
+    except NotApplicable as exc:
+        return "na", str(exc), None, new_run
     return "", "", (res.world, res.human_belief), new_run
 
 

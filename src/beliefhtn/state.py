@@ -1,5 +1,10 @@
 """Typed constant universe, state-variable declarations and belief states.
 
+A :class:`StateVariableDecl` is the form the domain-file parser builds: the
+symbol's typed parameters, its value range and its observability class.
+:class:`AttrRef` is the lifted attribute (or task) reference of schemas and
+placement rules.
+
 A universe interns every grounded attribute to a dense index at load time,
 so a belief state is a fixed-width tuple of values: comparison, hashing and
 full-state diffs are all O(#attributes).  Grounded operators and the
@@ -7,14 +12,16 @@ situation-assessment table hold these indices, resolved when the bundle is
 built.  Belief states are immutable; "mutation" is copy-and-update via
 :meth:`BeliefState.with_values_at` (by index) or ``with_value``.
 
-Values are always drawn from finite domains: members of a declared group,
-the builtin booleans (``"true"``/``"false"``) or a bounded integer range.
+Values are always drawn from finite domains, which the universe resolves
+from each declaration's range: members of a declared group, the builtin
+booleans (``"true"``/``"false"``) or a bounded integer range.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterable, Mapping, Union
 
 from .errors import BadArgument, BadValue, UnknownAttribute, UniverseMismatch
@@ -39,29 +46,60 @@ class Group:
         return item in self.members
 
 
+class ObsClass(Enum):
+    """Whether an attribute can be seen (OBS) or only inferred (INF)."""
+
+    OBS = "obs"
+    INF = "inf"
+
+
+@dataclass(frozen=True)
+class AttrRef:
+    """An attribute or task in a lifted schema or rule; each argument is a
+    constant or a ``?var``."""
+
+    symbol: str
+    args: tuple[str, ...] = ()
+
+    def __str__(self) -> str:
+        if not self.args:
+            return self.symbol
+        return f"{self.symbol}({', '.join(self.args)})"
+
+
+# A value range: "bool", the name of a group, or inclusive integer bounds.
+ValueRange = Union[str, tuple[int, int]]
+
+
 @dataclass(frozen=True)
 class StateVariableDecl:
-    """Declaration of one state-variable function.
+    """Declaration of one state-variable function, as the parser reads it.
 
-    ``value_domain`` is the finite, ordered tuple of values the grounded
-    attributes of this symbol may take.
+    ``params`` holds ``(?var, group)`` pairs; the :class:`Universe` resolves
+    ``value_range`` to the finite, ordered value domain of the symbol's
+    grounded attributes.  ``obs`` is the symbol's observability class.
     """
 
     symbol: str
-    param_groups: tuple[str, ...]
-    value_domain: tuple[Value, ...]
+    params: tuple[tuple[str, str], ...]
+    value_range: ValueRange
+    obs: ObsClass
 
     def __post_init__(self) -> None:
-        if not self.value_domain:
-            raise BadValue(f"state variable {self.symbol!r} has an empty value domain")
+        if isinstance(self.value_range, tuple) and self.value_range[0] > self.value_range[1]:
+            raise BadValue(f"state variable {self.symbol!r} has an empty integer range")
+
+    @property
+    def param_groups(self) -> tuple[str, ...]:
+        return tuple(group for _, group in self.params)
 
     @property
     def arity(self) -> int:
-        return len(self.param_groups)
+        return len(self.params)
 
     @property
     def is_integer(self) -> bool:
-        return all(isinstance(v, int) for v in self.value_domain)
+        return isinstance(self.value_range, tuple)
 
 
 @dataclass(frozen=True)
@@ -107,6 +145,7 @@ class Universe:
                         f"state variable {d.symbol!r} uses undeclared group {gname!r}"
                     )
             self.decls[d.symbol] = d
+        domains = {symbol: self._resolve(d) for symbol, d in self.decls.items()}
 
         attrs: list[GroundedAttribute] = []
         for d in self.decls.values():
@@ -118,8 +157,25 @@ class Universe:
             a: i for i, a in enumerate(self.attributes)
         }
         self.value_domains: tuple[tuple[Value, ...], ...] = tuple(
-            self.decls[a.symbol].value_domain for a in self.attributes
+            domains[a.symbol] for a in self.attributes
         )
+
+    def _resolve(self, decl: StateVariableDecl) -> tuple[Value, ...]:
+        """The value domain of a declaration's range."""
+        if isinstance(decl.value_range, tuple):
+            lo, hi = decl.value_range
+            return tuple(range(lo, hi + 1))
+        if decl.value_range == "bool":
+            return BOOL_DOMAIN
+        group = self.groups.get(decl.value_range)
+        if group is None:
+            raise UnknownAttribute(
+                f"state variable {decl.symbol!r} uses undeclared value group "
+                f"{decl.value_range!r}"
+            )
+        if not group.members:
+            raise BadValue(f"state variable {decl.symbol!r} has an empty value domain")
+        return group.members
 
     def attr(self, symbol: str, *args: str) -> GroundedAttribute:
         """Build a validated grounded attribute."""

@@ -37,6 +37,17 @@ def test_validate_domain_reports_grounding_error(tmp_path, capsys):
     assert "maybe" in out
 
 
+def test_validate_domain_reports_placement_defects(tmp_path, capsys):
+    from test_domfile import PLACEMENT_DEFECTS
+
+    path = tmp_path / "bad-place.dom"
+    for old, new, fragment in PLACEMENT_DEFECTS:
+        path.write_text(COOKING_DOM.replace(old, new))
+        assert main(["validate-domain", str(path)]) == 1, new
+        out = capsys.readouterr().out
+        assert out.startswith("INVALID: ") and fragment in out, out
+
+
 def test_plan_scenario_b_prints_tell(capsys):
     code = main(["plan", "--domain", "cooking", "--mode", "new", "--start", "human"])
     assert code == 0

@@ -146,6 +146,8 @@ def test_belief_override_for_robot_rejected():
     assert "human" in str(err.value)
 
 
+PLACE_AGT = "place AgtAt(?a) value-of AgtAt(?a)"
+
 MALFORMED = [
     ("pre Flag = false", "pre Flag = maybe"),
     ("eff Flag = true", "eff Flag += 1"),
@@ -155,6 +157,14 @@ MALFORMED = [
     ("sub a toggle\n", "sub a toggle(?q)\n"),
     ("  task Root\n", "  task\n"),
     ("  task Root\n", "  task Root(Here)\n"),
+    # Placement rules: a template argument that is a constant, a wrong
+    # arity, a reference variable the template does not bind, a symbol
+    # placed twice and a fixed place outside Places.
+    (PLACE_AGT, "place AgtAt(bot) at Here"),
+    (PLACE_AGT, "place AgtAt at Here"),
+    (PLACE_AGT, "place AgtAt(?q) value-of AgtAt(?a)"),
+    (PLACE_AGT, f"{PLACE_AGT}\nplace Flag at Here\nplace Flag at There"),
+    (PLACE_AGT, f"{PLACE_AGT}\nplace Flag at Attic"),
 ]
 
 
@@ -176,6 +186,19 @@ LINE_DEFECTS = [
     ("  task Root\n", "  task Root(?x)\n", 16, "must be typed"),
     ("  task Root\n", "  task Root(Here)\n", 16, "must be typed"),
     ("eff Flag = true", "eff Flag += a", 11, "need an integer"),
+    # A directive that may appear once names its second line.
+    ("domain mini\n", "domain mini\ndomain other\n", 3, "repeated 'domain' line"),
+    ("agents bot person\n", "agents bot person\nagents person bot\n", 6, "repeated 'agents'"),
+    ("start bot\n", "start bot\nstart person\n", 26, "repeated 'start' line"),
+    ("  task Root\n", "  task Root\n  task Gone\n", 17, "repeated 'task' line"),
+    ("init Flag = false\n", "init Flag = false\ninit Flag = true\n", 25, "'init' line for Flag"),
+    (
+        "start bot\n",
+        "belief person Flag = true\nbelief person Flag = false\nstart bot\n",
+        26,
+        "repeated 'belief' line for person Flag",
+    ),
+    ("root t0 Root\n", "root t0 Root\nroot t0 Root\n", 22, "repeated root label 't0'"),
 ]
 
 
@@ -189,6 +212,41 @@ def test_method_and_operator_defects_name_their_line(old, new, line, fragment):
     assert str(err.value).startswith(f"line {line}: ")
     assert fragment in str(err.value)
     assert err.value.line == line
+
+
+# Placement defects in the cooking domain, each with its message fragment.
+PLACEMENT_DEFECTS = [
+    ("place AgtAt(?a) value-of AgtAt(?a)", "place AgtAt(robot) at Kitchen", "distinct variables"),
+    ("place AgtAt(?a) value-of AgtAt(?a)", "place AgtAt at Kitchen", "takes 1 argument(s), got 0"),
+    (
+        "place AgtAt(?a) value-of AgtAt(?a)",
+        "place AgtAt(?q) value-of AgtAt(?a)",
+        "?a is not a variable of the template",
+    ),
+    ("place Stove at Kitchen", "place Stove at Kitchen\nplace Stove at Room", "already placed"),
+    ("place Stove at Kitchen", "place Stove at Attic", "'Attic' is not a member of 'Places'"),
+]
+
+
+@pytest.mark.parametrize(
+    "old,new,fragment", PLACEMENT_DEFECTS, ids=[new.splitlines()[-1] for _, new, _ in PLACEMENT_DEFECTS]
+)
+def test_placement_defects_rejected(old, new, fragment):
+    assert old in COOKING_DOM
+    with pytest.raises(DomainSyntaxError) as err:
+        parse(COOKING_DOM.replace(old, new))
+    assert fragment in str(err.value)
+
+
+def test_place_template_binds_its_own_variables():
+    # The template's variables bind by position, whatever the svar calls them.
+    renamed = COOKING_DOM.replace(
+        "place AgtAt(?a) value-of AgtAt(?a)", "place AgtAt(?q) value-of AgtAt(?q)"
+    )
+    assert renamed != COOKING_DOM
+    bundle, builtin = parse_bundle(renamed), parse_bundle(COOKING_DOM)
+    assert bundle.obs_model.placements == builtin.obs_model.placements
+    assert "place AgtAt(?q) value-of AgtAt(?q)" in serialize(bundle.domfile)
 
 
 @pytest.mark.parametrize(

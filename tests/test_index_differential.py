@@ -5,8 +5,9 @@ Grounded operators and the situation-assessment table hold dense
 attribute-keyed implementations of ``applicable``, ``apply_effects``,
 ``ObservabilityModel.assess`` and ``BeliefState.with_value``: every
 precondition and effect is named by its ``GroundedAttribute`` (re-derived
-from the operator schema, not from the stored index) and every lookup goes
-through ``universe.index_of``.  On random world/human pairs both versions
+from the operator schema, not from the stored index), every placement
+rule is grounded here from the parsed file, and every lookup goes through
+``universe.index_of``.  On random world/human pairs both versions
 must return the same values, return the input object in the same cases and
 raise the same errors.
 """
@@ -17,11 +18,11 @@ import random
 
 import pytest
 
-from beliefhtn import BeliefState, ObsClass, domfile, parse
+from beliefhtn import BeliefState, ObsClass, parse
 from beliefhtn.builtins import BOX_DOM, COOKING_DOM, box_dom
 from beliefhtn.errors import BadRule, BadValue
 from beliefhtn.htn import EffectOp, applicable, apply_effects
-from beliefhtn.observability import LOCATION_SYMBOL, ObservabilityModel
+from beliefhtn.observability import LOCATION_SYMBOL
 
 PAIRS = 60
 
@@ -63,19 +64,21 @@ def ref_place_of(model, rules, attr, state):
     rule = rules.get(attr)
     if rule is None:
         return None
-    if rule.fixed_place is not None:
-        return rule.fixed_place
-    value = state.get(rule.reference)
+    fixed_place, reference = rule
+    if fixed_place is not None:
+        return fixed_place
+    value = state.get(reference)
     if value not in model.places:
-        raise BadRule(f"placement of {attr} references {rule.reference}")
+        raise BadRule(f"placement of {attr} references {reference}")
     return value
 
 
-def ref_assess(model, rules, observer_belief, world):
+def ref_assess(model, reference, observer_belief, world):
+    rules, classes = reference
     here = world.get(model.universe.attr(LOCATION_SYMBOL, observer_belief.owner))
     belief = observer_belief
     for attr in model.universe.attributes:
-        if model.classes[attr.symbol] is not ObsClass.OBS:
+        if classes[attr.symbol] is not ObsClass.OBS:
             continue
         if ref_place_of(model, rules, attr, world) == here:
             belief = ref_with_value(belief, attr, world.get(attr))
@@ -117,19 +120,26 @@ def same(new, ref, source):
     assert (new[1] is source) == (ref[1] is source)
 
 
-def build_with_rules(text, monkeypatch):
-    """Build a bundle and capture the attribute-keyed placement rules it used."""
-    captured = {}
-
-    class Recording(ObservabilityModel):
-        def __init__(self, universe, classes, rules, *args, **kwargs):
-            captured.update(rules)
-            super().__init__(universe, classes, rules, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(domfile, "ObservabilityModel", Recording)
-        bundle = parse(text).build()
-    return bundle, captured
+def build_with_rules(text):
+    """Build a bundle, plus the attribute-keyed reference for assessment:
+    the parsed placement rules grounded attribute by attribute, as the
+    builder once did (each rule covers every attribute of its symbol and
+    binds the template's variables by position), and each symbol's class."""
+    bundle = parse(text).build()
+    u = bundle.universe
+    rules = {}
+    for p in bundle.domfile.places:
+        for attr in u.attributes:
+            if attr.symbol != p.template.symbol:
+                continue
+            binding = dict(zip(p.template.args, attr.args))
+            if p.place is not None:
+                rules[attr] = (p.place, None)
+            else:
+                ref_args = tuple(binding.get(a, a) for a in p.reference.args)
+                rules[attr] = (None, u.attr(p.reference.symbol, *ref_args))
+    classes = {sv.symbol: sv.obs for sv in bundle.domfile.svars}
+    return bundle, (rules, classes)
 
 
 def random_pair(bundle, rng, bounds=None):
@@ -160,7 +170,7 @@ def saturating_bounds(bundle):
     return bounds
 
 
-def check_pair(bundle, rules, ops, world, human, rng):
+def check_pair(bundle, reference, ops, world, human, rng):
     model = bundle.obs_model
     u = bundle.universe
     for op, (pre, eff) in ops:
@@ -173,7 +183,7 @@ def check_pair(bundle, rules, ops, world, human, rng):
             )
     same(
         outcome(model.assess, human, world),
-        outcome(ref_assess, model, rules, human, world),
+        outcome(ref_assess, model, reference, human, world),
         human,
     )
     attr = rng.choice(u.attributes)
@@ -191,8 +201,8 @@ def check_pair(bundle, rules, ops, world, human, rng):
     [pytest.param(COOKING_DOM, id="cooking"), pytest.param(BOX_DOM, id="box")]
     + [pytest.param(box_dom(boxes=n), id=f"box{n}") for n in (2, 4)],
 )
-def test_index_access_matches_attribute_reference(text, monkeypatch):
-    bundle, rules = build_with_rules(text, monkeypatch)
+def test_index_access_matches_attribute_reference(text):
+    bundle, reference = build_with_rules(text)
     u = bundle.universe
     ops = [
         (op, ref_op(u, schema, op))
@@ -207,7 +217,7 @@ def test_index_access_matches_attribute_reference(text, monkeypatch):
     saturated = 0
     for n in range(PAIRS):
         world, human = random_pair(bundle, rng, bounds if n % 3 == 0 else None)
-        check_pair(bundle, rules, ops, world, human, rng)
+        check_pair(bundle, reference, ops, world, human, rng)
         if bounds and n % 3 == 0:
             for op, (_, eff) in ops:
                 after = apply_effects(op, world)
@@ -218,14 +228,14 @@ def test_index_access_matches_attribute_reference(text, monkeypatch):
     assert saturated or bounds is None
 
 
-def test_reference_that_is_not_a_place_raises_in_both(monkeypatch):
+def test_reference_that_is_not_a_place_raises_in_both():
     text = box_dom(boxes=2).replace(
         "place HumanHasBalls value-of AgtAt(human)",
         "place HumanHasBalls value-of Sticker(box1)",
     )
-    bundle, rules = build_with_rules(text, monkeypatch)
+    bundle, reference = build_with_rules(text)
     world, human = random_pair(bundle, random.Random(3))
     with pytest.raises(BadRule):
         bundle.obs_model.assess(human, world)
     with pytest.raises(BadRule):
-        ref_assess(bundle.obs_model, rules, human, world)
+        ref_assess(bundle.obs_model, reference, human, world)

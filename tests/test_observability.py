@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from beliefhtn import BeliefState, ObsClass
 from beliefhtn.errors import BadRule
 from beliefhtn.observability import ObservabilityModel, PlacementRule
-from beliefhtn.state import Group, StateVariableDecl, Universe
+from beliefhtn.state import AttrRef, Group, StateVariableDecl, Universe
 
 
 def test_place_of_stove_is_fixed_kitchen(cooking):
@@ -36,16 +36,12 @@ def test_place_of_unruled_attribute_is_none():
     u = Universe(
         [Group("Places", ("Here",)), Group("Agents", ("robot", "human"))],
         [
-            StateVariableDecl("AgtAt", ("Agents",), ("Here",)),
-            StateVariableDecl("Hidden", (), ("a", "b")),
+            StateVariableDecl("AgtAt", (("?a", "Agents"),), "Places", ObsClass.OBS),
+            StateVariableDecl("Hidden", (), "bool", ObsClass.INF),
         ],
     )
-    model = ObservabilityModel(
-        u,
-        {"AgtAt": ObsClass.OBS, "Hidden": ObsClass.INF},
-        {},
-    )
-    state = BeliefState("robot", u, ("Here", "Here", "a"))
+    model = ObservabilityModel(u, [])
+    state = BeliefState("robot", u, ("Here", "Here", "false"))
     assert model.place_of(u.attr("Hidden"), state) is None
 
 
@@ -53,18 +49,38 @@ def test_bad_rule_when_reference_is_not_a_place():
     u = Universe(
         [Group("Places", ("Here",)), Group("Agents", ("robot", "human"))],
         [
-            StateVariableDecl("AgtAt", ("Agents",), ("Here",)),
-            StateVariableDecl("Flag", (), ("yes", "no")),
+            StateVariableDecl("AgtAt", (("?a", "Agents"),), "Places", ObsClass.OBS),
+            StateVariableDecl("Flag", (), "bool", ObsClass.OBS),
         ],
     )
-    model = ObservabilityModel(
-        u,
-        {"AgtAt": ObsClass.OBS, "Flag": ObsClass.OBS},
-        {u.attr("Flag"): PlacementRule(reference=u.attr("Flag"))},
-    )
-    state = BeliefState("robot", u, ("Here", "Here", "yes"))
+    model = ObservabilityModel(u, [PlacementRule(AttrRef("Flag"), reference=AttrRef("Flag"))])
+    state = BeliefState("robot", u, ("Here", "Here", "true"))
     with pytest.raises(BadRule):
         model.place_of(u.attr("Flag"), state)
+
+
+def test_rule_binds_template_variables_by_position():
+    # The svar names its parameters (?a, ?b); the rule's own (?b, ?a) bind
+    # by position, so Near(x, y) is placed wherever Loc(y) is.
+    u = Universe(
+        [
+            Group("Places", ("P1", "P2")),
+            Group("Agents", ("robot", "human")),
+            Group("Objs", ("x", "y")),
+        ],
+        [
+            StateVariableDecl("AgtAt", (("?a", "Agents"),), "Places", ObsClass.OBS),
+            StateVariableDecl("Loc", (("?o", "Objs"),), "Places", ObsClass.OBS),
+            StateVariableDecl(
+                "Near", (("?a", "Objs"), ("?b", "Objs")), "bool", ObsClass.OBS
+            ),
+        ],
+    )
+    rule = PlacementRule(AttrRef("Near", ("?b", "?a")), reference=AttrRef("Loc", ("?a",)))
+    model = ObservabilityModel(u, [rule])
+    for first, second in (("x", "y"), ("y", "x"), ("x", "x")):
+        near = u.index_of(u.attr("Near", first, second))
+        assert model.placements[near] == (u.index_of(u.attr("Loc", second)), None)
 
 
 def test_copresent_both_in_kitchen(cooking):

@@ -11,7 +11,7 @@ REMOVED = {
     observability: ("place_of", "copresent", "assess"),
     state: ("lookup", "DivergenceReport", "DivergenceEntry"),
     htn: ("enumerate_decompositions", "is_primitive", "Term", "Test", "Effect"),
-    domfile: ("OpEntry", "MethodEntry", "_build_effect"),
+    domfile: ("OpEntry", "MethodEntry", "_build_effect", "SvarEntry", "PlaceEntry"),
     planner: ("_TRACE_LIMIT",),
 }
 
@@ -36,3 +36,12 @@ def test_removed_aliases_are_gone():
     # One lifted operator form: every schema is REGULAR and names its owner.
     fields = {f.name for f in dataclasses.fields(htn.OperatorSchema)}
     assert fields.isdisjoint({"kind", "agent"})
+    # One form for the observability conventions: each attribute's class
+    # lives on its declaration, and tell actions are not operators.
+    assert not hasattr(beliefhtn.builtin_bundle("cooking").obs_model, "classes")
+    assert "COMMUNICATION" not in htn.OpKind.__members__
+
+
+def test_moved_names_stay_importable():
+    assert beliefhtn.ObsClass is observability.ObsClass is state.ObsClass
+    assert htn.AttrRef is state.AttrRef

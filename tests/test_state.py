@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from beliefhtn import (
     BeliefState,
     Group,
+    ObsClass,
     StateVariableDecl,
     Universe,
     diverging_attributes,
@@ -20,11 +21,12 @@ def small_universe() -> Universe:
     groups = [
         Group("Places", ("Kitchen", "Room")),
         Group("Agents", ("robot", "human")),
+        Group("StoveState", ("off", "on")),
     ]
     decls = [
-        StateVariableDecl("AgtAt", ("Agents",), ("Kitchen", "Room")),
-        StateVariableDecl("SaltInPot", (), BOOL_DOMAIN),
-        StateVariableDecl("Stove", (), ("off", "on")),
+        StateVariableDecl("AgtAt", (("?a", "Agents"),), "Places", ObsClass.OBS),
+        StateVariableDecl("SaltInPot", (), "bool", ObsClass.INF),
+        StateVariableDecl("Stove", (), "StoveState", ObsClass.OBS),
     ]
     return Universe(groups, decls)
 
@@ -52,7 +54,20 @@ def test_constant_in_two_groups_rejected():
 
 def test_empty_value_domain_rejected():
     with pytest.raises(BadValue):
-        StateVariableDecl("Broken", (), ())
+        StateVariableDecl("Broken", (), (1, 0), ObsClass.OBS)
+    with pytest.raises(BadValue):
+        Universe([Group("Empty", ())], [StateVariableDecl("Broken", (), "Empty", ObsClass.OBS)])
+
+
+def test_value_ranges_resolve_to_domains():
+    u = small_universe()
+    assert u.value_domain(u.attr("AgtAt", "human")) == ("Kitchen", "Room")
+    assert u.value_domain(u.attr("SaltInPot")) == BOOL_DOMAIN
+    counter = Universe([], [StateVariableDecl("Counter", (), (2, 4), ObsClass.INF)])
+    assert counter.value_domains == ((2, 3, 4),)
+    assert counter.decls["Counter"].is_integer
+    with pytest.raises(UnknownAttribute):
+        Universe([], [StateVariableDecl("Stove", (), "StoveState", ObsClass.OBS)])
 
 
 def test_interning_is_dense_and_total():
