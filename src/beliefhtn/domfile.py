@@ -159,6 +159,7 @@ def _read(text: str) -> DomainFile:
     block: Optional[dict] = None
     header_seen = False
     seen: set[str] = set()  # directives that may appear once
+    method_owners: dict[str, set[str]] = {}  # method name -> owners so far
 
     def fail(msg: str, ln: int) -> None:
         raise DomainSyntaxError(msg, ln)
@@ -221,6 +222,10 @@ def _read(text: str) -> DomainFile:
         elif head == "method":
             if len(tokens) != 4 or tokens[2] != "for":
                 fail("usage: method <name> for <agent|both>", ln)
+            owners = method_owners.setdefault(tokens[1], set())
+            if owners and (tokens[3] == "both" or owners & {tokens[3], "both"}):
+                fail(f"method {tokens[1]} declared twice for {tokens[3]}", ln)
+            owners.add(tokens[3])
             block = {"type": "method", "name": tokens[1], "owner": tokens[3],
                      "task": None, "task_params": (), "vars": [], "subs": [],
                      "order": [], "line": ln}
@@ -310,11 +315,15 @@ def _operator_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
     if head == "param":
         if len(tokens) != 3 or not tokens[1].startswith("?"):
             raise DomainSyntaxError("usage: param ?var <Group>", ln)
+        _check_fresh(block, tokens[1], ln)
         block["params"].append((tokens[1], tokens[2]))
     elif head == "pre":
         if len(tokens) != 4 or tokens[2] != "=":
             raise DomainSyntaxError("usage: pre <attribute> = <value>", ln)
-        block["pre"].append((_parse_attr_ref(tokens[1], ln), tokens[3]))
+        ref = _parse_attr_ref(tokens[1], ln)
+        if ref in (r for r, _ in block["pre"]):
+            raise DomainSyntaxError(f"operator {block['name']}: second 'pre' line for {ref}", ln)
+        block["pre"].append((ref, tokens[3]))
     elif head == "eff":
         if len(tokens) != 4 or tokens[2] not in ("=", "+=", "-="):
             raise DomainSyntaxError("usage: eff <attribute> =|+=|-= <value>", ln)
@@ -341,11 +350,14 @@ def _method_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
             raise DomainSyntaxError(
                 f"method {block['name']}: task parameters must be typed '(?v Group)'", ln
             )
-        block["task"] = head_ref.symbol
-        block["task_params"] = _parse_typed_params(tokens[2:], ln)
+        params = _parse_typed_params(tokens[2:], ln)
+        for var, _ in params:
+            _check_fresh(block, var, ln)
+        block["task"], block["task_params"] = head_ref.symbol, params
     elif head == "var":
         if len(tokens) != 3 or not tokens[1].startswith("?"):
             raise DomainSyntaxError("usage: var ?name <Group>", ln)
+        _check_fresh(block, tokens[1], ln)
         block["vars"].append((tokens[1], tokens[2]))
     elif head == "sub":
         if len(tokens) != 3:
@@ -364,6 +376,12 @@ def _method_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
             raise DomainSyntaxError("usage: order <label> < <label>", ln)
     else:
         raise DomainSyntaxError(f"unknown method directive {head!r}", ln)
+
+
+def _check_fresh(block: dict, var: str, ln: int) -> None:
+    """Reject a variable the schema block already binds, at line ``ln``."""
+    if var in [v for key in ("params", "task_params", "vars") for v, _ in block.get(key, ())]:
+        raise DomainSyntaxError(f"{block['type']} {block['name']}: variable {var} bound twice", ln)
 
 
 def _close_block(dom: DomainFile, block: dict) -> None:

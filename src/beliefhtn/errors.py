@@ -57,7 +57,8 @@ class Unsolvable(BeliefHtnError):
 
 
 class DepthExceeded(BeliefHtnError):
-    """Search passed the configured depth bound."""
+    """No policy found after the search pruned a branch at its depth bound,
+    or expanded more than ``planner.MAX_NODES`` states."""
 
 
 class DomainSyntaxError(BeliefHtnError):

@@ -26,6 +26,7 @@ from .errors import DepthExceeded, SpecMismatch, Unsolvable
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
+    ExecutionReport,
     PlannerConfig,
     plan,
     policy_comm_edges,
@@ -140,18 +141,17 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
     return instances
 
 
+# The replay report of an instance that planning failed: no branches.
+_NO_REPLAY = ExecutionReport("", "", 0, 0, 0, 0, 0, 0)
+
+
 @dataclass
 class InstanceResult:
     instance: Instance
     mode: str
     outcome: str  # success | na | idl | error:<...>
-    n_traces: int = 0
-    n_success: int = 0
-    n_na: int = 0
-    n_idl: int = 0
+    report: ExecutionReport = _NO_REPLAY
     communicates: bool = False
-    mean_comms: float = 0.0
-    mean_len: float = 0.0
 
 
 @dataclass
@@ -253,16 +253,7 @@ def run_instance(
         return InstanceResult(instance, mode, f"error:{type(exc).__name__}")
     report = simulate(policy, bundle.obs_model)
     return InstanceResult(
-        instance,
-        mode,
-        report.outcome,
-        n_traces=report.n_traces,
-        n_success=report.n_success,
-        n_na=report.n_na,
-        n_idl=report.n_idl,
-        communicates=bool(policy_comm_edges(policy)),
-        mean_comms=report.mean_comm_count,
-        mean_len=report.mean_primitive_length,
+        instance, mode, report.outcome, report, bool(policy_comm_edges(policy))
     )
 
 
@@ -294,8 +285,8 @@ def run_experiment(
                 row.n_success += 1
                 row.aligned_success += inst.aligned
                 row.n_comm += res.communicates
-                row.sum_len += res.mean_len
-                row.sum_comms += res.mean_comms
+                row.sum_len += res.report.mean_primitive_length
+                row.sum_comms += res.report.mean_comm_count
             elif res.outcome == "na":
                 row.n_na += 1
             elif res.outcome == "idl":
@@ -341,13 +332,13 @@ def results_csv(config: ExperimentConfig, results: list[InstanceResult]) -> str:
                 "flip_bits": "".join(map(str, r.instance.flip_bits)),
                 "aligned": int(r.instance.aligned),
                 "outcome": r.outcome,
-                "n_traces": r.n_traces,
-                "n_success": r.n_success,
-                "n_na": r.n_na,
-                "n_idl": r.n_idl,
+                "n_traces": r.report.n_traces,
+                "n_success": r.report.n_success,
+                "n_na": r.report.n_na,
+                "n_idl": r.report.n_idl,
                 "communicates": int(r.communicates),
-                "mean_comms": f"{r.mean_comms:.6f}",
-                "mean_len": f"{r.mean_len:.6f}",
+                "mean_comms": f"{r.report.mean_comm_count:.6f}",
+                "mean_len": f"{r.report.mean_primitive_length:.6f}",
             }
         )
     return buf.getvalue()

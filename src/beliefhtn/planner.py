@@ -19,6 +19,11 @@ Two solver modes share the machinery:
   WAIT/IDLE turns closes the branch as an embedded deadlock leaf instead of
   failing.
 
+The search keeps one state table per plan (see :meth:`_Search._solve`).
+A plan that fails after a ``PlannerConfig.depth_bound`` prune, or after
+:data:`MAX_NODES` expansions, raises :class:`DepthExceeded`; any other
+failure raises :class:`Unsolvable`.
+
 One stall rule, :func:`_stall_run`, counts that run for the search, for
 replay (:func:`simulate`, :func:`enumerate_traces`) and for
 :func:`detect_deadlock`.  One step rule, :func:`_step`, moves the beliefs
@@ -58,23 +63,26 @@ from .state import BeliefState
 MODE_NEW = "new"
 MODE_LEGACY = "legacy"
 
+MAX_NODES = 500_000  # states one plan may expand before it gives up
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
     """Search limits.
 
-    ``depth_bound`` bounds the search, not the depth of the returned policy:
-    the memo key omits depth, so a subtree solved at a shallow depth can be
-    reused deeper, and a policy branch can run past the bound.
-    ``stall_threshold`` is the WAIT/IDLE run that ends a branch (see the
-    module docstring); it must be at least 1, since a run of 0 would end
-    every branch at its root.  ``max_nodes`` caps the states expanded per
-    plan.
+    ``depth_bound`` prunes each state that many turns from the root, for
+    the current path only; a plan that fails after such a prune raises
+    :class:`DepthExceeded`.  It bounds the search, not the depth of the
+    returned policy: the state key omits depth, so a subtree solved at a
+    shallow depth can be reused deeper, and a policy branch can run past
+    the bound.  ``stall_threshold`` is the WAIT/IDLE run that ends a branch
+    (see the module docstring); it must be at least 1, since a run of 0
+    would end every branch at its root.  The states one plan may expand are
+    capped by the module's fixed :data:`MAX_NODES`, not by the config.
     """
 
     depth_bound: int = 64
     stall_threshold: int = 4
-    max_nodes: int = 500_000
 
     def __post_init__(self) -> None:
         if self.stall_threshold < 1:
@@ -152,6 +160,10 @@ def _canonical(network: TaskNetwork) -> tuple:
     return network.canonical_key()
 
 
+# The state-table entry of a state on the current search path.
+_OPEN = object()
+
+
 def _stall_run(run: int, pseudo: bool) -> int:
     """The WAIT/IDLE run after one more turn: one longer when the turn is a
     WAIT/IDLE (``pseudo``), 0 after any other turn."""
@@ -203,8 +215,10 @@ class _Search:
         self.human = problem.human
         self.human_ops = tuple(problem.domain_of(self.human).ground_ops.values())
         self.nodes_expanded = 0
-        self.memo: dict[tuple, PolicyNode] = {}
-        self.failed: set[tuple] = set()
+        # State key -> its solved node, None for a failure that holds in
+        # every context, or _OPEN while the state is on the current path.
+        self.states: dict[tuple, object] = {}
+        self.depth_pruned = False
 
     # -- choice enumeration -------------------------------------------------
 
@@ -284,35 +298,22 @@ class _Search:
     def run(self) -> PolicyTree:
         world = self.problem.world
         human_belief = _root_human(self.mode, self.obs, world, self.problem.human_belief)
-        node, tainted = self._solve(
-            world, human_belief, self.problem.network, self.problem.start_agent, 0, 0, frozenset()
+        node, _ = self._solve(
+            world, human_belief, self.problem.network, self.problem.start_agent, 0, 0
         )
         if node is None:
-            if tainted:
-                raise DepthExceeded(
-                    f"no policy within depth bound {self.config.depth_bound}"
-                )
+            if self.depth_pruned:
+                raise DepthExceeded(f"no policy within depth bound {self.config.depth_bound}")
             raise Unsolvable("no robot strategy covers every emulated human choice")
         return PolicyTree(
-            self.mode,
-            self.robot,
-            self.human,
-            self.problem.world,
-            self.problem.human_belief,
-            node,
-            self.nodes_expanded,
+            self.mode, self.robot, self.human, self.problem.world, self.problem.human_belief,
+            node, self.nodes_expanded,
         )
 
     def _state_key(
         self, world: BeliefState, hb: BeliefState, network: TaskNetwork, turn: str, stall: int
     ) -> tuple:
-        return (
-            turn,
-            world.values,
-            hb.values,
-            _canonical(network),
-            min(stall, self.config.stall_threshold),
-        )
+        return (turn, world.values, hb.values, _canonical(network), stall)
 
     def _solve(
         self,
@@ -322,44 +323,43 @@ class _Search:
         turn: str,
         depth: int,
         stall: int,
-        path: frozenset,
     ) -> tuple[Optional[PolicyNode], bool]:
         """Expand one state; returns (policy node or None, tainted).
 
         ``tainted`` is true when the failure may be due to a depth or cycle
-        prune along ``path`` rather than to the state itself, so the state is
-        not recorded as failed.  In the new mode a relevant divergence first
-        fixes the minimal communication for every outgoing edge.  Then one
-        loop tries the agent's moves (:meth:`_moves`) in order: a robot (OR)
-        node keeps the first move whose child is solved, a human (AND) node
-        needs every move solved.  A WAIT/IDLE move leaves the network as it
-        is; :func:`_stall_run` extends or resets the stall run.
+        prune on the current path rather than to the state itself, so the
+        state is not recorded as failed.  A state is open in the state table
+        while it is expanded, and reaching an open state again is a cycle.
+        In the new mode a relevant divergence first fixes the minimal
+        communication for every outgoing edge.  Then one loop tries the
+        agent's moves (:meth:`_moves`) in order: a robot (OR) node keeps the
+        first move whose child is solved, a human (AND) node needs every move
+        solved.  A WAIT/IDLE move leaves the network as it is;
+        :func:`_stall_run` extends or resets the stall run.
         """
         self.nodes_expanded += 1
-        if self.nodes_expanded > self.config.max_nodes:
-            raise DepthExceeded(f"search exceeded {self.config.max_nodes} nodes")
+        if self.nodes_expanded > MAX_NODES:
+            raise DepthExceeded(f"search exceeded {MAX_NODES} nodes")
 
         if network.is_empty:
             return self._terminal(world, human_belief, network, turn), False
 
         if stall >= self.config.stall_threshold:
             if self.mode == MODE_LEGACY:
-                return (
-                    PolicyNode(world, human_belief, network, turn, NodeKind.DEADLOCK),
-                    False,
-                )
+                return PolicyNode(world, human_belief, network, turn, NodeKind.DEADLOCK), False
             return None, False  # a stalled new-mode branch is a dead end
 
         if depth >= self.config.depth_bound:
+            self.depth_pruned = True
             return None, True
 
         key = self._state_key(world, human_belief, network, turn, stall)
-        if key in path:
-            return None, True  # cycle: fail along this path only
-        if key in self.memo:
-            return self.memo[key], False
-        if key in self.failed:
-            return None, False
+        if key in self.states:
+            entry = self.states[key]
+            if entry is _OPEN:
+                return None, True  # cycle: fail along this path only
+            return entry, False  # a solved node, or None for a known failure
+        self.states[key] = _OPEN
 
         comms: tuple[CommAction, ...] = ()
         post_comm_belief = human_belief
@@ -371,7 +371,6 @@ class _Search:
 
         is_human = turn == self.human
         moves = self._moves(post_comm_belief if is_human else world, network, turn)
-        sub_path = path | {key}
         tainted = False
         edges: list[PolicyEdge] = []
         for move in moves:
@@ -380,13 +379,8 @@ class _Search:
                 move.op, turn,
             )
             child, t = self._solve(
-                w2,
-                hb2,
-                move.network,
-                self._other(turn),
-                depth + 1,
+                w2, hb2, move.network, self._other(turn), depth + 1,
                 _stall_run(stall, move.op.is_pseudo),
-                sub_path,
             )
             if child is None:
                 tainted = tainted or t
@@ -398,13 +392,13 @@ class _Search:
                 break  # the OR node commits to its first solved move
 
         if len(edges) == (len(moves) if is_human else 1):
-            node = PolicyNode(
-                world, human_belief, network, turn, NodeKind.DECISION, tuple(edges)
-            )
-            self.memo[key] = node
+            node = PolicyNode(world, human_belief, network, turn, NodeKind.DECISION, tuple(edges))
+            self.states[key] = node
             return node, False
-        if not tainted:
-            self.failed.add(key)
+        if tainted:
+            del self.states[key]
+        else:
+            self.states[key] = None
         return None, tainted
 
     def _terminal(
@@ -501,20 +495,13 @@ class TraceResult:
 
 
 @dataclass(frozen=True)
-class _SimStats:
-    n_traces: int
-    n_success: int
-    n_na: int
-    n_idl: int
-    first_failure: str = ""  # "" | "na" | "idl", in walk order
-    first_detail: str = ""
-    sum_primitive_len: int = 0
-    sum_comms: int = 0
-
-
-@dataclass
 class ExecutionReport:
-    """Aggregated outcome of replaying every branch of a policy."""
+    """Aggregated outcome of replaying every branch of a policy.
+
+    ``outcome`` and ``detail`` are the first failure's in walk order, or
+    "success" and "".  The counts and sums run over every branch; the means
+    derive from the sums.
+    """
 
     outcome: str  # "success" | "na" | "idl"
     detail: str
@@ -522,11 +509,27 @@ class ExecutionReport:
     n_success: int
     n_na: int
     n_idl: int
-    mean_primitive_length: float
-    mean_comm_count: float
+    sum_primitive_len: int
+    sum_comms: int
+
+    @property
+    def mean_primitive_length(self) -> float:
+        return self.sum_primitive_len / max(self.n_traces, 1)
+
+    @property
+    def mean_comm_count(self) -> float:
+        return self.sum_comms / max(self.n_traces, 1)
 
 
 _EMBEDDED_DEADLOCK = "plan-embedded inactivity deadlock"
+
+
+def _branch_end(outcome: str, detail: str) -> ExecutionReport:
+    """The report of one branch that ends here with ``outcome``."""
+    return ExecutionReport(
+        outcome, detail, 1, int(outcome == "success"), int(outcome == "na"),
+        int(outcome == "idl"), 0, 0,
+    )
 
 
 def _replay_start(
@@ -594,59 +597,43 @@ def simulate(
     :func:`enumerate_traces` lists the branches themselves.
     """
     world, human = _replay_start(policy, obs_model, world0, human0)
-    memo: dict[tuple, _SimStats] = {}
+    memo: dict[tuple, ExecutionReport] = {}
 
-    def walk(node: PolicyNode, w: BeliefState, h: BeliefState, run: int) -> _SimStats:
+    def walk(node: PolicyNode, w: BeliefState, h: BeliefState, run: int) -> ExecutionReport:
         key = (id(node), w.values, h.values, min(run, stall_threshold))
         hit = memo.get(key)
         if hit is not None:
             return hit
         if node.kind is NodeKind.SUCCESS:
-            stats = _SimStats(1, 1, 0, 0)
+            report = _branch_end("success", "")
         elif node.kind is NodeKind.DEADLOCK or not node.edges:
-            stats = _SimStats(1, 0, 0, 1, "idl", _EMBEDDED_DEADLOCK)
+            report = _branch_end("idl", _EMBEDDED_DEADLOCK)
         else:
             n = s = na = idl = plen = comms = 0
-            first, detail = "", ""
+            first, detail = "success", ""
             for edge in node.edges:
                 verdict, vdetail, nxt, new_run = _classify_edge(
                     policy, obs_model, stall_threshold, node, edge, w, h, run
                 )
-                step_len = 0 if edge.action.is_pseudo else 1
                 if verdict:
-                    n += 1
-                    na += verdict == "na"
-                    idl += verdict == "idl"
-                    plen += step_len
-                    comms += len(edge.comms)
-                    if not first:
-                        first, detail = verdict, vdetail
-                    continue
-                assert nxt is not None
-                sub = walk(edge.child, nxt[0], nxt[1], new_run)
+                    sub = _branch_end(verdict, vdetail)
+                else:
+                    assert nxt is not None
+                    sub = walk(edge.child, nxt[0], nxt[1], new_run)
+                step_len = 0 if edge.action.is_pseudo else 1
                 n += sub.n_traces
                 s += sub.n_success
                 na += sub.n_na
                 idl += sub.n_idl
                 plen += sub.sum_primitive_len + step_len * sub.n_traces
                 comms += sub.sum_comms + len(edge.comms) * sub.n_traces
-                if not first and sub.first_failure:
-                    first, detail = sub.first_failure, sub.first_detail
-            stats = _SimStats(n, s, na, idl, first, detail, plen, comms)
-        memo[key] = stats
-        return stats
+                if first == "success":
+                    first, detail = sub.outcome, sub.detail
+            report = ExecutionReport(first, detail, n, s, na, idl, plen, comms)
+        memo[key] = report
+        return report
 
-    stats = walk(policy.root, world, human, 0)
-    return ExecutionReport(
-        outcome=stats.first_failure or "success",
-        detail=stats.first_detail,
-        n_traces=stats.n_traces,
-        n_success=stats.n_success,
-        n_na=stats.n_na,
-        n_idl=stats.n_idl,
-        mean_primitive_length=stats.sum_primitive_len / max(stats.n_traces, 1),
-        mean_comm_count=stats.sum_comms / max(stats.n_traces, 1),
-    )
+    return walk(policy.root, world, human, 0)
 
 
 def enumerate_traces(

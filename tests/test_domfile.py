@@ -199,6 +199,31 @@ LINE_DEFECTS = [
         "repeated 'belief' line for person Flag",
     ),
     ("root t0 Root\n", "root t0 Root\nroot t0 Root\n", 22, "repeated root label 't0'"),
+    # A second method of one name for an owner names its 'method' line.
+    (
+        "root t0 Root\n",
+        "method m-root for bot\n  task Root\nend\nroot t0 Root\n",
+        21,
+        "method m-root declared twice for bot",
+    ),
+    (
+        "root t0 Root\n",
+        "method m-root for both\n  task Root\nend\nroot t0 Root\n",
+        21,
+        "method m-root declared twice for both",
+    ),
+    # A variable bound twice in one schema names the repeating line.
+    (
+        "operator toggle for bot\n",
+        "operator toggle for bot\n  param ?p Places\n  param ?p Places\n",
+        11,
+        "operator toggle: variable ?p bound twice",
+    ),
+    ("  task Root\n", "  task Root\n  var ?x Places\n  var ?x Places\n", 18, "variable ?x bound twice"),
+    ("  task Root\n", "  task Root (?x Places)\n  var ?x Agents\n", 17, "variable ?x bound twice"),
+    ("  task Root\n", "  var ?x Agents\n  task Root (?x Places)\n", 17, "variable ?x bound twice"),
+    # Two 'pre' lines on one lifted attribute name the second.
+    ("pre Flag = false\n", "pre Flag = false\n  pre Flag = true\n", 11, "second 'pre' line for Flag"),
 ]
 
 
@@ -212,6 +237,19 @@ def test_method_and_operator_defects_name_their_line(old, new, line, fragment):
     assert str(err.value).startswith(f"line {line}: ")
     assert fragment in str(err.value)
     assert err.value.line == line
+
+
+def test_pre_lines_compare_lifted_references():
+    # Holds(?a) and Holds(?b) are two references; the grounding with ?a = ?b
+    # is simply never applicable.
+    text = MINI.replace(
+        "operator observe for person\n",
+        "operator observe for person\n  param ?a Agents\n  param ?b Agents\n"
+        "  pre AgtAt(?a) = Here\n  pre AgtAt(?b) = There\n",
+    ).replace("sub b observe", "sub b observe(bot, person)")
+    ops = parse_bundle(text).problem.domain_of("person").ground_ops
+    assert ("observe", ("bot", "bot")) in ops
+    assert ("observe", ("bot", "person")) in ops
 
 
 # Placement defects in the cooking domain, each with its message fragment.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -12,10 +13,11 @@ from beliefhtn import (
     emulate_human_choices,
     enumerate_traces,
     parse,
+    parse_bundle,
     plan,
     simulate,
 )
-from beliefhtn.errors import BadArgument, Unsolvable
+from beliefhtn.errors import BadArgument, DepthExceeded, Unsolvable
 from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
 from beliefhtn.htn import (
     OpKind,
@@ -34,6 +36,7 @@ from beliefhtn.planner import (
     _Search,
     policy_comm_edges,
 )
+from beliefhtn.policyio import to_text
 
 
 # -- emulated human choices ---------------------------------------------------
@@ -523,3 +526,131 @@ def test_config_rejects_stall_threshold_below_one(threshold):
     with pytest.raises(BadArgument, match="stall_threshold"):
         PlannerConfig(stall_threshold=threshold)
     assert PlannerConfig(stall_threshold=1).stall_threshold == 1
+
+
+# -- the search's prunes: cycle, depth bound, known failure -------------------
+
+PRUNE_HEAD = """\
+beliefhtn-domain 1
+domain {name}
+group Places Here
+group Agents bot person
+agents bot person
+svar AgtAt (?a Agents) -> Places : obs
+place AgtAt(?a) value-of AgtAt(?a)
+"""
+
+# The robot may tick forever; the human's `finish` needs a Done nothing sets.
+LOOP_DOM = PRUNE_HEAD.format(name="loop") + """\
+svar Done -> bool : inf
+operator tick for bot
+end
+operator finish for person
+  pre Done = true
+end
+method loop-again for both
+  task Loop
+  sub t tick
+  sub l Loop
+  order t < l
+end
+method loop-exit for both
+  task Loop
+  sub f finish
+end
+root r Loop
+init AgtAt(bot) = Here
+init AgtAt(person) = Here
+init Done = false
+start bot
+"""
+
+# The same recursion, but each tick counts up (saturating at 2) and `finish`
+# needs the count at 2.
+COUNT_DOM = (
+    LOOP_DOM.replace("domain loop", "domain count")
+    .replace("svar Done -> bool : inf", "svar Count -> int 0 2 : inf")
+    .replace("operator tick for bot\nend", "operator tick for bot\n  eff Count += 1\nend")
+    .replace("pre Done = true", "pre Count = 2")
+    .replace("init Done = false", "init Count = 0")
+)
+
+# Two unordered robot primitives before a human `finish` that never runs.
+FAILED_DOM = PRUNE_HEAD.format(name="failed") + """\
+svar Done -> bool : inf
+operator do-a for bot
+end
+operator do-b for bot
+end
+operator finish for person
+  pre Done = true
+end
+method m-root for both
+  task Root
+  sub a do-a
+  sub b do-b
+  sub f finish
+  order a < f
+  order b < f
+end
+root r Root
+init AgtAt(bot) = Here
+init AgtAt(person) = Here
+init Done = false
+start bot
+"""
+
+
+def search_outcome(text, mode, depth_bound=64):
+    """(policy or the exception the search raised, nodes expanded)."""
+    bundle = parse_bundle(text)
+    search = _Search(bundle.problem, bundle.obs_model, mode, PlannerConfig(depth_bound=depth_bound))
+    try:
+        result = search.run()
+    except (Unsolvable, DepthExceeded) as exc:
+        result = exc
+    return result, search.nodes_expanded
+
+
+@pytest.mark.parametrize("mode", [MODE_NEW, MODE_LEGACY])
+def test_cycle_prune_fails_the_endless_loop(mode):
+    # After tick and the human's WAIT, a second tick returns to a state on
+    # the current path; depth 64 is never reached, so the failure is the
+    # problem's own, not the bound's.
+    result, nodes = search_outcome(LOOP_DOM, mode)
+    assert isinstance(result, Unsolvable)
+    assert nodes == 4
+
+
+@pytest.mark.parametrize("mode", [MODE_NEW, MODE_LEGACY])
+def test_depth_bound_prunes_the_loop(mode):
+    result, nodes = search_outcome(LOOP_DOM, mode, depth_bound=2)
+    assert isinstance(result, DepthExceeded)
+    assert str(result) == "no policy within depth bound 2"
+    assert nodes == 3
+
+
+def test_known_failure_is_not_expanded_twice():
+    # do-a then do-b and do-b then do-a reach one state; it fails once and
+    # the second order finds it already failed.
+    result, nodes = search_outcome(FAILED_DOM, MODE_NEW)
+    assert isinstance(result, Unsolvable)
+    assert nodes == 11
+    # The legacy solver closes the stalled human as an embedded deadlock.
+    policy, nodes = search_outcome(FAILED_DOM, MODE_LEGACY)
+    assert isinstance(policy, PolicyTree)
+    assert nodes == policy.nodes_expanded == 8
+
+
+@pytest.mark.parametrize(
+    "mode,digest",
+    [
+        (MODE_NEW, "b5173a8686b006adb5d52a61463d15216c52a36291ce3592b7afc22319b2384a"),
+        (MODE_LEGACY, "7da9b1997ff973d79d844799323fb25f81806be1222d971307a3963aa385cb5a"),
+    ],
+)
+def test_recursion_that_makes_progress_plans(mode, digest):
+    policy, nodes = search_outcome(COUNT_DOM, mode)
+    assert isinstance(policy, PolicyTree)
+    assert nodes == policy.nodes_expanded == 5
+    assert hashlib.sha256(to_text(policy).encode()).hexdigest() == digest

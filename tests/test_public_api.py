@@ -3,7 +3,16 @@ from __future__ import annotations
 import dataclasses
 
 import beliefhtn
-from beliefhtn import communication, domfile, engine, htn, observability, planner, state
+from beliefhtn import (
+    communication,
+    domfile,
+    engine,
+    experiment,
+    htn,
+    observability,
+    planner,
+    state,
+)
 
 REMOVED = {
     communication: ("CommPlan", "build_comm_action"),
@@ -12,7 +21,7 @@ REMOVED = {
     state: ("lookup", "DivergenceReport", "DivergenceEntry"),
     htn: ("enumerate_decompositions", "is_primitive", "Term", "Test", "Effect"),
     domfile: ("OpEntry", "MethodEntry", "_build_effect", "SvarEntry", "PlaceEntry"),
-    planner: ("_TRACE_LIMIT",),
+    planner: ("_TRACE_LIMIT", "_SimStats"),
 }
 
 
@@ -45,3 +54,30 @@ def test_removed_aliases_are_gone():
 def test_moved_names_stay_importable():
     assert beliefhtn.ObsClass is observability.ObsClass is state.ObsClass
     assert htn.AttrRef is state.AttrRef
+
+
+def test_planner_config_holds_only_the_search_limits():
+    fields = {f.name for f in dataclasses.fields(planner.PlannerConfig)}
+    assert fields == {"depth_bound", "stall_threshold"}
+
+
+def test_search_keeps_one_state_table(cooking):
+    search = planner._Search(
+        cooking.problem, cooking.obs_model, planner.MODE_NEW, planner.PlannerConfig()
+    )
+    assert not hasattr(search, "memo")
+    assert not hasattr(search, "failed")
+
+
+def test_instance_result_holds_the_report_instead_of_copies():
+    fields = {f.name for f in dataclasses.fields(experiment.InstanceResult)}
+    assert "report" in fields
+    assert fields.isdisjoint({"n_traces", "n_success", "n_na", "n_idl", "mean_comms", "mean_len"})
+
+
+def test_report_means_derive_from_its_sums():
+    report = planner.ExecutionReport("success", "", 4, 4, 0, 0, 18, 3)
+    assert report.mean_primitive_length == 18 / 4
+    assert report.mean_comm_count == 3 / 4
+    empty = planner.ExecutionReport("", "", 0, 0, 0, 0, 0, 0)
+    assert (empty.mean_primitive_length, empty.mean_comm_count) == (0.0, 0.0)
