@@ -173,18 +173,19 @@ init PastaInPot = false
 start robot
 """
 
-BOX_CAPACITY = 2
-BOX_BUCKET = 5
+BOX_CAPACITY = 2  # balls per box
+BOX_BUCKET = 5  # balls in a full bucket
 BOX_COUNT = 3
 
 
-def box_dom(boxes: int = BOX_COUNT, capacity: int = BOX_CAPACITY, bucket: int = BOX_BUCKET) -> str:
-    """Box-domain text; box count, box capacity and bucket size are knobs.
+def box_dom(boxes: int = BOX_COUNT) -> str:
+    """Box-domain text for ``boxes`` boxes of :data:`BOX_CAPACITY` balls
+    and a bucket of :data:`BOX_BUCKET` balls.
 
-    The fill schedule in the root method is derived from the knobs: the
-    first ``bucket - 1`` fills precede the refill trip, the remainder
-    follow it, so the bucket bottoms out at exactly one ball before the
-    trip and never runs dry.
+    The fill schedule in the root method is derived from these: the first
+    ``BOX_BUCKET - 1`` fills precede the refill trip, the remainder follow
+    it, so the bucket bottoms out at exactly one ball before the trip and
+    never runs dry.
     """
     names = [f"box{i + 1}" for i in range(boxes)]
     lines = [
@@ -197,10 +198,10 @@ def box_dom(boxes: int = BOX_COUNT, capacity: int = BOX_CAPACITY, bucket: int = 
         "agents robot human",
         "",
         f"svar AgtAt (?a Agents) -> Places : obs",
-        f"svar BallsInBox (?b Boxes) -> int 0 {capacity} : inf",
+        f"svar BallsInBox (?b Boxes) -> int 0 {BOX_CAPACITY} : inf",
         "svar Sticker (?b Boxes) -> bool : obs",
         "svar Sent (?b Boxes) -> bool : obs",
-        f"svar BucketBalls -> int 0 {bucket} : obs",
+        f"svar BucketBalls -> int 0 {BOX_BUCKET} : obs",
         "svar HumanHasBalls -> bool : obs",
         "",
         "place AgtAt(?a) value-of AgtAt(?a)",
@@ -234,7 +235,7 @@ def box_dom(boxes: int = BOX_COUNT, capacity: int = BOX_CAPACITY, bucket: int = 
         "operator send for human",
         "  param ?b Boxes",
         "  pre AgtAt(human) = Workshop",
-        f"  pre BallsInBox(?b) = {capacity}",
+        f"  pre BallsInBox(?b) = {BOX_CAPACITY}",
         "  pre Sticker(?b) = true",
         "  pre Sent(?b) = false",
         "  eff Sent(?b) = true",
@@ -260,22 +261,22 @@ def box_dom(boxes: int = BOX_COUNT, capacity: int = BOX_CAPACITY, bucket: int = 
         "  pre AgtAt(human) = Workshop",
         "  pre HumanHasBalls = true",
         "  eff HumanHasBalls = false",
-        f"  eff BucketBalls = {bucket}",
+        f"  eff BucketBalls = {BOX_BUCKET}",
         "end",
         "",
         "method m-prepare-all for both",
         "  task PrepareBoxes",
     ]
-    # Fill tasks: capacity fills per box, scheduled around one refill trip.
+    # Fill tasks: BOX_CAPACITY fills per box, scheduled around one refill trip.
     # The first round of fills (one per box, bucket permitting) precedes the
     # trip; every later round follows the refill, so each box's fill pair
     # straddles the trip and the bucket never runs dry.
     fill_labels: list[tuple[str, str]] = []
-    for k in range(capacity):
+    for k in range(BOX_CAPACITY):
         for i, name in enumerate(names):
             fill_labels.append((f"f{i + 1}{chr(ord('a') + k)}", name))
-    early = fill_labels[: min(boxes, bucket - 1)]
-    late = fill_labels[min(boxes, bucket - 1) :]
+    early = fill_labels[: min(boxes, BOX_BUCKET - 1)]
+    late = fill_labels[min(boxes, BOX_BUCKET - 1) :]
     for label, name in fill_labels:
         lines.append(f"  sub {label} FillBox({name})")
     lines.append("  sub rt RefillTrip")
@@ -329,7 +330,7 @@ def box_dom(boxes: int = BOX_COUNT, capacity: int = BOX_CAPACITY, bucket: int = 
     for name in names:
         lines.append(f"init Sent({name}) = false")
     lines += [
-        f"init BucketBalls = {bucket}",
+        f"init BucketBalls = {BOX_BUCKET}",
         "init HumanHasBalls = false",
         "start robot",
         "",

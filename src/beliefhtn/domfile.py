@@ -15,7 +15,11 @@ and operator and method blocks into :class:`~beliefhtn.htn.OperatorSchema`
 and :class:`~beliefhtn.htn.MethodSchema`.  A method's label and order
 defects carry the line of its ``method`` line, and a directive that may
 appear once (``domain``, ``agents``, ``start``, a method's ``task``, a root
-label, an ``init`` or ``belief`` attribute) names its repeated line.
+label, an ``init`` or ``belief`` attribute) names its repeated line.  The
+schema constructors own the per-schema rules (a variable bound twice, a
+second ``pre`` on one attribute), and ``build`` owns the rule that one agent
+has one operator and one method of a name; the reader runs both as it goes,
+so each names the line that broke it.
 Parsing also builds and grounds the bundle, so a bad value, group,
 variable or placement raises :class:`DomainSyntaxError` too, without a
 line number.
@@ -159,7 +163,7 @@ def _read(text: str) -> DomainFile:
     block: Optional[dict] = None
     header_seen = False
     seen: set[str] = set()  # directives that may appear once
-    method_owners: dict[str, set[str]] = {}  # method name -> owners so far
+    claims: dict[tuple[str, str], set[str]] = {}  # (kind, name) -> owners
 
     def fail(msg: str, ln: int) -> None:
         raise DomainSyntaxError(msg, ln)
@@ -190,10 +194,10 @@ def _read(text: str) -> DomainFile:
             if head == "end":
                 _close_block(dom, block)
                 block = None
-            elif block["type"] == "operator":
-                _operator_line(block, head, tokens, ln)
             else:
-                _method_line(block, head, tokens, ln)
+                read = _operator_line if block["type"] == "operator" else _method_line
+                read(block, head, tokens, ln)
+                _schema(block, ln)
             continue
 
         if head == "domain":
@@ -214,21 +218,21 @@ def _read(text: str) -> DomainFile:
             dom.svars.append(_parse_svar(tokens, ln))
         elif head == "place":
             dom.places.append(_parse_place(tokens, ln))
-        elif head == "operator":
+        elif head in ("operator", "method"):
             if len(tokens) != 4 or tokens[2] != "for":
-                fail("usage: operator <name> for <agent|both>", ln)
-            block = {"type": "operator", "name": tokens[1], "owner": tokens[3],
-                     "params": [], "pre": [], "eff": [], "line": ln}
-        elif head == "method":
-            if len(tokens) != 4 or tokens[2] != "for":
-                fail("usage: method <name> for <agent|both>", ln)
-            owners = method_owners.setdefault(tokens[1], set())
-            if owners and (tokens[3] == "both" or owners & {tokens[3], "both"}):
-                fail(f"method {tokens[1]} declared twice for {tokens[3]}", ln)
-            owners.add(tokens[3])
-            block = {"type": "method", "name": tokens[1], "owner": tokens[3],
-                     "task": None, "task_params": (), "vars": [], "subs": [],
-                     "order": [], "line": ln}
+                fail(f"usage: {head} <name> for <agent|both>", ln)
+            try:
+                _claim(claims, head, tokens[1], tokens[3])
+            except DomainSyntaxError as exc:
+                fail(str(exc), ln)
+            # The block holds its schema's fields as read so far.
+            block = {"type": head, "line": ln, "name": tokens[1], "owner": tokens[3]}
+            if head == "operator":
+                block.update(params=(), pre=(), eff=())
+            else:
+                block.update(
+                    task_symbol=None, task_params=(), free_params=(), subtasks=(), order=()
+                )
         elif head == "root":
             if len(tokens) != 3:
                 fail("usage: root <label> <task>", ln)
@@ -315,15 +319,11 @@ def _operator_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
     if head == "param":
         if len(tokens) != 3 or not tokens[1].startswith("?"):
             raise DomainSyntaxError("usage: param ?var <Group>", ln)
-        _check_fresh(block, tokens[1], ln)
-        block["params"].append((tokens[1], tokens[2]))
+        block["params"] += ((tokens[1], tokens[2]),)
     elif head == "pre":
         if len(tokens) != 4 or tokens[2] != "=":
             raise DomainSyntaxError("usage: pre <attribute> = <value>", ln)
-        ref = _parse_attr_ref(tokens[1], ln)
-        if ref in (r for r, _ in block["pre"]):
-            raise DomainSyntaxError(f"operator {block['name']}: second 'pre' line for {ref}", ln)
-        block["pre"].append((ref, tokens[3]))
+        block["pre"] += ((_parse_attr_ref(tokens[1], ln), tokens[3]),)
     elif head == "eff":
         if len(tokens) != 4 or tokens[2] not in ("=", "+=", "-="):
             raise DomainSyntaxError("usage: eff <attribute> =|+=|-= <value>", ln)
@@ -333,7 +333,7 @@ def _operator_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
                 value = int(value)
             except ValueError:
                 raise DomainSyntaxError(f"increment effects need an integer, got {value!r}", ln)
-        block["eff"].append((_parse_attr_ref(tokens[1], ln), eop, value))
+        block["eff"] += ((_parse_attr_ref(tokens[1], ln), eop, value),)
     else:
         raise DomainSyntaxError(f"unknown operator directive {head!r}", ln)
 
@@ -343,29 +343,26 @@ def _method_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
         # task Name   |   task Name (?b Boxes) ...
         if len(tokens) < 2:
             raise DomainSyntaxError("usage: task <name> [(?var Group) ...]", ln)
-        if block["task"] is not None:
+        if block["task_symbol"] is not None:
             raise DomainSyntaxError(f"method {block['name']}: repeated 'task' line", ln)
         head_ref = _parse_attr_ref(tokens[1], ln)
         if head_ref.args:
             raise DomainSyntaxError(
                 f"method {block['name']}: task parameters must be typed '(?v Group)'", ln
             )
-        params = _parse_typed_params(tokens[2:], ln)
-        for var, _ in params:
-            _check_fresh(block, var, ln)
-        block["task"], block["task_params"] = head_ref.symbol, params
+        block["task_symbol"] = head_ref.symbol
+        block["task_params"] = _parse_typed_params(tokens[2:], ln)
     elif head == "var":
         if len(tokens) != 3 or not tokens[1].startswith("?"):
             raise DomainSyntaxError("usage: var ?name <Group>", ln)
-        _check_fresh(block, tokens[1], ln)
-        block["vars"].append((tokens[1], tokens[2]))
+        block["free_params"] += ((tokens[1], tokens[2]),)
     elif head == "sub":
         if len(tokens) != 3:
             raise DomainSyntaxError("usage: sub <label> <task>", ln)
-        block["subs"].append((tokens[1], _parse_attr_ref(tokens[2], ln)))
+        block["subtasks"] += ((tokens[1], _parse_attr_ref(tokens[2], ln)),)
     elif head == "order":
         if len(tokens) == 4 and tokens[2] == "<":
-            block["order"].append((tokens[1], tokens[3]))
+            block["order"] += ((tokens[1], tokens[3]),)
         elif len(tokens) >= 3 and tokens[2] in ("before", "after", "between"):
             raise DomainSyntaxError(
                 f"'{tokens[2]}' constraints are not supported; only precedence "
@@ -378,41 +375,33 @@ def _method_line(block: dict, head: str, tokens: list[str], ln: int) -> None:
         raise DomainSyntaxError(f"unknown method directive {head!r}", ln)
 
 
-def _check_fresh(block: dict, var: str, ln: int) -> None:
-    """Reject a variable the schema block already binds, at line ``ln``."""
-    if var in [v for key in ("params", "task_params", "vars") for v, _ in block.get(key, ())]:
-        raise DomainSyntaxError(f"{block['type']} {block['name']}: variable {var} bound twice", ln)
+def _schema(block: dict, ln: int, body: bool = False) -> OperatorSchema | MethodSchema:
+    """Construct a block's schema from the fields read so far; a rule it
+    breaks raises with line ``ln``.  The reader calls this after every line
+    of a block, so a per-schema rule names the line that broke it; a
+    method's subtasks and order join only at its ``end`` (``body``)."""
+    fields = {key: value for key, value in block.items() if key not in ("type", "line")}
+    try:
+        if block["type"] == "operator":
+            return OperatorSchema(**fields)
+        if not body:
+            fields.update(subtasks=(), order=())
+        return MethodSchema(**fields)
+    except BeliefHtnError as exc:
+        raise DomainSyntaxError(str(exc), ln) from exc
 
 
 def _close_block(dom: DomainFile, block: dict) -> None:
+    """Append the block's schema; a method-body defect names the block's
+    first line."""
     if block["type"] == "operator":
-        dom.operators.append(
-            OperatorSchema(
-                block["name"],
-                block["owner"],
-                tuple(block["params"]),
-                tuple(block["pre"]),
-                tuple(block["eff"]),
-            )
-        )
+        dom.operators.append(_schema(block, block["line"]))
         return
-    if block["task"] is None:
+    if block["task_symbol"] is None:
         raise DomainSyntaxError(
             f"method {block['name']} has no 'task' line", block["line"]
         )
-    try:
-        method = MethodSchema(
-            block["name"],
-            block["owner"],
-            block["task"],
-            block["task_params"],
-            tuple(block["vars"]),
-            tuple(block["subs"]),
-            tuple(block["order"]),
-        )
-    except BeliefHtnError as exc:
-        raise DomainSyntaxError(str(exc), block["line"]) from exc
-    dom.methods.append(method)
+    dom.methods.append(_schema(block, block["line"], body=True))
 
 
 def _require_sections(dom: DomainFile) -> None:
@@ -547,21 +536,20 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
     obs_model = ObservabilityModel(universe, dom.places)
 
     ops_by_agent: dict[str, list[OperatorSchema]] = {dom.robot: [], dom.human: []}
-    seen_ops: set[tuple[str, str]] = set()
+    claims: dict[tuple[str, str], set[str]] = {}
     for op in dom.operators:
         _check_groups(f"operator {op.name}", op.params, universe.groups)
-        for owner in _owners(dom, f"operator {op.name}", op.owner):
-            if (owner, op.name) in seen_ops:
-                raise DomainSyntaxError(
-                    f"operator {op.name} declared twice for {owner}"
-                )
-            seen_ops.add((owner, op.name))
+        owners = _owners(dom, f"operator {op.name}", op.owner)
+        _claim(claims, "operator", op.name, op.owner)
+        for owner in owners:
             ops_by_agent[owner].append(replace(op, owner=owner))
 
     methods_by_agent: dict[str, list[MethodSchema]] = {dom.robot: [], dom.human: []}
     for m in dom.methods:
         _check_groups(f"method {m.name}", m.task_params + m.free_params, universe.groups)
-        for owner in _owners(dom, f"method {m.name}", m.owner):
+        owners = _owners(dom, f"method {m.name}", m.owner)
+        _claim(claims, "method", m.name, m.owner)
+        for owner in owners:
             methods_by_agent[owner].append(m)
 
     domains = {}
@@ -637,6 +625,15 @@ def _coerce_value(universe: Universe, attr: GroundedAttribute, token: str) -> Va
         return universe.parse_value(attr, token)
     except BadValue as exc:
         raise DomainSyntaxError(str(exc)) from exc
+
+
+def _claim(claims: dict[tuple[str, str], set[str]], what: str, name: str, owner: str) -> None:
+    """Record ``what name`` for ``owner`` (an agent id or ``both``); a second
+    operator or method of one name for one agent raises."""
+    owners = claims.setdefault((what, name), set())
+    if owners and (owner == "both" or owners & {owner, "both"}):
+        raise DomainSyntaxError(f"{what} {name} declared twice for {owner}")
+    owners.add(owner)
 
 
 def _owners(dom: DomainFile, what: str, owner: str) -> tuple[str, ...]:

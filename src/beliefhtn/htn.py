@@ -68,7 +68,8 @@ class OperatorSchema:
 
     ``pre`` holds (attribute, value token) equalities; ``eff`` holds
     (attribute, op, value) triples, whose value is a token for SET and an
-    int delta for INC/DEC.
+    int delta for INC/DEC.  Construction rejects a variable bound twice and
+    a second ``pre`` on one lifted attribute.
     """
 
     name: str
@@ -76,6 +77,21 @@ class OperatorSchema:
     params: tuple[tuple[str, str], ...] = ()  # (?var, group)
     pre: tuple[tuple[AttrRef, str], ...] = ()
     eff: tuple[tuple[AttrRef, EffectOp, str | int], ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_bound_once(f"operator {self.name}", self.params)
+        refs = [ref for ref, _ in self.pre]
+        for k, ref in enumerate(refs):
+            if ref in refs[:k]:
+                raise BadArgument(f"operator {self.name}: second 'pre' line for {ref}")
+
+
+def _check_bound_once(what: str, params: tuple[tuple[str, str], ...]) -> None:
+    """Reject a schema whose (?var, group) bindings repeat a variable."""
+    names = [var for var, _ in params]
+    for k, var in enumerate(names):
+        if var in names[:k]:
+            raise BadArgument(f"{what}: variable {var} bound twice")
 
 
 @dataclass(frozen=True)
@@ -206,7 +222,8 @@ class MethodSchema:
     """Decomposition rule: a non-primitive task expands into a sub-network.
 
     Subtasks carry labels and ``order`` pairs labels; construction resolves
-    them to ``order_index`` pairs and rejects a duplicate label, an unknown
+    them to ``order_index`` pairs and rejects a variable bound twice (over
+    the task head and the free variables), a duplicate label, an unknown
     label and a cyclic order.
     """
 
@@ -220,6 +237,7 @@ class MethodSchema:
     order_index: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_bound_once(f"method {self.name}", self.task_params + self.free_params)
         slot = {label: i for i, (label, _) in enumerate(self.subtasks)}
         if len(slot) != len(self.subtasks):
             raise BadArgument(f"method {self.name}: duplicate subtask label")

@@ -15,9 +15,8 @@ Two solver modes share the machinery:
   backtracked.
 * ``legacy`` -- the omniscient baseline: every effect updates both beliefs,
   no assessment, no communication, and the solver plans optimistically:
-  a run of ``PlannerConfig.stall_threshold`` (default 4) consecutive
-  WAIT/IDLE turns closes the branch as an embedded deadlock leaf instead of
-  failing.
+  a run of :data:`STALL_THRESHOLD` consecutive WAIT/IDLE turns closes the
+  branch as an embedded deadlock leaf instead of failing.
 
 The search keeps one state table per plan (see :meth:`_Search._solve`).
 A plan that fails after a ``PlannerConfig.depth_bound`` prune, or after
@@ -26,8 +25,12 @@ failure raises :class:`Unsolvable`.
 
 One stall rule, :func:`_stall_run`, counts that run for the search, for
 replay (:func:`simulate`, :func:`enumerate_traces`) and for
-:func:`detect_deadlock`.  One step rule, :func:`_step`, moves the beliefs
-along an edge for the search and for a reloaded policy.
+:func:`detect_deadlock`, and all of them end it at the one
+:data:`STALL_THRESHOLD`, so a policy replays under the convention it was
+planned with.  Each :class:`PolicyNode` records whether its agenda is
+``done``; replay and export read that, not the task network.  One step
+rule, :func:`_step`, moves the beliefs along an edge for the search and for
+a reloaded policy.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .communication import (
     min_comm_bfs,
 )
 from .engine import legacy_step, step_belief_protocol
-from .errors import BadArgument, DepthExceeded, NotApplicable, StaleComm, Unsolvable
+from .errors import DepthExceeded, NotApplicable, StaleComm, Unsolvable
 from .htn import (
     GroundedMethod,
     GroundedOperator,
@@ -64,6 +67,7 @@ MODE_NEW = "new"
 MODE_LEGACY = "legacy"
 
 MAX_NODES = 500_000  # states one plan may expand before it gives up
+STALL_THRESHOLD = 4  # consecutive WAIT/IDLE turns that end a branch (IDL)
 
 
 @dataclass(frozen=True)
@@ -75,18 +79,12 @@ class PlannerConfig:
     :class:`DepthExceeded`.  It bounds the search, not the depth of the
     returned policy: the state key omits depth, so a subtree solved at a
     shallow depth can be reused deeper, and a policy branch can run past
-    the bound.  ``stall_threshold`` is the WAIT/IDLE run that ends a branch
-    (see the module docstring); it must be at least 1, since a run of 0
-    would end every branch at its root.  The states one plan may expand are
-    capped by the module's fixed :data:`MAX_NODES`, not by the config.
+    the bound.  The states one plan may expand and the WAIT/IDLE run that
+    ends a branch are the module's fixed :data:`MAX_NODES` and
+    :data:`STALL_THRESHOLD`, not part of the config.
     """
 
     depth_bound: int = 64
-    stall_threshold: int = 4
-
-    def __post_init__(self) -> None:
-        if self.stall_threshold < 1:
-            raise BadArgument(f"stall_threshold must be at least 1, got {self.stall_threshold}")
 
 
 class NodeKind(Enum):
@@ -108,7 +106,7 @@ class PolicyEdge:
 class PolicyNode:
     world: BeliefState
     human_belief: BeliefState
-    network: TaskNetwork
+    done: bool  # the agenda is empty: only the closing IDLE turns remain
     turn: str
     kind: NodeKind = NodeKind.DECISION
     edges: tuple[PolicyEdge, ...] = ()
@@ -342,11 +340,11 @@ class _Search:
             raise DepthExceeded(f"search exceeded {MAX_NODES} nodes")
 
         if network.is_empty:
-            return self._terminal(world, human_belief, network, turn), False
+            return self._terminal(world, human_belief, turn), False
 
-        if stall >= self.config.stall_threshold:
+        if stall >= STALL_THRESHOLD:
             if self.mode == MODE_LEGACY:
-                return PolicyNode(world, human_belief, network, turn, NodeKind.DEADLOCK), False
+                return PolicyNode(world, human_belief, False, turn, NodeKind.DEADLOCK), False
             return None, False  # a stalled new-mode branch is a dead end
 
         if depth >= self.config.depth_bound:
@@ -392,7 +390,7 @@ class _Search:
                 break  # the OR node commits to its first solved move
 
         if len(edges) == (len(moves) if is_human else 1):
-            node = PolicyNode(world, human_belief, network, turn, NodeKind.DECISION, tuple(edges))
+            node = PolicyNode(world, human_belief, False, turn, NodeKind.DECISION, tuple(edges))
             self.states[key] = node
             return node, False
         if tainted:
@@ -401,26 +399,16 @@ class _Search:
             self.states[key] = None
         return None, tainted
 
-    def _terminal(
-        self, world: BeliefState, human_belief: BeliefState, network: TaskNetwork, turn: str
-    ) -> PolicyNode:
+    def _terminal(self, world: BeliefState, human_belief: BeliefState, turn: str) -> PolicyNode:
         """All work done: each agent idles once, then the success leaf."""
         other = self._other(turn)
-        leaf = PolicyNode(world, human_belief, network, turn, NodeKind.SUCCESS)
+        leaf = PolicyNode(world, human_belief, True, turn, NodeKind.SUCCESS)
         second = PolicyNode(
-            world,
-            human_belief,
-            network,
-            other,
-            NodeKind.DECISION,
+            world, human_belief, True, other, NodeKind.DECISION,
             (PolicyEdge(idle_op(other), (), (), None, leaf),),
         )
         return PolicyNode(
-            world,
-            human_belief,
-            network,
-            turn,
-            NodeKind.DECISION,
+            world, human_belief, True, turn, NodeKind.DECISION,
             (PolicyEdge(idle_op(turn), (), (), None, second),),
         )
 
@@ -457,11 +445,9 @@ def plan(
 # Deadlock detection and simulation
 
 
-def detect_deadlock(
-    actions: Iterable[GroundedOperator | str], stall_threshold: int = 4
-) -> bool:
-    """True iff the trace stalls for ``stall_threshold`` or more consecutive
-    WAIT/IDLE turns, the run :func:`simulate` reports as IDL.
+def detect_deadlock(actions: Iterable[GroundedOperator | str]) -> bool:
+    """True iff the trace stalls for :data:`STALL_THRESHOLD` or more
+    consecutive WAIT/IDLE turns, the run :func:`simulate` reports as IDL.
 
     Accepts operators or their kind strings; the terminal all-done IDLE
     pair of a completed plan does not count.
@@ -477,7 +463,7 @@ def detect_deadlock(
     run = 0
     for k in kinds:
         run = _stall_run(run, k in ("wait", "idle"))
-        if run and run >= stall_threshold:
+        if run >= STALL_THRESHOLD:
             return True
     return False
 
@@ -547,7 +533,6 @@ def _replay_start(
 def _classify_edge(
     policy: PolicyTree,
     obs_model: ObservabilityModel,
-    stall_threshold: int,
     node: PolicyNode,
     edge: PolicyEdge,
     w: BeliefState,
@@ -566,8 +551,8 @@ def _classify_edge(
             pass  # already aligned in this execution
     op = edge.action
     new_run = _stall_run(run, op.is_pseudo)
-    if op.is_pseudo and not node.network.is_empty and new_run >= stall_threshold:
-        return "idl", f"{stall_threshold} consecutive WAIT/IDLE turns", None, new_run
+    if op.is_pseudo and not node.done and new_run >= STALL_THRESHOLD:
+        return "idl", f"{STALL_THRESHOLD} consecutive WAIT/IDLE turns", None, new_run
     try:
         res = step_belief_protocol(
             w, h, op, node.turn, policy.robot, policy.human, obs_model
@@ -582,14 +567,13 @@ def simulate(
     obs_model: ObservabilityModel,
     world0: Optional[BeliefState] = None,
     human0: Optional[BeliefState] = None,
-    stall_threshold: int = 4,
 ) -> ExecutionReport:
     """Replay every branch of a policy against the true belief protocol.
 
     Each prescribed action is checked against the ground truth and against
     its actor's true (protocol-evolved) belief; the first violation makes
-    the trace NA.  A run of ``stall_threshold`` consecutive WAIT/IDLE
-    actions before completion makes it IDL.  Communication edges are
+    the trace NA.  A run of :data:`STALL_THRESHOLD` consecutive WAIT/IDLE
+    actions before the agenda is done makes it IDL.  Communication edges are
     executed as zero-time robot actions (already-aligned facts are skipped).
 
     Shared policy subtrees are aggregated through a memo, so the walk is
@@ -600,7 +584,7 @@ def simulate(
     memo: dict[tuple, ExecutionReport] = {}
 
     def walk(node: PolicyNode, w: BeliefState, h: BeliefState, run: int) -> ExecutionReport:
-        key = (id(node), w.values, h.values, min(run, stall_threshold))
+        key = (id(node), w.values, h.values, min(run, STALL_THRESHOLD))
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -613,7 +597,7 @@ def simulate(
             first, detail = "success", ""
             for edge in node.edges:
                 verdict, vdetail, nxt, new_run = _classify_edge(
-                    policy, obs_model, stall_threshold, node, edge, w, h, run
+                    policy, obs_model, node, edge, w, h, run
                 )
                 if verdict:
                     sub = _branch_end(verdict, vdetail)
@@ -641,7 +625,6 @@ def enumerate_traces(
     obs_model: ObservabilityModel,
     world0: Optional[BeliefState] = None,
     human0: Optional[BeliefState] = None,
-    stall_threshold: int = 4,
 ) -> list[TraceResult]:
     """Every branch of the policy as an explicit trace, in walk order.
 
@@ -667,7 +650,7 @@ def enumerate_traces(
             return
         for edge in node.edges:
             verdict, detail, nxt, new_run = _classify_edge(
-                policy, obs_model, stall_threshold, node, edge, w, h, run
+                policy, obs_model, node, edge, w, h, run
             )
             edge_actions = actions + (edge.action,)
             edge_comms = comms + tuple(edge.comms)

@@ -5,8 +5,7 @@ policy is self-contained: reloading rebuilds the problem bundle and the
 policy DAG, enough to re-simulate or re-export.  Node beliefs are exported
 as short digests.  Reloading re-derives them as the search did: from the
 root beliefs, each edge applies its ``tell``s and then the mode's step, so a
-reloaded policy prints exactly as the original.  Reloaded nodes carry a
-placeholder network (empty when done, one pending task otherwise).
+reloaded policy prints exactly as the original.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Optional
 from .communication import CommAction, apply_comm_plan
 from .domfile import ProblemBundle, parse_bundle
 from .errors import DomainSyntaxError
-from .htn import TaskInstance, TaskNetwork, idle_op, wait_op
+from .htn import idle_op, wait_op
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
@@ -104,7 +103,7 @@ def to_json_obj(policy: PolicyTree, bundle: Optional[ProblemBundle] = None) -> d
                 "id": ids[id(node)],
                 "turn": node.turn,
                 "kind": node.kind.value,
-                "done": node.network.is_empty,
+                "done": node.done,
                 "world": f"#{_digest(node.world)}",
                 "belief": f"#{_digest(node.human_belief)}",
                 "edges": edges,
@@ -149,8 +148,6 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
     init_world = belief_from(obj["init_world"], obj["robot"])
     init_human = belief_from(obj["init_human"], obj["human"])
 
-    empty_net = TaskNetwork.build([])
-    pending_net = TaskNetwork.build([TaskInstance("pending")])
     mode, robot, human = obj["mode"], obj["robot"], obj["human"]
     if mode not in (MODE_NEW, MODE_LEGACY):
         raise DomainSyntaxError(f"unknown solver mode {mode!r}")
@@ -162,11 +159,7 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
             return nodes[nid]
         spec = specs[nid]
         node = nodes[nid] = PolicyNode(
-            world,
-            human_belief,
-            empty_net if spec["done"] else pending_net,
-            spec["turn"],
-            NodeKind(spec["kind"]),
+            world, human_belief, spec["done"], spec["turn"], NodeKind(spec["kind"])
         )
         edges = []
         for e in spec["edges"]:

@@ -39,7 +39,7 @@ from beliefhtn.experiment import (
     run_experiment,
 )
 from beliefhtn.htn import applicable, apply_effects, ground_all_operators, wait_op
-from beliefhtn.planner import NodeKind, policy_comm_edges
+from beliefhtn.planner import STALL_THRESHOLD, NodeKind, policy_comm_edges
 
 DOMAINS = ("cooking", "box")
 
@@ -101,8 +101,8 @@ def test_criterion_2_legacy_aligned_legal_plans(study):
     """Every aligned initial state yields a legal legacy plan (exact).
 
     Legal means the solver returns a policy containing no deadlock leaf and
-    no run of four consecutive WAIT/IDLE turns: the old solver "always
-    finds a legal plan" on aligned beliefs.  Execution of those plans can
+    no run of ``STALL_THRESHOLD`` consecutive WAIT/IDLE turns: the old
+    solver "always finds a legal plan" on aligned beliefs.  Execution of those plans can
     still fail through divergence emerging mid-run (in cooking the human
     may start in the Room and miss the inferrable add-salt); that is the
     paper's own "sometimes, this causes problems in practice" caveat, so
@@ -151,7 +151,7 @@ def _policy_is_legal(policy) -> bool:
             return False
         for edge in node.edges:
             new_run = run + 1 if edge.action.is_pseudo else 0
-            if not node.network.is_empty and new_run >= 4:
+            if not node.done and new_run >= STALL_THRESHOLD:
                 return False
             if not visit(edge.child, new_run):
                 return False

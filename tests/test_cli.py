@@ -6,7 +6,7 @@ import pytest
 
 from beliefhtn import COOKING_DOM
 from beliefhtn.cli import main
-from beliefhtn.policyio import load_json, to_json, to_text
+from beliefhtn.policyio import _collect, load_json, to_json, to_text
 
 
 def test_validate_domain_ok(tmp_path, capsys):
@@ -152,6 +152,8 @@ def test_policy_json_round_trip(domain, start, mode):
     bundle2, policy2 = load_json(to_json(policy, bundle))
     assert to_text(policy2) == to_text(policy)
     assert simulate(policy2, bundle2.obs_model) == simulate(policy, bundle.obs_model)
+    (_, planned), (_, reloaded) = _collect(policy), _collect(policy2)
+    assert [n.done for n in reloaded] == [n.done for n in planned]
 
 
 def test_policy_load_rejects_unknown_mode(cooking):

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 from beliefhtn import parse, parse_bundle, serialize
+from beliefhtn.planner import STALL_THRESHOLD
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +31,9 @@ def test_readme_library_snippet_runs():
     namespace: dict = {}
     exec(readme_example("from beliefhtn import builtin_bundle, plan, simulate"), namespace)
     assert namespace["report"].outcome == "success"
+
+
+def test_readme_idl_sentence_states_the_stall_threshold():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    (count,) = re.findall(r"IDL: (\d+) or more consecutive WAIT/IDLE turns", text)
+    assert int(count) == STALL_THRESHOLD

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from beliefhtn import BOX_DOM, COOKING_DOM, parse, parse_bundle, serialize
-from beliefhtn.errors import DomainSyntaxError
+from beliefhtn.errors import BadArgument, DomainSyntaxError
 
 MINI = """\
 beliefhtn-domain 1
@@ -199,7 +200,7 @@ LINE_DEFECTS = [
         "repeated 'belief' line for person Flag",
     ),
     ("root t0 Root\n", "root t0 Root\nroot t0 Root\n", 22, "repeated root label 't0'"),
-    # A second method of one name for an owner names its 'method' line.
+    # A second operator or method of one name for an owner names its own line.
     (
         "root t0 Root\n",
         "method m-root for bot\n  task Root\nend\nroot t0 Root\n",
@@ -211,6 +212,12 @@ LINE_DEFECTS = [
         "method m-root for both\n  task Root\nend\nroot t0 Root\n",
         21,
         "method m-root declared twice for both",
+    ),
+    (
+        "operator observe for person\n",
+        "operator observe for person\nend\noperator observe for person\n",
+        15,
+        "operator observe declared twice for person",
     ),
     # A variable bound twice in one schema names the repeating line.
     (
@@ -250,6 +257,33 @@ def test_pre_lines_compare_lifted_references():
     ops = parse_bundle(text).problem.domain_of("person").ground_ops
     assert ("observe", ("bot", "bot")) in ops
     assert ("observe", ("bot", "person")) in ops
+
+
+# A DomainFile edited in code meets the reader's rules: the per-schema ones
+# hold from construction on, and build checks the duplicate-method rule.
+
+
+def test_build_rejects_a_second_method_of_one_name():
+    dom = parse(MINI)
+    dom.methods.append(dom.methods[0])
+    with pytest.raises(DomainSyntaxError, match="method m-root declared twice for both"):
+        dom.build()
+
+
+def test_method_schema_rejects_a_variable_bound_twice():
+    (m_root,) = parse(MINI).methods
+    with pytest.raises(BadArgument, match=r"method m-root: variable \?x bound twice"):
+        replace(m_root, free_params=(("?x", "Places"), ("?x", "Places")))
+    with pytest.raises(BadArgument, match=r"variable \?x bound twice"):
+        replace(m_root, task_params=(("?x", "Places"),), free_params=(("?x", "Agents"),))
+
+
+def test_operator_schema_rejects_a_second_pre_on_one_attribute():
+    toggle = parse(MINI).operators[0]
+    with pytest.raises(BadArgument, match="operator toggle: second 'pre' line for Flag"):
+        replace(toggle, pre=toggle.pre + ((toggle.pre[0][0], "true"),))
+    with pytest.raises(BadArgument, match=r"variable \?p bound twice"):
+        replace(toggle, params=(("?p", "Places"), ("?p", "Places")))
 
 
 # Placement defects in the cooking domain, each with its message fragment.

@@ -282,3 +282,38 @@ def test_method_table_matches_per_schema_grounding():
         assert len(seen) > len(bundle.problem.network.nodes)
         # A task whose argument lies outside the head's group has no method.
         assert all(dom.ground_methods.get(outside, ()) == () for dom in domains)
+
+
+# -- the network key: a known Weisfeiler-Lehman collision ---------------------
+
+# Two 7-node networks over the tasks {A, B} that two rounds of colour
+# refinement cannot tell apart, though they are not isomorphic.
+WL_PAIR = (
+    ("BBAAABA", ((0, 3), (0, 4), (1, 2), (1, 6), (2, 3), (4, 5), (4, 6))),
+    ("BABBAAA", ((0, 1), (0, 4), (1, 2), (1, 4), (3, 5), (3, 6), (5, 6))),
+)
+
+
+def wl_pair_networks() -> list[TaskNetwork]:
+    return [
+        TaskNetwork.build([TaskInstance(label) for label in labels], order)
+        for labels, order in WL_PAIR
+    ]
+
+
+def test_wl_pair_is_not_isomorphic():
+    import networkx as nx
+
+    graphs = []
+    for net in wl_pair_networks():
+        g = nx.DiGraph()
+        g.add_nodes_from((i, {"task": t}) for i, t in net.nodes)
+        g.add_edges_from(net.constraints)
+        graphs.append(g)
+    assert not nx.is_isomorphic(*graphs, node_match=lambda a, b: a["task"] == b["task"])
+
+
+@pytest.mark.xfail(strict=True, reason="2-round WL key collides on this pair (ROADMAP item 6)")
+def test_wl_pair_keys_differ():
+    first, second = wl_pair_networks()
+    assert first.canonical_key() != second.canonical_key()

@@ -17,7 +17,7 @@ from beliefhtn import (
     plan,
     simulate,
 )
-from beliefhtn.errors import BadArgument, DepthExceeded, Unsolvable
+from beliefhtn.errors import DepthExceeded, Unsolvable
 from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
 from beliefhtn.htn import (
     OpKind,
@@ -29,6 +29,7 @@ from beliefhtn.htn import (
     wait_op,
 )
 from beliefhtn.planner import (
+    STALL_THRESHOLD,
     NodeKind,
     PolicyEdge,
     PolicyNode,
@@ -267,29 +268,43 @@ def wait_chain(bundle, n_waits):
     world = problem.world
     human = bundle.obs_model.assess(problem.human_belief, world)
     turns = [problem.robot, problem.human] * n_waits
-    node = PolicyNode(world, human, problem.network, turns[n_waits], NodeKind.SUCCESS)
+    node = PolicyNode(
+        world=world, human_belief=human, done=False, turn=turns[n_waits], kind=NodeKind.SUCCESS
+    )
     for turn in reversed(turns[:n_waits]):
         edge = PolicyEdge(wait_op(turn), (), (), None, node)
-        node = PolicyNode(world, human, problem.network, turn, NodeKind.DECISION, (edge,))
+        node = PolicyNode(
+            world=world, human_belief=human, done=False, turn=turn, edges=(edge,)
+        )
     return PolicyTree(
         MODE_NEW, problem.robot, problem.human, world, problem.human_belief, node
     )
 
 
-@pytest.mark.parametrize("threshold", [4, 2])
-def test_stall_verdict_names_its_threshold(cooking, threshold):
-    policy = wait_chain(cooking, 6)
+def test_stall_verdict_names_its_threshold(cooking):
     # Below the threshold the chain replays to its success leaf.
-    assert simulate(policy, cooking.obs_model, stall_threshold=7).outcome == "success"
-    report = simulate(policy, cooking.obs_model, stall_threshold=threshold)
+    short = wait_chain(cooking, STALL_THRESHOLD - 1)
+    assert simulate(short, cooking.obs_model).outcome == "success"
+    policy = wait_chain(cooking, 6)
+    report = simulate(policy, cooking.obs_model)
     assert report.outcome == "idl"
-    assert report.detail == f"{threshold} consecutive WAIT/IDLE turns"
-    (trace,) = enumerate_traces(policy, cooking.obs_model, stall_threshold=threshold)
+    assert report.detail == f"{STALL_THRESHOLD} consecutive WAIT/IDLE turns"
+    (trace,) = enumerate_traces(policy, cooking.obs_model)
     assert (trace.outcome, trace.detail) == ("idl", report.detail)
-    assert len(trace.actions) == threshold
+    assert len(trace.actions) == STALL_THRESHOLD
     assert report_totals(report) == trace_totals([trace])
-    assert detect_deadlock(trace.actions, threshold)
-    assert not detect_deadlock(trace.actions[: threshold - 1], threshold)
+    assert detect_deadlock(trace.actions)
+    assert not detect_deadlock(trace.actions[:-1])
+
+
+def test_done_node_ends_no_branch_on_a_stall(cooking):
+    # Once the agenda is done, WAIT/IDLE turns never count as a stall.
+    chain = wait_chain(cooking, 6)
+    node = chain.root
+    while node.edges:
+        node.done = True
+        node = node.edges[0].child
+    assert simulate(chain, cooking.obs_model).outcome == "success"
 
 
 def test_first_failure_follows_walk_order(cooking):
@@ -301,12 +316,17 @@ def test_first_failure_follows_walk_order(cooking):
     pour = next(
         op for op in ground_all_operators(cooking.universe, human_ops) if op.name == "pour-pasta"
     )
-    success = PolicyNode(root.world, root.human_belief, root.network, "robot", NodeKind.SUCCESS)
+    success = PolicyNode(
+        world=root.world, human_belief=root.human_belief, done=False, turn="robot",
+        kind=NodeKind.SUCCESS,
+    )
     edges = (
         PolicyEdge(pour, (), (), None, success),
         PolicyEdge(wait_op("human"), (), (), None, root),
     )
-    human_root = PolicyNode(root.world, root.human_belief, root.network, "human", edges=edges)
+    human_root = PolicyNode(
+        world=root.world, human_belief=root.human_belief, done=False, turn="human", edges=edges
+    )
     policy = PolicyTree(
         MODE_NEW, "robot", "human", chain.init_world, chain.init_human, human_root
     )
@@ -408,7 +428,7 @@ def test_comm_edges_only_on_relevant_divergence(cooking):
         if node.kind is not NodeKind.DECISION or not node.edges:
             return
         has_comms = bool(node.edges[0].comms)
-        if not node.network.is_empty:
+        if not node.done:
             assert has_comms == is_relevant_divergence(world, human, ops)
         for edge in node.edges:
             w, h = world, human
@@ -518,14 +538,6 @@ def test_choices_keep_only_minimal_commitments_per_action():
     (choice,) = choices
     assert [gm.name for _, gm in choice.decomps] == ["a-work"]
     assert sorted(t.symbol for _, t in choice.network.nodes) == ["A", "B"]
-
-
-@pytest.mark.parametrize("threshold", [0, -1])
-def test_config_rejects_stall_threshold_below_one(threshold):
-    # A run of 0 WAIT/IDLE turns would end every branch at its root.
-    with pytest.raises(BadArgument, match="stall_threshold"):
-        PlannerConfig(stall_threshold=threshold)
-    assert PlannerConfig(stall_threshold=1).stall_threshold == 1
 
 
 # -- the search's prunes: cycle, depth bound, known failure -------------------

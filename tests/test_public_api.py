@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import beliefhtn
 from beliefhtn import (
@@ -58,7 +59,20 @@ def test_moved_names_stay_importable():
 
 def test_planner_config_holds_only_the_search_limits():
     fields = {f.name for f in dataclasses.fields(planner.PlannerConfig)}
-    assert fields == {"depth_bound", "stall_threshold"}
+    assert fields == {"depth_bound"}
+
+
+def test_stall_threshold_is_one_constant():
+    # The search and every replay read planner.STALL_THRESHOLD; no caller
+    # can replay a policy under another convention than it was planned with.
+    for func in (planner.simulate, planner.enumerate_traces, planner.detect_deadlock):
+        assert "stall_threshold" not in inspect.signature(func).parameters, func.__name__
+    assert planner.STALL_THRESHOLD == 4
+
+
+def test_policy_node_records_done_instead_of_a_network():
+    fields = [f.name for f in dataclasses.fields(planner.PolicyNode)]
+    assert fields == ["world", "human_belief", "done", "turn", "kind", "edges"]
 
 
 def test_search_keeps_one_state_table(cooking):
