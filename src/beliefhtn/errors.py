@@ -10,7 +10,8 @@ class UnknownAttribute(BeliefHtnError):
 
 
 class BadArgument(BeliefHtnError):
-    """An attribute argument is not a member of its declared group."""
+    """An argument is outside what it may name: an attribute argument not in
+    its declared group, or a call argument such as an unknown solver mode."""
 
 
 class BadValue(BeliefHtnError):

@@ -48,12 +48,12 @@ from .communication import (
     min_comm_bfs,
 )
 from .engine import legacy_step, step_belief_protocol
-from .errors import DepthExceeded, NotApplicable, StaleComm, Unsolvable
+from .errors import BadArgument, DepthExceeded, NotApplicable, StaleComm, Unsolvable
 from .htn import (
-    GroundedMethod,
     GroundedOperator,
     HtnProblem,
     OpKind,
+    TaskInstance,
     TaskNetwork,
     applicable,
     decompose,
@@ -96,9 +96,7 @@ class NodeKind(Enum):
 @dataclass
 class PolicyEdge:
     action: GroundedOperator
-    comms: tuple[CommAction, ...]
-    decomps: tuple[tuple[int, GroundedMethod], ...]
-    node_id: Optional[int]  # executed task node, None for WAIT/IDLE
+    comms: tuple[CommAction, ...]  # the tells said just before the action
     child: "PolicyNode"
 
 
@@ -125,18 +123,12 @@ class PolicyTree:
 
 @dataclass(frozen=True)
 class _Candidate:
-    """One move of the agent on turn; ``network`` is the agenda after it."""
+    """One move of the agent on turn: ``network`` is the agenda after it, and
+    ``commits`` the (task, method name) decompositions it made, in any order."""
 
     op: GroundedOperator
-    node_id: Optional[int]  # None for WAIT/IDLE
     network: TaskNetwork
-    decomps: tuple[tuple[int, GroundedMethod], ...]
-
-    def signature(self) -> tuple:
-        """Order-free multiset of the decompositions this choice commits."""
-        return tuple(
-            sorted((gm.task.symbol, gm.task.args, gm.name) for _, gm in self.decomps)
-        )
+    commits: tuple[tuple[TaskInstance, str], ...]
 
 
 def _multiset_lt(a: tuple, b: tuple) -> bool:
@@ -204,7 +196,7 @@ class _Search:
         config: PlannerConfig,
     ):
         if mode not in (MODE_NEW, MODE_LEGACY):
-            raise ValueError(f"unknown solver mode {mode!r}")
+            raise BadArgument(f"unknown solver mode {mode!r}")
         self.problem = problem
         self.obs = obs_model
         self.mode = mode
@@ -242,7 +234,7 @@ class _Search:
         visited: set[tuple] = set()
         stack: list[tuple[TaskNetwork, tuple]] = [(network, ())]
         while stack:
-            w, trace = stack.pop()
+            w, commits = stack.pop()
             key = _canonical(w)
             if key in visited:
                 continue
@@ -255,19 +247,18 @@ class _Search:
                         after = w.without_node(node_id)
                         dkey = (op.name, op.args, _canonical(after))
                         if dkey not in results:
-                            results[dkey] = _Candidate(op, node_id, after, trace)
+                            results[dkey] = _Candidate(op, after, commits)
                 elif task.symbol not in other_ops:
                     for gm in dom.ground_methods.get(task, ()):
                         w2 = decompose(w, node_id, gm)
-                        stack.append((w2, trace + ((node_id, gm),)))
+                        stack.append((w2, commits + ((task, gm.name),)))
         by_action: dict[tuple, list[_Candidate]] = {}
         for cand in results.values():
             by_action.setdefault((cand.op.name, cand.op.args), []).append(cand)
         minimal: list[_Candidate] = []
         for group in by_action.values():
-            sigs = [c.signature() for c in group]
-            for i, cand in enumerate(group):
-                if not any(_multiset_lt(sigs[j], sigs[i]) for j in range(len(group))):
+            for cand in group:
+                if not any(_multiset_lt(other.commits, cand.commits) for other in group):
                     minimal.append(cand)
         return sorted(minimal, key=lambda c: (c.op.name, c.op.args, _canonical(c.network)))
 
@@ -285,8 +276,8 @@ class _Search:
             return choices
         yields = self.problem.domain_of(agent).yields
         if any(t.symbol in yields for t in network.tasks):
-            return [_Candidate(wait_op(agent), None, network, ())]
-        return [_Candidate(idle_op(agent), None, network, ())]
+            return [_Candidate(wait_op(agent), network, ())]
+        return [_Candidate(idle_op(agent), network, ())]
 
     def _other(self, agent: str) -> str:
         return self.human if agent == self.robot else self.robot
@@ -385,7 +376,7 @@ class _Search:
                 if is_human:
                     break  # one uncovered human choice fails the AND node
                 continue
-            edges.append(PolicyEdge(move.op, comms, move.decomps, move.node_id, child))
+            edges.append(PolicyEdge(move.op, comms, child))
             if not is_human:
                 break  # the OR node commits to its first solved move
 
@@ -405,11 +396,11 @@ class _Search:
         leaf = PolicyNode(world, human_belief, True, turn, NodeKind.SUCCESS)
         second = PolicyNode(
             world, human_belief, True, other, NodeKind.DECISION,
-            (PolicyEdge(idle_op(other), (), (), None, leaf),),
+            (PolicyEdge(idle_op(other), (), leaf),),
         )
         return PolicyNode(
             world, human_belief, True, turn, NodeKind.DECISION,
-            (PolicyEdge(idle_op(turn), (), (), None, second),),
+            (PolicyEdge(idle_op(turn), (), second),),
         )
 
 
@@ -449,16 +440,13 @@ def detect_deadlock(actions: Iterable[GroundedOperator | str]) -> bool:
     """True iff the trace stalls for :data:`STALL_THRESHOLD` or more
     consecutive WAIT/IDLE turns, the run :func:`simulate` reports as IDL.
 
-    Accepts operators or their kind strings; the terminal all-done IDLE
-    pair of a completed plan does not count.
+    Accepts operators or their kind strings.  A trailing IDLE pair that
+    opens the trace or follows a regular action does not count: it is the
+    closing pair of a completed plan, since the agenda empties only on a
+    primitive and the search closes an empty agenda at once.
     """
-    kinds: list[str] = []
-    for a in actions:
-        if isinstance(a, GroundedOperator):
-            kinds.append(a.kind.value)
-        else:
-            kinds.append(str(a).lower())
-    if len(kinds) >= 2 and kinds[-1] == "idle" and kinds[-2] == "idle":
+    kinds = [a.kind.value if isinstance(a, GroundedOperator) else str(a).lower() for a in actions]
+    if kinds[-2:] == ["idle", "idle"] and kinds[-3:-2] not in (["wait"], ["idle"]):
         kinds = kinds[:-2]
     run = 0
     for k in kinds:

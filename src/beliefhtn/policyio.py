@@ -15,9 +15,9 @@ import json
 from typing import Optional
 
 from .communication import CommAction, apply_comm_plan
-from .domfile import ProblemBundle, parse_bundle
+from .domfile import ProblemBundle, parse_bundle, serialize
 from .errors import DomainSyntaxError
-from .htn import idle_op, wait_op
+from .htn import GroundedOperator, idle_op, wait_op
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
@@ -32,6 +32,7 @@ from .state import BeliefState
 
 POLICY_FORMAT = "beliefhtn-policy"
 POLICY_VERSION = 1
+_KINDS = {kind.value for kind in NodeKind}
 
 
 def _digest(belief: BeliefState) -> str:
@@ -80,35 +81,25 @@ def to_text(policy: PolicyTree) -> str:
 
 def to_json_obj(policy: PolicyTree, bundle: Optional[ProblemBundle] = None) -> dict:
     ids, order = _collect(policy)
-    nodes = []
-    for node in order:
-        edges = []
-        for edge in node.edges:
-            edges.append(
-                {
-                    "action": {
-                        "name": edge.action.name,
-                        "agent": edge.action.agent,
-                        "args": list(edge.action.args),
-                        "kind": edge.action.kind.value,
-                    },
-                    "comms": [
-                        {"attr": str(ca.attr), "value": ca.value} for ca in edge.comms
-                    ],
-                    "child": ids[id(edge.child)],
-                }
-            )
-        nodes.append(
-            {
-                "id": ids[id(node)],
-                "turn": node.turn,
-                "kind": node.kind.value,
-                "done": node.done,
-                "world": f"#{_digest(node.world)}",
-                "belief": f"#{_digest(node.human_belief)}",
-                "edges": edges,
-            }
-        )
+
+    def edge_obj(edge: PolicyEdge) -> dict:
+        op = edge.action
+        action = {"name": op.name, "agent": op.agent, "args": list(op.args), "kind": op.kind.value}
+        comms = [{"attr": str(ca.attr), "value": ca.value} for ca in edge.comms]
+        return {"action": action, "comms": comms, "child": ids[id(edge.child)]}
+
+    nodes = [
+        {
+            "id": ids[id(node)],
+            "turn": node.turn,
+            "kind": node.kind.value,
+            "done": node.done,
+            "world": f"#{_digest(node.world)}",
+            "belief": f"#{_digest(node.human_belief)}",
+            "edges": [edge_obj(edge) for edge in node.edges],
+        }
+        for node in order
+    ]
     obj = {
         "format": POLICY_FORMAT,
         "version": POLICY_VERSION,
@@ -121,8 +112,6 @@ def to_json_obj(policy: PolicyTree, bundle: Optional[ProblemBundle] = None) -> d
         "nodes": nodes,
     }
     if bundle is not None:
-        from .domfile import serialize
-
         obj["domain_text"] = serialize(bundle.domfile)
     return obj
 
@@ -132,58 +121,78 @@ def to_json(policy: PolicyTree, bundle: Optional[ProblemBundle] = None) -> str:
 
 
 def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
-    """Rebuild a problem bundle and policy DAG from an exported JSON policy."""
-    obj = json.loads(text)
+    """Rebuild a problem bundle and policy DAG from an exported JSON policy.
+
+    A file that is not a policy over its embedded domain's robot and human,
+    with boolean ``done`` flags, known node kinds, operators of the acting
+    agent and edges to listed nodes, raises :class:`DomainSyntaxError`.
+    """
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise DomainSyntaxError(f"policy file is not JSON: {exc}") from exc
     if obj.get("format") != POLICY_FORMAT or obj.get("version") != POLICY_VERSION:
         raise DomainSyntaxError("not a beliefhtn policy file")
     if "domain_text" not in obj:
         raise DomainSyntaxError("policy file has no embedded domain text")
     bundle = parse_bundle(obj["domain_text"])
-    universe = bundle.universe
+    try:
+        return bundle, _load_policy(obj, bundle)
+    except KeyError as exc:
+        raise DomainSyntaxError(f"policy file lacks the field {exc}") from exc
 
-    def belief_from(table: dict, owner: str) -> BeliefState:
-        assignment = {bundle.attr(key): value for key, value in table.items()}
-        return BeliefState.from_mapping(owner, universe, assignment)
 
-    init_world = belief_from(obj["init_world"], obj["robot"])
-    init_human = belief_from(obj["init_human"], obj["human"])
-
+def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
     mode, robot, human = obj["mode"], obj["robot"], obj["human"]
     if mode not in (MODE_NEW, MODE_LEGACY):
         raise DomainSyntaxError(f"unknown solver mode {mode!r}")
+    if (robot, human) != (bundle.problem.robot, bundle.problem.human):
+        raise DomainSyntaxError(f"robot/human {robot!r}/{human!r} are not the domain's agents")
+
+    def belief_from(table: dict, owner: str) -> BeliefState:
+        assignment = {bundle.attr(key): value for key, value in table.items()}
+        return BeliefState.from_mapping(owner, bundle.universe, assignment)
+
+    def operator(a: dict, turn: str) -> GroundedOperator:
+        name, args, kind = a["name"], tuple(a["args"]), a["kind"]
+        if kind in ("idle", "wait") and a["agent"] == turn:
+            return idle_op(turn) if kind == "idle" else wait_op(turn)
+        op = bundle.problem.domain_of(turn).ground_ops.get((name, args))
+        if op is None or a["agent"] != turn or op.kind.value != kind:
+            raise DomainSyntaxError(f"{kind} action {name}{args} is not an operator of {turn!r}")
+        return op
+
+    init_world = belief_from(obj["init_world"], robot)
+    init_human = belief_from(obj["init_human"], human)
     specs = {spec["id"]: spec for spec in obj["nodes"]}
     nodes: dict[int, PolicyNode] = {}
 
     def build(nid: int, world: BeliefState, human_belief: BeliefState) -> PolicyNode:
         if nid in nodes:  # the search memoised it: same beliefs on every path
             return nodes[nid]
+        if nid not in specs:
+            raise DomainSyntaxError(f"policy file names no node {nid!r}")
         spec = specs[nid]
-        node = nodes[nid] = PolicyNode(
-            world, human_belief, spec["done"], spec["turn"], NodeKind(spec["kind"])
-        )
+        turn, done, kind = spec["turn"], spec["done"], spec["kind"]
+        if turn not in (robot, human) or not isinstance(done, bool) or kind not in _KINDS:
+            raise DomainSyntaxError(f"node {nid}: bad turn/done/kind {turn!r}/{done!r}/{kind!r}")
+        node = nodes[nid] = PolicyNode(world, human_belief, done, turn, NodeKind(kind))
         edges = []
         for e in spec["edges"]:
-            a = e["action"]
-            kind = a["kind"]
-            if kind == "idle":
-                op = idle_op(a["agent"])
-            elif kind == "wait":
-                op = wait_op(a["agent"])
-            else:
-                op = bundle.problem.domain_of(a["agent"]).ground_ops[(a["name"], tuple(a["args"]))]
+            op = operator(e["action"], turn)
             comms = tuple(
                 CommAction(robot, human, bundle.attr(c["attr"]), c["value"])
                 for c in e["comms"]
             )
             w2, h2 = _step(
                 mode, bundle.obs_model, robot, human, world,
-                apply_comm_plan(comms, human_belief), op, node.turn,
+                apply_comm_plan(comms, human_belief), op, turn,
             )
-            edges.append(PolicyEdge(op, comms, (), None, build(e["child"], w2, h2)))
+            edges.append(PolicyEdge(op, comms, build(e["child"], w2, h2)))
         node.edges = tuple(edges)
         return node
 
     root = build(
         obj["root"], init_world, _root_human(mode, bundle.obs_model, init_world, init_human)
     )
-    return bundle, PolicyTree(mode, robot, human, init_world, init_human, root)
+    return PolicyTree(mode, robot, human, init_world, init_human, root)

@@ -156,15 +156,60 @@ def test_policy_json_round_trip(domain, start, mode):
     assert [n.done for n in reloaded] == [n.done for n in planned]
 
 
-def test_policy_load_rejects_unknown_mode(cooking):
+def _set(path, value):
+    """An edit of a saved policy object: set the item at ``path``."""
+
+    def edit(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+
+    return edit
+
+
+def _swap_agents(obj):
+    obj["robot"], obj["human"] = obj["human"], obj["robot"]
+
+
+def _fly(obj):
+    obj["nodes"][1]["edges"][0]["action"].update(name="fly", args=[])
+
+
+POLICY_EDITS = {
     # The mode selects the step that re-derives each node's beliefs.
+    "mode": (_set(["mode"], "optimistic"), "unknown solver mode 'optimistic'"),
+    "done": (_set(["nodes", 0, "done"], "no"), "bad turn/done/kind"),
+    "kind": (_set(["nodes", 0, "kind"], "finished"), "bad turn/done/kind"),
+    "child": (_set(["nodes", 0, "edges", 0, "child"], 99), "names no node 99"),
+    "action": (_fly, r"regular action fly\(\) is not an operator of 'human'"),
+    "nodes": (lambda obj: obj.pop("nodes"), "lacks the field 'nodes'"),
+    "agents": (_swap_agents, "are not the domain's agents"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(POLICY_EDITS))
+def test_policy_load_rejects_unknown_mode(edit, cooking, tmp_path, capsys):
+    # Each edit of a saved policy is a file error: load_json raises
+    # DomainSyntaxError, and `simulate` reports it and exits 2.
     from beliefhtn import plan
     from beliefhtn.errors import DomainSyntaxError
 
+    change, message = POLICY_EDITS[edit]
     obj = json.loads(to_json(plan(cooking.problem, cooking.obs_model), cooking))
-    obj["mode"] = "optimistic"
-    with pytest.raises(DomainSyntaxError, match="unknown solver mode"):
+    change(obj)
+    with pytest.raises(DomainSyntaxError, match=message):
         load_json(json.dumps(obj))
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(obj))
+    assert main(["simulate", "--policy", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_experiment_rejects_unknown_mode(tmp_path, capsys):
+    argv = ["experiment", "--domain", "cooking", "--modes", "neww", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown solver mode 'neww'\n"
 
 
 def test_plan_rejects_unknown_domain(capsys):

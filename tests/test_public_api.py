@@ -75,6 +75,15 @@ def test_policy_node_records_done_instead_of_a_network():
     assert fields == ["world", "human_belief", "done", "turn", "kind", "edges"]
 
 
+def test_policy_edge_holds_what_executes():
+    # Nothing path-dependent: no node ids of the network the search took.
+    fields = [f.name for f in dataclasses.fields(planner.PolicyEdge)]
+    assert fields == ["action", "comms", "child"]
+    fields = [f.name for f in dataclasses.fields(planner._Candidate)]
+    assert fields == ["op", "network", "commits"]
+    assert not hasattr(planner._Candidate, "signature")
+
+
 def test_search_keeps_one_state_table(cooking):
     search = planner._Search(
         cooking.problem, cooking.obs_model, planner.MODE_NEW, planner.PlannerConfig()
