@@ -147,6 +147,15 @@ def _cmd_validate(args) -> int:
         f"{len(bundle.universe)} grounded attributes, "
         f"{len(dom.operators)} operators, {len(dom.methods)} methods"
     )
+    cache, network = bundle.problem.search_cache, bundle.problem.network
+    least = cache.least_depth(network)
+    if least is None:
+        print("hierarchy: recursive; every plan searches with a state table of its own")
+    else:
+        print(
+            f"hierarchy: acyclic, at most {cache.hierarchy.primitives(network)} primitives "
+            f"from the root; plans with --depth {least} or more share the bundle's state table"
+        )
     if args.echo:
         print(serialize(dom), end="")
     return 0
@@ -154,7 +163,9 @@ def _cmd_validate(args) -> int:
 
 _DEPTH_HELP = (
     "search depth bound; it bounds the search, not the depth of the returned "
-    "policy, which can reuse a subtree solved at a shallower depth"
+    "policy, which can reuse a subtree solved at a shallower depth; from the "
+    "depth validate-domain reports on, no branch is pruned and plans share "
+    "the domain's state table"
 )
 
 

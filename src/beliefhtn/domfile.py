@@ -40,10 +40,12 @@ from .htn import (
     OperatorSchema,
     TaskInstance,
     TaskNetwork,
+    analyse_hierarchy,
     ground_all_methods,
     ground_all_operators,
 )
 from .observability import ObservabilityModel, PlacementRule
+from .planner import SearchCache
 from .state import (
     AttrRef,
     BeliefState,
@@ -484,7 +486,11 @@ def serialize(dom: DomainFile) -> str:
 
 @dataclass
 class ProblemBundle:
-    """Everything needed to plan: universe, problem, and observability model."""
+    """Everything needed to plan: universe, problem, and observability model.
+
+    Building a bundle also classifies its method hierarchy and gives its
+    problem the :class:`~beliefhtn.planner.SearchCache` its plans share.
+    """
 
     domfile: DomainFile
     universe: Universe
@@ -599,8 +605,9 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
         attr = universe.attr(ref.symbol, *ref.args)
         human = human.with_value(attr, universe.parse_value(attr, val))
 
+    cache = SearchCache(domains, obs_model, analyse_hierarchy(domains.values()))
     problem = HtnProblem(
-        universe, world, human, network, domains, dom.robot, dom.human, dom.start
+        universe, world, human, network, domains, dom.robot, dom.human, dom.start, cache
     )
     return ProblemBundle(dom, universe, problem, obs_model)
 

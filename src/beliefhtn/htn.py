@@ -15,6 +15,10 @@ decomposition returns a new network with fresh node ids, re-targeting every
 precedence constraint that touched the expanded node onto all of the
 method's subtasks (or contracting it through the node for an empty
 expansion) in one pass over the masks.
+
+:func:`analyse_hierarchy` classifies a bundle's grounded method hierarchy
+once, at build, as acyclic or recursive, and for an acyclic one bounds the
+primitives any decomposition can yield (:class:`HierarchyBound`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     BadArgument,
@@ -32,6 +36,9 @@ from .errors import (
     NotRelevant,
 )
 from .state import AttrRef, BeliefState, GroundedAttribute, Universe, Value
+
+if TYPE_CHECKING:
+    from .planner import SearchCache
 
 
 class OpKind(Enum):
@@ -359,6 +366,10 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# One object per distinct canonical-key label (see TaskNetwork.canonical_key).
+_LABELS: dict[tuple, tuple] = {}
+
+
 class TaskNetwork:
     """Partially ordered multiset of task nodes; immutable.
 
@@ -475,7 +486,9 @@ class TaskNetwork:
 
         Two refinement rounds over (task, predecessor/successor label
         multisets) distinguish every network shape arising from acyclic
-        decomposition hierarchies of practical size.
+        decomposition hierarchies of practical size.  Every label is
+        hash-consed through one table, so equal labels of different keys
+        are one object.
         """
         slot = {i: k for k, i in enumerate(self.ids)}
         preds = [[slot[j] for j in _bits(mask)] for mask in self.preds]
@@ -483,7 +496,8 @@ class TaskNetwork:
         for k, before in enumerate(preds):
             for p in before:
                 succs[p].append(k)
-        labels: list[tuple] = [(str(t),) for t in self.tasks]
+        intern = _LABELS.setdefault
+        labels: list[tuple] = [intern(label, label) for label in [(str(t),) for t in self.tasks]]
         for _ in range(2):
             labels = [
                 (
@@ -493,6 +507,7 @@ class TaskNetwork:
                 )
                 for k in range(len(labels))
             ]
+            labels = [intern(label, label) for label in labels]
         return tuple(sorted(labels))
 
 
@@ -555,8 +570,79 @@ class AgentDomain:
 
 
 @dataclass(frozen=True)
+class HierarchyBound:
+    """The static class of a method hierarchy, and its primitive bound.
+
+    The hierarchy is the task-to-subtask graph over the grounded methods of
+    both agents.  It is ``recursive`` when a task can decompose, through
+    some chain of methods, into itself (Erol, Hendler & Nau, 1996).  For an
+    acyclic one, ``most`` maps each task some method decomposes to the most
+    primitives any of its decompositions can yield: the maximum over its
+    methods of the sum over their subtasks, where a primitive of either
+    agent yields 1 and a task no method decomposes yields 0.
+    """
+
+    recursive: bool
+    op_names: frozenset[str]  # the primitive task symbols of both agents
+    most: Mapping[TaskInstance, int]
+
+    def yield_of(self, task: TaskInstance) -> int:
+        return 1 if task.symbol in self.op_names else self.most.get(task, 0)
+
+    def primitives(self, network: TaskNetwork) -> Optional[int]:
+        """The most primitives any run from ``network`` can execute, or None
+        for a recursive hierarchy.  Decomposing never raises this sum, and
+        executing a primitive lowers it by one."""
+        if self.recursive:
+            return None
+        return sum(self.yield_of(t) for t in network.tasks)
+
+
+def analyse_hierarchy(domains: Iterable[AgentDomain]) -> HierarchyBound:
+    """Classify the grounded method hierarchy of ``domains`` and, when it is
+    acyclic, bound every task's yield; one depth-first pass over the tasks."""
+    domains = tuple(domains)
+    op_names = frozenset().union(*(d.op_names for d in domains))
+    expansions: dict[TaskInstance, list[tuple[TaskInstance, ...]]] = {}
+    for dom in domains:
+        for task, methods in dom.ground_methods.items():
+            if task.symbol not in op_names:  # a primitive is never decomposed
+                expansions.setdefault(task, []).extend(gm.subtasks for gm in methods)
+    most: dict[TaskInstance, int] = {}
+    bound = HierarchyBound(False, op_names, most)
+    on_path: set[TaskInstance] = set()
+    for start in expansions:
+        if start in most:
+            continue
+        on_path.add(start)
+        stack = [(start, itertools.chain.from_iterable(expansions[start]))]
+        while stack:
+            task, subtasks = stack[-1]
+            for sub in subtasks:
+                if sub in on_path:
+                    return HierarchyBound(True, op_names, {})
+                if sub in expansions and sub not in most:
+                    on_path.add(sub)
+                    stack.append((sub, itertools.chain.from_iterable(expansions[sub])))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(task)
+                most[task] = max(
+                    (sum(map(bound.yield_of, subs)) for subs in expansions[task]), default=0
+                )
+    return bound
+
+
+@dataclass(frozen=True)
 class HtnProblem:
-    """Initial beliefs, shared initial network, and per-agent domains."""
+    """Initial beliefs, shared initial network, and per-agent domains.
+
+    ``search_cache`` is the state table the bundle's plans share (see
+    :class:`beliefhtn.planner.SearchCache`); ``dataclasses.replace`` carries
+    it to every instance made from the bundle's problem, and it takes no
+    part in equality.
+    """
 
     universe: Universe
     world: BeliefState  # ground truth == robot belief
@@ -566,6 +652,7 @@ class HtnProblem:
     robot: str
     human: str
     start_agent: str
+    search_cache: Optional["SearchCache"] = field(default=None, compare=False, repr=False)
 
     def domain_of(self, agent: str) -> AgentDomain:
         return self.domains[agent]

@@ -18,10 +18,13 @@ Two solver modes share the machinery:
   a run of :data:`STALL_THRESHOLD` consecutive WAIT/IDLE turns closes the
   branch as an embedded deadlock leaf instead of failing.
 
-The search keeps one state table per plan (see :meth:`_Search._solve`).
-A plan that fails after a ``PlannerConfig.depth_bound`` prune, or after
-:data:`MAX_NODES` expansions, raises :class:`DepthExceeded`; any other
-failure raises :class:`Unsolvable`.
+The search keeps one state table (see :meth:`_Search._solve`).  Each
+bundle owns a :class:`SearchCache` whose table, one per mode, the plans of
+all the bundle's instances share when the bundle's static hierarchy bound
+certifies the plan (see :class:`PlannerConfig`); any other plan gets a
+table of its own.  A plan that fails after a ``PlannerConfig.depth_bound``
+prune, or after :data:`MAX_NODES` expansions, raises
+:class:`DepthExceeded`; any other failure raises :class:`Unsolvable`.
 
 One stall rule, :func:`_stall_run`, counts that run for the search, for
 replay (:func:`simulate`, :func:`enumerate_traces`) and for
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .communication import (
     CommAction,
@@ -50,7 +53,9 @@ from .communication import (
 from .engine import legacy_step, step_belief_protocol
 from .errors import BadArgument, DepthExceeded, NotApplicable, StaleComm, Unsolvable
 from .htn import (
+    AgentDomain,
     GroundedOperator,
+    HierarchyBound,
     HtnProblem,
     OpKind,
     TaskInstance,
@@ -82,6 +87,16 @@ class PlannerConfig:
     the bound.  The states one plan may expand and the WAIT/IDLE run that
     ends a branch are the module's fixed :data:`MAX_NODES` and
     :data:`STALL_THRESHOLD`, not part of the config.
+
+    A plan is *certified* when its bundle's method hierarchy is acyclic and
+    ``depth_bound >= (P + 1) * STALL_THRESHOLD``, where P is the most
+    primitives the root network can yield (:class:`~beliefhtn.htn.HierarchyBound`).
+    Every turn then either runs a primitive or extends a stall run shorter
+    than :data:`STALL_THRESHOLD`, so no state reaches the bound and no
+    state repeats on a path: no depth or cycle prune can occur, and a
+    state's result depends on its state key alone.  A certified plan reads
+    and extends its bundle's shared table, so it reuses every subtree any
+    earlier plan on the bundle solved, in the same mode.
     """
 
     depth_bound: int = 64
@@ -93,14 +108,14 @@ class NodeKind(Enum):
     DEADLOCK = "deadlock"
 
 
-@dataclass
+@dataclass(slots=True)
 class PolicyEdge:
     action: GroundedOperator
     comms: tuple[CommAction, ...]  # the tells said just before the action
     child: "PolicyNode"
 
 
-@dataclass
+@dataclass(slots=True)
 class PolicyNode:
     world: BeliefState
     human_belief: BeliefState
@@ -154,6 +169,66 @@ def _canonical(network: TaskNetwork) -> tuple:
 _OPEN = object()
 
 
+class SearchCache:
+    """The state tables that the plans on one bundle share.
+
+    Built once with the bundle, for its ``domains`` and ``obs_model``, and
+    held by its :class:`~beliefhtn.htn.HtnProblem`.  ``tables`` holds one
+    table per mode, over the search's state key (:meth:`_Search._state_key`):
+    a solved node, None for a known failure, or ``_OPEN`` while a plan has
+    the state on its path.  A plan that the ``hierarchy`` does not certify
+    (see :class:`PlannerConfig`) builds a cache of its own instead.  The
+    tables live as long as the bundle and are never evicted; every belief
+    they store is interned (:meth:`intern`), which keeps them small.
+    """
+
+    __slots__ = ("domains", "obs_model", "hierarchy", "tables", "_beliefs", "_values")
+
+    def __init__(
+        self,
+        domains: Mapping[str, AgentDomain],
+        obs_model: ObservabilityModel,
+        hierarchy: Optional[HierarchyBound] = None,
+    ):
+        self.domains = domains
+        self.obs_model = obs_model
+        self.hierarchy = hierarchy
+        self.tables: dict[str, dict[tuple, object]] = {MODE_NEW: {}, MODE_LEGACY: {}}
+        self._beliefs: dict[str, dict[tuple, BeliefState]] = {}
+        self._values: dict[tuple, tuple] = {}
+
+    def certifies(
+        self, problem: HtnProblem, obs_model: ObservabilityModel, config: PlannerConfig
+    ) -> bool:
+        """True iff a plan of ``problem`` may share these tables: it is over
+        the cache's domains and observability model, and its depth bound is
+        at least :meth:`least_depth`."""
+        least = self.least_depth(problem.network)
+        return (
+            least is not None
+            and config.depth_bound >= least
+            and problem.domains is self.domains
+            and obs_model is self.obs_model
+        )
+
+    def least_depth(self, network: TaskNetwork) -> Optional[int]:
+        """The least ``depth_bound`` that certifies a plan from ``network``,
+        or None when no hierarchy bound is known or it is recursive."""
+        most = self.hierarchy.primitives(network) if self.hierarchy else None
+        return None if most is None else (most + 1) * STALL_THRESHOLD
+
+    def intern(self, belief: BeliefState) -> BeliefState:
+        """One object per owner and values, over one tuple per distinct values."""
+        by_values = self._beliefs.setdefault(belief.owner, {})
+        hit = by_values.get(belief.values)
+        if hit is None:
+            values = self._values.setdefault(belief.values, belief.values)
+            if values is not belief.values:
+                belief = BeliefState(belief.owner, belief.universe, values)
+            hit = by_values[values] = belief
+        return hit
+
+
 def _stall_run(run: int, pseudo: bool) -> int:
     """The WAIT/IDLE run after one more turn: one longer when the turn is a
     WAIT/IDLE (``pseudo``), 0 after any other turn."""
@@ -205,9 +280,13 @@ class _Search:
         self.human = problem.human
         self.human_ops = tuple(problem.domain_of(self.human).ground_ops.values())
         self.nodes_expanded = 0
+        cache = problem.search_cache
+        if cache is None or not cache.certifies(problem, obs_model, config):
+            cache = SearchCache(problem.domains, obs_model)  # this plan's own
         # State key -> its solved node, None for a failure that holds in
         # every context, or _OPEN while the state is on the current path.
-        self.states: dict[tuple, object] = {}
+        self.states = cache.tables[mode]
+        self.intern = cache.intern
         self.depth_pruned = False
 
     # -- choice enumeration -------------------------------------------------
@@ -287,9 +366,15 @@ class _Search:
     def run(self) -> PolicyTree:
         world = self.problem.world
         human_belief = _root_human(self.mode, self.obs, world, self.problem.human_belief)
-        node, _ = self._solve(
-            world, human_belief, self.problem.network, self.problem.start_agent, 0, 0
-        )
+        try:
+            node, _ = self._solve(
+                world, human_belief, self.problem.network, self.problem.start_agent, 0, 0
+            )
+        except BaseException:
+            # A plan cut short leaves its path open; a shared table outlives it.
+            for key in [key for key, entry in self.states.items() if entry is _OPEN]:
+                del self.states[key]
+            raise
         if node is None:
             if self.depth_pruned:
                 raise DepthExceeded(f"no policy within depth bound {self.config.depth_bound}")
@@ -329,6 +414,8 @@ class _Search:
         self.nodes_expanded += 1
         if self.nodes_expanded > MAX_NODES:
             raise DepthExceeded(f"search exceeded {MAX_NODES} nodes")
+        world = self.intern(world)
+        human_belief = self.intern(human_belief)
 
         if network.is_empty:
             return self._terminal(world, human_belief, turn), False
@@ -569,43 +656,52 @@ def simulate(
     :func:`enumerate_traces` lists the branches themselves.
     """
     world, human = _replay_start(policy, obs_model, world0, human0)
-    memo: dict[tuple, ExecutionReport] = {}
+    return _replay(policy, obs_model, {}, policy.root, world, human, 0)
 
-    def walk(node: PolicyNode, w: BeliefState, h: BeliefState, run: int) -> ExecutionReport:
-        key = (id(node), w.values, h.values, min(run, STALL_THRESHOLD))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if node.kind is NodeKind.SUCCESS:
-            report = _branch_end("success", "")
-        elif node.kind is NodeKind.DEADLOCK or not node.edges:
-            report = _branch_end("idl", _EMBEDDED_DEADLOCK)
-        else:
-            n = s = na = idl = plen = comms = 0
-            first, detail = "success", ""
-            for edge in node.edges:
-                verdict, vdetail, nxt, new_run = _classify_edge(
-                    policy, obs_model, node, edge, w, h, run
-                )
-                if verdict:
-                    sub = _branch_end(verdict, vdetail)
-                else:
-                    assert nxt is not None
-                    sub = walk(edge.child, nxt[0], nxt[1], new_run)
-                step_len = 0 if edge.action.is_pseudo else 1
-                n += sub.n_traces
-                s += sub.n_success
-                na += sub.n_na
-                idl += sub.n_idl
-                plen += sub.sum_primitive_len + step_len * sub.n_traces
-                comms += sub.sum_comms + len(edge.comms) * sub.n_traces
-                if first == "success":
-                    first, detail = sub.outcome, sub.detail
-            report = ExecutionReport(first, detail, n, s, na, idl, plen, comms)
-        memo[key] = report
-        return report
 
-    return walk(policy.root, world, human, 0)
+def _replay(
+    policy: PolicyTree,
+    obs_model: ObservabilityModel,
+    memo: dict[tuple, ExecutionReport],
+    node: PolicyNode,
+    w: BeliefState,
+    h: BeliefState,
+    run: int,
+) -> ExecutionReport:
+    """The :func:`simulate` walk from ``node``; a module function, not a
+    closure, so the memo is freed as soon as the walk returns."""
+    key = (id(node), w.values, h.values, min(run, STALL_THRESHOLD))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if node.kind is NodeKind.SUCCESS:
+        report = _branch_end("success", "")
+    elif node.kind is NodeKind.DEADLOCK or not node.edges:
+        report = _branch_end("idl", _EMBEDDED_DEADLOCK)
+    else:
+        n = s = na = idl = plen = comms = 0
+        first, detail = "success", ""
+        for edge in node.edges:
+            verdict, vdetail, nxt, new_run = _classify_edge(
+                policy, obs_model, node, edge, w, h, run
+            )
+            if verdict:
+                sub = _branch_end(verdict, vdetail)
+            else:
+                assert nxt is not None
+                sub = _replay(policy, obs_model, memo, edge.child, nxt[0], nxt[1], new_run)
+            step_len = 0 if edge.action.is_pseudo else 1
+            n += sub.n_traces
+            s += sub.n_success
+            na += sub.n_na
+            idl += sub.n_idl
+            plen += sub.sum_primitive_len + step_len * sub.n_traces
+            comms += sub.sum_comms + len(edge.comms) * sub.n_traces
+            if first == "success":
+                first, detail = sub.outcome, sub.detail
+        report = ExecutionReport(first, detail, n, s, na, idl, plen, comms)
+    memo[key] = report
+    return report
 
 
 def enumerate_traces(
@@ -621,50 +717,56 @@ def enumerate_traces(
     """
     world, human = _replay_start(policy, obs_model, world0, human0)
     out: list[TraceResult] = []
-
-    def walk(
-        node: PolicyNode,
-        w: BeliefState,
-        h: BeliefState,
-        actions: tuple[GroundedOperator, ...],
-        comms: tuple,
-        run: int,
-    ) -> None:
-        if node.kind is NodeKind.SUCCESS:
-            out.append(TraceResult(actions, comms))
-            return
-        if node.kind is NodeKind.DEADLOCK or not node.edges:
-            out.append(TraceResult(actions, comms, "idl", _EMBEDDED_DEADLOCK))
-            return
-        for edge in node.edges:
-            verdict, detail, nxt, new_run = _classify_edge(
-                policy, obs_model, node, edge, w, h, run
-            )
-            edge_actions = actions + (edge.action,)
-            edge_comms = comms + tuple(edge.comms)
-            if verdict:
-                out.append(TraceResult(edge_actions, edge_comms, verdict, detail))
-            else:
-                assert nxt is not None
-                walk(edge.child, nxt[0], nxt[1], edge_actions, edge_comms, new_run)
-
-    walk(policy.root, world, human, (), (), 0)
+    _traces(policy, obs_model, out, policy.root, world, human, (), (), 0)
     return out
+
+
+def _traces(
+    policy: PolicyTree,
+    obs_model: ObservabilityModel,
+    out: list[TraceResult],
+    node: PolicyNode,
+    w: BeliefState,
+    h: BeliefState,
+    actions: tuple[GroundedOperator, ...],
+    comms: tuple,
+    run: int,
+) -> None:
+    """The :func:`enumerate_traces` walk from ``node``, appending to ``out``."""
+    if node.kind is NodeKind.SUCCESS:
+        out.append(TraceResult(actions, comms))
+        return
+    if node.kind is NodeKind.DEADLOCK or not node.edges:
+        out.append(TraceResult(actions, comms, "idl", _EMBEDDED_DEADLOCK))
+        return
+    for edge in node.edges:
+        verdict, detail, nxt, new_run = _classify_edge(policy, obs_model, node, edge, w, h, run)
+        edge_actions = actions + (edge.action,)
+        edge_comms = comms + tuple(edge.comms)
+        if verdict:
+            out.append(TraceResult(edge_actions, edge_comms, verdict, detail))
+        else:
+            assert nxt is not None
+            _traces(
+                policy, obs_model, out, edge.child, nxt[0], nxt[1], edge_actions, edge_comms,
+                new_run,
+            )
 
 
 def policy_comm_edges(policy: PolicyTree) -> list[tuple[PolicyNode, PolicyEdge]]:
     """Every edge of the policy carrying at least one communication action."""
-    seen: set[int] = set()
     out: list[tuple[PolicyNode, PolicyEdge]] = []
-
-    def visit(node: PolicyNode) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for edge in node.edges:
-            if edge.comms:
-                out.append((node, edge))
-            visit(edge.child)
-
-    visit(policy.root)
+    _comm_edges(policy.root, set(), out)
     return out
+
+
+def _comm_edges(
+    node: PolicyNode, seen: set[int], out: list[tuple[PolicyNode, PolicyEdge]]
+) -> None:
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    for edge in node.edges:
+        if edge.comms:
+            out.append((node, edge))
+        _comm_edges(edge.child, seen, out)

@@ -44,17 +44,17 @@ def _collect(policy: PolicyTree) -> tuple[dict[int, int], list[PolicyNode]]:
     """Stable node numbering via preorder walk of the DAG."""
     ids: dict[int, int] = {}
     order: list[PolicyNode] = []
-
-    def visit(node: PolicyNode) -> None:
-        if id(node) in ids:
-            return
-        ids[id(node)] = len(order)
-        order.append(node)
-        for edge in node.edges:
-            visit(edge.child)
-
-    visit(policy.root)
+    _preorder(policy.root, ids, order)
     return ids, order
+
+
+def _preorder(node: PolicyNode, ids: dict[int, int], order: list[PolicyNode]) -> None:
+    if id(node) in ids:
+        return
+    ids[id(node)] = len(order)
+    order.append(node)
+    for edge in node.edges:
+        _preorder(edge.child, ids, order)
 
 
 def to_text(policy: PolicyTree) -> str:
@@ -153,46 +153,58 @@ def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
         assignment = {bundle.attr(key): value for key, value in table.items()}
         return BeliefState.from_mapping(owner, bundle.universe, assignment)
 
-    def operator(a: dict, turn: str) -> GroundedOperator:
-        name, args, kind = a["name"], tuple(a["args"]), a["kind"]
-        if kind in ("idle", "wait") and a["agent"] == turn:
-            return idle_op(turn) if kind == "idle" else wait_op(turn)
-        op = bundle.problem.domain_of(turn).ground_ops.get((name, args))
-        if op is None or a["agent"] != turn or op.kind.value != kind:
-            raise DomainSyntaxError(f"{kind} action {name}{args} is not an operator of {turn!r}")
-        return op
-
     init_world = belief_from(obj["init_world"], robot)
     init_human = belief_from(obj["init_human"], human)
     specs = {spec["id"]: spec for spec in obj["nodes"]}
-    nodes: dict[int, PolicyNode] = {}
-
-    def build(nid: int, world: BeliefState, human_belief: BeliefState) -> PolicyNode:
-        if nid in nodes:  # the search memoised it: same beliefs on every path
-            return nodes[nid]
-        if nid not in specs:
-            raise DomainSyntaxError(f"policy file names no node {nid!r}")
-        spec = specs[nid]
-        turn, done, kind = spec["turn"], spec["done"], spec["kind"]
-        if turn not in (robot, human) or not isinstance(done, bool) or kind not in _KINDS:
-            raise DomainSyntaxError(f"node {nid}: bad turn/done/kind {turn!r}/{done!r}/{kind!r}")
-        node = nodes[nid] = PolicyNode(world, human_belief, done, turn, NodeKind(kind))
-        edges = []
-        for e in spec["edges"]:
-            op = operator(e["action"], turn)
-            comms = tuple(
-                CommAction(robot, human, bundle.attr(c["attr"]), c["value"])
-                for c in e["comms"]
-            )
-            w2, h2 = _step(
-                mode, bundle.obs_model, robot, human, world,
-                apply_comm_plan(comms, human_belief), op, turn,
-            )
-            edges.append(PolicyEdge(op, comms, build(e["child"], w2, h2)))
-        node.edges = tuple(edges)
-        return node
-
-    root = build(
-        obj["root"], init_world, _root_human(mode, bundle.obs_model, init_world, init_human)
+    root = _load_node(
+        bundle, mode, specs, {}, obj["root"], init_world,
+        _root_human(mode, bundle.obs_model, init_world, init_human),
     )
     return PolicyTree(mode, robot, human, init_world, init_human, root)
+
+
+def _load_node(
+    bundle: ProblemBundle,
+    mode: str,
+    specs: dict,
+    nodes: dict[int, PolicyNode],
+    nid: int,
+    world: BeliefState,
+    human_belief: BeliefState,
+) -> PolicyNode:
+    """Rebuild node ``nid`` reached with these beliefs, and its subtree."""
+    if nid in nodes:  # the search memoised it: same beliefs on every path
+        return nodes[nid]
+    if nid not in specs:
+        raise DomainSyntaxError(f"policy file names no node {nid!r}")
+    robot, human = bundle.problem.robot, bundle.problem.human
+    spec = specs[nid]
+    turn, done, kind = spec["turn"], spec["done"], spec["kind"]
+    if turn not in (robot, human) or not isinstance(done, bool) or kind not in _KINDS:
+        raise DomainSyntaxError(f"node {nid}: bad turn/done/kind {turn!r}/{done!r}/{kind!r}")
+    node = nodes[nid] = PolicyNode(world, human_belief, done, turn, NodeKind(kind))
+    edges = []
+    for e in spec["edges"]:
+        op = _operator(bundle, e["action"], turn)
+        comms = tuple(
+            CommAction(robot, human, bundle.attr(c["attr"]), c["value"]) for c in e["comms"]
+        )
+        w2, h2 = _step(
+            mode, bundle.obs_model, robot, human, world,
+            apply_comm_plan(comms, human_belief), op, turn,
+        )
+        child = _load_node(bundle, mode, specs, nodes, e["child"], w2, h2)
+        edges.append(PolicyEdge(op, comms, child))
+    node.edges = tuple(edges)
+    return node
+
+
+def _operator(bundle: ProblemBundle, a: dict, turn: str) -> GroundedOperator:
+    """The operator an exported action names, which ``turn`` must own."""
+    name, args, kind = a["name"], tuple(a["args"]), a["kind"]
+    if kind in ("idle", "wait") and a["agent"] == turn:
+        return idle_op(turn) if kind == "idle" else wait_op(turn)
+    op = bundle.problem.domain_of(turn).ground_ops.get((name, args))
+    if op is None or a["agent"] != turn or op.kind.value != kind:
+        raise DomainSyntaxError(f"{kind} action {name}{args} is not an operator of {turn!r}")
+    return op

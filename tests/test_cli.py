@@ -221,3 +221,18 @@ def test_plan_rejects_unknown_domain(capsys):
 def test_bad_assignment_syntax(capsys):
     code = main(["plan", "--domain", "cooking", "--set", "PastaLoc"])
     assert code == 2
+
+
+def test_validate_domain_reports_the_hierarchy(tmp_path, capsys):
+    from test_search_cache import RECURSIVE_DOM
+
+    path = tmp_path / "cooking.dom"
+    path.write_text(COOKING_DOM)
+    assert main(["validate-domain", str(path)]) == 0
+    assert (
+        "hierarchy: acyclic, at most 6 primitives from the root; plans with --depth 28 "
+        "or more share the bundle's state table"
+    ) in capsys.readouterr().out
+    path.write_text(RECURSIVE_DOM)
+    assert main(["validate-domain", str(path)]) == 0
+    assert "hierarchy: recursive;" in capsys.readouterr().out

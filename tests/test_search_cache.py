@@ -1,0 +1,301 @@
+"""The bundle's shared search table and the static hierarchy bound behind it.
+
+A plan shares its bundle's state table only when the hierarchy bound
+certifies that no depth or cycle prune can occur (see ``PlannerConfig``);
+these tests check the bound, that a warm table plans exactly as a cold one,
+that a plan cut short leaves the table clean, and that the replay walks
+leave no cyclic garbage behind.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import random
+from dataclasses import replace
+
+import pytest
+
+from beliefhtn import (
+    MODE_LEGACY,
+    MODE_NEW,
+    PlannerConfig,
+    builtin_bundle,
+    enumerate_traces,
+    parse_bundle,
+    plan,
+    simulate,
+)
+from beliefhtn import planner
+from beliefhtn.builtins import box_dom
+from beliefhtn.errors import DepthExceeded
+from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
+from beliefhtn.planner import (
+    _OPEN,
+    STALL_THRESHOLD,
+    SearchCache,
+    _Search,
+    policy_comm_edges,
+)
+from beliefhtn.policyio import load_json, to_json, to_text
+
+STUDY = PlannerConfig(depth_bound=128)  # the experiment's depth bound
+MODES = (MODE_LEGACY, MODE_NEW)
+STRIDE = 17
+
+# SHA-256 over the concatenated to_text of every study instance's policy, in
+# index order, one study and mode at a time through one bundle.  Recorded
+# with the per-plan state table, before the table was shared.
+STUDY_DIGESTS = {
+    ("cooking", MODE_LEGACY): "05ad03143bee32b7062573d31641a2592f6d0e43b6ff4e069938c9eca30d18a6",
+    ("cooking", MODE_NEW): "85535da1a587bfbb642bcc7dc6c9f8c607214c1c66f532ac8218577d1ed34715",
+    ("box", MODE_LEGACY): "c90a751e690cf2f14f52f790255c3a5a577c29415d65f1ac03e115cb29dd69fc",
+    ("box", MODE_NEW): "d3d3cbc242cde5639b161be36600df978ceec01ee422268a60ccfa312954fce0",
+}
+
+# `Loop` decomposes into a tick and `Loop` again, or into the human's
+# `finish`, which needs two ticks: a recursive hierarchy that plans.
+RECURSIVE_DOM = """\
+beliefhtn-domain 1
+domain count
+group Places Here
+group Agents bot person
+agents bot person
+svar AgtAt (?a Agents) -> Places : obs
+place AgtAt(?a) value-of AgtAt(?a)
+svar Count -> int 0 2 : inf
+operator tick for bot
+  eff Count += 1
+end
+operator finish for person
+  pre Count = 2
+end
+method loop-again for both
+  task Loop
+  sub t tick
+  sub l Loop
+  order t < l
+end
+method loop-exit for both
+  task Loop
+  sub f finish
+end
+root r Loop
+init AgtAt(bot) = Here
+init AgtAt(person) = Here
+init Count = 0
+start bot
+"""
+
+
+def study_problems(bundle, domain, stride=1):
+    """(instance index, problem) for every ``stride``-th study state."""
+    instances = generate_initial_states(bundle, DEFAULT_SPECS[domain])[::stride]
+    return [
+        (inst.index, replace(bundle.problem, world=inst.world, human_belief=inst.human))
+        for inst in instances
+    ]
+
+
+def planned(bundle, problem, mode):
+    policy = plan(problem, bundle.obs_model, mode, STUDY)
+    return to_text(policy), simulate(policy, bundle.obs_model), policy.nodes_expanded
+
+
+# -- the static hierarchy bound -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "domain, most",
+    [("cooking", 6), ("box", 16)] + [(n, 4 * n + 4) for n in range(2, 8)],
+    ids=["cooking", "box"] + [f"box{n}" for n in range(2, 8)],
+)
+def test_builtin_hierarchies_are_acyclic_with_their_bound(domain, most):
+    if isinstance(domain, str):
+        bundle = builtin_bundle(domain)
+    else:
+        bundle = parse_bundle(box_dom(boxes=domain))
+    hierarchy = bundle.problem.search_cache.hierarchy
+    assert not hierarchy.recursive
+    assert hierarchy.primitives(bundle.problem.network) == most
+
+
+def test_certificate_needs_the_depth_bound():
+    cooking, box = builtin_bundle("cooking"), builtin_bundle("box")
+    box7 = parse_bundle(box_dom(boxes=7))
+    # The bound is (P + 1) * STALL_THRESHOLD.
+    assert [b.problem.search_cache.least_depth(b.problem.network) for b in (cooking, box, box7)] == [
+        (6 + 1) * STALL_THRESHOLD, (16 + 1) * STALL_THRESHOLD, (32 + 1) * STALL_THRESHOLD
+    ] == [28, 68, 132]
+
+    def certified(bundle, config):
+        return bundle.problem.search_cache.certifies(bundle.problem, bundle.obs_model, config)
+
+    assert certified(cooking, PlannerConfig()) and certified(cooking, PlannerConfig(28))
+    assert not certified(cooking, PlannerConfig(27))
+    assert certified(box, STUDY) and not certified(box, PlannerConfig())
+    assert not certified(box7, STUDY) and certified(box7, PlannerConfig(132))
+    # Another bundle's observability model is not the one the table serves.
+    assert not box.problem.search_cache.certifies(box.problem, cooking.obs_model, STUDY)
+
+
+def test_recursive_hierarchy_plans_with_a_table_of_its_own():
+    bundle = parse_bundle(RECURSIVE_DOM)
+    cache = bundle.problem.search_cache
+    assert cache.hierarchy.recursive
+    assert cache.hierarchy.primitives(bundle.problem.network) is None
+    for mode in MODES:
+        first = plan(bundle.problem, bundle.obs_model, mode)
+        second = plan(bundle.problem, bundle.obs_model, mode)
+        assert to_text(first) == to_text(second)
+        assert first.nodes_expanded == second.nodes_expanded == 5
+    assert cache.tables == {MODE_NEW: {}, MODE_LEGACY: {}}
+
+
+def test_no_state_lies_deeper_than_the_static_bound(monkeypatch):
+    depths = set()
+    solve = _Search._solve
+
+    def recording(self, world, human_belief, network, turn, depth, stall):
+        depths.add(depth)
+        return solve(self, world, human_belief, network, turn, depth, stall)
+
+    monkeypatch.setattr(_Search, "_solve", recording)
+    for domain, recorded in (("cooking", 10), ("box", 23)):
+        bundle = builtin_bundle(domain)
+        hierarchy = bundle.problem.search_cache.hierarchy
+        bound = (hierarchy.primitives(bundle.problem.network) + 1) * STALL_THRESHOLD
+        depths.clear()
+        for _, problem in study_problems(bundle, domain, STRIDE):
+            for mode in MODES:
+                # A table per plan: every state of the plan is expanded.
+                plan(replace(problem, search_cache=None), bundle.obs_model, mode, STUDY)
+        assert 0 < max(depths) <= recorded < bound
+
+
+# -- a warm table plans exactly as a cold one ---------------------------------
+
+
+@pytest.mark.parametrize("domain", ["cooking", "box"])
+def test_warm_plans_equal_cold_plans(domain):
+    bundle = builtin_bundle(domain)
+    shared = bundle.problem.search_cache
+    jobs = [(mode, p) for _, p in study_problems(bundle, domain, STRIDE) for mode in MODES]
+    random.Random(1).shuffle(jobs)
+    warm_nodes = cold_nodes = 0
+    for mode, problem in jobs:
+        text, report, nodes = planned(bundle, problem, mode)
+        # The empty table a freshly built bundle starts with.
+        fresh = SearchCache(shared.domains, shared.obs_model, shared.hierarchy)
+        cold_text, cold_report, cold_n = planned(bundle, replace(problem, search_cache=fresh), mode)
+        assert (text, report) == (cold_text, cold_report), mode
+        assert nodes <= cold_n
+        warm_nodes += nodes
+        cold_nodes += cold_n
+    assert warm_nodes < cold_nodes
+
+
+@pytest.fixture(scope="module")
+def full_studies(monkeypatch_module):
+    """Every study instance planned through one bundle per domain, mode by
+    mode in index order: ({(domain, mode): digest}, {state key: networks})."""
+    networks: dict[tuple, set] = {}
+    state_key = _Search._state_key
+
+    def recording(self, world, hb, network, turn, stall):
+        key = state_key(self, world, hb, network, turn, stall)
+        networks.setdefault(key, set()).add(network)
+        return key
+
+    monkeypatch_module.setattr(_Search, "_state_key", recording)
+    digests = {}
+    for domain in ("cooking", "box"):
+        bundle = builtin_bundle(domain)
+        problems = study_problems(bundle, domain)
+        for mode in MODES:
+            h = hashlib.sha256()
+            for _, problem in problems:
+                h.update(to_text(plan(problem, bundle.obs_model, mode, STUDY)).encode())
+            digests[(domain, mode)] = h.hexdigest()
+    monkeypatch_module.undo()
+    return digests, networks
+
+
+@pytest.fixture(scope="module")
+def monkeypatch_module():
+    with pytest.MonkeyPatch.context() as mp:
+        yield mp
+
+
+def test_full_study_policies_are_unchanged(full_studies):
+    digests, _ = full_studies
+    assert digests == STUDY_DIGESTS
+
+
+def test_networks_sharing_a_state_key_are_isomorphic(full_studies):
+    # The state key holds a 2-round Weisfeiler-Lehman label of the network,
+    # which can collide (tests/test_htn.py); on the studies it must not.
+    import networkx as nx
+
+    def graph(network):
+        g = nx.DiGraph()
+        g.add_nodes_from((i, {"task": t}) for i, t in network.nodes)
+        g.add_edges_from(network.constraints)
+        return g
+
+    def same_task(a, b):
+        return a["task"] == b["task"]
+
+    _, networks = full_studies
+    shared = 0
+    for nets in networks.values():
+        first, *rest = [graph(n) for n in nets]
+        shared += bool(rest)
+        for other in rest:
+            assert nx.is_isomorphic(first, other, node_match=same_task)
+    assert shared > 0  # some keys are reached through distinct exact networks
+
+
+# -- a plan cut short ---------------------------------------------------------
+
+
+def test_plan_cut_short_leaves_no_open_state(monkeypatch):
+    bundle = builtin_bundle("box")
+    table = bundle.problem.search_cache.tables[MODE_NEW]
+    monkeypatch.setattr(planner, "MAX_NODES", 40)  # a cold plan expands 44
+    with pytest.raises(DepthExceeded, match="exceeded 40 nodes"):
+        plan(bundle.problem, bundle.obs_model, MODE_NEW, STUDY)
+    assert table and _OPEN not in table.values()
+    monkeypatch.undo()
+    warm = planned(bundle, bundle.problem, MODE_NEW)
+    fresh = builtin_bundle("box")
+    cold = planned(fresh, fresh.problem, MODE_NEW)
+    assert warm[:2] == cold[:2]
+    assert warm[2] < cold[2] == 44
+
+
+# -- replay walks free their memos on return ----------------------------------
+
+
+def test_replay_walks_leave_no_cyclic_garbage():
+    bundle = builtin_bundle("box")
+    policy = plan(bundle.problem, bundle.obs_model, MODE_NEW)
+    saved = to_json(policy, bundle)
+    calls = {
+        "simulate": lambda: simulate(policy, bundle.obs_model),
+        "enumerate_traces": lambda: enumerate_traces(policy, bundle.obs_model),
+        "policy_comm_edges": lambda: policy_comm_edges(policy),
+        "to_text": lambda: to_text(policy),
+        "load_json": lambda: load_json(saved),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        found = {}
+        for name, call in calls.items():
+            gc.collect()
+            call()
+            found[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert found == dict.fromkeys(calls, 0)
