@@ -22,9 +22,11 @@ from .experiment import (
     results_csv,
     run_experiment,
 )
+from .htn import analyse_hierarchy
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
+    RECURSIVE_DEPTH,
     PlannerConfig,
     plan as plan_policy,
     policy_comm_edges,
@@ -147,14 +149,17 @@ def _cmd_validate(args) -> int:
         f"{len(bundle.universe)} grounded attributes, "
         f"{len(dom.operators)} operators, {len(dom.methods)} methods"
     )
-    cache, network = bundle.problem.search_cache, bundle.problem.network
-    least = cache.least_depth(network)
-    if least is None:
-        print("hierarchy: recursive; every plan searches with a state table of its own")
+    problem = bundle.problem
+    most = analyse_hierarchy(problem.domains.values(), problem.network)
+    if most is None:
+        print(
+            f"hierarchy: recursive; plans search to depth {RECURSIVE_DEPTH}, "
+            "each with a table of its own"
+        )
     else:
         print(
-            f"hierarchy: acyclic, at most {cache.hierarchy.primitives(network)} primitives "
-            f"from the root; plans with --depth {least} or more share the bundle's state table"
+            f"hierarchy: acyclic, at most {most} primitives from the root; plans search "
+            f"to depth {problem.search_cache.depth} and share the bundle's state table"
         )
     if args.echo:
         print(serialize(dom), end="")
@@ -162,10 +167,8 @@ def _cmd_validate(args) -> int:
 
 
 _DEPTH_HELP = (
-    "search depth bound; it bounds the search, not the depth of the returned "
-    "policy, which can reuse a subtree solved at a shallower depth; from the "
-    "depth validate-domain reports on, no branch is pruned and plans share "
-    "the domain's state table"
+    "search depth bound (default: the depth validate-domain reports, from "
+    "which no branch is pruned and plans share the domain's state table)"
 )
 
 
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override an initial world value (repeatable)")
         p.add_argument("--believe", action="append", metavar="ATTR=VALUE",
                        help="override an initial human-belief value (repeatable)")
-        p.add_argument("--depth", type=int, default=64, help=_DEPTH_HELP)
+        p.add_argument("--depth", type=int, help=_DEPTH_HELP)
 
     p_plan = sub.add_parser("plan", help="plan one instance and report the policy")
     common(p_plan)
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_x.add_argument("--modes", help="comma list, default legacy,new")
     p_x.add_argument("--start", default=None)
     p_x.add_argument("--seed", type=int, default=0)
-    p_x.add_argument("--depth", type=int, default=128, help=_DEPTH_HELP)
+    p_x.add_argument("--depth", type=int, help=_DEPTH_HELP)
     p_x.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p_x.set_defaults(func=_cmd_experiment)
 

@@ -488,8 +488,8 @@ def serialize(dom: DomainFile) -> str:
 class ProblemBundle:
     """Everything needed to plan: universe, problem, and observability model.
 
-    Building a bundle also classifies its method hierarchy and gives its
-    problem the :class:`~beliefhtn.planner.SearchCache` its plans share.
+    Building a bundle also bounds its method hierarchy and gives its problem
+    the :class:`~beliefhtn.planner.SearchCache` its plans share.
     """
 
     domfile: DomainFile
@@ -514,7 +514,7 @@ class ProblemBundle:
             if aligned:
                 human = human.with_value(attr, value)
         problem = replace(self.problem, world=world, human_belief=human)
-        return ProblemBundle(self.domfile, self.universe, problem, self.obs_model)
+        return replace(self, problem=problem)
 
     def with_human_belief(self, overrides: Mapping[str, Value | str]) -> "ProblemBundle":
         human = self.problem.human_belief
@@ -522,13 +522,13 @@ class ProblemBundle:
             attr = self.attr(text)
             human = human.with_value(attr, _coerce_value(self.universe, attr, str(val)))
         problem = replace(self.problem, human_belief=human)
-        return ProblemBundle(self.domfile, self.universe, problem, self.obs_model)
+        return replace(self, problem=problem)
 
     def with_start(self, agent: str) -> "ProblemBundle":
         if agent not in (self.problem.robot, self.problem.human):
             raise DomainSyntaxError(f"unknown starting agent {agent!r}")
         problem = replace(self.problem, start_agent=agent)
-        return ProblemBundle(self.domfile, self.universe, problem, self.obs_model)
+        return replace(self, problem=problem)
 
 
 def _build_bundle(dom: DomainFile) -> ProblemBundle:
@@ -605,7 +605,7 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
         attr = universe.attr(ref.symbol, *ref.args)
         human = human.with_value(attr, universe.parse_value(attr, val))
 
-    cache = SearchCache(domains, obs_model, analyse_hierarchy(domains.values()))
+    cache = SearchCache(domains, obs_model, network, analyse_hierarchy(domains.values(), network))
     problem = HtnProblem(
         universe, world, human, network, domains, dom.robot, dom.human, dom.start, cache
     )

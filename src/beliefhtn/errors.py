@@ -59,7 +59,8 @@ class Unsolvable(BeliefHtnError):
 
 class DepthExceeded(BeliefHtnError):
     """No policy found after the search pruned a branch at its depth bound,
-    or expanded more than ``planner.MAX_NODES`` states."""
+    or after a plan its bundle does not certify expanded more than
+    ``planner.MAX_NODES`` states."""
 
 
 class DomainSyntaxError(BeliefHtnError):

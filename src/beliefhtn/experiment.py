@@ -233,7 +233,7 @@ class ExperimentConfig:
     modes: tuple[str, ...] = (MODE_LEGACY, MODE_NEW)
     start: Optional[str] = None  # None keeps the domain file's starting agent
     seed: int = 0  # recorded in outputs; generation is exhaustive, not sampled
-    depth_bound: int = 128
+    depth_bound: Optional[int] = None  # None: PlannerConfig's default
     spec: Optional[GeneratorSpec] = None
 
 
@@ -241,7 +241,7 @@ def run_instance(
     bundle: ProblemBundle,
     instance: Instance,
     mode: str,
-    depth_bound: int = 128,
+    depth_bound: Optional[int] = None,
 ) -> InstanceResult:
     problem = replace(
         bundle.problem, world=instance.world, human_belief=instance.human

@@ -16,9 +16,9 @@ precedence constraint that touched the expanded node onto all of the
 method's subtasks (or contracting it through the node for an empty
 expansion) in one pass over the masks.
 
-:func:`analyse_hierarchy` classifies a bundle's grounded method hierarchy
-once, at build, as acyclic or recursive, and for an acyclic one bounds the
-primitives any decomposition can yield (:class:`HierarchyBound`).
+:func:`analyse_hierarchy` bounds, once per bundle at build, the primitives
+any run from the root network can execute; it returns None for a recursive
+method hierarchy.
 """
 
 from __future__ import annotations
@@ -569,38 +569,18 @@ class AgentDomain:
     yields: frozenset[str]
 
 
-@dataclass(frozen=True)
-class HierarchyBound:
-    """The static class of a method hierarchy, and its primitive bound.
+def analyse_hierarchy(domains: Iterable[AgentDomain], network: TaskNetwork) -> Optional[int]:
+    """The most primitives any run from ``network`` can execute, or None
+    when the grounded method hierarchy of ``domains`` is recursive.
 
-    The hierarchy is the task-to-subtask graph over the grounded methods of
-    both agents.  It is ``recursive`` when a task can decompose, through
-    some chain of methods, into itself (Erol, Hendler & Nau, 1996).  For an
-    acyclic one, ``most`` maps each task some method decomposes to the most
-    primitives any of its decompositions can yield: the maximum over its
-    methods of the sum over their subtasks, where a primitive of either
-    agent yields 1 and a task no method decomposes yields 0.
+    The hierarchy is the task-to-subtask graph over both agents' grounded
+    methods; it is recursive when a task can decompose, through some chain
+    of methods, into itself (Erol, Hendler & Nau, 1996).  In an acyclic one
+    a primitive of either agent yields 1, a task no method decomposes 0, and
+    any other task the most over its methods of the sum over their subtasks.
+    Decomposing never raises the sum over a network, and executing a
+    primitive lowers it by one.  One depth-first pass over the tasks.
     """
-
-    recursive: bool
-    op_names: frozenset[str]  # the primitive task symbols of both agents
-    most: Mapping[TaskInstance, int]
-
-    def yield_of(self, task: TaskInstance) -> int:
-        return 1 if task.symbol in self.op_names else self.most.get(task, 0)
-
-    def primitives(self, network: TaskNetwork) -> Optional[int]:
-        """The most primitives any run from ``network`` can execute, or None
-        for a recursive hierarchy.  Decomposing never raises this sum, and
-        executing a primitive lowers it by one."""
-        if self.recursive:
-            return None
-        return sum(self.yield_of(t) for t in network.tasks)
-
-
-def analyse_hierarchy(domains: Iterable[AgentDomain]) -> HierarchyBound:
-    """Classify the grounded method hierarchy of ``domains`` and, when it is
-    acyclic, bound every task's yield; one depth-first pass over the tasks."""
     domains = tuple(domains)
     op_names = frozenset().union(*(d.op_names for d in domains))
     expansions: dict[TaskInstance, list[tuple[TaskInstance, ...]]] = {}
@@ -609,7 +589,10 @@ def analyse_hierarchy(domains: Iterable[AgentDomain]) -> HierarchyBound:
             if task.symbol not in op_names:  # a primitive is never decomposed
                 expansions.setdefault(task, []).extend(gm.subtasks for gm in methods)
     most: dict[TaskInstance, int] = {}
-    bound = HierarchyBound(False, op_names, most)
+
+    def yield_of(task: TaskInstance) -> int:
+        return 1 if task.symbol in op_names else most.get(task, 0)
+
     on_path: set[TaskInstance] = set()
     for start in expansions:
         if start in most:
@@ -620,7 +603,7 @@ def analyse_hierarchy(domains: Iterable[AgentDomain]) -> HierarchyBound:
             task, subtasks = stack[-1]
             for sub in subtasks:
                 if sub in on_path:
-                    return HierarchyBound(True, op_names, {})
+                    return None
                 if sub in expansions and sub not in most:
                     on_path.add(sub)
                     stack.append((sub, itertools.chain.from_iterable(expansions[sub])))
@@ -629,9 +612,9 @@ def analyse_hierarchy(domains: Iterable[AgentDomain]) -> HierarchyBound:
                 stack.pop()
                 on_path.discard(task)
                 most[task] = max(
-                    (sum(map(bound.yield_of, subs)) for subs in expansions[task]), default=0
+                    (sum(map(yield_of, subs)) for subs in expansions[task]), default=0
                 )
-    return bound
+    return sum(map(yield_of, network.tasks))
 
 
 @dataclass(frozen=True)

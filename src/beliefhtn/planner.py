@@ -19,12 +19,13 @@ Two solver modes share the machinery:
   branch as an embedded deadlock leaf instead of failing.
 
 The search keeps one state table (see :meth:`_Search._solve`).  Each
-bundle owns a :class:`SearchCache` whose table, one per mode, the plans of
-all the bundle's instances share when the bundle's static hierarchy bound
-certifies the plan (see :class:`PlannerConfig`); any other plan gets a
-table of its own.  A plan that fails after a ``PlannerConfig.depth_bound``
-prune, or after :data:`MAX_NODES` expansions, raises
-:class:`DepthExceeded`; any other failure raises :class:`Unsolvable`.
+bundle owns a :class:`SearchCache` that holds the depth its acyclic method
+hierarchy certifies; every plan searches to that depth by default and then
+shares the cache's table, one per mode, with the plans of all the bundle's
+instances (see :class:`PlannerConfig`).  Any other plan gets a table of its
+own.  A plan that fails after a depth prune, or an uncertified plan after
+:data:`MAX_NODES` expansions, raises :class:`DepthExceeded`; any other
+failure raises :class:`Unsolvable`.
 
 One stall rule, :func:`_stall_run`, counts that run for the search, for
 replay (:func:`simulate`, :func:`enumerate_traces`) and for
@@ -55,7 +56,6 @@ from .errors import BadArgument, DepthExceeded, NotApplicable, StaleComm, Unsolv
 from .htn import (
     AgentDomain,
     GroundedOperator,
-    HierarchyBound,
     HtnProblem,
     OpKind,
     TaskInstance,
@@ -71,7 +71,8 @@ from .state import BeliefState
 MODE_NEW = "new"
 MODE_LEGACY = "legacy"
 
-MAX_NODES = 500_000  # states one plan may expand before it gives up
+MAX_NODES = 500_000  # states an uncertified plan may expand before it gives up
+RECURSIVE_DEPTH = 64  # the default depth bound of a plan no bundle certifies
 STALL_THRESHOLD = 4  # consecutive WAIT/IDLE turns that end a branch (IDL)
 
 
@@ -84,22 +85,23 @@ class PlannerConfig:
     :class:`DepthExceeded`.  It bounds the search, not the depth of the
     returned policy: the state key omits depth, so a subtree solved at a
     shallow depth can be reused deeper, and a policy branch can run past
-    the bound.  The states one plan may expand and the WAIT/IDLE run that
-    ends a branch are the module's fixed :data:`MAX_NODES` and
-    :data:`STALL_THRESHOLD`, not part of the config.
+    the bound.  None, the default, means the bundle's certifying depth
+    (:attr:`SearchCache.depth`), or :data:`RECURSIVE_DEPTH` when there is
+    none.  :data:`MAX_NODES` and :data:`STALL_THRESHOLD` are module
+    constants, not part of the config.
 
     A plan is *certified* when its bundle's method hierarchy is acyclic and
-    ``depth_bound >= (P + 1) * STALL_THRESHOLD``, where P is the most
-    primitives the root network can yield (:class:`~beliefhtn.htn.HierarchyBound`).
-    Every turn then either runs a primitive or extends a stall run shorter
-    than :data:`STALL_THRESHOLD`, so no state reaches the bound and no
-    state repeats on a path: no depth or cycle prune can occur, and a
-    state's result depends on its state key alone.  A certified plan reads
-    and extends its bundle's shared table, so it reuses every subtree any
-    earlier plan on the bundle solved, in the same mode.
+    its depth bound is at least the certifying depth.  Every turn then
+    either runs a primitive or extends a stall run shorter than
+    :data:`STALL_THRESHOLD`, so no state reaches the bound and no state
+    repeats on a path: no depth or cycle prune can occur, and a state's
+    result depends on its state key alone.  A certified plan reads and
+    extends its bundle's shared table, so it reuses every subtree any
+    earlier plan on the bundle solved, in the same mode.  Its search is
+    finite, so :data:`MAX_NODES` caps only uncertified plans.
     """
 
-    depth_bound: int = 64
+    depth_bound: Optional[int] = None
 
 
 class NodeKind(Enum):
@@ -108,14 +110,14 @@ class NodeKind(Enum):
     DEADLOCK = "deadlock"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PolicyEdge:
     action: GroundedOperator
     comms: tuple[CommAction, ...]  # the tells said just before the action
     child: "PolicyNode"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PolicyNode:
     world: BeliefState
     human_belief: BeliefState
@@ -172,50 +174,47 @@ _OPEN = object()
 class SearchCache:
     """The state tables that the plans on one bundle share.
 
-    Built once with the bundle, for its ``domains`` and ``obs_model``, and
-    held by its :class:`~beliefhtn.htn.HtnProblem`.  ``tables`` holds one
-    table per mode, over the search's state key (:meth:`_Search._state_key`):
-    a solved node, None for a known failure, or ``_OPEN`` while a plan has
-    the state on its path.  A plan that the ``hierarchy`` does not certify
-    (see :class:`PlannerConfig`) builds a cache of its own instead.  The
-    tables live as long as the bundle and are never evicted; every belief
-    they store is interned (:meth:`intern`), which keeps them small.
+    Built once with the bundle, for its ``domains``, ``obs_model`` and root
+    ``network``, and held by its :class:`~beliefhtn.htn.HtnProblem`.  Its
+    certifying ``depth`` is ``(P + 1) * STALL_THRESHOLD`` for P
+    ``primitives`` (:func:`~beliefhtn.htn.analyse_hierarchy`), or None.
+    ``tables`` holds one table per mode, over the search's state key
+    (:meth:`_Search._state_key`): a solved node, None for a known failure,
+    or ``_OPEN`` while a plan has the state on its path.  A plan the cache
+    does not certify (see :class:`PlannerConfig`) builds a cache of its own
+    instead.  The tables live as long as the bundle and are never evicted;
+    every belief they store is interned (:meth:`intern`), which keeps them
+    small.
     """
 
-    __slots__ = ("domains", "obs_model", "hierarchy", "tables", "_beliefs", "_values")
+    __slots__ = ("domains", "obs_model", "network", "depth", "tables", "_beliefs", "_values")
 
     def __init__(
         self,
         domains: Mapping[str, AgentDomain],
         obs_model: ObservabilityModel,
-        hierarchy: Optional[HierarchyBound] = None,
+        network: TaskNetwork,
+        primitives: Optional[int] = None,
     ):
         self.domains = domains
         self.obs_model = obs_model
-        self.hierarchy = hierarchy
+        self.network = network
+        self.depth = None if primitives is None else (primitives + 1) * STALL_THRESHOLD
         self.tables: dict[str, dict[tuple, object]] = {MODE_NEW: {}, MODE_LEGACY: {}}
         self._beliefs: dict[str, dict[tuple, BeliefState]] = {}
         self._values: dict[tuple, tuple] = {}
 
-    def certifies(
-        self, problem: HtnProblem, obs_model: ObservabilityModel, config: PlannerConfig
-    ) -> bool:
-        """True iff a plan of ``problem`` may share these tables: it is over
-        the cache's domains and observability model, and its depth bound is
-        at least :meth:`least_depth`."""
-        least = self.least_depth(problem.network)
+    def certifies(self, problem: HtnProblem, obs_model: ObservabilityModel) -> bool:
+        """True iff plans of ``problem`` that search to :attr:`depth` or
+        deeper may share these tables: the hierarchy is acyclic, and the
+        problem is over the cache's network, domains and observability model
+        (``dataclasses.replace`` can swap the network)."""
         return (
-            least is not None
-            and config.depth_bound >= least
+            self.depth is not None
+            and problem.network == self.network
             and problem.domains is self.domains
             and obs_model is self.obs_model
         )
-
-    def least_depth(self, network: TaskNetwork) -> Optional[int]:
-        """The least ``depth_bound`` that certifies a plan from ``network``,
-        or None when no hierarchy bound is known or it is recursive."""
-        most = self.hierarchy.primitives(network) if self.hierarchy else None
-        return None if most is None else (most + 1) * STALL_THRESHOLD
 
     def intern(self, belief: BeliefState) -> BeliefState:
         """One object per owner and values, over one tuple per distinct values."""
@@ -275,14 +274,18 @@ class _Search:
         self.problem = problem
         self.obs = obs_model
         self.mode = mode
-        self.config = config
         self.robot = problem.robot
         self.human = problem.human
         self.human_ops = tuple(problem.domain_of(self.human).ground_ops.values())
         self.nodes_expanded = 0
         cache = problem.search_cache
-        if cache is None or not cache.certifies(problem, obs_model, config):
-            cache = SearchCache(problem.domains, obs_model)  # this plan's own
+        least = cache.depth if cache is not None and cache.certifies(problem, obs_model) else None
+        self.depth_bound = config.depth_bound
+        if self.depth_bound is None:
+            self.depth_bound = RECURSIVE_DEPTH if least is None else least
+        self.certified = least is not None and self.depth_bound >= least
+        if not self.certified:
+            cache = SearchCache(problem.domains, obs_model, problem.network)  # this plan's own
         # State key -> its solved node, None for a failure that holds in
         # every context, or _OPEN while the state is on the current path.
         self.states = cache.tables[mode]
@@ -377,7 +380,7 @@ class _Search:
             raise
         if node is None:
             if self.depth_pruned:
-                raise DepthExceeded(f"no policy within depth bound {self.config.depth_bound}")
+                raise DepthExceeded(f"no policy within depth bound {self.depth_bound}")
             raise Unsolvable("no robot strategy covers every emulated human choice")
         return PolicyTree(
             self.mode, self.robot, self.human, self.problem.world, self.problem.human_belief,
@@ -412,7 +415,7 @@ class _Search:
         :func:`_stall_run` extends or resets the stall run.
         """
         self.nodes_expanded += 1
-        if self.nodes_expanded > MAX_NODES:
+        if self.nodes_expanded > MAX_NODES and not self.certified:
             raise DepthExceeded(f"search exceeded {MAX_NODES} nodes")
         world = self.intern(world)
         human_belief = self.intern(human_belief)
@@ -425,7 +428,7 @@ class _Search:
                 return PolicyNode(world, human_belief, False, turn, NodeKind.DEADLOCK), False
             return None, False  # a stalled new-mode branch is a dead end
 
-        if depth >= self.config.depth_bound:
+        if depth >= self.depth_bound:
             self.depth_pruned = True
             return None, True
 

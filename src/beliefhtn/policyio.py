@@ -167,14 +167,23 @@ def _load_node(
     bundle: ProblemBundle,
     mode: str,
     specs: dict,
-    nodes: dict[int, PolicyNode],
+    nodes: dict[int, Optional[PolicyNode]],
     nid: int,
     world: BeliefState,
     human_belief: BeliefState,
 ) -> PolicyNode:
-    """Rebuild node ``nid`` reached with these beliefs, and its subtree."""
-    if nid in nodes:  # the search memoised it: same beliefs on every path
-        return nodes[nid]
+    """Rebuild node ``nid`` reached with these beliefs, after its subtree.
+
+    ``nodes`` holds each node built so far, and None for each node on the
+    current path: a policy is acyclic, and each node has one pair of beliefs.
+    """
+    if nid in nodes:
+        node = nodes[nid]
+        if node is None:
+            raise DomainSyntaxError(f"node {nid}: an edge leads back to it on its own path")
+        if (node.world, node.human_belief) != (world, human_belief):
+            raise DomainSyntaxError(f"node {nid}: reached with two different beliefs")
+        return node
     if nid not in specs:
         raise DomainSyntaxError(f"policy file names no node {nid!r}")
     robot, human = bundle.problem.robot, bundle.problem.human
@@ -182,7 +191,7 @@ def _load_node(
     turn, done, kind = spec["turn"], spec["done"], spec["kind"]
     if turn not in (robot, human) or not isinstance(done, bool) or kind not in _KINDS:
         raise DomainSyntaxError(f"node {nid}: bad turn/done/kind {turn!r}/{done!r}/{kind!r}")
-    node = nodes[nid] = PolicyNode(world, human_belief, done, turn, NodeKind(kind))
+    nodes[nid] = None
     edges = []
     for e in spec["edges"]:
         op = _operator(bundle, e["action"], turn)
@@ -195,7 +204,7 @@ def _load_node(
         )
         child = _load_node(bundle, mode, specs, nodes, e["child"], w2, h2)
         edges.append(PolicyEdge(op, comms, child))
-    node.edges = tuple(edges)
+    node = nodes[nid] = PolicyNode(world, human_belief, done, turn, NodeKind(kind), tuple(edges))
     return node
 
 

@@ -1,0 +1,47 @@
+"""The library names the benchmark under ``bench/`` reads.
+
+``bench/worker.py`` patches the hot layers by name and reads the
+``_canonical`` cache's counter; a name that is gone is recorded as missing
+and its metrics come out null.  This test loads the worker and its tracer
+as they are and checks every name they read, so a rename fails here first.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from beliefhtn import MODE_NEW, builtin_bundle, planner
+from beliefhtn.experiment import ExperimentConfig
+from beliefhtn.planner import PlannerConfig, plan
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_finds_every_layer_it_patches(monkeypatch):
+    tracer_module = _load("tracer")
+    # worker.py imports its tracer by module name and prepends the source
+    # tree to sys.path; both are restored after the test.
+    monkeypatch.setitem(sys.modules, "tracer", tracer_module)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    worker = _load("worker")
+    tracer = tracer_module.Tracer()
+    try:
+        worker._patch_layers(tracer)
+        assert tracer.missing == []
+        assert callable(planner._canonical.cache_info)
+        bundle = builtin_bundle("cooking")
+        config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
+        policy = plan(bundle.problem, bundle.obs_model, MODE_NEW, config)
+        assert policy.nodes_expanded > 0
+        assert tracer.calls("planner.choices") > 0
+    finally:
+        tracer.unpatch()

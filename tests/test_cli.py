@@ -176,6 +176,16 @@ def _fly(obj):
     obj["nodes"][1]["edges"][0]["action"].update(name="fly", args=[])
 
 
+def _merge_paths(obj):
+    """Give the first human node a second edge, a WAIT into the success leaf
+    that its first edge's path reaches with other beliefs."""
+    nodes, human = obj["nodes"], obj["human"]
+    leaf = next(node for node in nodes if node["kind"] == "success")
+    node = next(node for node in nodes if node["turn"] == human and node["edges"])
+    wait = {"name": "WAIT", "agent": human, "args": [], "kind": "wait"}
+    node["edges"].append({"action": wait, "comms": [], "child": leaf["id"]})
+
+
 POLICY_EDITS = {
     # The mode selects the step that re-derives each node's beliefs.
     "mode": (_set(["mode"], "optimistic"), "unknown solver mode 'optimistic'"),
@@ -185,6 +195,8 @@ POLICY_EDITS = {
     "action": (_fly, r"regular action fly\(\) is not an operator of 'human'"),
     "nodes": (lambda obj: obj.pop("nodes"), "lacks the field 'nodes'"),
     "agents": (_swap_agents, "are not the domain's agents"),
+    "cycle": (_set(["nodes", 1, "edges", 0, "child"], 0), "node 0: an edge leads back to it"),
+    "beliefs": (_merge_paths, r"node \d+: reached with two different beliefs"),
 }
 
 
@@ -230,9 +242,11 @@ def test_validate_domain_reports_the_hierarchy(tmp_path, capsys):
     path.write_text(COOKING_DOM)
     assert main(["validate-domain", str(path)]) == 0
     assert (
-        "hierarchy: acyclic, at most 6 primitives from the root; plans with --depth 28 "
-        "or more share the bundle's state table"
+        "hierarchy: acyclic, at most 6 primitives from the root; plans search to depth 28 "
+        "and share the bundle's state table"
     ) in capsys.readouterr().out
     path.write_text(RECURSIVE_DOM)
     assert main(["validate-domain", str(path)]) == 0
-    assert "hierarchy: recursive;" in capsys.readouterr().out
+    assert (
+        "hierarchy: recursive; plans search to depth 64, each with a table of its own"
+    ) in capsys.readouterr().out

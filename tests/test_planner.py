@@ -282,19 +282,22 @@ def test_simulate_totals_match_enumerated_traces_on_failures(cooking):
         )
 
 
-def wait_chain(bundle, n_waits):
-    """A hand-built policy of alternating WAIT turns over the full agenda."""
+def wait_chain(bundle, n_waits, idles=0, done=False):
+    """A hand-built policy of alternating WAIT turns over the full agenda;
+    the last ``idles`` turns IDLE instead, and every node records ``done``."""
     problem = bundle.problem
     world = problem.world
     human = bundle.obs_model.assess(problem.human_belief, world)
     turns = [problem.robot, problem.human] * n_waits
     node = PolicyNode(
-        world=world, human_belief=human, done=False, turn=turns[n_waits], kind=NodeKind.SUCCESS
+        world=world, human_belief=human, done=done, turn=turns[n_waits], kind=NodeKind.SUCCESS
     )
-    for turn in reversed(turns[:n_waits]):
-        edge = PolicyEdge(action=wait_op(turn), comms=(), child=node)
+    for i in reversed(range(n_waits)):
+        turn = turns[i]
+        op = idle_op(turn) if i >= n_waits - idles else wait_op(turn)
+        edge = PolicyEdge(action=op, comms=(), child=node)
         node = PolicyNode(
-            world=world, human_belief=human, done=False, turn=turn, edges=(edge,)
+            world=world, human_belief=human, done=done, turn=turn, edges=(edge,)
         )
     return PolicyTree(
         MODE_NEW, problem.robot, problem.human, world, problem.human_belief, node
@@ -320,14 +323,7 @@ def test_stall_verdict_names_its_threshold(cooking):
 def test_stall_ending_in_an_idle_pair_is_a_deadlock(cooking):
     # WAIT, WAIT, IDLE, IDLE over the unfinished agenda: the IDLE pair
     # follows a WAIT, so it is no completed plan's closing pair.
-    chain = wait_chain(cooking, STALL_THRESHOLD)
-    node = chain.root
-    for _ in range(STALL_THRESHOLD - 2):
-        node = node.edges[0].child
-    for _ in range(2):
-        (edge,) = node.edges
-        node.edges = (replace(edge, action=idle_op(node.turn)),)
-        node = edge.child
+    chain = wait_chain(cooking, STALL_THRESHOLD, idles=2)
     (trace,) = enumerate_traces(chain, cooking.obs_model)
     assert [a.kind.value for a in trace.actions] == ["wait", "wait", "idle", "idle"]
     assert trace.outcome == "idl"
@@ -336,11 +332,7 @@ def test_stall_ending_in_an_idle_pair_is_a_deadlock(cooking):
 
 def test_done_node_ends_no_branch_on_a_stall(cooking):
     # Once the agenda is done, WAIT/IDLE turns never count as a stall.
-    chain = wait_chain(cooking, 6)
-    node = chain.root
-    while node.edges:
-        node.done = True
-        node = node.edges[0].child
+    chain = wait_chain(cooking, 6, done=True)
     assert simulate(chain, cooking.obs_model).outcome == "success"
 
 

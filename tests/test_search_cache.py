@@ -1,14 +1,16 @@
-"""The bundle's shared search table and the static hierarchy bound behind it.
+"""The bundle's shared search table and the certifying depth behind it.
 
-A plan shares its bundle's state table only when the hierarchy bound
-certifies that no depth or cycle prune can occur (see ``PlannerConfig``);
-these tests check the bound, that a warm table plans exactly as a cold one,
-that a plan cut short leaves the table clean, and that the replay walks
-leave no cyclic garbage behind.
+A plan shares its bundle's state table only when it searches at least to
+the depth from which the hierarchy bound rules out every depth and cycle
+prune, which is the default depth (see ``PlannerConfig``); these tests check
+the bound and the default, that a warm table plans exactly as a cold one,
+that a plan cut short leaves the table clean, that shared nodes are frozen,
+and that the replay walks leave no cyclic garbage behind.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import random
@@ -30,8 +32,10 @@ from beliefhtn import planner
 from beliefhtn.builtins import box_dom
 from beliefhtn.errors import DepthExceeded
 from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
+from beliefhtn.htn import TaskInstance, TaskNetwork, analyse_hierarchy
 from beliefhtn.planner import (
     _OPEN,
+    RECURSIVE_DEPTH,
     STALL_THRESHOLD,
     SearchCache,
     _Search,
@@ -39,13 +43,13 @@ from beliefhtn.planner import (
 )
 from beliefhtn.policyio import load_json, to_json, to_text
 
-STUDY = PlannerConfig(depth_bound=128)  # the experiment's depth bound
+STUDY = PlannerConfig()  # the experiment's depth bound: the certifying depth
 MODES = (MODE_LEGACY, MODE_NEW)
 STRIDE = 17
 
 # SHA-256 over the concatenated to_text of every study instance's policy, in
 # index order, one study and mode at a time through one bundle.  Recorded
-# with the per-plan state table, before the table was shared.
+# with the per-plan state table at depth 128, before the table was shared.
 STUDY_DIGESTS = {
     ("cooking", MODE_LEGACY): "05ad03143bee32b7062573d31641a2592f6d0e43b6ff4e069938c9eca30d18a6",
     ("cooking", MODE_NEW): "85535da1a587bfbb642bcc7dc6c9f8c607214c1c66f532ac8218577d1ed34715",
@@ -102,48 +106,70 @@ def planned(bundle, problem, mode):
     return to_text(policy), simulate(policy, bundle.obs_model), policy.nodes_expanded
 
 
-# -- the static hierarchy bound -----------------------------------------------
+# -- the static hierarchy bound and the default depth -------------------------
+
+
+def bundle_of(domain):
+    """A builtin by name, or ``box_dom`` with that many boxes."""
+    return builtin_bundle(domain) if isinstance(domain, str) else parse_bundle(box_dom(domain))
+
+
+BOUNDS = [("cooking", 6), ("box", 16)] + [(n, 4 * n + 4) for n in range(2, 8)]
 
 
 @pytest.mark.parametrize(
-    "domain, most",
-    [("cooking", 6), ("box", 16)] + [(n, 4 * n + 4) for n in range(2, 8)],
-    ids=["cooking", "box"] + [f"box{n}" for n in range(2, 8)],
+    "domain, most", BOUNDS, ids=[d if isinstance(d, str) else f"box{d}" for d, _ in BOUNDS]
 )
 def test_builtin_hierarchies_are_acyclic_with_their_bound(domain, most):
-    if isinstance(domain, str):
-        bundle = builtin_bundle(domain)
-    else:
-        bundle = parse_bundle(box_dom(boxes=domain))
-    hierarchy = bundle.problem.search_cache.hierarchy
-    assert not hierarchy.recursive
-    assert hierarchy.primitives(bundle.problem.network) == most
+    bundle = bundle_of(domain)
+    problem = bundle.problem
+    assert analyse_hierarchy(problem.domains.values(), problem.network) == most
+    # The certifying depth is (P + 1) * STALL_THRESHOLD, and the default.
+    assert problem.search_cache.depth == (most + 1) * STALL_THRESHOLD
+    search = _Search(problem, bundle.obs_model, MODE_NEW, PlannerConfig())
+    assert search.certified and search.depth_bound == problem.search_cache.depth
 
 
 def test_certificate_needs_the_depth_bound():
-    cooking, box = builtin_bundle("cooking"), builtin_bundle("box")
-    box7 = parse_bundle(box_dom(boxes=7))
-    # The bound is (P + 1) * STALL_THRESHOLD.
-    assert [b.problem.search_cache.least_depth(b.problem.network) for b in (cooking, box, box7)] == [
-        (6 + 1) * STALL_THRESHOLD, (16 + 1) * STALL_THRESHOLD, (32 + 1) * STALL_THRESHOLD
-    ] == [28, 68, 132]
+    cooking, box, box7 = (bundle_of(d) for d in ("cooking", "box", 7))
 
-    def certified(bundle, config):
-        return bundle.problem.search_cache.certifies(bundle.problem, bundle.obs_model, config)
+    def certified(bundle, depth_bound, problem=None, obs_model=None):
+        search = _Search(
+            problem or bundle.problem, obs_model or bundle.obs_model, MODE_NEW,
+            PlannerConfig(depth_bound),
+        )
+        return search.certified
 
-    assert certified(cooking, PlannerConfig()) and certified(cooking, PlannerConfig(28))
-    assert not certified(cooking, PlannerConfig(27))
-    assert certified(box, STUDY) and not certified(box, PlannerConfig())
-    assert not certified(box7, STUDY) and certified(box7, PlannerConfig(132))
-    # Another bundle's observability model is not the one the table serves.
-    assert not box.problem.search_cache.certifies(box.problem, cooking.obs_model, STUDY)
+    for bundle, least in ((cooking, 28), (box, 68), (box7, 132)):
+        assert bundle.problem.search_cache.depth == least
+        assert certified(bundle, least) and certified(bundle, 128 + least)
+        assert not certified(bundle, least - 1)
+    # Another bundle's observability model is not the one the table serves,
+    # and another root network is not the one the depth was derived for.
+    assert not certified(box, None, obs_model=cooking.obs_model)
+    refill = TaskNetwork.build([TaskInstance("RefillTrip", ())], [])
+    assert not certified(box, None, problem=replace(box.problem, network=refill))
+
+
+def test_an_explicit_depth_bound_keeps_its_meaning():
+    # Below the certifying depth a plan searches with a table of its own
+    # and reports the bound it was given.
+    bundle = builtin_bundle("box")
+    search = _Search(bundle.problem, bundle.obs_model, MODE_NEW, PlannerConfig(67))
+    assert search.depth_bound == 67
+    assert search.states is not bundle.problem.search_cache.tables[MODE_NEW]
+    with pytest.raises(DepthExceeded, match="no policy within depth bound 3$"):
+        plan(bundle.problem, bundle.obs_model, MODE_NEW, PlannerConfig(3))
+    assert bundle.problem.search_cache.tables == {MODE_NEW: {}, MODE_LEGACY: {}}
 
 
 def test_recursive_hierarchy_plans_with_a_table_of_its_own():
     bundle = parse_bundle(RECURSIVE_DOM)
     cache = bundle.problem.search_cache
-    assert cache.hierarchy.recursive
-    assert cache.hierarchy.primitives(bundle.problem.network) is None
+    assert analyse_hierarchy(bundle.problem.domains.values(), bundle.problem.network) is None
+    assert cache.depth is None
+    search = _Search(bundle.problem, bundle.obs_model, MODE_NEW, PlannerConfig())
+    assert not search.certified and search.depth_bound == RECURSIVE_DEPTH
     for mode in MODES:
         first = plan(bundle.problem, bundle.obs_model, mode)
         second = plan(bundle.problem, bundle.obs_model, mode)
@@ -163,8 +189,7 @@ def test_no_state_lies_deeper_than_the_static_bound(monkeypatch):
     monkeypatch.setattr(_Search, "_solve", recording)
     for domain, recorded in (("cooking", 10), ("box", 23)):
         bundle = builtin_bundle(domain)
-        hierarchy = bundle.problem.search_cache.hierarchy
-        bound = (hierarchy.primitives(bundle.problem.network) + 1) * STALL_THRESHOLD
+        bound = bundle.problem.search_cache.depth
         depths.clear()
         for _, problem in study_problems(bundle, domain, STRIDE):
             for mode in MODES:
@@ -180,13 +205,14 @@ def test_no_state_lies_deeper_than_the_static_bound(monkeypatch):
 def test_warm_plans_equal_cold_plans(domain):
     bundle = builtin_bundle(domain)
     shared = bundle.problem.search_cache
+    most = analyse_hierarchy(shared.domains.values(), shared.network)
     jobs = [(mode, p) for _, p in study_problems(bundle, domain, STRIDE) for mode in MODES]
     random.Random(1).shuffle(jobs)
     warm_nodes = cold_nodes = 0
     for mode, problem in jobs:
         text, report, nodes = planned(bundle, problem, mode)
         # The empty table a freshly built bundle starts with.
-        fresh = SearchCache(shared.domains, shared.obs_model, shared.hierarchy)
+        fresh = SearchCache(shared.domains, shared.obs_model, shared.network, most)
         cold_text, cold_report, cold_n = planned(bundle, replace(problem, search_cache=fresh), mode)
         assert (text, report) == (cold_text, cold_report), mode
         assert nodes <= cold_n
@@ -262,8 +288,21 @@ def test_networks_sharing_a_state_key_are_isomorphic(full_studies):
 def test_plan_cut_short_leaves_no_open_state(monkeypatch):
     bundle = builtin_bundle("box")
     table = bundle.problem.search_cache.tables[MODE_NEW]
-    monkeypatch.setattr(planner, "MAX_NODES", 40)  # a cold plan expands 44
-    with pytest.raises(DepthExceeded, match="exceeded 40 nodes"):
+    step = planner._step
+    calls = 0
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupted(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 30:  # a cold plan takes 43 steps
+            raise Interrupted
+        return step(*args)
+
+    monkeypatch.setattr(planner, "_step", interrupted)
+    with pytest.raises(Interrupted):
         plan(bundle.problem, bundle.obs_model, MODE_NEW, STUDY)
     assert table and _OPEN not in table.values()
     monkeypatch.undo()
@@ -272,6 +311,32 @@ def test_plan_cut_short_leaves_no_open_state(monkeypatch):
     cold = planned(fresh, fresh.problem, MODE_NEW)
     assert warm[:2] == cold[:2]
     assert warm[2] < cold[2] == 44
+
+
+def test_node_cap_applies_only_to_uncertified_plans(monkeypatch):
+    # A certified search is finite, so the cap cannot make its result
+    # depend on how warm the shared table is.
+    bundle = builtin_bundle("box")
+    monkeypatch.setattr(planner, "MAX_NODES", 40)
+    with pytest.raises(DepthExceeded, match="exceeded 40 nodes"):
+        plan(bundle.problem, bundle.obs_model, MODE_NEW, PlannerConfig(67))
+    assert plan(bundle.problem, bundle.obs_model, MODE_NEW).nodes_expanded == 44
+
+
+# -- shared nodes are frozen --------------------------------------------------
+
+
+def test_shared_policy_nodes_cannot_be_changed():
+    bundle = builtin_bundle("cooking")
+    first = plan(bundle.problem, bundle.obs_model, MODE_NEW)
+    text = to_text(first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.root.edges = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.root.edges[0].child = first.root
+    second = plan(bundle.problem, bundle.obs_model, MODE_NEW)
+    assert second.root is first.root
+    assert to_text(second) == text
 
 
 # -- replay walks free their memos on return ----------------------------------
