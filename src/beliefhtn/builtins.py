@@ -21,7 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .domfile import DomainFile, ProblemBundle, parse, parse_bundle
-from .errors import BeliefHtnError, UnknownDomain
+from .errors import BadArgument, BeliefHtnError, UnknownDomain
 
 BUILTIN_NAMES = ("cooking", "box")
 
@@ -185,8 +185,10 @@ def box_dom(boxes: int = BOX_COUNT) -> str:
     The fill schedule in the root method is derived from these: the first
     ``BOX_BUCKET - 1`` fills precede the refill trip, the remainder follow
     it, so the bucket bottoms out at exactly one ball before the trip and
-    never runs dry.
+    never runs dry.  Raises :class:`BadArgument` for fewer than one box.
     """
+    if boxes < 1:
+        raise BadArgument(f"box_dom needs at least one box, not {boxes}")
     names = [f"box{i + 1}" for i in range(boxes)]
     lines = [
         "beliefhtn-domain 1",

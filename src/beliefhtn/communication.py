@@ -1,21 +1,22 @@
-"""Communication actions, divergence relevance, and minimal alignment search.
+"""Communication actions, divergence relevance, and the choice of tells.
 
 A communication action transmits one attribute-value pair from the robot to
 the human; its preconditions require the sender to hold the value and the
 receiver to disagree.  A divergence is *relevant* when it changes which
 actions the human can perform, or what some performable action would do.
-When relevant, a breadth-first search over single-attribute alignments finds
-a minimum-cardinality sequence of communication actions after which the
-remaining divergence is no longer relevant.
+One function, :func:`min_comm_bfs`, decides both *if* and *what* to tell:
+it tries the subsets of the diverging attributes smallest first and tells
+the first whose alignment leaves no relevant divergence, which is none at
+all when the divergence is already irrelevant.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
-from .errors import NoAlignment, StaleComm
+from .errors import StaleComm
 from .htn import GroundedOperator, applicable, apply_effects
 from .state import BeliefState, GroundedAttribute, Value, diverging_attributes
 
@@ -61,14 +62,13 @@ def is_relevant_divergence(
     (a) the sets of human actions applicable under the two beliefs differ, or
     (b) some action applicable under both yields different values on its
     effect-touched attributes when applied to each belief.
-    This one rule decides both whether the planner must communicate before a
-    turn and when :func:`min_comm_bfs` may stop aligning.
+    A WAIT or IDLE has neither precondition nor effect, so it never counts.
+    :func:`min_comm_bfs` applies this one rule, to the belief itself first,
+    so it decides both whether and what the planner tells before a turn.
     """
     if world.values == human_belief.values:
         return False
     for op in human_ops:
-        if op.is_pseudo:
-            continue
         in_belief = applicable(op, human_belief)
         if in_belief != applicable(op, world):
             return True
@@ -86,37 +86,24 @@ def min_comm_bfs(
     human_belief: BeliefState,
     human_ops: Sequence[GroundedOperator],
 ) -> tuple[CommAction, ...]:
-    """Minimum-cardinality communication sequence removing relevance.
+    """The fewest tells after which no divergence is relevant.
 
-    Breadth-first search over belief states: the source is the human's
-    current belief, each communication action aligns exactly one diverging
-    attribute with the ground truth, and the first belief selected for
-    expansion whose remaining divergence is no longer relevant wins; the
-    actions on its path are the plan.  Diverging attributes expand in
-    interned-index order and visited states are pruned by their
-    aligned-attribute subset, so the result is deterministic.  Full
-    alignment always removes relevance, so the search cannot fail.
+    Tries every subset of the diverging attributes, smallest first and, at
+    each size, in ``itertools.combinations`` order over interned indices; the
+    first subset whose alignment leaves no relevant divergence is told, so
+    the result is deterministic.  The empty subset is the belief itself, so
+    an irrelevant divergence yields ``()``.  Full alignment leaves no
+    divergence at all, so some subset always succeeds.
     """
     attributes = world.universe.attributes
     divergent = diverging_attributes(world, human_belief)
     truth = world.values
-    queue: deque[tuple[BeliefState, tuple[int, ...]]] = deque([(human_belief, ())])
-    visited: set[frozenset[int]] = {frozenset()}
-    while queue:
-        belief, aligned = queue.popleft()
-        if not is_relevant_divergence(world, belief, human_ops):
-            return tuple(
-                CommAction(world.owner, human_belief.owner, attributes[i], truth[i])
-                for i in aligned
-            )
-        for i in divergent:
-            if i in aligned:
-                continue
-            key = frozenset(aligned) | {i}
-            if key in visited:
-                continue
-            visited.add(key)
-            queue.append((belief.with_values_at(((i, truth[i]),)), aligned + (i,)))
-    raise NoAlignment(
-        "full alignment failed to remove relevance; this cannot happen"
-    )  # pragma: no cover
+    for k in range(len(divergent) + 1):
+        for subset in combinations(divergent, k):
+            aligned = human_belief.with_values_at((i, truth[i]) for i in subset)
+            if not is_relevant_divergence(world, aligned, human_ops):
+                return tuple(
+                    CommAction(world.owner, human_belief.owner, attributes[i], truth[i])
+                    for i in subset
+                )
+    raise AssertionError("full alignment leaves no divergence")  # pragma: no cover

@@ -49,10 +49,6 @@ class StaleComm(BeliefHtnError):
     """Communication attempted for an attribute the receiver already agrees on."""
 
 
-class NoAlignment(BeliefHtnError):
-    """Communication search could not remove divergence relevance (never expected)."""
-
-
 class Unsolvable(BeliefHtnError):
     """No robot strategy covers every emulated human choice."""
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .builtins import load_bundle
 from .domfile import ProblemBundle
-from .errors import DepthExceeded, SpecMismatch, Unsolvable
+from .errors import BadArgument, DepthExceeded, SpecMismatch, Unsolvable
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
@@ -260,6 +260,9 @@ def run_instance(
 def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[MetricsTable, list[InstanceResult]]:
+    for i, mode in enumerate(config.modes):
+        if mode in config.modes[:i]:
+            raise BadArgument(f"solver mode {mode!r} is given twice")
     bundle = load_bundle(config.domain)
     if config.start is not None:
         bundle = bundle.with_start(config.start)

@@ -9,10 +9,10 @@ one applicable primitive it owns).
 Two solver modes share the machinery:
 
 * ``new`` -- per-agent beliefs evolve through the act/observe/assess
-  protocol; at every node the planner checks whether the human's belief
-  divergence is relevant and, if so, splices a minimal communication
-  sequence onto the outgoing edge(s).  Stalled branches fail and are
-  backtracked.
+  protocol; at every node :func:`min_comm_bfs` picks the fewest tells
+  that leave the human's belief divergence irrelevant (none when it already
+  is), and the planner splices them onto the outgoing edge(s).  Stalled
+  branches fail and are backtracked.
 * ``legacy`` -- the omniscient baseline: every effect updates both beliefs,
   no assessment, no communication, and the solver plans optimistically:
   a run of :data:`STALL_THRESHOLD` consecutive WAIT/IDLE turns closes the
@@ -44,15 +44,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
-from .communication import (
-    CommAction,
-    apply_comm,
-    apply_comm_plan,
-    is_relevant_divergence,
-    min_comm_bfs,
-)
+from .communication import CommAction, apply_comm_plan, min_comm_bfs
 from .engine import legacy_step, step_belief_protocol
-from .errors import BadArgument, DepthExceeded, NotApplicable, StaleComm, Unsolvable
+from .errors import BadArgument, DepthExceeded, NotApplicable, Unsolvable
 from .htn import (
     AgentDomain,
     GroundedOperator,
@@ -167,10 +161,6 @@ def _canonical(network: TaskNetwork) -> tuple:
     return network.canonical_key()
 
 
-# The state-table entry of a state on the current search path.
-_OPEN = object()
-
-
 class SearchCache:
     """The state tables that the plans on one bundle share.
 
@@ -179,12 +169,11 @@ class SearchCache:
     certifying ``depth`` is ``(P + 1) * STALL_THRESHOLD`` for P
     ``primitives`` (:func:`~beliefhtn.htn.analyse_hierarchy`), or None.
     ``tables`` holds one table per mode, over the search's state key
-    (:meth:`_Search._state_key`): a solved node, None for a known failure,
-    or ``_OPEN`` while a plan has the state on its path.  A plan the cache
-    does not certify (see :class:`PlannerConfig`) builds a cache of its own
-    instead.  The tables live as long as the bundle and are never evicted;
-    every belief they store is interned (:meth:`intern`), which keeps them
-    small.
+    (:meth:`_Search._state_key`): a solved node, or None for a known
+    failure.  A plan the cache does not certify (see :class:`PlannerConfig`)
+    builds a cache of its own instead.  The tables live as long as the
+    bundle and are never evicted; every belief they store is interned
+    (:meth:`intern`), which keeps them small.
     """
 
     __slots__ = ("domains", "obs_model", "network", "depth", "tables", "_beliefs", "_values")
@@ -286,9 +275,10 @@ class _Search:
         self.certified = least is not None and self.depth_bound >= least
         if not self.certified:
             cache = SearchCache(problem.domains, obs_model, problem.network)  # this plan's own
-        # State key -> its solved node, None for a failure that holds in
-        # every context, or _OPEN while the state is on the current path.
+        # State key -> its solved node, or None for a failure that holds in
+        # every context.
         self.states = cache.tables[mode]
+        self.path: set[tuple] = set()  # the keys of the states on the current path
         self.intern = cache.intern
         self.depth_pruned = False
 
@@ -369,15 +359,9 @@ class _Search:
     def run(self) -> PolicyTree:
         world = self.problem.world
         human_belief = _root_human(self.mode, self.obs, world, self.problem.human_belief)
-        try:
-            node, _ = self._solve(
-                world, human_belief, self.problem.network, self.problem.start_agent, 0, 0
-            )
-        except BaseException:
-            # A plan cut short leaves its path open; a shared table outlives it.
-            for key in [key for key, entry in self.states.items() if entry is _OPEN]:
-                del self.states[key]
-            raise
+        node, _ = self._solve(
+            world, human_belief, self.problem.network, self.problem.start_agent, 0, 0
+        )
         if node is None:
             if self.depth_pruned:
                 raise DepthExceeded(f"no policy within depth bound {self.depth_bound}")
@@ -405,10 +389,10 @@ class _Search:
 
         ``tainted`` is true when the failure may be due to a depth or cycle
         prune on the current path rather than to the state itself, so the
-        state is not recorded as failed.  A state is open in the state table
-        while it is expanded, and reaching an open state again is a cycle.
-        In the new mode a relevant divergence first fixes the minimal
-        communication for every outgoing edge.  Then one loop tries the
+        state is not recorded as failed.  A state is on :attr:`path` while
+        it is expanded, and reaching it again is a cycle.  In the new mode
+        :func:`min_comm_bfs` first fixes the tells for every outgoing edge,
+        none when the divergence is irrelevant.  Then one loop tries the
         agent's moves (:meth:`_moves`) in order: a robot (OR) node keeps the
         first move whose child is solved, a human (AND) node needs every move
         solved.  A WAIT/IDLE move leaves the network as it is;
@@ -433,18 +417,15 @@ class _Search:
             return None, True
 
         key = self._state_key(world, human_belief, network, turn, stall)
+        if key in self.path:
+            return None, True  # cycle: fail along this path only
         if key in self.states:
-            entry = self.states[key]
-            if entry is _OPEN:
-                return None, True  # cycle: fail along this path only
-            return entry, False  # a solved node, or None for a known failure
-        self.states[key] = _OPEN
+            return self.states[key], False  # a solved node, or None for a known failure
+        self.path.add(key)
 
         comms: tuple[CommAction, ...] = ()
         post_comm_belief = human_belief
-        if self.mode == MODE_NEW and is_relevant_divergence(
-            world, human_belief, self.human_ops
-        ):
+        if self.mode == MODE_NEW:
             comms = min_comm_bfs(world, human_belief, self.human_ops)
             post_comm_belief = apply_comm_plan(comms, human_belief)
 
@@ -470,13 +451,12 @@ class _Search:
             if not is_human:
                 break  # the OR node commits to its first solved move
 
+        self.path.remove(key)
         if len(edges) == (len(moves) if is_human else 1):
             node = PolicyNode(world, human_belief, False, turn, NodeKind.DECISION, tuple(edges))
             self.states[key] = node
             return node, False
-        if tainted:
-            del self.states[key]
-        else:
+        if not tainted:
             self.states[key] = None
         return None, tainted
 
@@ -623,10 +603,7 @@ def _classify_edge(
     ends here).  ``run`` counts consecutive WAIT/IDLE turns.
     """
     for ca in edge.comms:
-        try:
-            h = apply_comm(ca, h)
-        except StaleComm:
-            pass  # already aligned in this execution
+        h = h.with_value(ca.attr, ca.value)  # the same belief if already aligned
     op = edge.action
     new_run = _stall_run(run, op.is_pseudo)
     if op.is_pseudo and not node.done and new_run >= STALL_THRESHOLD:
@@ -651,8 +628,9 @@ def simulate(
     Each prescribed action is checked against the ground truth and against
     its actor's true (protocol-evolved) belief; the first violation makes
     the trace NA.  A run of :data:`STALL_THRESHOLD` consecutive WAIT/IDLE
-    actions before the agenda is done makes it IDL.  Communication edges are
-    executed as zero-time robot actions (already-aligned facts are skipped).
+    actions before the agenda is done makes it IDL.  The tells on an edge
+    are zero-time robot actions: each writes its value into the human's
+    belief before the action, and a fact already aligned stays as it is.
 
     Shared policy subtrees are aggregated through a memo, so the walk is
     exhaustive over branches without materializing any action sequence;

@@ -4,8 +4,9 @@ The JSON form embeds the domain text and the initial beliefs, so a saved
 policy is self-contained: reloading rebuilds the problem bundle and the
 policy DAG, enough to re-simulate or re-export.  Node beliefs are exported
 as short digests.  Reloading re-derives them as the search did: from the
-root beliefs, each edge applies its ``tell``s and then the mode's step, so a
-reloaded policy prints exactly as the original.
+root beliefs, each edge applies its ``tell``s and then the mode's step, and
+checks each node's digests, so a reloaded policy prints exactly as the
+original.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 from .communication import CommAction, apply_comm_plan
 from .domfile import ProblemBundle, parse_bundle, serialize
-from .errors import DomainSyntaxError
+from .errors import BeliefHtnError, DomainSyntaxError
 from .htn import GroundedOperator, idle_op, wait_op
 from .planner import (
     MODE_LEGACY,
@@ -123,41 +124,58 @@ def to_json(policy: PolicyTree, bundle: Optional[ProblemBundle] = None) -> str:
 def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
     """Rebuild a problem bundle and policy DAG from an exported JSON policy.
 
-    A file that is not a policy over its embedded domain's robot and human,
-    with boolean ``done`` flags, known node kinds, operators of the acting
-    agent and edges to listed nodes, raises :class:`DomainSyntaxError`.
+    A malformed file raises :class:`DomainSyntaxError`: a field missing or
+    of the wrong JSON type, a node id listed twice, a tell of a value the
+    robot does not hold, an edge the beliefs its path derives cannot take,
+    or a node whose digests do not match them.
     """
     try:
         obj = json.loads(text)
     except ValueError as exc:
         raise DomainSyntaxError(f"policy file is not JSON: {exc}") from exc
-    if obj.get("format") != POLICY_FORMAT or obj.get("version") != POLICY_VERSION:
+    header = (obj.get("format"), obj.get("version")) if type(obj) is dict else None
+    if header != (POLICY_FORMAT, POLICY_VERSION):
         raise DomainSyntaxError("not a beliefhtn policy file")
-    if "domain_text" not in obj:
-        raise DomainSyntaxError("policy file has no embedded domain text")
-    bundle = parse_bundle(obj["domain_text"])
+    bundle = parse_bundle(_field(obj, "domain_text", str))
     try:
         return bundle, _load_policy(obj, bundle)
-    except KeyError as exc:
-        raise DomainSyntaxError(f"policy file lacks the field {exc}") from exc
+    except DomainSyntaxError:
+        raise
+    except BeliefHtnError as exc:  # a value, tell or action the beliefs cannot take
+        raise DomainSyntaxError(str(exc)) from exc
+
+
+def _field(obj: object, key: str, *types: type):
+    """``obj[key]`` of a JSON object; its type must be one of ``types``, if
+    any are given (exactly, so a boolean is not an int)."""
+    if type(obj) is not dict or key not in obj:
+        raise DomainSyntaxError(f"policy file lacks the field {key!r}")
+    if types and type(obj[key]) not in types:
+        raise DomainSyntaxError(f"policy file: the field {key!r} has the wrong type")
+    return obj[key]
 
 
 def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
-    mode, robot, human = obj["mode"], obj["robot"], obj["human"]
+    mode, robot, human = (_field(obj, key, str) for key in ("mode", "robot", "human"))
     if mode not in (MODE_NEW, MODE_LEGACY):
         raise DomainSyntaxError(f"unknown solver mode {mode!r}")
     if (robot, human) != (bundle.problem.robot, bundle.problem.human):
         raise DomainSyntaxError(f"robot/human {robot!r}/{human!r} are not the domain's agents")
 
-    def belief_from(table: dict, owner: str) -> BeliefState:
-        assignment = {bundle.attr(key): value for key, value in table.items()}
+    def belief_from(key: str, owner: str) -> BeliefState:
+        assignment = {bundle.attr(name): value for name, value in _field(obj, key, dict).items()}
         return BeliefState.from_mapping(owner, bundle.universe, assignment)
 
-    init_world = belief_from(obj["init_world"], robot)
-    init_human = belief_from(obj["init_human"], human)
-    specs = {spec["id"]: spec for spec in obj["nodes"]}
+    init_world = belief_from("init_world", robot)
+    init_human = belief_from("init_human", human)
+    specs: dict[int, dict] = {}
+    for spec in _field(obj, "nodes", list):
+        nid = _field(spec, "id", int)
+        if nid in specs:
+            raise DomainSyntaxError(f"node {nid} is listed twice")
+        specs[nid] = spec
     root = _load_node(
-        bundle, mode, specs, {}, obj["root"], init_world,
+        bundle, mode, specs, {}, _field(obj, "root", int), init_world,
         _root_human(mode, bundle.obs_model, init_world, init_human),
     )
     return PolicyTree(mode, robot, human, init_world, init_human, root)
@@ -188,21 +206,28 @@ def _load_node(
         raise DomainSyntaxError(f"policy file names no node {nid!r}")
     robot, human = bundle.problem.robot, bundle.problem.human
     spec = specs[nid]
-    turn, done, kind = spec["turn"], spec["done"], spec["kind"]
+    turn, done, kind = _field(spec, "turn", str), _field(spec, "done"), _field(spec, "kind", str)
     if turn not in (robot, human) or not isinstance(done, bool) or kind not in _KINDS:
         raise DomainSyntaxError(f"node {nid}: bad turn/done/kind {turn!r}/{done!r}/{kind!r}")
+    digests = f"#{_digest(world)}", f"#{_digest(human_belief)}"
+    if (_field(spec, "world"), _field(spec, "belief")) != digests:
+        raise DomainSyntaxError(f"node {nid}: digests do not match the beliefs its path derives")
     nodes[nid] = None
     edges = []
-    for e in spec["edges"]:
-        op = _operator(bundle, e["action"], turn)
+    for e in _field(spec, "edges", list):
+        op = _operator(bundle, _field(e, "action", dict), turn)
         comms = tuple(
-            CommAction(robot, human, bundle.attr(c["attr"]), c["value"]) for c in e["comms"]
+            CommAction(robot, human, bundle.attr(_field(c, "attr", str)), _field(c, "value"))
+            for c in _field(e, "comms", list)
         )
         w2, h2 = _step(
             mode, bundle.obs_model, robot, human, world,
             apply_comm_plan(comms, human_belief), op, turn,
         )
-        child = _load_node(bundle, mode, specs, nodes, e["child"], w2, h2)
+        for ca in comms:
+            if world.get(ca.attr) != ca.value:
+                raise DomainSyntaxError(f"node {nid}: the robot does not believe {ca}")
+        child = _load_node(bundle, mode, specs, nodes, _field(e, "child", int), w2, h2)
         edges.append(PolicyEdge(op, comms, child))
     node = nodes[nid] = PolicyNode(world, human_belief, done, turn, NodeKind(kind), tuple(edges))
     return node
@@ -210,10 +235,13 @@ def _load_node(
 
 def _operator(bundle: ProblemBundle, a: dict, turn: str) -> GroundedOperator:
     """The operator an exported action names, which ``turn`` must own."""
-    name, args, kind = a["name"], tuple(a["args"]), a["kind"]
-    if kind in ("idle", "wait") and a["agent"] == turn:
+    name, agent, kind = (_field(a, key, str) for key in ("name", "agent", "kind"))
+    args = tuple(_field(a, "args", list))
+    if any(type(arg) is not str for arg in args):
+        raise DomainSyntaxError(f"action {name}: its arguments must be strings")
+    if kind in ("idle", "wait") and agent == turn:
         return idle_op(turn) if kind == "idle" else wait_op(turn)
     op = bundle.problem.domain_of(turn).ground_ops.get((name, args))
-    if op is None or a["agent"] != turn or op.kind.value != kind:
+    if op is None or agent != turn or op.kind.value != kind:
         raise DomainSyntaxError(f"{kind} action {name}{args} is not an operator of {turn!r}")
     return op

@@ -12,7 +12,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from beliefhtn import MODE_NEW, builtin_bundle, planner
+import pytest
+
+from beliefhtn import MODE_LEGACY, MODE_NEW, builtin_bundle, planner
 from beliefhtn.experiment import ExperimentConfig
 from beliefhtn.planner import PlannerConfig, plan
 
@@ -26,7 +28,9 @@ def _load(name):
     return module
 
 
-def test_the_benchmark_finds_every_layer_it_patches(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
+    """A tracer with the worker's layers patched, unpatched after the test."""
     tracer_module = _load("tracer")
     # worker.py imports its tracer by module name and prepends the source
     # tree to sys.path; both are restored after the test.
@@ -36,12 +40,37 @@ def test_the_benchmark_finds_every_layer_it_patches(monkeypatch):
     tracer = tracer_module.Tracer()
     try:
         worker._patch_layers(tracer)
-        assert tracer.missing == []
-        assert callable(planner._canonical.cache_info)
-        bundle = builtin_bundle("cooking")
-        config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
-        policy = plan(bundle.problem, bundle.obs_model, MODE_NEW, config)
-        assert policy.nodes_expanded > 0
-        assert tracer.calls("planner.choices") > 0
+        yield tracer
     finally:
         tracer.unpatch()
+
+
+def test_the_benchmark_finds_every_layer_it_patches(tracer):
+    assert tracer.missing == []
+    assert callable(planner._canonical.cache_info)
+    bundle = builtin_bundle("cooking")
+    config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
+    policy = plan(bundle.problem, bundle.obs_model, MODE_NEW, config)
+    assert policy.nodes_expanded > 0
+    assert tracer.calls("planner.choices") > 0
+
+
+STEP_LAYER = {MODE_NEW: "engine.step_belief_protocol", MODE_LEGACY: "engine.legacy_step"}
+
+
+def test_the_traced_run_cross_checks_hold(tracer):
+    # bench/run.py marks a traced run incorrect when a plan's step calls
+    # differ from nodes_expanded - 1, or a layer's measure comes out null.
+    config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
+    for domain in ("cooking", "box"):
+        bundle = builtin_bundle(domain).with_start("human")
+        for mode in (MODE_LEGACY, MODE_NEW):
+            before = tracer.calls(STEP_LAYER[mode])
+            policy = plan(bundle.problem, bundle.obs_model, mode, config)
+            # Every expanded node but the root is entered by one step.
+            assert tracer.calls(STEP_LAYER[mode]) - before == policy.nodes_expanded - 1
+    for layer in ("communication.is_relevant_divergence", "communication.min_comm_bfs"):
+        assert tracer.calls(layer) > 0
+        assert isinstance(tracer.measured(layer), int)
+    assert tracer.measured("communication.min_comm_bfs") > 0  # some plan tells
+    assert callable(planner._canonical.cache_info)

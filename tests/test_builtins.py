@@ -4,7 +4,7 @@ import pytest
 
 from beliefhtn import MODE_LEGACY, MODE_NEW, ObsClass, builtin, builtin_bundle, plan, simulate
 from beliefhtn.builtins import box_dom
-from beliefhtn.errors import UnknownDomain
+from beliefhtn.errors import BadArgument, UnknownDomain
 
 
 def test_cooking_shape(cooking):
@@ -53,6 +53,12 @@ def test_unknown_builtin():
 def test_box_knobs_change_text():
     text = box_dom(boxes=2)
     assert "group Boxes box1 box2" in text
+
+
+@pytest.mark.parametrize("boxes", [0, -1])
+def test_box_dom_needs_a_box(boxes):
+    with pytest.raises(BadArgument, match="at least one box"):
+        box_dom(boxes)
 
 
 @pytest.mark.parametrize("name", ["cooking", "box"])

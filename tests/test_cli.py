@@ -168,6 +168,15 @@ def _set(path, value):
     return edit
 
 
+def _drop(key):
+    """An edit of a saved policy object: remove the field ``key``."""
+
+    def edit(obj):
+        del obj[key]
+
+    return edit
+
+
 def _swap_agents(obj):
     obj["robot"], obj["human"] = obj["human"], obj["robot"]
 
@@ -186,6 +195,32 @@ def _merge_paths(obj):
     node["edges"].append({"action": wait, "comms": [], "child": leaf["id"]})
 
 
+def _tells(obj):
+    """The tells of the first edge that communicates."""
+    return next(e["comms"] for node in obj["nodes"] for e in node["edges"] if e["comms"])
+
+
+def _tell_value(obj):
+    _tells(obj)[0]["value"] = "purple"
+
+
+def _tell_false(obj):
+    """Add a tell of a value the robot does not hold, on an edge whose step
+    lets the human observe the attribute."""
+    node = next(node for node in obj["nodes"] if node["id"] == 1)
+    node["edges"][0]["comms"].append({"attr": "PastaLoc", "value": "Kitchen"})
+
+
+def _tell_twice(obj):
+    tells = _tells(obj)
+    tells.append(dict(tells[0]))
+
+
+def _list_twice(obj):
+    obj["nodes"].append(dict(obj["nodes"][-1]))
+
+
+# Each edit changes the saved object in place, or returns the whole file.
 POLICY_EDITS = {
     # The mode selects the step that re-derives each node's beliefs.
     "mode": (_set(["mode"], "optimistic"), "unknown solver mode 'optimistic'"),
@@ -193,11 +228,24 @@ POLICY_EDITS = {
     "kind": (_set(["nodes", 0, "kind"], "finished"), "bad turn/done/kind"),
     "child": (_set(["nodes", 0, "edges", 0, "child"], 99), "names no node 99"),
     "action": (_fly, r"regular action fly\(\) is not an operator of 'human'"),
-    "nodes": (lambda obj: obj.pop("nodes"), "lacks the field 'nodes'"),
+    "nodes": (_drop("nodes"), "lacks the field 'nodes'"),
     "agents": (_swap_agents, "are not the domain's agents"),
     "cycle": (_set(["nodes", 1, "edges", 0, "child"], 0), "node 0: an edge leads back to it"),
     "beliefs": (_merge_paths, r"node \d+: reached with two different beliefs"),
+    "list": (lambda obj: [], "not a beliefhtn policy file"),
+    "nodes-type": (_set(["nodes"], 5), "the field 'nodes' has the wrong type"),
+    "root-type": (_set(["root"], [0]), "the field 'root' has the wrong type"),
+    "action-type": (
+        _set(["nodes", 0, "edges", 0, "action"], "grab"), "the field 'action' has the wrong type"
+    ),
+    "tell-value": (_tell_value, "'purple' is not in the value domain of SaltInPot"),
+    "tell-twice": (_tell_twice, "receiver already believes SaltInPot = true"),
+    "tell-false": (_tell_false, r"node 1: the robot does not believe tell\(PastaLoc, Kitchen\)"),
+    "id-twice": (_list_twice, r"node \d+ is listed twice"),
+    "digest": (_set(["nodes", 0, "world"], "#00000000"), "node 0: digests do not match"),
 }
+# The edits of a tell need a policy that communicates: cooking, the human first.
+COMMUNICATING = {"tell-value", "tell-twice", "tell-false"}
 
 
 @pytest.mark.parametrize("edit", sorted(POLICY_EDITS))
@@ -208,12 +256,14 @@ def test_policy_load_rejects_unknown_mode(edit, cooking, tmp_path, capsys):
     from beliefhtn.errors import DomainSyntaxError
 
     change, message = POLICY_EDITS[edit]
-    obj = json.loads(to_json(plan(cooking.problem, cooking.obs_model), cooking))
-    change(obj)
+    bundle = cooking.with_start("human") if edit in COMMUNICATING else cooking
+    obj = json.loads(to_json(plan(bundle.problem, bundle.obs_model), bundle))
+    whole = change(obj)
+    text = json.dumps(obj if whole is None else whole)
     with pytest.raises(DomainSyntaxError, match=message):
-        load_json(json.dumps(obj))
+        load_json(text)
     path = tmp_path / "policy.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(text)
     assert main(["simulate", "--policy", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -222,6 +272,13 @@ def test_experiment_rejects_unknown_mode(tmp_path, capsys):
     argv = ["experiment", "--domain", "cooking", "--modes", "neww", "--out-dir", str(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: unknown solver mode 'neww'\n"
+
+
+def test_experiment_rejects_a_repeated_mode(tmp_path, capsys):
+    argv = ["experiment", "--domain", "cooking", "--modes", "new,new", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: solver mode 'new' is given twice\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_plan_rejects_unknown_domain(capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from beliefhtn import experiment
-from beliefhtn.errors import BeliefHtnError, SpecMismatch
+from beliefhtn.errors import BadArgument, BeliefHtnError, SpecMismatch
 from beliefhtn.experiment import (
     DEFAULT_SPECS,
     ExperimentConfig,
@@ -129,3 +129,9 @@ def test_run_experiment_rejects_missing_domain_file(tmp_path):
     missing = tmp_path / "absent.dom"
     with pytest.raises(BeliefHtnError, match="neither a builtin domain"):
         run_experiment(ExperimentConfig(domain=str(missing)))
+
+
+def test_run_experiment_rejects_a_repeated_mode():
+    # A repeated mode would plan every instance twice into one row.
+    with pytest.raises(BadArgument, match="solver mode 'new' is given twice"):
+        run_experiment(ExperimentConfig(modes=("new", "legacy", "new")))

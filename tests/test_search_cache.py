@@ -22,6 +22,7 @@ from beliefhtn import (
     MODE_LEGACY,
     MODE_NEW,
     PlannerConfig,
+    PolicyNode,
     builtin_bundle,
     enumerate_traces,
     parse_bundle,
@@ -34,7 +35,6 @@ from beliefhtn.errors import DepthExceeded
 from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
 from beliefhtn.htn import TaskInstance, TaskNetwork, analyse_hierarchy
 from beliefhtn.planner import (
-    _OPEN,
     RECURSIVE_DEPTH,
     STALL_THRESHOLD,
     SearchCache,
@@ -304,7 +304,9 @@ def test_plan_cut_short_leaves_no_open_state(monkeypatch):
     monkeypatch.setattr(planner, "_step", interrupted)
     with pytest.raises(Interrupted):
         plan(bundle.problem, bundle.obs_model, MODE_NEW, STUDY)
-    assert table and _OPEN not in table.values()
+    # The table holds only results: each entry a solved node or a failure.
+    assert table
+    assert all(entry is None or isinstance(entry, PolicyNode) for entry in table.values())
     monkeypatch.undo()
     warm = planned(bundle, bundle.problem, MODE_NEW)
     fresh = builtin_bundle("box")
