@@ -14,6 +14,10 @@ actor's action must be applicable in the human's belief, a robot actor's in
 the ground truth; the belief protocol also requires a human's action to be
 applicable in the ground truth.  Replay executes each edge through
 ``step_belief_protocol``, so its NA verdicts carry these messages.
+
+A step that changes nothing returns the same belief objects it was given:
+every channel returns its input belief when it writes no new value, so a
+WAIT, an IDLE or an assessment with nothing to see builds no belief.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ def _check_actor(
     belief, a robot actor on the ground truth.  Under the belief protocol
     (``protocol``) a human's action must also be applicable in the ground
     truth, which is what it changes."""
+    if not op.pre:  # applicable everywhere, WAIT and IDLE included
+        return
     human = actor_id == human_id
     if human and not applicable(op, human_belief):
         raise NotApplicable(f"{op} not applicable in the human's belief")
@@ -67,17 +73,17 @@ def step_belief_protocol(
     from their new location.
     """
     _check_actor(world, human_belief, op, actor_id, human_id, protocol=True)
-    world_before = world
-    world = apply_effects(op, world)
+    world_after = apply_effects(op, world)
     # A robot's action is observed only when the human is co-present with
-    # the actor throughout it, i.e. in both the pre- and the post-state.
+    # the actor throughout it, i.e. in both the pre- and the post-state;
+    # an action that changed nothing leaves one state to check.
     if actor_id == human_id or (
-        model.copresent(human_id, actor_id, world_before)
-        and model.copresent(human_id, actor_id, world)
+        model.copresent(human_id, actor_id, world)
+        and (world_after is world or model.copresent(human_id, actor_id, world_after))
     ):
         human_belief = apply_effects(op, human_belief)
-    human_belief = model.assess(human_belief, world)
-    return StepResult(world, human_belief)
+    human_belief = model.assess(human_belief, world_after)
+    return StepResult(world_after, human_belief)
 
 
 def legacy_step(

@@ -263,6 +263,7 @@ def run_experiment(
     for i, mode in enumerate(config.modes):
         if mode in config.modes[:i]:
             raise BadArgument(f"solver mode {mode!r} is given twice")
+    PlannerConfig(depth_bound=config.depth_bound)  # a bad bound raises before any plan
     bundle = load_bundle(config.domain)
     if config.start is not None:
         bundle = bundle.with_start(config.start)

@@ -111,15 +111,16 @@ class GroundedOperator:
     kind: OpKind
     pre: tuple[tuple[int, Value], ...]
     eff: tuple[tuple[int, EffectOp, Value | int], ...]
+    # True for WAIT and IDLE; derived from ``kind`` once, at construction.
+    is_pseudo: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_pseudo", self.kind in (OpKind.IDLE, OpKind.WAIT))
 
     def __str__(self) -> str:
         if not self.args:
             return self.name
         return f"{self.name}({', '.join(self.args)})"
-
-    @property
-    def is_pseudo(self) -> bool:
-        return self.kind in (OpKind.IDLE, OpKind.WAIT)
 
 
 def idle_op(agent: str) -> GroundedOperator:
@@ -195,8 +196,11 @@ def apply_effects(op: GroundedOperator, state: BeliefState) -> BeliefState:
     """Rewrite exactly the effect-touched attributes (no precondition check).
 
     Used by observation channels, where an observer integrates an action's
-    effects into a belief the action was not checked against.
+    effects into a belief the action was not checked against.  Returns the
+    state itself when no value changes, an op with no effects included.
     """
+    if not op.eff:
+        return state
     values = state.values
     domains = state.universe.value_domains
     updates: list[tuple[int, Value]] = []

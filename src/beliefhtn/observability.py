@@ -152,15 +152,23 @@ class ObservabilityModel:
         Both the observer's location and each attribute's place are taken
         from the ground truth: assessment reflects what is actually visible,
         not what the observer believes is visible.  Returns the observer's
-        belief itself when nothing changes.
+        belief itself, with no update list built, when nothing visible
+        diverges.
         """
         here = self.agent_place(observer_belief.owner, world)
         truth = world.values
         believed = observer_belief.values
-        updates: list[tuple[int, Value]] = []
+        places = self.places.members
+        updates: Optional[list[tuple[int, Value]]] = None
         for index, reference, place in self.assessable:
             if reference is not None:
-                place = self._referenced_place(index, reference, truth)
+                place = truth[reference]
+                if place not in places:
+                    self._referenced_place(index, reference, truth)  # raises BadRule
             if place == here and believed[index] != truth[index]:
+                if updates is None:
+                    updates = []
                 updates.append((index, truth[index]))
+        if updates is None:
+            return observer_belief
         return observer_belief.with_values_at(updates)

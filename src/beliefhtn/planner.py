@@ -92,10 +92,18 @@ class PlannerConfig:
     result depends on its state key alone.  A certified plan reads and
     extends its bundle's shared table, so it reuses every subtree any
     earlier plan on the bundle solved, in the same mode.  Its search is
-    finite, so :data:`MAX_NODES` caps only uncertified plans.
+    finite, so :data:`MAX_NODES` caps only uncertified plans.  A bound that
+    is not a positive int (a bool included) raises :class:`BadArgument`.
     """
 
     depth_bound: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        bound = self.depth_bound
+        if bound is not None and (
+            not isinstance(bound, int) or isinstance(bound, bool) or bound < 1
+        ):
+            raise BadArgument(f"depth bound must be a positive int, got {bound!r}")
 
 
 class NodeKind(Enum):
@@ -567,13 +575,16 @@ class ExecutionReport:
 
 _EMBEDDED_DEADLOCK = "plan-embedded inactivity deadlock"
 
+# The replay walk sums plain tuples of the ExecutionReport fields, in field
+# order; :func:`simulate` builds the one report from the root's tuple.
+_Totals = tuple[str, str, int, int, int, int, int, int]
+_SUCCESS_END: _Totals = ("success", "", 1, 1, 0, 0, 0, 0)
+_DEADLOCK_END: _Totals = ("idl", _EMBEDDED_DEADLOCK, 1, 0, 0, 1, 0, 0)
 
-def _branch_end(outcome: str, detail: str) -> ExecutionReport:
-    """The report of one branch that ends here with ``outcome``."""
-    return ExecutionReport(
-        outcome, detail, 1, int(outcome == "success"), int(outcome == "na"),
-        int(outcome == "idl"), 0, 0,
-    )
+
+def _branch_end(verdict: str, detail: str) -> _Totals:
+    """The totals of one branch that fails here with ``verdict`` (na/idl)."""
+    return (verdict, detail, 1, 0, int(verdict == "na"), int(verdict == "idl"), 0, 0)
 
 
 def _replay_start(
@@ -637,28 +648,29 @@ def simulate(
     :func:`enumerate_traces` lists the branches themselves.
     """
     world, human = _replay_start(policy, obs_model, world0, human0)
-    return _replay(policy, obs_model, {}, policy.root, world, human, 0)
+    return ExecutionReport(*_replay(policy, obs_model, {}, policy.root, world, human, 0))
 
 
 def _replay(
     policy: PolicyTree,
     obs_model: ObservabilityModel,
-    memo: dict[tuple, ExecutionReport],
+    memo: dict[tuple, _Totals],
     node: PolicyNode,
     w: BeliefState,
     h: BeliefState,
     run: int,
-) -> ExecutionReport:
-    """The :func:`simulate` walk from ``node``; a module function, not a
-    closure, so the memo is freed as soon as the walk returns."""
-    key = (id(node), w.values, h.values, min(run, STALL_THRESHOLD))
+) -> _Totals:
+    """The :func:`simulate` walk from ``node``, as report totals; a module
+    function, not a closure, so the memo is freed as soon as the walk
+    returns."""
+    key = (id(node), w.values, h.values, run if run < STALL_THRESHOLD else STALL_THRESHOLD)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if node.kind is NodeKind.SUCCESS:
-        report = _branch_end("success", "")
+        totals = _SUCCESS_END
     elif node.kind is NodeKind.DEADLOCK or not node.edges:
-        report = _branch_end("idl", _EMBEDDED_DEADLOCK)
+        totals = _DEADLOCK_END
     else:
         n = s = na = idl = plen = comms = 0
         first, detail = "success", ""
@@ -671,18 +683,18 @@ def _replay(
             else:
                 assert nxt is not None
                 sub = _replay(policy, obs_model, memo, edge.child, nxt[0], nxt[1], new_run)
-            step_len = 0 if edge.action.is_pseudo else 1
-            n += sub.n_traces
-            s += sub.n_success
-            na += sub.n_na
-            idl += sub.n_idl
-            plen += sub.sum_primitive_len + step_len * sub.n_traces
-            comms += sub.sum_comms + len(edge.comms) * sub.n_traces
+            sub_first, sub_detail, sub_n, sub_s, sub_na, sub_idl, sub_plen, sub_comms = sub
+            n += sub_n
+            s += sub_s
+            na += sub_na
+            idl += sub_idl
+            plen += sub_plen if edge.action.is_pseudo else sub_plen + sub_n
+            comms += sub_comms + len(edge.comms) * sub_n
             if first == "success":
-                first, detail = sub.outcome, sub.detail
-        report = ExecutionReport(first, detail, n, s, na, idl, plen, comms)
-    memo[key] = report
-    return report
+                first, detail = sub_first, sub_detail
+        totals = (first, detail, n, s, na, idl, plen, comms)
+    memo[key] = totals
+    return totals
 
 
 def enumerate_traces(

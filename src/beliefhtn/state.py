@@ -9,8 +9,10 @@ A universe interns every grounded attribute to a dense index at load time,
 so a belief state is a fixed-width tuple of values: comparison, hashing and
 full-state diffs are all O(#attributes).  Grounded operators and the
 situation-assessment table hold these indices, resolved when the bundle is
-built.  Belief states are immutable; "mutation" is copy-and-update via
-:meth:`BeliefState.with_values_at` (by index) or ``with_value``.
+built.  Belief states are immutable; "mutation" is copy-on-change via
+:meth:`BeliefState.with_values_at` (by index) or ``with_value``: a write
+that changes no value returns the same belief object, so a step that
+changes nothing builds nothing.
 
 Values are always drawn from finite domains, which the universe resolves
 from each declaration's range: members of a declared group, the builtin
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import BadArgument, BadValue, UnknownAttribute, UniverseMismatch
 
@@ -271,13 +273,27 @@ class BeliefState:
 
     def with_values_at(self, updates: Iterable[tuple[int, Value]]) -> "BeliefState":
         """Copy with each ``(index, value)`` written, every value checked
-        against its domain; the same object when no value changes."""
-        values = list(self.values)
+        against its domain; the same object when no value changes.
+
+        The copy is made at the first write that changes a value, so a run
+        of writes that change nothing builds nothing.  Writes that set a
+        value and then restore it also return the same object.
+        """
+        values = self.values
+        domains = self.universe.value_domains
+        changed: Optional[list[Value]] = None
         for index, value in updates:
-            self.universe.check_value(index, value)
-            values[index] = value
-        new = tuple(values)
-        if new == self.values:
+            if value not in domains[index]:
+                self.universe.check_value(index, value)  # raises, naming the attribute
+            if changed is None:
+                if values[index] == value:
+                    continue
+                changed = list(values)
+            changed[index] = value
+        if changed is None:
+            return self
+        new = tuple(changed)
+        if new == values:
             return self
         return BeliefState(self.owner, self.universe, new)
 

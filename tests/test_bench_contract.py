@@ -16,7 +16,7 @@ import pytest
 
 from beliefhtn import MODE_LEGACY, MODE_NEW, builtin_bundle, planner
 from beliefhtn.experiment import ExperimentConfig
-from beliefhtn.planner import PlannerConfig, plan
+from beliefhtn.planner import PlannerConfig, plan, simulate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -74,3 +74,33 @@ def test_the_traced_run_cross_checks_hold(tracer):
         assert isinstance(tracer.measured(layer), int)
     assert tracer.measured("communication.min_comm_bfs") > 0  # some plan tells
     assert callable(planner._canonical.cache_info)
+
+
+# The layers the copy-on-change kernel and the tuple-summing replay rewrite.
+# A layer inlined away would read zero calls here and null in the traced run.
+KERNEL_LAYERS = (
+    "observability.assess",
+    "htn.apply_effects",
+    "htn.applicable",
+    "state.with_value",
+    "engine.step_belief_protocol",
+    "engine.legacy_step",
+    "planner.simulate",
+)
+
+
+def test_the_rewritten_kernel_layers_are_all_called(tracer):
+    # The worker wraps simulate itself, as here, and patches the rest.
+    simulate_fn = tracer.wrap("planner.simulate", simulate, lambda r: r.n_traces)
+    config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
+    for domain in ("cooking", "box"):
+        bundle = builtin_bundle(domain).with_start("human")
+        for mode in (MODE_LEGACY, MODE_NEW):
+            before = tracer.calls(STEP_LAYER[mode])
+            policy = plan(bundle.problem, bundle.obs_model, mode, config)
+            assert tracer.calls(STEP_LAYER[mode]) - before == policy.nodes_expanded - 1
+            assert simulate_fn(policy, bundle.obs_model).n_traces > 0
+    assert tracer.missing == []
+    assert {layer: tracer.calls(layer) > 0 for layer in KERNEL_LAYERS} == dict.fromkeys(
+        KERNEL_LAYERS, True
+    )

@@ -281,6 +281,21 @@ def test_experiment_rejects_a_repeated_mode(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["plan", "export"])
+def test_plan_rejects_a_depth_bound_below_one(command, tmp_path, capsys):
+    argv = [command, "--domain", "cooking", "--depth", "-3", "--out", str(tmp_path / "p")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: depth bound must be a positive int, got -3\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_experiment_rejects_a_depth_bound_of_zero(tmp_path, capsys):
+    argv = ["experiment", "--domain", "cooking", "--depth", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: depth bound must be a positive int, got 0\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_plan_rejects_unknown_domain(capsys):
     code = main(["plan", "--domain", "garden", "--mode", "new"])
     assert code == 2

@@ -135,3 +135,10 @@ def test_run_experiment_rejects_a_repeated_mode():
     # A repeated mode would plan every instance twice into one row.
     with pytest.raises(BadArgument, match="solver mode 'new' is given twice"):
         run_experiment(ExperimentConfig(modes=("new", "legacy", "new")))
+
+
+@pytest.mark.parametrize("bound", [0, -1, True])
+def test_run_experiment_rejects_a_bad_depth_bound(bound):
+    # Before any plan runs, not as one error row per instance.
+    with pytest.raises(BadArgument, match="depth bound must be a positive int"):
+        run_experiment(ExperimentConfig(domain="cooking", depth_bound=bound))

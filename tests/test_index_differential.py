@@ -10,6 +10,14 @@ rule is grounded here from the parsed file, and every lookup goes through
 ``universe.index_of``.  On random world/human pairs both versions
 must return the same values, return the input object in the same cases and
 raise the same errors.
+
+A second set of references keeps the index-keyed kernel that copied on
+every write: ``with_values_at`` building a full copy before comparing it,
+``apply_effects`` and ``assess`` always building an update list, the two
+belief steps checking and observing every operator, and a replay walk that
+built one ``ExecutionReport`` per node.  The copy-on-change kernel must
+agree with it on values, on which calls return their input object, and on
+the type and message of every error.
 """
 
 from __future__ import annotations
@@ -18,11 +26,33 @@ import random
 
 import pytest
 
-from beliefhtn import BeliefState, ObsClass, parse
+from beliefhtn import (
+    MODE_LEGACY,
+    MODE_NEW,
+    BeliefState,
+    ObsClass,
+    builtin_bundle,
+    legacy_step,
+    parse,
+    parse_bundle,
+    plan,
+    simulate,
+    step_belief_protocol,
+)
 from beliefhtn.builtins import BOX_DOM, COOKING_DOM, box_dom
-from beliefhtn.errors import BadRule, BadValue
-from beliefhtn.htn import EffectOp, applicable, apply_effects
+from beliefhtn.errors import BadRule, BadValue, BeliefHtnError, NotApplicable
+from beliefhtn.htn import EffectOp, applicable, apply_effects, idle_op, wait_op
 from beliefhtn.observability import LOCATION_SYMBOL
+from beliefhtn.planner import (
+    STALL_THRESHOLD,
+    ExecutionReport,
+    NodeKind,
+    PlannerConfig,
+    _replay_start,
+    _stall_run,
+)
+
+from test_search_cache import STRIDE, study_problems
 
 PAIRS = 60
 
@@ -239,3 +269,277 @@ def test_reference_that_is_not_a_place_raises_in_both():
         bundle.obs_model.assess(human, world)
     with pytest.raises(BadRule):
         ref_assess(bundle.obs_model, reference, human, world)
+
+
+# -- reference: the kernel that copied on every write ------------------------
+
+
+def copying_with_values_at(belief, updates):
+    values = list(belief.values)
+    for index, value in updates:
+        belief.universe.check_value(index, value)
+        values[index] = value
+    new = tuple(values)
+    if new == belief.values:
+        return belief
+    return BeliefState(belief.owner, belief.universe, new)
+
+
+def copying_apply_effects(op, state):
+    values = state.values
+    domains = state.universe.value_domains
+    updates = []
+    for index, eop, value in op.eff:
+        if eop is not EffectOp.SET:
+            domain = domains[index]
+            delta = value if eop is EffectOp.INC else -value
+            value = min(domain[-1], max(domain[0], values[index] + delta))
+        updates.append((index, value))
+    return copying_with_values_at(state, updates)
+
+
+def copying_assess(model, observer_belief, world):
+    here = model.agent_place(observer_belief.owner, world)
+    truth = world.values
+    believed = observer_belief.values
+    updates = []
+    for index, reference, place in model.assessable:
+        if reference is not None:
+            place = model._referenced_place(index, reference, truth)
+        if place == here and believed[index] != truth[index]:
+            updates.append((index, truth[index]))
+    return copying_with_values_at(observer_belief, updates)
+
+
+def copying_check_actor(world, human_belief, op, actor_id, human_id, protocol):
+    human = actor_id == human_id
+    if human and not applicable(op, human_belief):
+        raise NotApplicable(f"{op} not applicable in the human's belief")
+    if (protocol or not human) and not applicable(op, world):
+        raise NotApplicable(f"{op} not applicable in the ground truth")
+
+
+def copying_step(world, human_belief, op, actor_id, robot_id, human_id, model):
+    copying_check_actor(world, human_belief, op, actor_id, human_id, protocol=True)
+    world_before = world
+    world = copying_apply_effects(op, world)
+    if actor_id == human_id or (
+        model.copresent(human_id, actor_id, world_before)
+        and model.copresent(human_id, actor_id, world)
+    ):
+        human_belief = copying_apply_effects(op, human_belief)
+    return world, copying_assess(model, human_belief, world)
+
+
+def copying_legacy_step(world, human_belief, op, actor_id, human_id):
+    copying_check_actor(world, human_belief, op, actor_id, human_id, protocol=False)
+    return copying_apply_effects(op, world), copying_apply_effects(op, human_belief)
+
+
+def copying_simulate(policy, model):
+    world, human = _replay_start(policy, model, None, None)
+    return copying_replay(policy, model, {}, policy.root, world, human, 0)
+
+
+def copying_replay(policy, model, memo, node, w, h, run):
+    key = (id(node), w.values, h.values, min(run, STALL_THRESHOLD))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if node.kind is NodeKind.SUCCESS:
+        report = ExecutionReport("success", "", 1, 1, 0, 0, 0, 0)
+    elif node.kind is NodeKind.DEADLOCK or not node.edges:
+        report = ExecutionReport("idl", "plan-embedded inactivity deadlock", 1, 0, 0, 1, 0, 0)
+    else:
+        n = s = na = idl = plen = comms = 0
+        first, detail = "success", ""
+        for edge in node.edges:
+            hb = h
+            for ca in edge.comms:
+                index = hb.universe.index_of(ca.attr)
+                hb = copying_with_values_at(hb, ((index, ca.value),))
+            op = edge.action
+            new_run = _stall_run(run, op.is_pseudo)
+            sub = None
+            if op.is_pseudo and not node.done and new_run >= STALL_THRESHOLD:
+                sub = ExecutionReport(
+                    "idl", f"{STALL_THRESHOLD} consecutive WAIT/IDLE turns", 1, 0, 0, 1, 0, 0
+                )
+            else:
+                try:
+                    w2, h2 = copying_step(
+                        w, hb, op, node.turn, policy.robot, policy.human, model
+                    )
+                except NotApplicable as exc:
+                    sub = ExecutionReport("na", str(exc), 1, 0, 1, 0, 0, 0)
+            if sub is None:
+                sub = copying_replay(policy, model, memo, edge.child, w2, h2, new_run)
+            step_len = 0 if op.is_pseudo else 1
+            n += sub.n_traces
+            s += sub.n_success
+            na += sub.n_na
+            idl += sub.n_idl
+            plen += sub.sum_primitive_len + step_len * sub.n_traces
+            comms += sub.sum_comms + len(edge.comms) * sub.n_traces
+            if first == "success":
+                first, detail = sub.outcome, sub.detail
+        report = ExecutionReport(first, detail, n, s, na, idl, plen, comms)
+    memo[key] = report
+    return report
+
+
+def result(fn, *args):
+    """("ok", beliefs returned) or ("raise", error type, message)."""
+    try:
+        out = fn(*args)
+    except BeliefHtnError as exc:
+        return "raise", type(exc), str(exc)
+    if isinstance(out, BeliefState):
+        return "ok", (out,)
+    if isinstance(out, tuple):
+        return "ok", out
+    return "ok", (out.world, out.human_belief)
+
+
+def agree(new, ref, inputs):
+    """Same outcome; returned beliefs equal in value and owner, and each the
+    corresponding input object in the same cases."""
+    assert new[0] == ref[0], (new, ref)
+    if new[0] == "raise":
+        assert new[1:] == ref[1:]
+        return "raise"
+    for got, want, given in zip(new[1], ref[1], inputs):
+        assert got.values == want.values and got.owner == want.owner
+        assert (got is given) == (want is given)
+    return "same" if all(got is given for got, given in zip(new[1], inputs)) else "changed"
+
+
+KERNEL_DOMAINS = [
+    pytest.param(COOKING_DOM, id="cooking"),
+    pytest.param(BOX_DOM, id="box"),
+] + [pytest.param(box_dom(boxes=n), id=f"box{n}") for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("text", KERNEL_DOMAINS)
+def test_copy_on_change_writes_match_the_copying_kernel(text):
+    bundle = parse(text).build()
+    u = bundle.universe
+    rng = random.Random(7 * len(u))
+    seen = set()
+    for _ in range(PAIRS):
+        world, human = random_pair(bundle, rng)
+        for belief in (world, human):
+            i, j = rng.sample(range(len(u)), 2)
+            other = next(v for v in u.value_domains[i] if v != belief.values[i])
+            batches = [
+                # several writes, some of which may change nothing
+                [(k, rng.choice(u.value_domains[k])) for k in rng.sample(range(len(u)), 4)],
+                [(i, other), (i, belief.values[i])],  # set, then restore
+                [(i, other), (j, belief.values[j])],
+                [(j, belief.values[j]), (i, "not-a-value")],  # no change, then bad
+                [(i, "not-a-value"), (j, belief.values[j])],
+                [(i, other), (j, "not-a-value")],  # a change, then bad
+                [(j, belief.values[j])],
+                [],
+            ]
+            for updates in batches:
+                kind = agree(
+                    result(belief.with_values_at, updates),
+                    result(copying_with_values_at, belief, updates),
+                    (belief,),
+                )
+                seen.add(kind)
+    assert seen == {"same", "changed", "raise"}
+
+
+def kernel_ops(bundle):
+    """Every grounded operator of both agents, plus each agent's WAIT/IDLE."""
+    ops = []
+    for agent, dom in bundle.problem.domains.items():
+        ops.extend(dom.ground_ops.values())
+        ops.extend((wait_op(agent), idle_op(agent)))
+    return ops
+
+
+@pytest.mark.parametrize("text", KERNEL_DOMAINS)
+def test_belief_steps_match_the_copying_kernel(text):
+    bundle = parse(text).build()
+    problem, model = bundle.problem, bundle.obs_model
+    robot, human_id = problem.robot, problem.human
+    ops = kernel_ops(bundle)
+    rng = random.Random(len(bundle.universe))
+    seen = {"protocol": set(), "legacy": set()}
+    for n in range(PAIRS):
+        world, human = random_pair(bundle, rng)
+        if n % 2:  # an assessed human, as a step after the root sees one
+            human = model.assess(human, world)
+        for op in ops:
+            for actor in (robot, human_id):
+                seen["protocol"].add(agree(
+                    result(step_belief_protocol, world, human, op, actor, robot, human_id, model),
+                    result(copying_step, world, human, op, actor, robot, human_id, model),
+                    (world, human),
+                ))
+                seen["legacy"].add(agree(
+                    result(legacy_step, world, human, op, actor, human_id),
+                    result(copying_legacy_step, world, human, op, actor, human_id),
+                    (world, human),
+                ))
+    assert seen["protocol"] == seen["legacy"] == {"same", "changed", "raise"}
+
+
+# An agent with no AgtAt attribute: the robot is outside AgtAt's group.
+UNPLACED_DOM = """\
+beliefhtn-domain 1
+domain unplaced
+group Places Here
+group Bots bot
+group Humans person
+agents bot person
+svar AgtAt (?a Humans) -> Places : obs
+svar Done -> bool : obs
+place AgtAt(?a) value-of AgtAt(?a)
+place Done at Here
+operator tick for bot
+end
+operator mark for bot
+  eff Done = true
+end
+operator finish for person
+  pre Done = true
+end
+method m-root for both
+  task Root
+  sub m mark
+  sub f finish
+  order m < f
+end
+root r Root
+init AgtAt(person) = Here
+init Done = false
+start bot
+"""
+
+
+def test_an_actor_with_no_location_raises_in_both_kernels():
+    # The bundle builds, so each step must still look the actor's place
+    # up, even for an operator that changes nothing.
+    bundle = parse_bundle(UNPLACED_DOM)
+    problem, model = bundle.problem, bundle.obs_model
+    world, human = problem.world, problem.human_belief
+    ops = {op.name: op for op in kernel_ops(bundle) if op.agent == "bot"}
+    for name in ("tick", "mark", "WAIT", "IDLE"):
+        args = (world, human, ops[name], "bot", "bot", "person", model)
+        new = result(step_belief_protocol, *args)
+        assert new[0] == "raise" and "'bot' is not a member of group 'Humans'" in new[2]
+        assert new == result(copying_step, *args)
+
+
+@pytest.mark.parametrize("domain", ["cooking", "box"])
+@pytest.mark.parametrize("mode", [MODE_NEW, MODE_LEGACY])
+def test_replay_totals_match_one_report_per_node(domain, mode):
+    bundle = builtin_bundle(domain)
+    model = bundle.obs_model
+    for _, problem in study_problems(bundle, domain, STRIDE):
+        policy = plan(problem, model, mode, PlannerConfig())
+        assert simulate(policy, model) == copying_simulate(policy, model)

@@ -18,7 +18,7 @@ from beliefhtn import (
     simulate,
 )
 from beliefhtn.communication import apply_comm_plan
-from beliefhtn.errors import DepthExceeded, Unsolvable
+from beliefhtn.errors import BadArgument, DepthExceeded, Unsolvable
 from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
 from beliefhtn.htn import (
     OpKind,
@@ -725,3 +725,15 @@ def test_recursion_that_makes_progress_plans(mode, digest):
     assert isinstance(policy, PolicyTree)
     assert nodes == policy.nodes_expanded == 5
     assert hashlib.sha256(to_text(policy).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bound", [0, -3, True, False, 2.0, "8"])
+def test_a_depth_bound_that_is_not_a_positive_int_is_rejected(bound):
+    # A bool is an int to Python, but True would search to depth 1.
+    with pytest.raises(BadArgument, match="depth bound must be a positive int"):
+        PlannerConfig(depth_bound=bound)
+
+
+def test_the_smallest_depth_bound_is_accepted():
+    assert PlannerConfig(depth_bound=1).depth_bound == 1
+    assert PlannerConfig().depth_bound is None
