@@ -501,26 +501,35 @@ class ProblemBundle:
         ref = _parse_attr_ref(text)
         return self.universe.attr(ref.symbol, *ref.args)
 
+    def resolve(self, text: str, value: Value | str) -> tuple[int, Value]:
+        """The index of the attribute ``text`` names, and ``value`` read as
+        one of its values by :meth:`Universe.parse_value`; a value outside
+        the domain raises :class:`DomainSyntaxError`."""
+        attr = self.attr(text)
+        try:
+            parsed = self.universe.parse_value(attr, str(value))
+        except BadValue as exc:
+            raise DomainSyntaxError(str(exc)) from exc
+        return self.universe.index_of(attr), parsed
+
     def with_world(self, overrides: Mapping[str, Value | str]) -> "ProblemBundle":
         """New bundle with world-belief attributes overridden (human follows
         unless itself overridden later via :meth:`with_human_belief`)."""
         world = self.problem.world
         human = self.problem.human_belief
         for text, val in overrides.items():
-            attr = self.attr(text)
-            value = _coerce_value(self.universe, attr, str(val))
-            aligned = human.get(attr) == world.get(attr)
-            world = world.with_value(attr, value)
+            index, value = self.resolve(text, val)
+            aligned = human.values[index] == world.values[index]
+            world = world.with_values_at(((index, value),))
             if aligned:
-                human = human.with_value(attr, value)
+                human = human.with_values_at(((index, value),))
         problem = replace(self.problem, world=world, human_belief=human)
         return replace(self, problem=problem)
 
     def with_human_belief(self, overrides: Mapping[str, Value | str]) -> "ProblemBundle":
-        human = self.problem.human_belief
-        for text, val in overrides.items():
-            attr = self.attr(text)
-            human = human.with_value(attr, _coerce_value(self.universe, attr, str(val)))
+        human = self.problem.human_belief.with_values_at(
+            [self.resolve(text, val) for text, val in overrides.items()]
+        )
         problem = replace(self.problem, human_belief=human)
         return replace(self, problem=problem)
 
@@ -625,13 +634,6 @@ def _yield_closure(op_names: frozenset[str], methods: list[MethodSchema]) -> fro
                 yields.add(m.task_symbol)
                 changed = True
     return frozenset(yields)
-
-
-def _coerce_value(universe: Universe, attr: GroundedAttribute, token: str) -> Value:
-    try:
-        return universe.parse_value(attr, token)
-    except BadValue as exc:
-        raise DomainSyntaxError(str(exc)) from exc
 
 
 def _claim(claims: dict[tuple[str, str], set[str]], what: str, name: str, owner: str) -> None:

@@ -98,7 +98,16 @@ class Instance:
 
 
 def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[Instance]:
-    """Deterministically enumerate the full initial-state grid."""
+    """Deterministically enumerate the full initial-state grid.
+
+    Each instance is what :meth:`ProblemBundle.with_world` with the world
+    bits' values, then :meth:`ProblemBundle.with_human_belief` with the set
+    flips, would give: the human follows each world value where the start
+    beliefs agree, and a set flip gives the human the flip value that differs
+    from the world's.  Each dimension is resolved once, raising as those
+    methods raise, and every instance is written by index.  The world
+    dimensions must name distinct attributes.
+    """
     total = 2 ** len(spec.world_dims) * 2 ** len(spec.flip_dims)
     aligned = 2 ** len(spec.world_dims)
     if total != spec.expected_total or aligned != spec.expected_aligned:
@@ -111,33 +120,38 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
     if not flip_names <= dim_names:
         raise SpecMismatch("flippable attributes must be world dimensions")
 
+    world0, human0 = bundle.problem.world, bundle.problem.human_belief
+    # Per world dimension: (attribute index, value per world bit).
+    dims = []
+    for name, values in spec.world_dims:
+        index, first = bundle.resolve(name, values[0])
+        dims.append((index, (first, bundle.resolve(name, values[1])[1])))
+    if len({index for index, _ in dims}) != len(dims):
+        raise SpecMismatch("world dimensions must name distinct attributes")
+    follows = [human0.values[index] == world0.values[index] for index, _ in dims]
+    # Per flip: (world dimension position, attribute index, the human's value
+    # per world bit), the flip value that differs from the world's text.
+    position = {name: k for k, (name, _) in enumerate(spec.world_dims)}
+    flips = []
+    for name, values in spec.flip_dims:
+        k = position[name]
+        per_bit = [
+            bundle.resolve(name, values[1] if text == values[0] else values[0])
+            for text in spec.world_dims[k][1][:2]
+        ]
+        flips.append((k, per_bit[0][0], (per_bit[0][1], per_bit[1][1])))
+
     instances: list[Instance] = []
-    index = 0
-    for world_bits in itertools.product((0, 1), repeat=len(spec.world_dims)):
-        overrides = {
-            name: values[bit]
-            for (name, values), bit in zip(spec.world_dims, world_bits)
-        }
-        base = bundle.with_world(overrides)
-        for flip_bits in itertools.product((0, 1), repeat=len(spec.flip_dims)):
-            human_overrides = {}
-            for (name, values), bit in zip(spec.flip_dims, flip_bits):
-                if bit:
-                    world_value = overrides[name]
-                    human_overrides[name] = (
-                        values[1] if world_value == values[0] else values[0]
-                    )
-            b = base.with_human_belief(human_overrides) if human_overrides else base
-            instances.append(
-                Instance(
-                    index,
-                    world_bits,
-                    flip_bits,
-                    b.problem.world,
-                    b.problem.human_belief,
-                )
+    for world_bits in itertools.product((0, 1), repeat=len(dims)):
+        writes = [(index, values[bit]) for (index, values), bit in zip(dims, world_bits)]
+        world = world0.with_values_at(writes)
+        human = human0.with_values_at([w for w, follow in zip(writes, follows) if follow])
+        for flip_bits in itertools.product((0, 1), repeat=len(flips)):
+            flipped = human.with_values_at(
+                [(index, values[world_bits[k]])
+                 for (k, index, values), bit in zip(flips, flip_bits) if bit]
             )
-            index += 1
+            instances.append(Instance(len(instances), world_bits, flip_bits, world, flipped))
     return instances
 
 

@@ -221,6 +221,19 @@ def apply_effects(op: GroundedOperator, state: BeliefState) -> BeliefState:
 class TaskInstance:
     symbol: str
     args: tuple[str, ...] = ()
+    # hash((symbol, args)), computed once, at construction.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.symbol, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through the constructor: a string's hash depends on the
+        # process's hash seed, so a pickled ``_hash`` would be stale.
+        return (TaskInstance, (self.symbol, self.args))
 
     def __str__(self) -> str:
         if not self.args:
@@ -370,7 +383,8 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# One object per distinct canonical-key label (see TaskNetwork.canonical_key).
+# One object per distinct canonical key and key label (see
+# TaskNetwork.canonical_key).
 _LABELS: dict[tuple, tuple] = {}
 
 
@@ -437,6 +451,11 @@ class TaskNetwork:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # Rebuilt through the constructor, which recomputes the hash for the
+        # loading process's hash seed.
+        return (TaskNetwork, (self.ids, self.tasks, self.preds, self.next_id))
+
     def __repr__(self) -> str:
         return (
             f"TaskNetwork(nodes={self.nodes!r}, "
@@ -490,9 +509,11 @@ class TaskNetwork:
 
         Two refinement rounds over (task, predecessor/successor label
         multisets) distinguish every network shape arising from acyclic
-        decomposition hierarchies of practical size.  Every label is
-        hash-consed through one table, so equal labels of different keys
-        are one object.
+        decomposition hierarchies of practical size.  Every label, and the
+        key itself, is hash-consed through one table that is never emptied,
+        so equal labels of different keys are one object and equal keys are
+        one object: two keys are equal iff they are identical, and the id of
+        a key is never reused in the process's life.
         """
         slot = {i: k for k, i in enumerate(self.ids)}
         preds = [[slot[j] for j in _bits(mask)] for mask in self.preds]
@@ -512,7 +533,8 @@ class TaskNetwork:
                 for k in range(len(labels))
             ]
             labels = [intern(label, label) for label in labels]
-        return tuple(sorted(labels))
+        key = tuple(sorted(labels))
+        return intern(key, key)
 
 
 def decompose(w: TaskNetwork, node_id: int, m: GroundedMethod) -> TaskNetwork:

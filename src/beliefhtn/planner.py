@@ -39,6 +39,7 @@ a reloaded policy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -148,20 +149,6 @@ class _Candidate:
     op: GroundedOperator
     network: TaskNetwork
     commits: tuple[tuple[TaskInstance, str], ...]
-
-
-def _multiset_lt(a: tuple, b: tuple) -> bool:
-    """True iff multiset a is a strict sub-multiset of b."""
-    if len(a) >= len(b):
-        return False
-    counts: dict = {}
-    for item in b:
-        counts[item] = counts.get(item, 0) + 1
-    for item in a:
-        if counts.get(item, 0) == 0:
-            return False
-        counts[item] -= 1
-    return True
 
 
 @lru_cache(maxsize=65536)
@@ -306,39 +293,60 @@ class _Search:
         unrelated tasks would both multiply branches and discard the other
         agent's options).  The result is sorted by action, then resulting
         network.
+
+        The depth-first walk visits each network once and keeps the first
+        candidate per action and resulting network, both tracked by the
+        identity of the network's canonical key, which
+        :meth:`TaskNetwork.canonical_key` interns.  Within one action group
+        the candidates are tested in order of commit count against the
+        minimal ones kept so far: a candidate with a strict sub-multiset
+        below it has a minimal one below it, since the relation is
+        transitive, so this keeps exactly the candidates no other one of the
+        group is strictly below.
         """
         dom = self.problem.domain_of(agent)
         own_ops = dom.op_names
         other_ops = self.problem.domain_of(self._other(agent)).op_names
-        results: dict[tuple, _Candidate] = {}
-        visited: set[tuple] = set()
+        ground_ops = dom.ground_ops
+        ground_methods = dom.ground_methods
+        # (op name, op args) -> id of the resulting network's key -> candidate
+        by_action: dict[tuple, dict[int, _Candidate]] = {}
+        visited: set[int] = set()
         stack: list[tuple[TaskNetwork, tuple]] = [(network, ())]
         while stack:
             w, commits = stack.pop()
-            key = _canonical(w)
+            key = id(_canonical(w))
             if key in visited:
                 continue
             visited.add(key)
-            for node_id in w.available():
-                task = w.task_of(node_id)
+            for node_id, task, mask in zip(w.ids, w.tasks, w.preds):
+                if mask:
+                    continue  # a predecessor is pending
                 if task.symbol in own_ops:
-                    op = dom.ground_ops.get((task.symbol, task.args))
+                    op = ground_ops.get((task.symbol, task.args))
                     if op is not None and applicable(op, belief):
                         after = w.without_node(node_id)
-                        dkey = (op.name, op.args, _canonical(after))
-                        if dkey not in results:
-                            results[dkey] = _Candidate(op, after, commits)
+                        group = by_action.setdefault((op.name, op.args), {})
+                        after_key = id(_canonical(after))
+                        if after_key not in group:
+                            group[after_key] = _Candidate(op, after, commits)
                 elif task.symbol not in other_ops:
-                    for gm in dom.ground_methods.get(task, ()):
-                        w2 = decompose(w, node_id, gm)
-                        stack.append((w2, commits + ((task, gm.name),)))
-        by_action: dict[tuple, list[_Candidate]] = {}
-        for cand in results.values():
-            by_action.setdefault((cand.op.name, cand.op.args), []).append(cand)
+                    for gm in ground_methods.get(task, ()):
+                        stack.append((decompose(w, node_id, gm), commits + ((task, gm.name),)))
         minimal: list[_Candidate] = []
         for group in by_action.values():
-            for cand in group:
-                if not any(_multiset_lt(other.commits, cand.commits) for other in group):
+            if len(group) == 1:
+                minimal.extend(group.values())
+                continue
+            kept: list[tuple[int, Counter]] = []  # (commit count, commit multiset)
+            for cand in sorted(group.values(), key=lambda c: len(c.commits)):
+                size = len(cand.commits)
+                counts = Counter(cand.commits)
+                if not any(
+                    below < size and all(counts[item] >= n for item, n in other.items())
+                    for below, other in kept
+                ):
+                    kept.append((size, counts))
                     minimal.append(cand)
         return sorted(minimal, key=lambda c: (c.op.name, c.op.args, _canonical(c.network)))
 

@@ -161,6 +161,11 @@ class Universe:
         self.value_domains: tuple[tuple[Value, ...], ...] = tuple(
             domains[a.symbol] for a in self.attributes
         )
+        # The one type of each attribute's values: int for an integer range,
+        # str otherwise.  A bool or a float equal to a domain int is rejected.
+        self.value_types: tuple[type, ...] = tuple(
+            int if self.decls[a.symbol].is_integer else str for a in self.attributes
+        )
 
     def _resolve(self, decl: StateVariableDecl) -> tuple[Value, ...]:
         """The value domain of a declaration's range."""
@@ -224,8 +229,9 @@ class Universe:
         raise BadValue(f"{token!r} is not in the value domain of {attr}")
 
     def check_value(self, index: int, value: Value) -> None:
-        """Raise unless ``value`` is in the domain of the attribute at ``index``."""
-        if value not in self.value_domains[index]:
+        """Raise unless ``value`` is in the domain of the attribute at ``index``
+        and of its type (see :attr:`value_types`)."""
+        if type(value) is not self.value_types[index] or value not in self.value_domains[index]:
             raise BadValue(
                 f"{value!r} is not in the value domain of {self.attributes[index]} "
                 f"{self.value_domains[index]}"
@@ -273,7 +279,8 @@ class BeliefState:
 
     def with_values_at(self, updates: Iterable[tuple[int, Value]]) -> "BeliefState":
         """Copy with each ``(index, value)`` written, every value checked
-        against its domain; the same object when no value changes.
+        against its domain and its type; the same object when no value
+        changes.
 
         The copy is made at the first write that changes a value, so a run
         of writes that change nothing builds nothing.  Writes that set a
@@ -281,9 +288,10 @@ class BeliefState:
         """
         values = self.values
         domains = self.universe.value_domains
+        types = self.universe.value_types
         changed: Optional[list[Value]] = None
         for index, value in updates:
-            if value not in domains[index]:
+            if type(value) is not types[index] or value not in domains[index]:
                 self.universe.check_value(index, value)  # raises, naming the attribute
             if changed is None:
                 if values[index] == value:

@@ -104,3 +104,21 @@ def test_the_rewritten_kernel_layers_are_all_called(tracer):
     assert {layer: tracer.calls(layer) > 0 for layer in KERNEL_LAYERS} == dict.fromkeys(
         KERNEL_LAYERS, True
     )
+
+
+# The layers of choice enumeration.  A layer routed around would read zero
+# calls here and null in the traced run.
+CHOICE_LAYERS = ("planner.choices", "htn.decompose", "htn.without_node")
+
+
+@pytest.mark.parametrize("domain", ["cooking", "box"])
+def test_the_choice_kernel_layers_are_all_called(tracer, domain):
+    config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
+    bundle = builtin_bundle(domain)
+    for mode in (MODE_LEGACY, MODE_NEW):
+        plan(bundle.problem, bundle.obs_model, mode, config)
+    assert tracer.missing == []
+    assert {layer: tracer.calls(layer) > 0 for layer in CHOICE_LAYERS} == dict.fromkeys(
+        CHOICE_LAYERS, True
+    )
+    assert tracer.measured("planner.choices") > 0  # candidates returned

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from beliefhtn import experiment
@@ -107,8 +110,6 @@ def test_run_instance_records_errors(cooking):
     instances = generate_initial_states(cooking, DEFAULT_SPECS["cooking"])
     inst = instances[0]
     broken = inst.world.with_value(cooking.universe.attr("AgtAt", "robot"), "Room")
-    from dataclasses import replace
-
     bad = replace(inst, world=broken, human=broken.with_owner("human"))
     res = run_instance(cooking, bad, "new", depth_bound=24)
     assert res.outcome.startswith("error:")
@@ -142,3 +143,113 @@ def test_run_experiment_rejects_a_bad_depth_bound(bound):
     # Before any plan runs, not as one error row per instance.
     with pytest.raises(BadArgument, match="depth bound must be a positive int"):
         run_experiment(ExperimentConfig(domain="cooking", depth_bound=bound))
+
+
+# -- the grid written by index against the bundle API --------------------------
+
+
+def ref_generate(bundle, spec):
+    """The grid built through ``with_world`` and ``with_human_belief``, one
+    bundle per instance, as it was built before each dimension was resolved
+    once."""
+    total = 2 ** len(spec.world_dims) * 2 ** len(spec.flip_dims)
+    aligned = 2 ** len(spec.world_dims)
+    if total != spec.expected_total or aligned != spec.expected_aligned:
+        raise SpecMismatch(
+            f"generator dims realize {total} states ({aligned} aligned), "
+            f"spec declares {spec.expected_total} ({spec.expected_aligned} aligned)"
+        )
+    if not {n for n, _ in spec.flip_dims} <= {n for n, _ in spec.world_dims}:
+        raise SpecMismatch("flippable attributes must be world dimensions")
+    out = []
+    for world_bits in itertools.product((0, 1), repeat=len(spec.world_dims)):
+        overrides = {name: values[bit] for (name, values), bit in zip(spec.world_dims, world_bits)}
+        base = bundle.with_world(overrides)
+        for flip_bits in itertools.product((0, 1), repeat=len(spec.flip_dims)):
+            human = {
+                name: values[1] if overrides[name] == values[0] else values[0]
+                for (name, values), bit in zip(spec.flip_dims, flip_bits)
+                if bit
+            }
+            b = base.with_human_belief(human) if human else base
+            out.append((len(out), world_bits, flip_bits, b.problem.world, b.problem.human_belief))
+    return out
+
+
+def as_rows(instances):
+    return [
+        (index, world_bits, flip_bits, w.owner, w.values, h.owner, h.values, w.universe, h.universe)
+        for index, world_bits, flip_bits, w, h in instances
+    ]
+
+
+NO_FLIPS = GeneratorSpec(
+    world_dims=DEFAULT_SPECS["cooking"].world_dims, flip_dims=(), expected_total=64
+)
+
+
+@pytest.mark.parametrize(
+    "domain, spec",
+    [
+        ("cooking", DEFAULT_SPECS["cooking"]),
+        ("box", DEFAULT_SPECS["box"]),
+        ("cooking", SMALL_SPEC),
+        ("cooking", NO_FLIPS),
+        ("diverged", DEFAULT_SPECS["cooking"]),
+    ],
+    ids=["cooking", "box", "small", "no-flips", "diverged"],
+)
+def test_the_grid_equals_the_bundle_api_grid(cooking, box, domain, spec):
+    bundle = box if domain == "box" else cooking
+    if domain == "diverged":
+        # The human starts off believing otherwise of a world dimension and
+        # of a dimension no spec names, so it follows the world on the rest.
+        stove = "on" if bundle.problem.world.get(bundle.attr("Stove")) == "off" else "off"
+        robot_at = bundle.problem.world.get(bundle.attr("AgtAt(robot)"))
+        elsewhere = "Room" if robot_at == "Kitchen" else "Kitchen"
+        bundle = bundle.with_human_belief({"Stove": stove, "AgtAt(robot)": elsewhere})
+    got = [
+        (i.index, i.world_bits, i.flip_bits, i.world, i.human)
+        for i in generate_initial_states(bundle, spec)
+    ]
+    assert as_rows(got) == as_rows(ref_generate(bundle, spec))
+
+
+def _with_dim(position, dim, flips=DEFAULT_SPECS["cooking"].flip_dims):
+    dims = list(DEFAULT_SPECS["cooking"].world_dims)
+    dims[position] = dim
+    return GeneratorSpec(world_dims=tuple(dims), flip_dims=flips)
+
+
+BAD_SPECS = {
+    "unknown-attribute": _with_dim(0, ("NoSuch", ("a", "b"))),
+    "malformed-name": _with_dim(4, ("HumanHasPasta(", ("false", "true"))),
+    "flip-not-a-dimension": _with_dim(3, ("Stove(", ("off", "on"))),
+    "counts": replace(_with_dim(0, ("AgtAt(human)", ("Kitchen", "Room"))), expected_total=64),
+    "bad-first-value": _with_dim(3, ("Stove", ("warm", "on"))),
+    "bad-second-value": _with_dim(3, ("Stove", ("off", "warm"))),
+    "one-value": _with_dim(3, ("Stove", ("off",))),
+    "bad-flip-value": GeneratorSpec(
+        world_dims=DEFAULT_SPECS["cooking"].world_dims,
+        flip_dims=(("PastaLoc", ("Kitchen", "Room")), ("SaltInPot", ("false", "true")),
+                   ("Stove", ("off", "hot"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SPECS)
+def test_a_bad_spec_raises_as_the_bundle_api_raises(cooking, name):
+    spec = BAD_SPECS[name]
+    with pytest.raises(Exception) as want:
+        ref_generate(cooking, spec)
+    with pytest.raises(type(want.value)) as got:
+        generate_initial_states(cooking, spec)
+    assert str(got.value) == str(want.value)
+
+
+def test_world_dimensions_must_name_distinct_attributes(cooking):
+    # Two names for one attribute: the grid would repeat its states.
+    spec = _with_dim(1, ("AgtAt( human )", ("Kitchen", "Room")), flips=())
+    spec = replace(spec, expected_total=64)
+    with pytest.raises(SpecMismatch, match="distinct attributes"):
+        generate_initial_states(cooking, spec)

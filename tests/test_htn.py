@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import beliefhtn
 
 from beliefhtn import BOX_DOM, COOKING_DOM, parse
 from beliefhtn.builtins import box_dom
@@ -317,3 +323,42 @@ def test_wl_pair_is_not_isomorphic():
 def test_wl_pair_keys_differ():
     first, second = wl_pair_networks()
     assert first.canonical_key() != second.canonical_key()
+
+
+# -- hashes cached at construction survive pickling -----------------------------
+
+NETWORK = (
+    "TaskNetwork.build([TaskInstance('a', ('x',)), TaskInstance('b')], [(0, 1)])"
+)
+PICKLE = f"""
+import pickle, sys
+from beliefhtn.htn import TaskInstance, TaskNetwork
+net = {NETWORK}
+sys.stdout.write(pickle.dumps((net, net.tasks[0])).hex())
+"""
+LOAD = f"""
+import pickle, sys
+from beliefhtn.htn import TaskInstance, TaskNetwork
+net, task = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = {NETWORK}
+assert net == fresh and net in {{fresh}} and hash(net) == hash(fresh)
+assert task == fresh.tasks[0] and task in {{fresh.tasks[0]}}
+assert hash(task) == hash(fresh.tasks[0])
+print("ok")
+"""
+
+
+def _python(code: str, hash_seed: int, stdin: str = "") -> str:
+    src = str(Path(beliefhtn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_a_network_pickled_under_one_hash_seed_loads_under_another():
+    # Each cached hash is recomputed on load; a stale one would make the
+    # loaded network unequal to its twin and miss it in a set.
+    assert _python(LOAD, 2, _python(PICKLE, 1)) == "ok\n"

@@ -112,6 +112,33 @@ def test_lookup_fresh_box_initial_state(box):
     assert world.get(box.universe.attr("BallsInBox", "box1")) == 0
 
 
+# A value equal to a domain value but of another type: `True == 1` and
+# `1.0 == 1` make `in` accept both for an int range.
+WRONG_TYPE = [
+    ("BucketBalls", (), True),
+    ("BucketBalls", (), 1.0),
+    ("BucketBalls", (), "1"),
+    ("BallsInBox", ("box1",), False),
+    ("Sticker", ("box1",), 1),
+]
+
+
+@pytest.mark.parametrize("symbol, args, value", WRONG_TYPE)
+def test_a_value_of_the_wrong_type_is_rejected(box, symbol, args, value):
+    world = box.problem.world
+    attr = box.universe.attr(symbol, *args)
+    index = box.universe.index_of(attr)
+    with pytest.raises(BadValue):
+        world.with_value(attr, value)
+    with pytest.raises(BadValue):
+        world.with_values_at([(index, world.values[index]), (index, value)])
+    with pytest.raises(BadValue):
+        box.universe.check_value(index, value)
+    with pytest.raises(BadValue):
+        BeliefState.from_mapping("robot", box.universe, {**world.as_dict(), attr: value})
+    assert box.universe.value_types[index] is type(world.values[index])
+
+
 def test_lookup_unknown_symbol_and_bad_argument():
     u = small_universe()
     b = total_state(u)
