@@ -28,7 +28,6 @@ from .htn import (
     TaskInstance,
     TaskNetwork,
     applicable,
-    apply,
     decompose,
 )
 from .observability import ObsClass, ObservabilityModel, PlacementRule
@@ -40,8 +39,6 @@ from .planner import (
     PolicyEdge,
     PolicyNode,
     PolicyTree,
-    detect_deadlock,
-    emulate_human_choices,
     enumerate_traces,
     plan,
     simulate,
@@ -87,14 +84,11 @@ __all__ = [
     "TaskNetwork",
     "Universe",
     "applicable",
-    "apply",
     "apply_comm",
     "builtin",
     "builtin_bundle",
     "decompose",
-    "detect_deadlock",
     "diverging_attributes",
-    "emulate_human_choices",
     "enumerate_traces",
     "is_relevant_divergence",
     "legacy_step",

@@ -29,12 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
-from .errors import (
-    BadArgument,
-    CycleIntroduced,
-    NotApplicable,
-    NotRelevant,
-)
+from .errors import BadArgument, CycleIntroduced, NotRelevant
 from .state import AttrRef, BeliefState, GroundedAttribute, Universe, Value
 
 if TYPE_CHECKING:
@@ -185,13 +180,6 @@ def applicable(op: GroundedOperator, belief: BeliefState) -> bool:
     return True
 
 
-def apply(op: GroundedOperator, state: BeliefState) -> BeliefState:
-    """Apply the operator's effects; the input state is unchanged."""
-    if not applicable(op, state):
-        raise NotApplicable(f"{op} is not applicable in {state.owner}'s belief")
-    return apply_effects(op, state)
-
-
 def apply_effects(op: GroundedOperator, state: BeliefState) -> BeliefState:
     """Rewrite exactly the effect-touched attributes (no precondition check).
 
@@ -323,17 +311,11 @@ def _has_cycle_pairs(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> 
 
 
 def unify_task(method: MethodSchema, task: TaskInstance) -> Optional[dict[str, str]]:
-    """Bind the method's task-head parameters against a task instance."""
-    if method.task_symbol != task.symbol:
+    """Bind the method's task-head parameters against a task instance; a
+    :class:`MethodSchema` binds each variable once."""
+    if method.task_symbol != task.symbol or len(method.task_params) != len(task.args):
         return None
-    if len(method.task_params) != len(task.args):
-        return None
-    binding: dict[str, str] = {}
-    for (var, group), arg in zip(method.task_params, task.args):
-        if var in binding and binding[var] != arg:
-            return None
-        binding[var] = arg
-    return binding
+    return {var: arg for (var, _), arg in zip(method.task_params, task.args)}
 
 
 def ground_method(
@@ -483,13 +465,6 @@ class TaskNetwork:
         if k == len(self.ids) or self.ids[k] != node_id:
             raise BadArgument(f"no task node {node_id}")
         return k
-
-    def task_of(self, node_id: int) -> TaskInstance:
-        return self.tasks[self._slot(node_id)]
-
-    def available(self) -> tuple[int, ...]:
-        """Nodes with no pending predecessor, in id order."""
-        return tuple([i for i, mask in zip(self.ids, self.preds) if not mask])
 
     def without_node(self, node_id: int) -> "TaskNetwork":
         """Remove an executed node; its ordering edges dissolve."""

@@ -27,10 +27,9 @@ own.  A plan that fails after a depth prune, or an uncertified plan after
 :data:`MAX_NODES` expansions, raises :class:`DepthExceeded`; any other
 failure raises :class:`Unsolvable`.
 
-One stall rule, :func:`_stall_run`, counts that run for the search, for
-replay (:func:`simulate`, :func:`enumerate_traces`) and for
-:func:`detect_deadlock`, and all of them end it at the one
-:data:`STALL_THRESHOLD`, so a policy replays under the convention it was
+One stall rule, :func:`_stall_run`, counts that run for the search and for
+replay (:func:`simulate`, :func:`enumerate_traces`), and both end it at the
+one :data:`STALL_THRESHOLD`, so a policy replays under the convention it was
 planned with.  Each :class:`PolicyNode` records whether its agenda is
 ``done``; replay and export read that, not the task network.  One step
 rule, :func:`_step`, moves the beliefs along an edge for the search and for
@@ -43,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .communication import CommAction, apply_comm_plan, min_comm_bfs
 from .engine import legacy_step, step_belief_protocol
@@ -490,24 +489,6 @@ class _Search:
         )
 
 
-def emulate_human_choices(
-    problem: HtnProblem,
-    obs_model: ObservabilityModel,
-    world: BeliefState,
-    human_belief: BeliefState,
-    network: TaskNetwork,
-) -> tuple[GroundedOperator, ...]:
-    """Grounded human actions available as next steps of the agenda.
-
-    All primitives reachable through the human's own decompositions and
-    applicable in the human's belief; {WAIT} when the agenda still holds
-    human-relevant work but nothing is applicable; {IDLE} otherwise.
-    """
-    search = _Search(problem, obs_model, MODE_NEW, PlannerConfig())
-    moves = search._moves(human_belief, network, problem.human)
-    return tuple(dict.fromkeys(m.op for m in moves))
-
-
 def plan(
     problem: HtnProblem,
     obs_model: ObservabilityModel,
@@ -519,27 +500,7 @@ def plan(
 
 
 # ---------------------------------------------------------------------------
-# Deadlock detection and simulation
-
-
-def detect_deadlock(actions: Iterable[GroundedOperator | str]) -> bool:
-    """True iff the trace stalls for :data:`STALL_THRESHOLD` or more
-    consecutive WAIT/IDLE turns, the run :func:`simulate` reports as IDL.
-
-    Accepts operators or their kind strings.  A trailing IDLE pair that
-    opens the trace or follows a regular action does not count: it is the
-    closing pair of a completed plan, since the agenda empties only on a
-    primitive and the search closes an empty agenda at once.
-    """
-    kinds = [a.kind.value if isinstance(a, GroundedOperator) else str(a).lower() for a in actions]
-    if kinds[-2:] == ["idle", "idle"] and kinds[-3:-2] not in (["wait"], ["idle"]):
-        kinds = kinds[:-2]
-    run = 0
-    for k in kinds:
-        run = _stall_run(run, k in ("wait", "idle"))
-        if run >= STALL_THRESHOLD:
-            return True
-    return False
+# Simulation
 
 
 @dataclass

@@ -21,7 +21,6 @@ from beliefhtn import (
     BeliefState,
     ObsClass,
     builtin_bundle,
-    detect_deadlock,
     diverging_attributes,
     enumerate_traces,
     is_relevant_divergence,
@@ -40,6 +39,8 @@ from beliefhtn.experiment import (
 )
 from beliefhtn.htn import applicable, apply_effects, ground_all_operators, wait_op
 from beliefhtn.planner import STALL_THRESHOLD, NodeKind, policy_comm_edges
+
+from oracles import detect_deadlock
 
 DOMAINS = ("cooking", "box")
 

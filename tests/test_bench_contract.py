@@ -9,12 +9,14 @@ as they are and checks every name they read, so a rename fails here first.
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from beliefhtn import MODE_LEGACY, MODE_NEW, builtin_bundle, planner
+from beliefhtn import MODE_LEGACY, MODE_NEW, builtin_bundle, planner, policyio
 from beliefhtn.experiment import ExperimentConfig
 from beliefhtn.planner import PlannerConfig, plan, simulate
 
@@ -122,3 +124,26 @@ def test_the_choice_kernel_layers_are_all_called(tracer, domain):
         CHOICE_LAYERS, True
     )
     assert tracer.measured("planner.choices") > 0  # candidates returned
+
+
+@pytest.mark.parametrize("workload", ["study-cooking", "study-box"])
+def test_the_worker_sets_up_each_study(workload):
+    # The worker imports the library names of its set-up in main; a name
+    # that is gone fails every benchmark run there, before any layer is
+    # patched.
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), "--workload", workload, "--seed", "1",
+         "--setup-only"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert list(result) == ["setup_s"] and result["setup_s"] > 0
+
+
+def test_the_names_a_pass_imports_exist():
+    # study_fields and ladder_fields import these inside a pass, which
+    # --setup-only never reaches.
+    assert callable(planner.policy_comm_edges)
+    assert callable(policyio.to_text)

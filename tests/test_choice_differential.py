@@ -5,15 +5,15 @@ the identity of each network's interned canonical key, and keeps the
 minimal candidates of an action group by testing them in order of commit
 count against the minimal ones kept so far.  The reference below keeps the
 enumerator it replaces: visited and result sets over key *values*, every
-available node found through ``available`` and ``task_of``, and the
-quadratic filter that tests each candidate against every other one of its
-group with ``ref_multiset_lt``.  Every ``_choices`` call the search makes
-on both builtins (both start agents, both modes), on the stride-17 study
-sample and on ``box_dom(2..4)`` must return the reference's candidates in
-the reference's order, with equal operators, commits and networks.  A
-small domain adds the groups those never build: two minimal candidates
-with equal commits, a minimal candidate above only the second of two
-kept ones, and two paths to one resulting network.
+available node found through the test-side ``available`` and ``task_of``,
+and the quadratic filter that tests each candidate against every other one
+of its group with ``ref_multiset_lt``.  Every ``_choices`` call the search
+makes on both builtins (both start agents, both modes), on the stride-17
+study sample and on ``box_dom(2..4)`` must return the reference's
+candidates in the reference's order, with equal operators, commits and
+networks.  A small domain adds the groups those never build: two minimal
+candidates with equal commits, a minimal candidate above only the second
+of two kept ones, and two paths to one resulting network.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from beliefhtn.builtins import box_dom
 from beliefhtn.htn import TaskInstance, TaskNetwork, applicable, decompose
 from beliefhtn.planner import PlannerConfig, _Candidate, _Search
 
+from oracles import available, task_of
 from test_search_cache import STRIDE, study_problems
 
 MODES = (MODE_LEGACY, MODE_NEW)
@@ -63,8 +64,8 @@ def ref_choices(search: _Search, belief, network: TaskNetwork, agent: str):
         if key in visited:
             continue
         visited.add(key)
-        for node_id in w.available():
-            task = w.task_of(node_id)
+        for node_id in available(w):
+            task = task_of(w, node_id)
             if task.symbol in own_ops:
                 op = dom.ground_ops.get((task.symbol, task.args))
                 if op is not None and applicable(op, belief):

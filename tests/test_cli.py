@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from beliefhtn import COOKING_DOM
+import beliefhtn
+from beliefhtn import COOKING_DOM, builtin_bundle, parse, plan, serialize
 from beliefhtn.cli import main
+from beliefhtn.errors import DomainSyntaxError
 from beliefhtn.policyio import _collect, load_json, to_json, to_text
+
+from test_acceptance import STUDY_CSV_SHA256
 
 
 def test_validate_domain_ok(tmp_path, capsys):
@@ -17,6 +26,27 @@ def test_validate_domain_ok(tmp_path, capsys):
     assert "OK" in out
     assert "6 attribute templates" in out
     assert "7 grounded attributes" in out
+
+
+def test_validate_domain_echo_prints_the_canonical_form(tmp_path, capsys):
+    path = tmp_path / "cooking.dom"
+    path.write_text(COOKING_DOM)
+    assert main(["validate-domain", str(path), "--echo"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("OK: ")
+    assert out.endswith(serialize(parse(COOKING_DOM)))
+
+
+def test_the_module_runs_as_a_script(tmp_path):
+    path = tmp_path / "cooking.dom"
+    path.write_text(COOKING_DOM)
+    src = str(Path(beliefhtn.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "beliefhtn.cli", "validate-domain", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("OK: domain 'cooking'")
 
 
 def test_validate_domain_reports_error(tmp_path, capsys):
@@ -54,6 +84,33 @@ def test_plan_scenario_b_prints_tell(capsys):
     out = capsys.readouterr().out
     assert "outcome=success" in out
     assert "tell(SaltInPot, true)" in out
+
+
+def test_plan_text_prints_the_policy_graph(capsys):
+    assert main(["plan", "--domain", "cooking", "--start", "human", "--text"]) == 0
+    bundle = builtin_bundle("cooking").with_start("human")
+    policy = plan(bundle.problem, bundle.obs_model)
+    assert capsys.readouterr().out.endswith("tell(SaltInPot, true)\n" + to_text(policy))
+
+
+def test_plan_reads_a_domain_file(tmp_path, capsys):
+    # A path loads the file; its plan prints as the builtin's does.
+    path = tmp_path / "cooking.dom"
+    path.write_text(COOKING_DOM)
+    assert main(["plan", "--domain", "cooking", "--text"]) == 0
+    builtin = capsys.readouterr().out
+    assert main(["plan", "--domain", str(path), "--text"]) == 0
+    assert capsys.readouterr().out == builtin
+
+
+def test_experiment_writes_the_recorded_study_csv(tmp_path, capsys):
+    assert main(["experiment", "--domain", "box", "--out-dir", str(tmp_path)]) == 0
+    csv_path = tmp_path / "experiment-box-seed0.csv"
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == STUDY_CSV_SHA256["box"]
+    out = capsys.readouterr().out
+    assert out.startswith("domain ")
+    assert out.endswith(f"instances=1024 csv={csv_path}\n")
 
 
 def test_plan_export_simulate_round_trip(tmp_path, capsys):
@@ -243,6 +300,9 @@ POLICY_EDITS = {
     "tell-false": (_tell_false, r"node 1: the robot does not believe tell\(PastaLoc, Kitchen\)"),
     "id-twice": (_list_twice, r"node \d+ is listed twice"),
     "digest": (_set(["nodes", 0, "world"], "#00000000"), "node 0: digests do not match"),
+    "args-type": (
+        _set(["nodes", 0, "edges", 0, "action", "args"], [1]), "its arguments must be strings"
+    ),
 }
 # The edits of a tell need a policy that communicates: cooking, the human first.
 COMMUNICATING = {"tell-value", "tell-twice", "tell-false"}
@@ -266,6 +326,11 @@ def test_policy_load_rejects_unknown_mode(edit, cooking, tmp_path, capsys):
     path.write_text(text)
     assert main(["simulate", "--policy", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_policy_load_rejects_text_that_is_not_json():
+    with pytest.raises(DomainSyntaxError, match="policy file is not JSON"):
+        load_json('{"format": "beliefhtn-policy",')
 
 
 def test_experiment_rejects_unknown_mode(tmp_path, capsys):

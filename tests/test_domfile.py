@@ -118,6 +118,27 @@ def test_diagnostics_carry_line_numbers():
     assert "line 3" in str(err.value)
 
 
+def test_round_trip_keeps_the_root_order():
+    text = MINI.replace("root t0 Root\n", "root t0 Root\nroot t1 Root\nrootorder t0 < t1\n")
+    dom = parse(text)
+    assert "rootorder t0 < t1\n" in serialize(dom)
+    assert parse(serialize(dom)) == dom
+    assert dom != serialize(dom)  # a domain file equals only a domain file
+
+
+def test_rootorder_names_declared_root_labels():
+    bad = MINI.replace("root t0 Root\n", "root t0 Root\nrootorder t0 < t9\n")
+    with pytest.raises(DomainSyntaxError, match="rootorder references unknown root label"):
+        parse(bad)
+
+
+def test_bundle_start_override_names_an_agent():
+    bundle = parse(MINI).build()
+    assert bundle.with_start("person").problem.start_agent == "person"
+    with pytest.raises(DomainSyntaxError, match="unknown starting agent 'nobody'"):
+        bundle.with_start("nobody")
+
+
 def test_bundle_world_override_keeps_alignment():
     bundle = parse(MINI).build()
     u = bundle.universe
@@ -231,6 +252,18 @@ LINE_DEFECTS = [
     ("  task Root\n", "  var ?x Agents\n  task Root (?x Places)\n", 17, "variable ?x bound twice"),
     # Two 'pre' lines on one lifted attribute name the second.
     ("pre Flag = false\n", "pre Flag = false\n  pre Flag = true\n", 11, "second 'pre' line for Flag"),
+    # Directives of the wrong shape name their own line.
+    ("beliefhtn-domain 1\n", "beliefhtn-domain 2\n", 1, "unsupported format version 2"),
+    ("agents bot person\n", "agents bot\n", 5, "usage: agents <robot-id> <human-id>"),
+    ("root t0 Root\n", "root t0 Root\nrootorder t0 t0\n", 22, "usage: rootorder <label> < <label>"),
+    ("start bot\n", "belief person Flag true\nstart bot\n", 25, "usage: belief <agent> <attribute>"),
+    # A block still open at the end of the file names its opening line.
+    ("start bot\n", "start bot\noperator extra for bot\n", 26, "unterminated operator block"),
+    # An svar line names itself for a bad class, range or value domain.
+    ("svar Flag -> bool : inf", "svar Flag -> bool : seen", 7, "svar class must be 'obs' or 'inf'"),
+    ("svar Flag -> bool : inf", "svar Flag -> : inf", 7, "svar is missing its value range"),
+    ("svar Flag -> bool : inf", "svar Flag -> int 0 : inf", 7, "usage: -> int <lo> <hi>"),
+    ("svar Flag -> bool : inf", "svar Flag -> int 2 0 : inf", 7, "has an empty integer range"),
 ]
 
 

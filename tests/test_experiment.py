@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from beliefhtn import experiment
+from beliefhtn import COOKING_DOM, experiment
 from beliefhtn.errors import BadArgument, BeliefHtnError, SpecMismatch
 from beliefhtn.experiment import (
     DEFAULT_SPECS,
@@ -130,6 +130,45 @@ def test_run_experiment_rejects_missing_domain_file(tmp_path):
     missing = tmp_path / "absent.dom"
     with pytest.raises(BeliefHtnError, match="neither a builtin domain"):
         run_experiment(ExperimentConfig(domain=str(missing)))
+
+
+def test_run_experiment_needs_a_spec_for_a_domain_file(tmp_path):
+    # A domain file has no default grid; with a spec it runs as the builtin.
+    path = tmp_path / "cooking.dom"
+    path.write_text(COOKING_DOM)
+    with pytest.raises(SpecMismatch, match="no default generator spec for domain"):
+        run_experiment(ExperimentConfig(domain=str(path)))
+    config = ExperimentConfig(domain=str(path), spec=SMALL_SPEC)
+    _, from_file = run_experiment(config)
+    _, builtin = run_experiment(replace(config, domain="cooking"))
+    assert [(r.mode, r.outcome, r.report) for r in from_file] == [
+        (r.mode, r.outcome, r.report) for r in builtin
+    ]
+
+
+def test_run_experiment_plans_from_the_given_start(cooking):
+    config = ExperimentConfig(domain="cooking", spec=SMALL_SPEC, start="human")
+    _, results = run_experiment(config)
+    human_first = cooking.with_start("human")
+    instances = generate_initial_states(human_first, SMALL_SPEC)
+    for r in results:
+        want = run_instance(human_first, instances[r.instance.index], r.mode)
+        assert (r.outcome, r.report, r.communicates) == (
+            want.outcome, want.report, want.communicates
+        )
+    _, robot_first = run_experiment(replace(config, start=None))
+    assert [r.report for r in results] != [r.report for r in robot_first]
+
+
+def test_a_plan_that_fails_is_counted_as_an_error():
+    # Depth 1 prunes every plan's first step: each instance raises
+    # DepthExceeded, which the row counts apart from the replay failures.
+    config = ExperimentConfig(domain="cooking", spec=SMALL_SPEC, depth_bound=1)
+    table, results = run_experiment(config)
+    assert {r.outcome for r in results} == {"error:DepthExceeded"}
+    for row in table.rows:
+        assert (row.n, row.n_error, row.n_success, row.n_na, row.n_idl) == (8, 8, 0, 0, 0)
+        assert (row.n_failed, row.na_rate, row.idl_rate) == (0, 0.0, 0.0)
 
 
 def test_run_experiment_rejects_a_repeated_mode():

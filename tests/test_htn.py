@@ -12,18 +12,21 @@ import beliefhtn
 
 from beliefhtn import BOX_DOM, COOKING_DOM, parse
 from beliefhtn.builtins import box_dom
+from beliefhtn.engine import legacy_step
 from beliefhtn.errors import BadArgument, NotApplicable, NotRelevant
 from beliefhtn.htn import (
     GroundedMethod,
     TaskInstance,
     TaskNetwork,
     applicable,
-    apply,
+    apply_effects,
     decompose,
     ground_all_operators,
     ground_method,
     idle_op,
 )
+
+from oracles import available, task_of
 
 
 def op_table(bundle):
@@ -75,7 +78,8 @@ def test_apply_turn_on_switches_stove(cooking):
     u = cooking.universe
     turn_on = get_op(cooking, "robot", "turn-on")
     before = cooking.problem.world
-    after = apply(turn_on, before)
+    assert applicable(turn_on, before)
+    after = apply_effects(turn_on, before)
     assert after.get(u.attr("Stove")) == "on"
     for attr in u.attributes:
         if str(attr) != "Stove":
@@ -85,14 +89,16 @@ def test_apply_turn_on_switches_stove(cooking):
 
 def test_apply_idle_is_identity(cooking):
     world = cooking.problem.world
-    assert apply(idle_op("human"), world) == world
+    assert applicable(idle_op("human"), world)
+    assert apply_effects(idle_op("human"), world) == world
 
 
 def test_apply_fill_arithmetic(box):
     u = box.universe
     fill = get_op(box, "human", "fill-h", "box1")
     before = box.problem.world
-    after = apply(fill, before)
+    assert applicable(fill, before)
+    after = apply_effects(fill, before)
     assert after.get(u.attr("BallsInBox", "box1")) == 1
     assert after.get(u.attr("BucketBalls")) == 4
 
@@ -101,7 +107,8 @@ def test_apply_fill_saturates_at_capacity(box):
     u = box.universe
     fill = get_op(box, "robot", "fill-r", "box2")
     full = box.problem.world.with_value(u.attr("BallsInBox", "box2"), 2)
-    after = apply(fill, full)
+    assert applicable(fill, full)
+    after = apply_effects(fill, full)
     assert after.get(u.attr("BallsInBox", "box2")) == 2  # clamped
     assert after.get(u.attr("BucketBalls")) == 4
 
@@ -109,8 +116,11 @@ def test_apply_fill_saturates_at_capacity(box):
 def test_apply_checks_precondition(cooking):
     u = cooking.universe
     pour = get_op(cooking, "human", "pour-pasta")
+    belief = cooking.problem.human_belief
+    assert not applicable(pour, belief)
+    # A step checks the precondition before it applies any effect.
     with pytest.raises(NotApplicable):
-        apply(pour, cooking.problem.human_belief)
+        legacy_step(cooking.problem.world, belief, pour, "human", "human")
 
 
 def test_apply_frame_axiom_over_all_grounded_ops(box):
@@ -119,7 +129,7 @@ def test_apply_frame_axiom_over_all_grounded_ops(box):
     for (agent, _, _), op in sorted(op_table(box).items()):
         if not applicable(op, world):
             continue
-        after = apply(op, world)
+        after = apply_effects(op, world)
         touched = {box.universe.attributes[index] for index, _, _ in op.eff}
         for attr in box.universe.attributes:
             if attr not in touched:
@@ -138,8 +148,8 @@ def relevant_methods(bundle, agent, task):
 
 def test_decompose_make_pasta_expansion(cooking):
     w = cooking.problem.network
-    (node_id,) = w.available()
-    (gm,) = relevant_methods(cooking, "robot", w.task_of(node_id))
+    (node_id,) = available(w)
+    (gm,) = relevant_methods(cooking, "robot", task_of(w, node_id))
     w2 = decompose(w, node_id, gm)
     names = sorted(str(t) for _, t in w2.nodes)
     assert names == ["AddSalt", "GetPasta", "PourPasta", "TurnOn"]
@@ -197,9 +207,28 @@ def test_decompose_retargets_to_all_subtasks():
             assert (a, b) in new_closure
 
 
+def test_a_method_grounds_only_for_tasks_of_its_head(box):
+    # The head binds each argument once: a task of another arity or with an
+    # argument outside the parameter's group grounds no method.
+    method = next(m for m in box.problem.domain_of("human").methods if m.task_params)
+    arity = len(method.task_params)
+    task = TaskInstance(method.task_symbol, ("box1",) * arity)
+    (gm,) = ground_method(box.universe, method, task)
+    assert str(gm) == f"{method.name}<{task}>"
+    assert ground_method(box.universe, method, TaskInstance(method.task_symbol)) == ()
+    wrong = TaskInstance(method.task_symbol, ("Workshop",) * arity)
+    assert ground_method(box.universe, method, wrong) == ()
+
+
+def test_network_build_rejects_an_unknown_node():
+    with pytest.raises(BadArgument, match="ordering references unknown task node"):
+        TaskNetwork.build([TaskInstance("A")], [(0, 1)])
+    assert TaskNetwork.build([TaskInstance("A")]) != TaskInstance("A")
+
+
 def test_decompose_rejects_irrelevant_method(cooking):
     w = cooking.problem.network
-    (node_id,) = w.available()
+    (node_id,) = available(w)
     wrong = GroundedMethod("m-wrong", TaskInstance("SomethingElse"), (), ())
     with pytest.raises(NotRelevant):
         decompose(w, node_id, wrong)
@@ -319,7 +348,7 @@ def test_wl_pair_is_not_isomorphic():
     assert not nx.is_isomorphic(*graphs, node_match=lambda a, b: a["task"] == b["task"])
 
 
-@pytest.mark.xfail(strict=True, reason="2-round WL key collides on this pair (ROADMAP item 6)")
+@pytest.mark.xfail(strict=True, reason="2-round WL key collides on this pair (ROADMAP item 8)")
 def test_wl_pair_keys_differ():
     first, second = wl_pair_networks()
     assert first.canonical_key() != second.canonical_key()

@@ -25,6 +25,8 @@ from beliefhtn.builtins import BOX_DOM, COOKING_DOM, box_dom
 from beliefhtn.errors import BadArgument, CycleIntroduced, NotRelevant
 from beliefhtn.htn import GroundedMethod, TaskInstance, TaskNetwork, decompose
 
+from oracles import available, task_of
+
 WALKS = 6
 STEPS = 60
 
@@ -138,9 +140,9 @@ def assert_same(new: TaskNetwork, ref: RefNetwork) -> None:
     assert new.constraints == ref.constraints
     assert new.next_id == ref.next_id
     assert new.is_empty == ref.is_empty
-    assert new.available() == ref.available()
+    assert available(new) == ref.available()
     for i, _ in ref.nodes:
-        assert new.task_of(i) == ref.task_of(i)
+        assert task_of(new, i) == ref.task_of(i)
     assert new.canonical_key() == ref.canonical_key()
 
 
@@ -171,16 +173,16 @@ def walk(bundle, seed: int) -> list[tuple[TaskNetwork, RefNetwork]]:
         if new.is_empty:
             break
         expandable = [i for i, t in new.nodes if methods.get(t)]
-        executable = [i for i in new.available() if not methods.get(new.task_of(i))]
+        executable = [i for i in available(new) if not methods.get(task_of(new, i))]
         r = rng.random()
         if r < 0.1 or not (expandable or executable):
-            node_id = rng.choice(new.ids if r < 0.1 else new.available())
+            node_id = rng.choice(new.ids if r < 0.1 else available(new))
             options = [(new.without_node(node_id), ref.without_node(node_id))]
         elif expandable and (r < 0.6 or not executable):
             node_id = rng.choice(expandable)
             options = [
                 (decompose(new, node_id, gm), ref_decompose(ref, node_id, gm))
-                for gm in methods[new.task_of(node_id)]
+                for gm in methods[task_of(new, node_id)]
             ]
             for option, _ in options:
                 assert not ref_has_cycle(option.ids, option.constraints)
@@ -220,6 +222,6 @@ def test_walks_match_reference(name):
 def test_unknown_node_is_rejected(cooking):
     w = cooking.problem.network
     with pytest.raises(BadArgument):
-        w.task_of(w.next_id)
+        decompose(w, w.next_id, GroundedMethod("skip", w.tasks[0], (), ()))
     with pytest.raises(BadArgument):
         w.without_node(w.next_id)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefhtn import BeliefState, ObsClass
-from beliefhtn.errors import BadRule
+from beliefhtn.errors import BadArgument, BadRule
 from beliefhtn.observability import ObservabilityModel, PlacementRule
 from beliefhtn.state import AttrRef, Group, StateVariableDecl, Universe
 
@@ -43,6 +43,18 @@ def test_place_of_unruled_attribute_is_none():
     model = ObservabilityModel(u, [])
     state = BeliefState("robot", u, ("Here", "Here", "false"))
     assert model.place_of(u.attr("Hidden"), state) is None
+
+
+def test_a_rule_places_by_exactly_one_of_place_and_reference():
+    for place, reference in ((None, None), ("Here", AttrRef("AgtAt", ("?a",)))):
+        with pytest.raises(BadArgument, match="exactly one of place/reference"):
+            PlacementRule(AttrRef("AgtAt", ("?a",)), place=place, reference=reference)
+
+
+def test_a_model_needs_the_places_group():
+    u = Universe([Group("Rooms", ("Here",))], [StateVariableDecl("Flag", (), "bool", ObsClass.OBS)])
+    with pytest.raises(BadArgument, match="no group 'Places' declared"):
+        ObservabilityModel(u, [])
 
 
 def test_bad_rule_when_reference_is_not_a_place():
@@ -181,7 +193,7 @@ def test_assess_aligns_obs_attributes_at_human_place(data):
 
 def test_static_place_rule_constant_over_random_walk(box):
     # Fixed-place rules never move, whatever happens to the state.
-    from beliefhtn.htn import applicable, apply, ground_all_operators
+    from beliefhtn.htn import applicable, apply_effects, ground_all_operators
 
     u = box.universe
     model = box.obs_model
@@ -198,4 +210,4 @@ def test_static_place_rule_constant_over_random_walk(box):
         candidates = [op for op in ops if applicable(op, state)]
         if not candidates:
             break
-        state = apply(rng.choice(candidates), state)
+        state = apply_effects(rng.choice(candidates), state)

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import json
+from collections import Counter
 from dataclasses import replace
 
+import networkx as nx
 import pytest
 
 from beliefhtn import (
     MODE_LEGACY,
     MODE_NEW,
     PlannerConfig,
-    detect_deadlock,
-    emulate_human_choices,
     enumerate_traces,
     parse,
     parse_bundle,
@@ -35,38 +36,37 @@ from beliefhtn.planner import (
     PolicyEdge,
     PolicyNode,
     PolicyTree,
-    _canonical,
+    _classify_edge,
+    _replay_start,
     _Search,
     policy_comm_edges,
 )
-from beliefhtn.policyio import to_text
+from beliefhtn.policyio import _collect, load_json, to_json, to_text
+
+from oracles import detect_deadlock
 
 
 # -- emulated human choices ---------------------------------------------------
 
 
+def human_choices(bundle, human_belief, network):
+    """The human's emulated choices: the search's moves for the human, each
+    action once."""
+    search = _Search(bundle.problem, bundle.obs_model, MODE_NEW, PlannerConfig())
+    moves = search._moves(human_belief, network, bundle.problem.human)
+    return tuple(dict.fromkeys(m.op for m in moves))
+
+
 def test_emulation_scenario_b_start(cooking):
     # Human starts; the only sensible first step is fetching the pasta.
     bundle = cooking.with_start("human")
-    choices = emulate_human_choices(
-        bundle.problem,
-        bundle.obs_model,
-        bundle.problem.world,
-        bundle.problem.human_belief,
-        bundle.problem.network,
-    )
+    choices = human_choices(bundle, bundle.problem.human_belief, bundle.problem.network)
     assert [str(op) for op in choices] == ["move-to-pasta(Kitchen, Room)"]
 
 
 def test_emulation_empty_agenda_idles(cooking):
     empty = TaskNetwork.build([])
-    choices = emulate_human_choices(
-        cooking.problem,
-        cooking.obs_model,
-        cooking.problem.world,
-        cooking.problem.human_belief,
-        empty,
-    )
+    choices = human_choices(cooking, cooking.problem.human_belief, empty)
     assert [op.kind for op in choices] == [OpKind.IDLE]
 
 
@@ -80,21 +80,13 @@ def test_emulation_blocked_agenda_waits(cooking):
     )
     human = world.with_owner("human").with_value(u.attr("SaltInPot"), "false")
     agenda = TaskNetwork.build([TaskInstance("pour-pasta")])
-    choices = emulate_human_choices(
-        cooking.problem, cooking.obs_model, world, human, agenda
-    )
+    choices = human_choices(cooking, human, agenda)
     assert [op.kind for op in choices] == [OpKind.WAIT]
 
 
 def test_emulation_idles_when_only_robot_work_remains(cooking):
     agenda = TaskNetwork.build([TaskInstance("add-salt")])
-    choices = emulate_human_choices(
-        cooking.problem,
-        cooking.obs_model,
-        cooking.problem.world,
-        cooking.problem.human_belief,
-        agenda,
-    )
+    choices = human_choices(cooking, cooking.problem.human_belief, agenda)
     assert [op.kind for op in choices] == [OpKind.IDLE]
 
 
@@ -366,6 +358,25 @@ def test_first_failure_follows_walk_order(cooking):
     assert report_totals(report) == trace_totals(enumerate_traces(policy, cooking.obs_model))
 
 
+@pytest.mark.parametrize("kind", ["deadlock", "decision"])
+def test_replay_ends_a_branch_at_a_loaded_node_without_edges(cooking, kind):
+    # The search enters a deadlock leaf only by the stalling turn replay
+    # already ends as IDL, so only a loaded file leads replay into one, or
+    # into a decision node with no edges: the branch ends there as an
+    # embedded deadlock.
+    policy = plan(cooking.problem, cooking.obs_model, MODE_NEW)
+    obj = json.loads(to_json(policy, cooking))
+    obj["nodes"][2].update(kind=kind, edges=[])
+    bundle, loaded = load_json(json.dumps(obj))
+    report = simulate(loaded, bundle.obs_model)
+    assert (report.outcome, report.detail) == ("idl", "plan-embedded inactivity deadlock")
+    assert (report.n_traces, report.n_idl) == (1, 1)
+    (trace,) = enumerate_traces(loaded, bundle.obs_model)
+    assert (trace.outcome, trace.detail) == ("idl", report.detail)
+    assert len(trace.actions) == 2
+    assert report_totals(report) == trace_totals([trace])
+
+
 # -- deadlock detector --------------------------------------------------------
 
 
@@ -475,6 +486,26 @@ def test_comm_edges_only_on_relevant_divergence(cooking):
     check(policy.root, bundle.problem.world, init_h)
 
 
+def network_graph(network):
+    graph = nx.DiGraph()
+    graph.add_nodes_from((i, {"task": t}) for i, t in network.nodes)
+    graph.add_edges_from(network.constraints)
+    return graph
+
+
+def isomorphic(a, b):
+    """True iff a bijection of the nodes keeps every task and maps the
+    precedence pairs of one network onto those of the other: exact, where
+    ``canonical_key`` only refines labels for two rounds."""
+    if a == b:
+        return True
+    if Counter(a.tasks) != Counter(b.tasks) or len(a.constraints) != len(b.constraints):
+        return False
+    return nx.is_isomorphic(
+        network_graph(a), network_graph(b), node_match=lambda x, y: x["task"] == y["task"]
+    )
+
+
 def entered_networks(policy, problem, obs_model):
     """Walk every path of the policy, carrying the set of task networks
     consistent with it; returns each node's id -> the exact networks it is
@@ -484,7 +515,8 @@ def entered_networks(policy, problem, obs_model):
     from some network of the set, in the belief the search used: the world
     on a robot turn, the human's belief after the edge's tells on a human
     turn.  The next set is the networks those moves leave, one per
-    canonical form, and a success leaf's set must hold an empty network.
+    isomorphism class (:func:`isomorphic`), and a success leaf's set must
+    hold an empty network.
     """
     search = _Search(problem, obs_model, policy.mode, PlannerConfig())
     entered: dict[int, set] = {}
@@ -502,13 +534,15 @@ def entered_networks(policy, problem, obs_model):
                 belief = node.world
             else:
                 belief = apply_comm_plan(edge.comms, node.human_belief)
-            after = {}
+            after = []
             for w in networks:
                 for move in search._moves(belief, w, node.turn):
-                    if move.op == edge.action:
-                        after.setdefault(_canonical(move.network), move.network)
+                    if move.op == edge.action and not any(
+                        isomorphic(move.network, kept) for kept in after
+                    ):
+                        after.append(move.network)
             assert after, (node.turn, str(edge.action))
-            walk(edge.child, frozenset(after.values()))
+            walk(edge.child, frozenset(after))
 
     walk(policy.root, frozenset({problem.network}))
     return entered
@@ -530,6 +564,58 @@ def test_every_study_path_is_a_sequence_of_search_moves(study_policies):
     # In the cooking sample some memo-shared nodes are entered with two
     # different exact networks, so no edge may hold a path's node ids.
     assert shared > 0 or domain == "box"
+
+
+def test_every_human_choice_is_an_edge_on_study(study_policies):
+    # At each human (AND) node the edge actions are the human's moves from
+    # every network consistent with a path to the node, in the belief after
+    # the node's tells: the policy answers every emulated choice.
+    domain, bundle, planned = study_policies
+    checks = 0
+    for mode, index, problem, policy in planned:
+        entered = entered_networks(policy, problem, bundle.obs_model)
+        search = _Search(problem, bundle.obs_model, mode, PlannerConfig())
+        for node in _collect(policy)[1]:
+            if node.turn != problem.human or not node.edges:
+                continue
+            belief = apply_comm_plan(node.edges[0].comms, node.human_belief)
+            actions = [edge.action for edge in node.edges]
+            for network in entered[id(node)]:
+                moves = search._moves(belief, network, problem.human)
+                assert [m.op for m in moves] == actions, (mode, index, network)
+                checks += 1
+    assert checks > 0
+
+
+def test_new_mode_replay_reaches_each_node_with_its_beliefs_on_study(study_policies):
+    # Replay reaches every node of a new-mode policy with the world and the
+    # human belief the search stored there: the solver's model of the human
+    # is the one execution uses.
+    domain, bundle, planned = study_policies
+    checks = 0
+    for mode, index, _, policy in planned:
+        if mode != MODE_NEW:
+            continue
+        world, human = _replay_start(policy, bundle.obs_model, None, None)
+        stack = [(policy.root, world, human, 0)]
+        reached, expanded = set(), set()
+        while stack:
+            node, w, h, run = stack.pop()
+            assert (w.owner, w.values) == (node.world.owner, node.world.values), index
+            assert (h.owner, h.values) == (node.human_belief.owner, node.human_belief.values)
+            checks += 1
+            reached.add(id(node))
+            if (id(node), run) in expanded:
+                continue  # the beliefs are the node's own, so the run is all that varies
+            expanded.add((id(node), run))
+            for edge in node.edges:
+                verdict, detail, nxt, new_run = _classify_edge(
+                    policy, bundle.obs_model, node, edge, w, h, run
+                )
+                assert verdict == "", (index, detail)
+                stack.append((edge.child, *nxt, new_run))
+        assert reached == {id(node) for node in _collect(policy)[1]}, index
+    assert checks > 0
 
 
 def test_unsolvable_raised_when_no_strategy(cooking):

@@ -15,14 +15,16 @@ from beliefhtn import (
     state,
 )
 
+from oracles import detect_deadlock
+
 REMOVED = {
     communication: ("CommPlan", "build_comm_action"),
     engine: ("AgentModel", "update_on_act", "update_on_observe"),
     observability: ("place_of", "copresent", "assess"),
     state: ("lookup", "DivergenceReport", "DivergenceEntry"),
-    htn: ("enumerate_decompositions", "is_primitive", "Term", "Test", "Effect"),
+    htn: ("enumerate_decompositions", "is_primitive", "Term", "Test", "Effect", "apply"),
     domfile: ("OpEntry", "MethodEntry", "_build_effect", "SvarEntry", "PlaceEntry"),
-    planner: ("_TRACE_LIMIT", "_SimStats"),
+    planner: ("_TRACE_LIMIT", "_SimStats", "detect_deadlock", "emulate_human_choices"),
 }
 
 
@@ -40,6 +42,10 @@ def test_removed_aliases_are_gone():
             assert not hasattr(beliefhtn, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(planner.PolicyNode, "agendas")
+    # A network is read through its tuples; nothing in the library asks
+    # for one node's task or for the available nodes on their own.
+    assert not hasattr(htn.TaskNetwork, "available")
+    assert not hasattr(htn.TaskNetwork, "task_of")
     assert not hasattr(htn.AgentDomain, "operator_names")
     fields = {f.name for f in dataclasses.fields(planner.ExecutionReport)}
     assert "traces" not in fields
@@ -65,7 +71,7 @@ def test_planner_config_holds_only_the_search_limits():
 def test_stall_threshold_is_one_constant():
     # The search and every replay read planner.STALL_THRESHOLD; no caller
     # can replay a policy under another convention than it was planned with.
-    for func in (planner.simulate, planner.enumerate_traces, planner.detect_deadlock):
+    for func in (planner.simulate, planner.enumerate_traces, detect_deadlock):
         assert "stall_threshold" not in inspect.signature(func).parameters, func.__name__
     assert planner.STALL_THRESHOLD == 4
 

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from beliefhtn import (
     BeliefState,
     Group,
+    GroundedAttribute,
     ObsClass,
     StateVariableDecl,
     Universe,
     diverging_attributes,
 )
 from beliefhtn.errors import BadArgument, BadValue, UniverseMismatch, UnknownAttribute
-from beliefhtn.htn import apply
+from beliefhtn.htn import applicable, apply_effects
 from beliefhtn.state import BOOL_DOMAIN
 
 
@@ -70,6 +71,21 @@ def test_value_ranges_resolve_to_domains():
         Universe([], [StateVariableDecl("Stove", (), "StoveState", ObsClass.OBS)])
 
 
+def test_from_mapping_rejects_an_undeclared_attribute():
+    u = small_universe()
+    total = {a: u.value_domains[i][0] for i, a in enumerate(u.attributes)}
+    with pytest.raises(UnknownAttribute, match=r"undeclared attributes: Oven\(hot\)"):
+        BeliefState.from_mapping("robot", u, {**total, GroundedAttribute("Oven", ("hot",)): "x"})
+
+
+def test_beliefs_compare_and_hash_by_values():
+    u = small_universe()
+    robot = total_state(u)
+    human = robot.with_owner("human")
+    assert human == robot and hash(human) == hash(robot)
+    assert robot != robot.values  # a belief equals only a belief
+
+
 def test_interning_is_dense_and_total():
     u = small_universe()
     assert len(u) == 4  # AgtAt x2, SaltInPot, Stove
@@ -85,7 +101,8 @@ def test_lookup_stove_after_turn_on(cooking):
         for key, op in sorted(_op_table(cooking).items())
         if key[1] == "turn-on"
     )
-    after = apply(turn_on, world)
+    assert applicable(turn_on, world)
+    after = apply_effects(turn_on, world)
     assert after.get(u.attr("Stove")) == "on"
 
 
