@@ -4,7 +4,13 @@ Produces a policy tree: robot turns are OR nodes (one chosen action), human
 turns are AND nodes branching on every emulated human choice, all of which
 must lead to completion.  Decompositions are committed lazily: an agent's
 choice at a node is a pair (decomposition sequence using its own methods,
-one applicable primitive it owns).
+one applicable primitive it owns).  One move rule, :func:`moves`, a
+function of the two agents' domains, gives an agent's :func:`choices`, or
+its one WAIT/IDLE turn when it has none; the policy loader and the tests'
+oracles ask it.  The search applies the same rule in two parts, the
+choices through :meth:`_Search._choices`, the layer the benchmark traces,
+and then :func:`_no_choice`, until the tracer reads :func:`choices`
+itself (ROADMAP item 1).
 
 Two solver modes share the machinery:
 
@@ -46,7 +52,7 @@ from typing import Mapping, Optional
 
 from .communication import CommAction, apply_comm_plan, min_comm_bfs
 from .engine import legacy_step, step_belief_protocol
-from .errors import BadArgument, DepthExceeded, NotApplicable, Unsolvable
+from .errors import BadArgument, DepthExceeded, NotApplicable, UniverseMismatch, Unsolvable
 from .htn import (
     AgentDomain,
     GroundedOperator,
@@ -244,6 +250,96 @@ def _step(
     return res.world, res.human_belief
 
 
+def choices(
+    domains: Mapping[str, AgentDomain], belief: BeliefState, network: TaskNetwork, agent: str
+) -> list[_Candidate]:
+    """All (decomposition path, applicable own primitive) choices of ``agent``
+    under the two agents' ``domains``, in ``belief``.
+
+    Each candidate carries the network after the primitive has run, and
+    choices leading to the same action and the same resulting network are
+    one.  A decomposition sequence only belongs to a choice when it is
+    needed to expose the chosen primitive: among candidates for the same
+    grounded action, any whose committed-decomposition multiset strictly
+    contains another's is dropped (gratuitous commitments of unrelated
+    tasks would both multiply branches and discard the other agent's
+    options).  The result is sorted by action, then resulting network.
+
+    The depth-first walk visits each network once and keeps the first
+    candidate per action and resulting network, both tracked by the
+    identity of the network's canonical key, which
+    :meth:`TaskNetwork.canonical_key` interns.  Within one action group the
+    candidates are tested in order of commit count against the minimal ones
+    kept so far: a candidate with a strict sub-multiset below it has a
+    minimal one below it, since the relation is transitive, so this keeps
+    exactly the candidates no other one of the group is strictly below.
+    """
+    dom = domains[agent]
+    own_ops = dom.op_names
+    other_ops = next(d.op_names for name, d in domains.items() if name != agent)
+    ground_ops = dom.ground_ops
+    ground_methods = dom.ground_methods
+    # (op name, op args) -> id of the resulting network's key -> candidate
+    by_action: dict[tuple, dict[int, _Candidate]] = {}
+    visited: set[int] = set()
+    stack: list[tuple[TaskNetwork, tuple]] = [(network, ())]
+    while stack:
+        w, commits = stack.pop()
+        key = id(_canonical(w))
+        if key in visited:
+            continue
+        visited.add(key)
+        for node_id, task, mask in zip(w.ids, w.tasks, w.preds):
+            if mask:
+                continue  # a predecessor is pending
+            if task.symbol in own_ops:
+                op = ground_ops.get((task.symbol, task.args))
+                if op is not None and applicable(op, belief):
+                    after = w.without_node(node_id)
+                    group = by_action.setdefault((op.name, op.args), {})
+                    after_key = id(_canonical(after))
+                    if after_key not in group:
+                        group[after_key] = _Candidate(op, after, commits)
+            elif task.symbol not in other_ops:
+                for gm in ground_methods.get(task, ()):
+                    stack.append((decompose(w, node_id, gm), commits + ((task, gm.name),)))
+    minimal: list[_Candidate] = []
+    for group in by_action.values():
+        if len(group) == 1:
+            minimal.extend(group.values())
+            continue
+        kept: list[tuple[int, Counter]] = []  # (commit count, commit multiset)
+        for cand in sorted(group.values(), key=lambda c: len(c.commits)):
+            size = len(cand.commits)
+            counts = Counter(cand.commits)
+            if not any(
+                below < size and all(counts[item] >= n for item, n in other.items())
+                for below, other in kept
+            ):
+                kept.append((size, counts))
+                minimal.append(cand)
+    return sorted(minimal, key=lambda c: (c.op.name, c.op.args, _canonical(c.network)))
+
+
+def moves(
+    domains: Mapping[str, AgentDomain], belief: BeliefState, network: TaskNetwork, agent: str
+) -> list[_Candidate]:
+    """The agent's :func:`choices`, or its one WAIT/IDLE turn when it has
+    none: the moves the search tries and a loaded policy may take."""
+    return choices(domains, belief, network, agent) or _no_choice(domains, network, agent)
+
+
+def _no_choice(
+    domains: Mapping[str, AgentDomain], network: TaskNetwork, agent: str
+) -> list[_Candidate]:
+    """The one move of an agent without choices, which leaves the network as
+    it is: WAIT while it holds work that can lead to one of the agent's own
+    primitives, IDLE otherwise."""
+    yields = domains[agent].yields
+    pseudo = wait_op if any(t.symbol in yields for t in network.tasks) else idle_op
+    return [_Candidate(pseudo(agent), network, ())]
+
+
 class _Search:
     def __init__(
         self,
@@ -254,6 +350,9 @@ class _Search:
     ):
         if mode not in (MODE_NEW, MODE_LEGACY):
             raise BadArgument(f"unknown solver mode {mode!r}")
+        if not (problem.world.universe is problem.human_belief.universe is problem.universe):
+            # another bundle's beliefs would enter this bundle's shared table
+            raise UniverseMismatch("the problem's beliefs are not over its universe")
         self.problem = problem
         self.obs = obs_model
         self.mode = mode
@@ -276,98 +375,13 @@ class _Search:
         self.intern = cache.intern
         self.depth_pruned = False
 
-    # -- choice enumeration -------------------------------------------------
-
     def _choices(
         self, belief: BeliefState, network: TaskNetwork, agent: str
     ) -> list[_Candidate]:
-        """All (decomposition path, applicable own primitive) choices.
-
-        Each candidate carries the network after the primitive has run, and
-        choices leading to the same action and the same resulting network
-        are one.  A decomposition sequence only belongs to a choice when it
-        is needed to expose the chosen primitive: among candidates for the
-        same grounded action, any whose committed-decomposition multiset
-        strictly contains another's is dropped (gratuitous commitments of
-        unrelated tasks would both multiply branches and discard the other
-        agent's options).  The result is sorted by action, then resulting
-        network.
-
-        The depth-first walk visits each network once and keeps the first
-        candidate per action and resulting network, both tracked by the
-        identity of the network's canonical key, which
-        :meth:`TaskNetwork.canonical_key` interns.  Within one action group
-        the candidates are tested in order of commit count against the
-        minimal ones kept so far: a candidate with a strict sub-multiset
-        below it has a minimal one below it, since the relation is
-        transitive, so this keeps exactly the candidates no other one of the
-        group is strictly below.
-        """
-        dom = self.problem.domain_of(agent)
-        own_ops = dom.op_names
-        other_ops = self.problem.domain_of(self._other(agent)).op_names
-        ground_ops = dom.ground_ops
-        ground_methods = dom.ground_methods
-        # (op name, op args) -> id of the resulting network's key -> candidate
-        by_action: dict[tuple, dict[int, _Candidate]] = {}
-        visited: set[int] = set()
-        stack: list[tuple[TaskNetwork, tuple]] = [(network, ())]
-        while stack:
-            w, commits = stack.pop()
-            key = id(_canonical(w))
-            if key in visited:
-                continue
-            visited.add(key)
-            for node_id, task, mask in zip(w.ids, w.tasks, w.preds):
-                if mask:
-                    continue  # a predecessor is pending
-                if task.symbol in own_ops:
-                    op = ground_ops.get((task.symbol, task.args))
-                    if op is not None and applicable(op, belief):
-                        after = w.without_node(node_id)
-                        group = by_action.setdefault((op.name, op.args), {})
-                        after_key = id(_canonical(after))
-                        if after_key not in group:
-                            group[after_key] = _Candidate(op, after, commits)
-                elif task.symbol not in other_ops:
-                    for gm in ground_methods.get(task, ()):
-                        stack.append((decompose(w, node_id, gm), commits + ((task, gm.name),)))
-        minimal: list[_Candidate] = []
-        for group in by_action.values():
-            if len(group) == 1:
-                minimal.extend(group.values())
-                continue
-            kept: list[tuple[int, Counter]] = []  # (commit count, commit multiset)
-            for cand in sorted(group.values(), key=lambda c: len(c.commits)):
-                size = len(cand.commits)
-                counts = Counter(cand.commits)
-                if not any(
-                    below < size and all(counts[item] >= n for item, n in other.items())
-                    for below, other in kept
-                ):
-                    kept.append((size, counts))
-                    minimal.append(cand)
-        return sorted(minimal, key=lambda c: (c.op.name, c.op.args, _canonical(c.network)))
-
-    def _moves(
-        self, belief: BeliefState, network: TaskNetwork, agent: str
-    ) -> list[_Candidate]:
-        """The agent's choices, or the single WAIT/IDLE turn when it has none.
-
-        The agent WAITs while the network still holds work that can lead to
-        one of its own primitives, and IDLEs otherwise; either way the
-        network is unchanged.
-        """
-        choices = self._choices(belief, network, agent)
-        if choices:
-            return choices
-        yields = self.problem.domain_of(agent).yields
-        if any(t.symbol in yields for t in network.tasks):
-            return [_Candidate(wait_op(agent), network, ())]
-        return [_Candidate(idle_op(agent), network, ())]
-
-    def _other(self, agent: str) -> str:
-        return self.human if agent == self.robot else self.robot
+        """:func:`choices` for this search's domains.  The benchmark's tracer
+        patches this method to count and time choice enumeration; it goes
+        when the tracer reads another layer (ROADMAP item 1)."""
+        return choices(self.problem.domains, belief, network, agent)
 
     # -- search -------------------------------------------------------------
 
@@ -408,8 +422,8 @@ class _Search:
         it is expanded, and reaching it again is a cycle.  In the new mode
         :func:`min_comm_bfs` first fixes the tells for every outgoing edge,
         none when the divergence is irrelevant.  Then one loop tries the
-        agent's moves (:meth:`_moves`) in order: a robot (OR) node keeps the
-        first move whose child is solved, a human (AND) node needs every move
+        agent's moves, by the rule of :func:`moves`, in order: a robot (OR) node keeps the first
+        move whose child is solved, a human (AND) node needs every move
         solved.  A WAIT/IDLE move leaves the network as it is;
         :func:`_stall_run` extends or resets the stall run.
         """
@@ -445,16 +459,19 @@ class _Search:
             post_comm_belief = apply_comm_plan(comms, human_belief)
 
         is_human = turn == self.human
-        moves = self._moves(post_comm_belief if is_human else world, network, turn)
+        other = self.robot if is_human else self.human
+        # the rule of :func:`moves`, split so the choices pass the traced method
+        options = self._choices(post_comm_belief if is_human else world, network, turn)
+        options = options or _no_choice(self.problem.domains, network, turn)
         tainted = False
         edges: list[PolicyEdge] = []
-        for move in moves:
+        for move in options:
             w2, hb2 = _step(
                 self.mode, self.obs, self.robot, self.human, world, post_comm_belief,
                 move.op, turn,
             )
             child, t = self._solve(
-                w2, hb2, move.network, self._other(turn), depth + 1,
+                w2, hb2, move.network, other, depth + 1,
                 _stall_run(stall, move.op.is_pseudo),
             )
             if child is None:
@@ -467,7 +484,7 @@ class _Search:
                 break  # the OR node commits to its first solved move
 
         self.path.remove(key)
-        if len(edges) == (len(moves) if is_human else 1):
+        if len(edges) == (len(options) if is_human else 1):
             node = PolicyNode(world, human_belief, False, turn, NodeKind.DECISION, tuple(edges))
             self.states[key] = node
             return node, False
@@ -477,7 +494,7 @@ class _Search:
 
     def _terminal(self, world: BeliefState, human_belief: BeliefState, turn: str) -> PolicyNode:
         """All work done: each agent idles once, then the success leaf."""
-        other = self._other(turn)
+        other = self.human if turn == self.robot else self.robot
         leaf = PolicyNode(world, human_belief, True, turn, NodeKind.SUCCESS)
         second = PolicyNode(
             world, human_belief, True, other, NodeKind.DECISION,
@@ -495,7 +512,8 @@ def plan(
     mode: str = MODE_NEW,
     config: PlannerConfig = PlannerConfig(),
 ) -> PolicyTree:
-    """Solve the joint problem under the requested solver mode."""
+    """Solve the joint problem under the requested solver mode.  Beliefs
+    not over ``problem.universe`` raise :class:`UniverseMismatch` first."""
     return _Search(problem, obs_model, mode, config).run()
 
 

@@ -6,7 +6,12 @@ policy DAG, enough to re-simulate or re-export.  Node beliefs are exported
 as short digests.  Reloading re-derives them as the search did: from the
 root beliefs, each edge applies its ``tell``s and then the mode's step, and
 checks each node's digests, so a reloaded policy prints exactly as the
-original.
+original.  It also re-derives the task networks consistent with each path
+and asks :func:`~beliefhtn.planner.moves`, the search's own move rule,
+whether each edge is a move and whether each human node answers every
+emulated human choice, and it lets no branch end in success, or count as
+done, before its work is; so a policy that replays successfully covers
+every emulated choice.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Optional
 from .communication import CommAction, apply_comm_plan
 from .domfile import ProblemBundle, parse_bundle, serialize
 from .errors import BeliefHtnError, DomainSyntaxError
-from .htn import GroundedOperator, idle_op, wait_op
+from .htn import GroundedOperator, HtnProblem, TaskNetwork, idle_op, wait_op
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
@@ -26,8 +31,10 @@ from .planner import (
     PolicyEdge,
     PolicyNode,
     PolicyTree,
+    _canonical,
     _root_human,
     _step,
+    moves,
 )
 from .state import BeliefState
 
@@ -127,7 +134,13 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
     A malformed file raises :class:`DomainSyntaxError`: a field missing or
     of the wrong JSON type, a node id listed twice, a tell of a value the
     robot does not hold, an edge the beliefs its path derives cannot take,
-    or a node whose digests do not match them.
+    or a node whose digests do not match them.  So does a policy the search
+    could not have built (:func:`_check_moves`): an edge that is not a move
+    of its node's agent, a robot node with two edges, a human node whose
+    edges are not the human's moves from any network its path allows, a
+    node whose edges carry different tells, or a node marked done or a
+    success leaf while work is left.  Any other node without edges ends its
+    branch, and replay reports that branch as a deadlock.
     """
     try:
         obj = json.loads(text)
@@ -174,11 +187,72 @@ def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
         if nid in specs:
             raise DomainSyntaxError(f"node {nid} is listed twice")
         specs[nid] = spec
+    nodes: dict[int, Optional[PolicyNode]] = {}
     root = _load_node(
-        bundle, mode, specs, {}, _field(obj, "root", int), init_world,
+        bundle, mode, specs, nodes, _field(obj, "root", int), init_world,
         _root_human(mode, bundle.obs_model, init_world, init_human),
     )
+    _check_moves(bundle.problem, root, {id(node): nid for nid, node in nodes.items()})
     return PolicyTree(mode, robot, human, init_world, init_human, root)
+
+
+def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -> None:
+    """Check that each edge is a move (:func:`~beliefhtn.planner.moves`) of
+    its node's agent, that a robot node has one edge and a human node's
+    edges are its moves, and that a node is ``done`` or a success leaf only
+    once the work is.
+
+    The walk carries, with each node, the task networks consistent with its
+    path from ``problem.network``, one per canonical key.  A robot's moves
+    that share an action but leave different networks all stay in the set,
+    so it may hold networks the node was not planned from.  A human node's
+    edge actions must be the moves, in the belief after the node's one set
+    of tells, from at least one of them; the others are dropped, and edge i
+    leads on to the network of move i.  A robot node's edge must be a move
+    from one of them, and a done or success node needs an empty one.
+    ``names`` maps each node's identity to its id in the file.
+    """
+    walked: set[tuple[int, frozenset]] = set()
+    stack = [(root, {id(_canonical(problem.network)): problem.network})]
+    while stack:
+        node, networks = stack.pop()
+        seen = (id(node), frozenset(networks))
+        if seen in walked:
+            continue
+        walked.add(seen)
+        nid = names[id(node)]
+        if node.done or node.kind is NodeKind.SUCCESS:
+            if not any(network.is_empty for network in networks.values()):
+                raise DomainSyntaxError(f"node {nid}: done or a success while work is left")
+        if not node.edges:
+            continue
+        comms = node.edges[0].comms
+        if any(edge.comms != comms for edge in node.edges):
+            raise DomainSyntaxError(f"node {nid}: its edges carry different tells")
+        is_human = node.turn == problem.human
+        if not is_human and len(node.edges) > 1:
+            raise DomainSyntaxError(f"node {nid}: the robot takes more than one move")
+        belief = apply_comm_plan(comms, node.human_belief) if is_human else node.world
+        actions = [edge.action for edge in node.edges]
+        after: list[dict[int, TaskNetwork]] = [{} for _ in actions]
+        for network in networks.values():
+            found = moves(problem.domains, belief, network, node.turn)
+            if is_human:
+                if [m.op for m in found] != actions:
+                    continue  # not a network this node was planned from
+                taken = zip(after, found)  # edge i is move i
+            else:
+                taken = ((after[0], m) for m in found if m.op == actions[0])
+            for reached, move in taken:
+                reached.setdefault(id(_canonical(move.network)), move.network)
+        if is_human and not after[0]:
+            raise DomainSyntaxError(f"node {nid}: the edges are not the human's moves")
+        for edge, reached in zip(node.edges, after):
+            if not reached:
+                raise DomainSyntaxError(
+                    f"node {nid}: {edge.action} is not a move of {node.turn!r}"
+                )
+            stack.append((edge.child, reached))
 
 
 def _load_node(

@@ -1,19 +1,20 @@
 """Differential test: choice enumeration against the value-keyed enumerator.
 
-``_Search._choices`` tracks visited networks and deduplicates candidates by
+``planner.choices`` tracks visited networks and deduplicates candidates by
 the identity of each network's interned canonical key, and keeps the
 minimal candidates of an action group by testing them in order of commit
 count against the minimal ones kept so far.  The reference below keeps the
 enumerator it replaces: visited and result sets over key *values*, every
 available node found through the test-side ``available`` and ``task_of``,
 and the quadratic filter that tests each candidate against every other one
-of its group with ``ref_multiset_lt``.  Every ``_choices`` call the search
-makes on both builtins (both start agents, both modes), on the stride-17
-study sample and on ``box_dom(2..4)`` must return the reference's
-candidates in the reference's order, with equal operators, commits and
-networks.  A small domain adds the groups those never build: two minimal
-candidates with equal commits, a minimal candidate above only the second
-of two kept ones, and two paths to one resulting network.
+of its group with ``ref_multiset_lt``.  Every ``_Search._choices`` call
+(``choices`` over the search's domains) the search makes on both builtins
+(both start agents, both modes), on the stride-17 study sample and on
+``box_dom(2..4)`` must return the reference's candidates in the reference's
+order, with equal operators, commits and networks.  A small domain adds
+the groups those never build: two minimal candidates with equal commits, a
+minimal candidate above only the second of two kept ones, and two paths to
+one resulting network.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import pytest
 from beliefhtn import MODE_LEGACY, MODE_NEW, builtin_bundle, parse_bundle, plan
 from beliefhtn.builtins import box_dom
 from beliefhtn.htn import TaskInstance, TaskNetwork, applicable, decompose
-from beliefhtn.planner import PlannerConfig, _Candidate, _Search
+from beliefhtn.planner import _Candidate, _Search, choices
 
 from oracles import available, task_of
 from test_search_cache import STRIDE, study_problems
@@ -50,11 +51,11 @@ def ref_multiset_lt(a: tuple, b: tuple) -> bool:
     return True
 
 
-def ref_choices(search: _Search, belief, network: TaskNetwork, agent: str):
+def ref_choices(domains, belief, network: TaskNetwork, agent: str):
     """(sorted minimal candidates, groups of two or more, candidates dropped)."""
-    dom = search.problem.domain_of(agent)
+    dom = domains[agent]
     own_ops = dom.op_names
-    other_ops = search.problem.domain_of(search._other(agent)).op_names
+    other_ops = frozenset().union(*(d.op_names for a, d in domains.items() if a != agent))
     results: dict[tuple, _Candidate] = {}
     visited: set[tuple] = set()
     stack: list[tuple[TaskNetwork, tuple]] = [(network, ())]
@@ -105,7 +106,7 @@ def checked(monkeypatch):
 
     def both(self, belief, network, agent):
         got = original(self, belief, network, agent)
-        want, multi, dropped = ref_choices(self, belief, network, agent)
+        want, multi, dropped = ref_choices(self.problem.domains, belief, network, agent)
         assert summary(got) == summary(want)
         tally["calls"] += 1
         tally["candidates"] += len(got)
@@ -231,11 +232,11 @@ CRAFTED = [
 )
 def test_crafted_groups_keep_the_minimal_candidates(roots, expected, drops):
     bundle = parse_bundle(CHOICE_DOM)
-    search = _Search(bundle.problem, bundle.obs_model, MODE_NEW, PlannerConfig())
+    domains = bundle.problem.domains
     network = TaskNetwork.build([TaskInstance(symbol) for symbol in roots])
     world = bundle.problem.world
-    got = search._choices(world, network, "bot")
-    want, _, dropped = ref_choices(search, world, network, "bot")
+    got = choices(domains, world, network, "bot")
+    want, _, dropped = ref_choices(domains, world, network, "bot")
     assert summary(got) == summary(want)
     assert [(str(c.op), len(c.commits)) for c in got] == expected
     assert dropped == drops

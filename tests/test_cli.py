@@ -13,7 +13,8 @@ import beliefhtn
 from beliefhtn import COOKING_DOM, builtin_bundle, parse, plan, serialize
 from beliefhtn.cli import main
 from beliefhtn.errors import DomainSyntaxError
-from beliefhtn.policyio import _collect, load_json, to_json, to_text
+from beliefhtn.planner import _step
+from beliefhtn.policyio import _collect, _digest, load_json, to_json, to_text
 
 from test_acceptance import STUDY_CSV_SHA256
 
@@ -213,6 +214,62 @@ def test_policy_json_round_trip(domain, start, mode):
     assert [n.done for n in reloaded] == [n.done for n in planned]
 
 
+# `Mark` gives the human, and `Pick` the robot, two moves with one action,
+# `h` or `p`, that leave different networks: `z(a)` or `z(b)` to do next.
+MARKS_DOM = """\
+beliefhtn-domain 1
+domain marks
+group Places Here
+group Agents bot person
+group Marks a b
+agents bot person
+svar AgtAt (?a Agents) -> Places : obs
+place AgtAt(?a) value-of AgtAt(?a)
+operator p for bot
+end
+operator h for person
+end
+operator z for person
+  param ?m Marks
+end
+method m-mark for person
+  task Mark
+  var ?m Marks
+  sub x h
+  sub y z(?m)
+  order x < y
+end
+method m-pick for bot
+  task Pick
+  var ?m Marks
+  sub x p
+  sub y z(?m)
+  order x < y
+end
+root t {root}
+init AgtAt(bot) = Here
+init AgtAt(person) = Here
+start {start}
+"""
+
+
+@pytest.mark.parametrize(
+    "root,start,first", [("Mark", "person", ["h", "h"]), ("Pick", "bot", ["p"])]
+)
+@pytest.mark.parametrize("mode", ["new", "legacy"])
+def test_policy_json_round_trip_with_moves_that_share_an_action(root, start, first, mode):
+    # After two moves with one action, the next human node answers the
+    # network its own path left, not the other one.
+    from beliefhtn import parse_bundle, plan, simulate
+
+    bundle = parse_bundle(MARKS_DOM.format(root=root, start=start))
+    policy = plan(bundle.problem, bundle.obs_model, mode)
+    bundle2, policy2 = load_json(to_json(policy, bundle))
+    assert [str(edge.action) for edge in policy.root.edges] == first
+    assert to_text(policy2) == to_text(policy)
+    assert simulate(policy2, bundle2.obs_model) == simulate(policy, bundle.obs_model)
+
+
 def _set(path, value):
     """An edit of a saved policy object: set the item at ``path``."""
 
@@ -277,6 +334,37 @@ def _list_twice(obj):
     obj["nodes"].append(dict(obj["nodes"][-1]))
 
 
+def _idle_to_wait(obj):
+    """Make the robot's first IDLE a WAIT, which leaves every belief as it is
+    but is not the robot's move there."""
+    edge = next(
+        e for node in obj["nodes"] if node["turn"] == obj["robot"]
+        for e in node["edges"] if e["action"]["kind"] == "idle"
+    )
+    edge["action"].update(name="WAIT", kind="wait")
+
+
+def _mixed_tells(obj):
+    """Give the first communicating edge a twin without its tells, into a new
+    success leaf with the beliefs the twin's step derives."""
+    bundle, policy = load_json(json.dumps(obj))
+    ids, order = _collect(policy)
+    node = next(n for n in order if any(e.comms for e in n.edges))
+    edge = next(e for e in node.edges if e.comms)
+    world, human = _step(
+        policy.mode, bundle.obs_model, policy.robot, policy.human, node.world,
+        node.human_belief, edge.action, node.turn,
+    )
+    leaf = len(obj["nodes"])
+    obj["nodes"].append(
+        {"id": leaf, "turn": node.turn, "kind": "success", "done": True,
+         "world": f"#{_digest(world)}", "belief": f"#{_digest(human)}", "edges": []}
+    )
+    spec = next(spec for spec in obj["nodes"] if spec["id"] == ids[id(node)])
+    twin = next(e for e in spec["edges"] if e["comms"])
+    spec["edges"].append(dict(twin, comms=[], child=leaf))
+
+
 # Each edit changes the saved object in place, or returns the whole file.
 POLICY_EDITS = {
     # The mode selects the step that re-derives each node's beliefs.
@@ -303,9 +391,24 @@ POLICY_EDITS = {
     "args-type": (
         _set(["nodes", 0, "edges", 0, "action", "args"], [1]), "its arguments must be strings"
     ),
+    # A policy the search could not have built: each edge is one of the
+    # agent's moves, the robot takes one, and the tells are fixed once per node.
+    "non-move": (_idle_to_wait, r"node \d+: WAIT is not a move of 'robot'"),
+    "tells-mixed": (_mixed_tells, r"node \d+: its edges carry different tells"),
+    "robot-twice": (
+        lambda obj: obj["nodes"][0]["edges"].append(dict(obj["nodes"][0]["edges"][0])),
+        "node 0: the robot takes more than one move",
+    ),
+    # Replay counts a branch that reaches a success leaf as a success, and
+    # does not end a done node's WAIT/IDLE run: neither may come early.
+    "success-early": (
+        lambda obj: obj["nodes"][2].update(kind="success", edges=[]),
+        "node 2: done or a success while work is left",
+    ),
+    "done-early": (_set(["nodes", 1, "done"], True), "node 1: done or a success while work"),
 }
 # The edits of a tell need a policy that communicates: cooking, the human first.
-COMMUNICATING = {"tell-value", "tell-twice", "tell-false"}
+COMMUNICATING = {"tell-value", "tell-twice", "tell-false", "tells-mixed"}
 
 
 @pytest.mark.parametrize("edit", sorted(POLICY_EDITS))

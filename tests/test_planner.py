@@ -19,7 +19,7 @@ from beliefhtn import (
     simulate,
 )
 from beliefhtn.communication import apply_comm_plan
-from beliefhtn.errors import BadArgument, DepthExceeded, Unsolvable
+from beliefhtn.errors import BadArgument, DepthExceeded, DomainSyntaxError, Unsolvable
 from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
 from beliefhtn.htn import (
     OpKind,
@@ -39,6 +39,8 @@ from beliefhtn.planner import (
     _classify_edge,
     _replay_start,
     _Search,
+    choices,
+    moves,
     policy_comm_edges,
 )
 from beliefhtn.policyio import _collect, load_json, to_json, to_text
@@ -50,24 +52,22 @@ from oracles import detect_deadlock
 
 
 def human_choices(bundle, human_belief, network):
-    """The human's emulated choices: the search's moves for the human, each
-    action once."""
-    search = _Search(bundle.problem, bundle.obs_model, MODE_NEW, PlannerConfig())
-    moves = search._moves(human_belief, network, bundle.problem.human)
-    return tuple(dict.fromkeys(m.op for m in moves))
+    """The human's emulated choices: the human's moves, each action once."""
+    found = moves(bundle.problem.domains, human_belief, network, bundle.problem.human)
+    return tuple(dict.fromkeys(m.op for m in found))
 
 
 def test_emulation_scenario_b_start(cooking):
     # Human starts; the only sensible first step is fetching the pasta.
     bundle = cooking.with_start("human")
-    choices = human_choices(bundle, bundle.problem.human_belief, bundle.problem.network)
-    assert [str(op) for op in choices] == ["move-to-pasta(Kitchen, Room)"]
+    emulated = human_choices(bundle, bundle.problem.human_belief, bundle.problem.network)
+    assert [str(op) for op in emulated] == ["move-to-pasta(Kitchen, Room)"]
 
 
 def test_emulation_empty_agenda_idles(cooking):
     empty = TaskNetwork.build([])
-    choices = human_choices(cooking, cooking.problem.human_belief, empty)
-    assert [op.kind for op in choices] == [OpKind.IDLE]
+    emulated = human_choices(cooking, cooking.problem.human_belief, empty)
+    assert [op.kind for op in emulated] == [OpKind.IDLE]
 
 
 def test_emulation_blocked_agenda_waits(cooking):
@@ -80,14 +80,14 @@ def test_emulation_blocked_agenda_waits(cooking):
     )
     human = world.with_owner("human").with_value(u.attr("SaltInPot"), "false")
     agenda = TaskNetwork.build([TaskInstance("pour-pasta")])
-    choices = human_choices(cooking, human, agenda)
-    assert [op.kind for op in choices] == [OpKind.WAIT]
+    emulated = human_choices(cooking, human, agenda)
+    assert [op.kind for op in emulated] == [OpKind.WAIT]
 
 
 def test_emulation_idles_when_only_robot_work_remains(cooking):
     agenda = TaskNetwork.build([TaskInstance("add-salt")])
-    choices = human_choices(cooking, cooking.problem.human_belief, agenda)
-    assert [op.kind for op in choices] == [OpKind.IDLE]
+    emulated = human_choices(cooking, cooking.problem.human_belief, agenda)
+    assert [op.kind for op in emulated] == [OpKind.IDLE]
 
 
 # -- golden scenarios ---------------------------------------------------------
@@ -511,14 +511,13 @@ def entered_networks(policy, problem, obs_model):
     consistent with it; returns each node's id -> the exact networks it is
     entered with.
 
-    An edge's action must be one of the search's moves (``_Search._moves``)
+    An edge's action must be one of the agent's moves (``planner.moves``)
     from some network of the set, in the belief the search used: the world
     on a robot turn, the human's belief after the edge's tells on a human
     turn.  The next set is the networks those moves leave, one per
     isomorphism class (:func:`isomorphic`), and a success leaf's set must
     hold an empty network.
     """
-    search = _Search(problem, obs_model, policy.mode, PlannerConfig())
     entered: dict[int, set] = {}
     walked = set()
 
@@ -536,7 +535,7 @@ def entered_networks(policy, problem, obs_model):
                 belief = apply_comm_plan(edge.comms, node.human_belief)
             after = []
             for w in networks:
-                for move in search._moves(belief, w, node.turn):
+                for move in moves(problem.domains, belief, w, node.turn):
                     if move.op == edge.action and not any(
                         isomorphic(move.network, kept) for kept in after
                     ):
@@ -574,17 +573,29 @@ def test_every_human_choice_is_an_edge_on_study(study_policies):
     checks = 0
     for mode, index, problem, policy in planned:
         entered = entered_networks(policy, problem, bundle.obs_model)
-        search = _Search(problem, bundle.obs_model, mode, PlannerConfig())
         for node in _collect(policy)[1]:
             if node.turn != problem.human or not node.edges:
                 continue
             belief = apply_comm_plan(node.edges[0].comms, node.human_belief)
             actions = [edge.action for edge in node.edges]
             for network in entered[id(node)]:
-                moves = search._moves(belief, network, problem.human)
-                assert [m.op for m in moves] == actions, (mode, index, network)
+                found = moves(problem.domains, belief, network, problem.human)
+                assert [m.op for m in found] == actions, (mode, index, network)
                 checks += 1
     assert checks > 0
+
+
+def test_a_policy_with_a_human_edge_dropped_does_not_load(box):
+    # Dropping a human edge changes no remaining node's digests, and replay
+    # walks only the edges left, so only the move check tells the file from
+    # a policy that answers every emulated human choice.
+    policy = plan(box.problem, box.obs_model, MODE_NEW)
+    assert simulate(policy, box.obs_model).n_traces == 15
+    obj = json.loads(to_json(policy, box))
+    node = next(n for n in obj["nodes"] if n["turn"] == "human" and len(n["edges"]) >= 2)
+    node["edges"].pop()
+    with pytest.raises(DomainSyntaxError, match=rf"node {node['id']}: the edges are not the"):
+        load_json(json.dumps(obj))
 
 
 def test_new_mode_replay_reaches_each_node_with_its_beliefs_on_study(study_policies):
@@ -677,10 +688,9 @@ def test_choices_keep_only_minimal_commitments_per_action():
     # B that blocks it.  Only the choice committing A's method survives.
     bundle = parse(MINIMALITY_DOM).build()
     problem = bundle.problem
-    search = _Search(problem, bundle.obs_model, MODE_NEW, PlannerConfig())
-    choices = search._choices(problem.world, problem.network, problem.robot)
-    assert [str(c.op) for c in choices] == ["work"]
-    (choice,) = choices
+    found = choices(problem.domains, problem.world, problem.network, problem.robot)
+    assert [str(c.op) for c in found] == ["work"]
+    (choice,) = found
     assert choice.commits == ((TaskInstance("A"), "a-work"),)
     assert sorted(t.symbol for _, t in choice.network.nodes) == ["A", "B"]
 

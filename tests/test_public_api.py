@@ -90,6 +90,17 @@ def test_policy_edge_holds_what_executes():
     assert not hasattr(planner._Candidate, "signature")
 
 
+def test_one_move_rule_outside_the_search():
+    # The search, the policy loader and the test oracles ask planner.moves;
+    # the search keeps `_choices` only as the layer the bench traces.
+    assert not hasattr(planner._Search, "_moves")
+    assert not hasattr(planner._Search, "_other")
+    assert inspect.isfunction(planner._Search.__dict__["_choices"])
+    for func in (planner.moves, planner.choices):
+        assert list(inspect.signature(func).parameters) == ["domains", "belief", "network", "agent"]
+        assert func.__name__ not in beliefhtn.__all__
+
+
 def test_search_keeps_one_state_table(cooking):
     search = planner._Search(
         cooking.problem, cooking.obs_model, planner.MODE_NEW, planner.PlannerConfig()

@@ -31,8 +31,8 @@ from beliefhtn import (
 )
 from beliefhtn import planner
 from beliefhtn.builtins import box_dom
-from beliefhtn.errors import DepthExceeded
-from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
+from beliefhtn.errors import DepthExceeded, UniverseMismatch
+from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states, run_instance
 from beliefhtn.htn import TaskInstance, TaskNetwork, analyse_hierarchy
 from beliefhtn.planner import (
     RECURSIVE_DEPTH,
@@ -339,6 +339,26 @@ def test_shared_policy_nodes_cannot_be_changed():
     second = plan(bundle.problem, bundle.obs_model, MODE_NEW)
     assert second.root is first.root
     assert to_text(second) == text
+
+
+# -- only beliefs over the bundle's universe reach its table ------------------
+
+
+def test_beliefs_of_another_bundle_raise_before_the_table_is_read():
+    # The foreign beliefs equal the bundle's own in value, so a table that
+    # took them would hand them to the bundle's later plans, whose tells then
+    # mix two universes.
+    bundle, other = builtin_bundle("cooking"), builtin_bundle("cooking")
+    spec = DEFAULT_SPECS["cooking"]
+    for mode in MODES:
+        for inst in generate_initial_states(other, spec)[::STRIDE]:
+            with pytest.raises(UniverseMismatch, match="not over its universe"):
+                run_instance(bundle, inst, mode)
+    assert bundle.problem.search_cache.tables == {MODE_NEW: {}, MODE_LEGACY: {}}
+    own = generate_initial_states(bundle, spec)
+    results = [run_instance(bundle, inst, mode) for mode in MODES for inst in own]
+    assert len(results) == 1024
+    assert all(not r.outcome.startswith("error:") for r in results)
 
 
 # -- replay walks free their memos on return ----------------------------------
