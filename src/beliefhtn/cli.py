@@ -22,7 +22,6 @@ from .experiment import (
     results_csv,
     run_experiment,
 )
-from .htn import analyse_hierarchy
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
@@ -149,17 +148,16 @@ def _cmd_validate(args) -> int:
         f"{len(bundle.universe)} grounded attributes, "
         f"{len(dom.operators)} operators, {len(dom.methods)} methods"
     )
-    problem = bundle.problem
-    most = analyse_hierarchy(problem.domains.values(), problem.network)
-    if most is None:
+    cache = bundle.problem.search_cache
+    if cache.primitives is None:
         print(
             f"hierarchy: recursive; plans search to depth {RECURSIVE_DEPTH}, "
             "each with a table of its own"
         )
     else:
         print(
-            f"hierarchy: acyclic, at most {most} primitives from the root; plans search "
-            f"to depth {problem.search_cache.depth} and share the bundle's state table"
+            f"hierarchy: acyclic, at most {cache.primitives} primitives from the root; "
+            f"plans search to depth {cache.depth} and share the bundle's state table"
         )
     if args.echo:
         print(serialize(dom), end="")

@@ -1,9 +1,9 @@
 """Communication actions, divergence relevance, and the choice of tells.
 
-A communication action transmits one attribute-value pair from the robot to
-the human; its preconditions require the sender to hold the value and the
-receiver to disagree.  A divergence is *relevant* when it changes which
-actions the human can perform, or what some performable action would do.
+A communication action, a *tell*, is one attribute and the value the robot
+believes it has; the robot tells it to the human, who must disagree.  A
+divergence is *relevant* when it changes which actions the human can
+perform, or what some performable action would do.
 One function, :func:`min_comm_bfs`, decides both *if* and *what* to tell:
 it tries the subsets of the diverging attributes smallest first and tells
 the first whose alignment leaves no relevant divergence, which is none at
@@ -25,8 +25,6 @@ from .state import BeliefState, GroundedAttribute, Value, diverging_attributes
 class CommAction:
     """Robot-to-human transmission of one ground-truth attribute value."""
 
-    sender: str
-    receiver: str
     attr: GroundedAttribute
     value: Value
 
@@ -102,8 +100,5 @@ def min_comm_bfs(
         for subset in combinations(divergent, k):
             aligned = human_belief.with_values_at((i, truth[i]) for i in subset)
             if not is_relevant_divergence(world, aligned, human_ops):
-                return tuple(
-                    CommAction(world.owner, human_belief.owner, attributes[i], truth[i])
-                    for i in subset
-                )
+                return tuple(CommAction(attributes[i], truth[i]) for i in subset)
     raise AssertionError("full alignment leaves no divergence")  # pragma: no cover

@@ -5,7 +5,8 @@ their observability class, placement rules, the two agents, per-agent
 operators and methods, the shared initial task network, the (total) initial
 world belief, optional human-belief overrides, and the starting agent.
 
-The format is deliberately flat: section keywords at column zero,
+The format is deliberately flat: a header with the one version,
+:data:`FORMAT_VERSION`, section keywords at column zero,
 ``operator``/``method`` blocks closed by ``end``, one fact per line, and no
 expression language beyond ``+=``/``-=`` on bounded-integer attributes.
 Each line or block is read straight into the one form the rest of the
@@ -15,7 +16,9 @@ and operator and method blocks into :class:`~beliefhtn.htn.OperatorSchema`
 and :class:`~beliefhtn.htn.MethodSchema`.  A method's label and order
 defects carry the line of its ``method`` line, and a directive that may
 appear once (``domain``, ``agents``, ``start``, a method's ``task``, a root
-label, an ``init`` or ``belief`` attribute) names its repeated line.  The
+label, an ``init`` or ``belief`` attribute) names its repeated line;
+``build`` rejects a repeated root label, ``init`` or ``belief`` attribute
+too, so a document made in code obeys the rules a read one does.  The
 schema constructors own the per-schema rules (a variable bound twice, a
 second ``pre`` on one attribute), and ``build`` owns the rule that one agent
 has one operator and one method of a name; the reader runs both as it goes,
@@ -69,7 +72,6 @@ class DomainFile:
     """Parsed, serializable representation of one ``.dom`` document."""
 
     name: str = ""
-    version: int = FORMAT_VERSION
     groups: list[Group] = field(default_factory=list)
     robot: str = ""
     human: str = ""
@@ -432,7 +434,7 @@ def _require_sections(dom: DomainFile) -> None:
 
 def serialize(dom: DomainFile) -> str:
     """Canonical text form; parse(serialize(d)) == d."""
-    out: list[str] = [f"{FORMAT_HEADER} {dom.version}", f"domain {dom.name}", ""]
+    out: list[str] = [f"{FORMAT_HEADER} {FORMAT_VERSION}", f"domain {dom.name}", ""]
     for g in dom.groups:
         out.append(f"group {g.name} {' '.join(g.members)}")
     out.append(f"agents {dom.robot} {dom.human}")
@@ -586,6 +588,8 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
     tasks = []
     label_ids = {}
     for label, ref in dom.roots:
+        if label in label_ids:
+            raise DomainSyntaxError(f"repeated root label {label!r}")
         if ref.symbol not in known_symbols:
             raise DomainSyntaxError(
                 f"root task {ref.symbol!r} matches no operator or method"
@@ -603,15 +607,21 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
     assignment: dict[GroundedAttribute, Value] = {}
     for ref, val in dom.init:
         attr = universe.attr(ref.symbol, *ref.args)
+        if attr in assignment:
+            raise DomainSyntaxError(f"repeated 'init' line for {ref}")
         assignment[attr] = universe.parse_value(attr, val)
     world = BeliefState.from_mapping(dom.robot, universe, assignment)
     human = world.with_owner(dom.human)
+    believed: set[GroundedAttribute] = set()
     for agent, ref, val in dom.beliefs:
         if agent != dom.human:
             raise DomainSyntaxError(
                 f"belief overrides are only supported for the human agent, got {agent!r}"
             )
         attr = universe.attr(ref.symbol, *ref.args)
+        if attr in believed:
+            raise DomainSyntaxError(f"repeated 'belief' line for {agent} {ref}")
+        believed.add(attr)
         human = human.with_value(attr, universe.parse_value(attr, val))
 
     cache = SearchCache(domains, obs_model, network, analyse_hierarchy(domains.values(), network))

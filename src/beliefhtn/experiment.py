@@ -2,8 +2,9 @@
 
 For each domain the generator enumerates a parameterized grid of initial
 world states (binary dimensions) crossed with all subsets of flippable
-human-belief attributes; the default specs yield 512 initial states per
-domain, 448 of them with divergent beliefs and 64 fully aligned.  Every
+human-belief attributes, so a spec's size follows from its dimensions: the
+default specs' six world and three flip dimensions yield 512 initial states
+per domain, 448 of them with divergent beliefs and 64 fully aligned.  Every
 state is planned under each solver mode and the policy is replayed against
 the true belief protocol; outcomes aggregate into a per-domain table of
 success, failure-taxonomy and communication ratios.
@@ -43,8 +44,6 @@ class GeneratorSpec:
 
     world_dims: tuple[tuple[str, tuple[str, str]], ...]
     flip_dims: tuple[tuple[str, tuple[str, str]], ...]
-    expected_total: int = 512
-    expected_aligned: int = 64
 
 
 DEFAULT_SPECS: dict[str, GeneratorSpec] = {
@@ -106,15 +105,10 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
     beliefs agree, and a set flip gives the human the flip value that differs
     from the world's.  Each dimension is resolved once, raising as those
     methods raise, and every instance is written by index.  The world
-    dimensions must name distinct attributes.
+    dimensions must name distinct attributes, and so must the flip
+    dimensions.  The grid has ``2 ** (len(world_dims) + len(flip_dims))``
+    instances; the ``2 ** len(world_dims)`` with no flip set are aligned.
     """
-    total = 2 ** len(spec.world_dims) * 2 ** len(spec.flip_dims)
-    aligned = 2 ** len(spec.world_dims)
-    if total != spec.expected_total or aligned != spec.expected_aligned:
-        raise SpecMismatch(
-            f"generator dims realize {total} states ({aligned} aligned), "
-            f"spec declares {spec.expected_total} ({spec.expected_aligned} aligned)"
-        )
     flip_names = {name for name, _ in spec.flip_dims}
     dim_names = {name for name, _ in spec.world_dims}
     if not flip_names <= dim_names:
@@ -140,6 +134,8 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
             for text in spec.world_dims[k][1][:2]
         ]
         flips.append((k, per_bit[0][0], (per_bit[0][1], per_bit[1][1])))
+    if len({index for _, index, _ in flips}) != len(flips):
+        raise SpecMismatch("flip dimensions must name distinct attributes")
 
     instances: list[Instance] = []
     for world_bits in itertools.product((0, 1), repeat=len(dims)):
@@ -182,8 +178,6 @@ class ModeMetrics:
     n_comm: int = 0
     sum_len: float = 0.0
     sum_comms: float = 0.0
-    aligned_success: int = 0
-    aligned_total: int = 0
 
     @property
     def success_rate(self) -> float:
@@ -298,10 +292,8 @@ def run_experiment(
             res = run_instance(bundle, inst, mode, config.depth_bound)
             results.append(res)
             row.n += 1
-            row.aligned_total += inst.aligned
             if res.outcome == "success":
                 row.n_success += 1
-                row.aligned_success += inst.aligned
                 row.n_comm += res.communicates
                 row.sum_len += res.report.mean_primitive_length
                 row.sum_comms += res.report.mean_comm_count

@@ -27,7 +27,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import BadArgument, CycleIntroduced, NotRelevant
 from .state import AttrRef, BeliefState, GroundedAttribute, Universe, Value
@@ -292,22 +292,31 @@ def _check_order(name: str, n: int, order: tuple[tuple[int, int], ...]) -> None:
         raise CycleIntroduced(f"method {name}: subtask ordering is cyclic")
 
 
-def _has_cycle_pairs(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
-    succs: dict[int, list[int]] = {n: [] for n in nodes}
-    indeg: dict[int, int] = {n: 0 for n in succs}
-    for i, j in pairs:
-        succs[i].append(j)
-        indeg[j] += 1
+def _topological(succs: Mapping[Hashable, list]) -> Optional[list]:
+    """Kahn's topological order of the graph ``succs`` (each node to its
+    successors, each of them a node too), or None when the graph has a
+    cycle (Kahn, 1962).  Every edge points forward in the order."""
+    indeg = dict.fromkeys(succs, 0)
+    for targets in succs.values():
+        for m in targets:
+            indeg[m] += 1
     queue = [n for n, d in indeg.items() if d == 0]
-    seen = 0
+    order = []
     while queue:
         n = queue.pop()
-        seen += 1
+        order.append(n)
         for m in succs[n]:
             indeg[m] -= 1
             if indeg[m] == 0:
                 queue.append(m)
-    return seen != len(indeg)
+    return order if len(order) == len(indeg) else None
+
+
+def _has_cycle_pairs(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> bool:
+    succs: dict[int, list[int]] = {n: [] for n in nodes}
+    for i, j in pairs:
+        succs[i].append(j)
+    return _topological(succs) is None
 
 
 def unify_task(method: MethodSchema, task: TaskInstance) -> Optional[dict[str, str]]:
@@ -580,7 +589,8 @@ def analyse_hierarchy(domains: Iterable[AgentDomain], network: TaskNetwork) -> O
     a primitive of either agent yields 1, a task no method decomposes 0, and
     any other task the most over its methods of the sum over their subtasks.
     Decomposing never raises the sum over a network, and executing a
-    primitive lowers it by one.  One depth-first pass over the tasks.
+    primitive lowers it by one.  The table fills in reverse topological
+    order over the decomposable tasks, so each task's subtasks come first.
     """
     domains = tuple(domains)
     op_names = frozenset().union(*(d.op_names for d in domains))
@@ -589,32 +599,19 @@ def analyse_hierarchy(domains: Iterable[AgentDomain], network: TaskNetwork) -> O
         for task, methods in dom.ground_methods.items():
             if task.symbol not in op_names:  # a primitive is never decomposed
                 expansions.setdefault(task, []).extend(gm.subtasks for gm in methods)
+    order = _topological({
+        task: [sub for subs in expansions[task] for sub in subs if sub in expansions]
+        for task in expansions
+    })
+    if order is None:
+        return None
     most: dict[TaskInstance, int] = {}
 
     def yield_of(task: TaskInstance) -> int:
         return 1 if task.symbol in op_names else most.get(task, 0)
 
-    on_path: set[TaskInstance] = set()
-    for start in expansions:
-        if start in most:
-            continue
-        on_path.add(start)
-        stack = [(start, itertools.chain.from_iterable(expansions[start]))]
-        while stack:
-            task, subtasks = stack[-1]
-            for sub in subtasks:
-                if sub in on_path:
-                    return None
-                if sub in expansions and sub not in most:
-                    on_path.add(sub)
-                    stack.append((sub, itertools.chain.from_iterable(expansions[sub])))
-                    break
-            else:
-                stack.pop()
-                on_path.discard(task)
-                most[task] = max(
-                    (sum(map(yield_of, subs)) for subs in expansions[task]), default=0
-                )
+    for task in reversed(order):
+        most[task] = max((sum(map(yield_of, subs)) for subs in expansions[task]), default=0)
     return sum(map(yield_of, network.tasks))
 
 

@@ -165,9 +165,11 @@ class SearchCache:
     """The state tables that the plans on one bundle share.
 
     Built once with the bundle, for its ``domains``, ``obs_model`` and root
-    ``network``, and held by its :class:`~beliefhtn.htn.HtnProblem`.  Its
-    certifying ``depth`` is ``(P + 1) * STALL_THRESHOLD`` for P
-    ``primitives`` (:func:`~beliefhtn.htn.analyse_hierarchy`), or None.
+    ``network``, and held by its :class:`~beliefhtn.htn.HtnProblem`.  It keeps
+    the ``primitives`` P it is built with, the bound
+    :func:`~beliefhtn.htn.analyse_hierarchy` gives, or None for a recursive
+    hierarchy; its certifying ``depth`` is ``(P + 1) * STALL_THRESHOLD``, or
+    None.
     ``tables`` holds one table per mode, over the search's state key
     (:meth:`_Search._state_key`): a solved node, or None for a known
     failure.  A plan the cache does not certify (see :class:`PlannerConfig`)
@@ -176,7 +178,9 @@ class SearchCache:
     (:meth:`intern`), which keeps them small.
     """
 
-    __slots__ = ("domains", "obs_model", "network", "depth", "tables", "_beliefs", "_values")
+    __slots__ = (
+        "domains", "obs_model", "network", "primitives", "depth", "tables", "_beliefs", "_values"
+    )
 
     def __init__(
         self,
@@ -188,6 +192,7 @@ class SearchCache:
         self.domains = domains
         self.obs_model = obs_model
         self.network = network
+        self.primitives = primitives
         self.depth = None if primitives is None else (primitives + 1) * STALL_THRESHOLD
         self.tables: dict[str, dict[tuple, object]] = {MODE_NEW: {}, MODE_LEGACY: {}}
         self._beliefs: dict[str, dict[tuple, BeliefState]] = {}

@@ -291,7 +291,7 @@ def _load_node(
     for e in _field(spec, "edges", list):
         op = _operator(bundle, _field(e, "action", dict), turn)
         comms = tuple(
-            CommAction(robot, human, bundle.attr(_field(c, "attr", str)), _field(c, "value"))
+            CommAction(bundle.attr(_field(c, "attr", str)), _field(c, "value"))
             for c in _field(e, "comms", list)
         )
         w2, h2 = _step(

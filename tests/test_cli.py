@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import beliefhtn
-from beliefhtn import COOKING_DOM, builtin_bundle, parse, plan, serialize
+from beliefhtn import BOX_DOM, COOKING_DOM, builtin_bundle, parse, plan, serialize
 from beliefhtn.cli import main
 from beliefhtn.errors import DomainSyntaxError
 from beliefhtn.planner import _step
@@ -483,6 +483,12 @@ def test_validate_domain_reports_the_hierarchy(tmp_path, capsys):
     assert main(["validate-domain", str(path)]) == 0
     assert (
         "hierarchy: acyclic, at most 6 primitives from the root; plans search to depth 28 "
+        "and share the bundle's state table"
+    ) in capsys.readouterr().out
+    path.write_text(BOX_DOM)
+    assert main(["validate-domain", str(path)]) == 0
+    assert (
+        "hierarchy: acyclic, at most 16 primitives from the root; plans search to depth 68 "
         "and share the bundle's state table"
     ) in capsys.readouterr().out
     path.write_text(RECURSIVE_DOM)

@@ -67,10 +67,7 @@ def ref_tells(world, human_belief, human_ops) -> tuple[CommAction, ...]:
     while queue:
         belief, aligned = queue.popleft()
         if not ref_is_relevant(world, belief, human_ops):
-            return tuple(
-                CommAction(world.owner, human_belief.owner, attributes[i], truth[i])
-                for i in aligned
-            )
+            return tuple(CommAction(attributes[i], truth[i]) for i in aligned)
         for i in divergent:
             if i in aligned:
                 continue

@@ -20,7 +20,7 @@ from beliefhtn.htn import ground_all_operators
 
 def tell(world, human, attr):
     """The robot telling the human its ground-truth value of ``attr``."""
-    return CommAction(world.owner, human.owner, attr, world.get(attr))
+    return CommAction(attr, world.get(attr))
 
 
 def human_ops(bundle):
@@ -43,7 +43,7 @@ def test_apply_comm_salt(cooking):
 def test_apply_comm_stale_rejected(cooking):
     u = cooking.universe
     human = cooking.problem.human_belief
-    ca = CommAction("robot", "human", u.attr("SaltInPot"), human.get(u.attr("SaltInPot")))
+    ca = CommAction(u.attr("SaltInPot"), human.get(u.attr("SaltInPot")))
     with pytest.raises(StaleComm):
         apply_comm(ca, human)
     with pytest.raises(StaleComm):  # the human already holds the true value

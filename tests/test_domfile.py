@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from beliefhtn import BOX_DOM, COOKING_DOM, parse, parse_bundle, serialize
+from beliefhtn import BOX_DOM, COOKING_DOM, builtin, parse, parse_bundle, plan, serialize
+from beliefhtn.domfile import FORMAT_VERSION
 from beliefhtn.errors import BadArgument, DomainSyntaxError
+from beliefhtn.policyio import load_json, to_json, to_text
 
 MINI = """\
 beliefhtn-domain 1
@@ -301,6 +303,43 @@ def test_build_rejects_a_second_method_of_one_name():
     dom.methods.append(dom.methods[0])
     with pytest.raises(DomainSyntaxError, match="method m-root declared twice for both"):
         dom.build()
+
+
+# Each directive the reader takes once per attribute or label, doubled in code.
+REPEATS = {
+    "init": (lambda d: replace(d, init=d.init + d.init[:1]), "repeated 'init' line for AgtAt(bot)"),
+    "belief": (
+        lambda d: replace(d, beliefs=d.beliefs + d.beliefs[:1]),
+        "repeated 'belief' line for person Flag",
+    ),
+    "root": (lambda d: replace(d, roots=d.roots + d.roots[:1]), "repeated root label 't0'"),
+}
+
+
+@pytest.mark.parametrize("name", REPEATS)
+def test_build_rejects_what_the_reader_rejects_as_repeated(name):
+    edit, message = REPEATS[name]
+    dom = edit(parse(MINI.replace("start bot", "belief person Flag = true\nstart bot")))
+    with pytest.raises(DomainSyntaxError) as built:
+        dom.build()
+    assert str(built.value) == message
+    # The reader names the line of the repeat.
+    with pytest.raises(DomainSyntaxError) as read:
+        parse(serialize(dom))
+    assert str(read.value) == f"line {read.value.line}: {message}"
+
+
+def test_serialize_writes_the_one_format_version():
+    # The version is no field of a document, so one made in code writes the
+    # version the reader accepts, and its saved policy loads back.
+    dom = builtin("cooking")
+    with pytest.raises(TypeError):
+        replace(dom, version=2)
+    assert serialize(dom).startswith(f"beliefhtn-domain {FORMAT_VERSION}\n")
+    bundle = dom.build()
+    policy = plan(bundle.problem, bundle.obs_model, "new")
+    _, loaded = load_json(to_json(policy, bundle))
+    assert to_text(loaded) == to_text(policy)
 
 
 def test_method_schema_rejects_a_variable_bound_twice():

@@ -58,6 +58,20 @@ def test_removed_aliases_are_gone():
     assert "COMMUNICATION" not in htn.OpKind.__members__
 
 
+def test_fields_nothing_reads_are_gone():
+    # A tell is an attribute and a value, a study's size follows from its
+    # spec's dimensions, and the domain format has one version.
+    gone = {
+        communication.CommAction: {"sender", "receiver"},
+        experiment.ModeMetrics: {"aligned_success", "aligned_total"},
+        experiment.GeneratorSpec: {"expected_total", "expected_aligned"},
+        domfile.DomainFile: {"version"},
+    }
+    for cls, names in gone.items():
+        assert names.isdisjoint(f.name for f in dataclasses.fields(cls)), cls.__name__
+    assert [f.name for f in dataclasses.fields(communication.CommAction)] == ["attr", "value"]
+
+
 def test_moved_names_stay_importable():
     assert beliefhtn.ObsClass is observability.ObsClass is state.ObsClass
     assert htn.AttrRef is state.AttrRef
