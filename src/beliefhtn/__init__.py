@@ -12,7 +12,7 @@ solver and a reproducible experiment harness are included.
 from .builtins import BOX_DOM, COOKING_DOM, builtin, builtin_bundle
 from .communication import (
     CommAction,
-    apply_comm,
+    apply_comm_plan,
     is_relevant_divergence,
     min_comm_bfs,
 )
@@ -84,7 +84,7 @@ __all__ = [
     "TaskNetwork",
     "Universe",
     "applicable",
-    "apply_comm",
+    "apply_comm_plan",
     "builtin",
     "builtin_bundle",
     "decompose",

@@ -7,7 +7,9 @@ perform, or what some performable action would do.
 One function, :func:`min_comm_bfs`, decides both *if* and *what* to tell:
 it tries the subsets of the diverging attributes smallest first and tells
 the first whose alignment leaves no relevant divergence, which is none at
-all when the divergence is already irrelevant.
+all when the divergence is already irrelevant.  One rule applies tells,
+for the search, replay and the loader: :func:`apply_comm_plan` writes each
+told value into the human's belief, in order, and a value held stays.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .errors import StaleComm
 from .htn import GroundedOperator, applicable, apply_effects
 from .state import BeliefState, GroundedAttribute, Value, diverging_attributes
 
@@ -32,19 +33,14 @@ class CommAction:
         return f"tell({self.attr}, {self.value})"
 
 
-def apply_comm(ca: CommAction, receiver_belief: BeliefState) -> BeliefState:
-    """Receiver adopts the communicated value; nothing else changes."""
-    if receiver_belief.get(ca.attr) == ca.value:
-        raise StaleComm(f"receiver already believes {ca.attr} = {ca.value}")
-    return receiver_belief.with_value(ca.attr, ca.value)
-
-
 def apply_comm_plan(
     plan: tuple[CommAction, ...], receiver_belief: BeliefState
 ) -> BeliefState:
+    """Each tell of ``plan`` writes its value into the receiver's belief, in
+    order; the same belief object when every told value is already held."""
     belief = receiver_belief
     for ca in plan:
-        belief = apply_comm(ca, belief)
+        belief = belief.with_value(ca.attr, ca.value)
     return belief
 
 

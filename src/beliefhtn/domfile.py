@@ -59,6 +59,7 @@ from .state import (
     Universe,
     Value,
     ValueRange,
+    follow_world,
 )
 
 FORMAT_HEADER = "beliefhtn-domain"
@@ -515,16 +516,14 @@ class ProblemBundle:
         return self.universe.index_of(attr), parsed
 
     def with_world(self, overrides: Mapping[str, Value | str]) -> "ProblemBundle":
-        """New bundle with world-belief attributes overridden (human follows
-        unless itself overridden later via :meth:`with_human_belief`)."""
-        world = self.problem.world
-        human = self.problem.human_belief
-        for text, val in overrides.items():
-            index, value = self.resolve(text, val)
-            aligned = human.values[index] == world.values[index]
-            world = world.with_values_at(((index, value),))
-            if aligned:
-                human = human.with_values_at(((index, value),))
+        """New bundle with world-belief attributes overridden in order by
+        :func:`~beliefhtn.state.follow_world`: the human follows each write
+        where it held the world's value just before it (override the human
+        afterwards via :meth:`with_human_belief`)."""
+        world, human = follow_world(
+            self.problem.world, self.problem.human_belief,
+            [self.resolve(text, val) for text, val in overrides.items()],
+        )
         problem = replace(self.problem, world=world, human_belief=human)
         return replace(self, problem=problem)
 

@@ -3,9 +3,9 @@
 Four channels update an agent's belief: acting (own effects), observing a
 co-present agent's action (all effects, since inferrable ones are inferred
 and observable ones are confirmed by the immediately following assessment),
-situation assessment, and communication (handled by the communication
-module).  The robot's belief is the ground truth and absorbs every effect
-unconditionally.
+situation assessment, and communication, where each tell writes its value
+(:func:`~beliefhtn.communication.apply_comm_plan`).  The robot's belief is
+the ground truth and absorbs every effect unconditionally.
 
 ``step_belief_protocol`` composes the channels in the fixed order used by
 the planner: act/observe updates, then situation assessment for the human.
@@ -15,25 +15,19 @@ the ground truth; the belief protocol also requires a human's action to be
 applicable in the ground truth.  Replay executes each edge through
 ``step_belief_protocol``, so its NA verdicts carry these messages.
 
-A step that changes nothing returns the same belief objects it was given:
-every channel returns its input belief when it writes no new value, so a
-WAIT, an IDLE or an assessment with nothing to see builds no belief.
+Each step returns the belief pair ``(world, human_belief)`` after the
+action, which the search and replay take as it is.  A step that changes
+nothing returns the same belief objects it was given: every channel returns
+its input belief when it writes no new value, so a WAIT, an IDLE or an
+assessment with nothing to see builds no belief.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import NotApplicable
 from .htn import GroundedOperator, applicable, apply_effects
 from .observability import ObservabilityModel
 from .state import BeliefState
-
-
-@dataclass(frozen=True)
-class StepResult:
-    world: BeliefState
-    human_belief: BeliefState
 
 
 def _check_actor(
@@ -65,7 +59,7 @@ def step_belief_protocol(
     robot_id: str,
     human_id: str,
     model: ObservabilityModel,
-) -> StepResult:
+) -> tuple[BeliefState, BeliefState]:
     """Run act + observe + assess for one executed action (new solver).
 
     The ground truth (robot belief) always receives all effects.  The human
@@ -83,7 +77,7 @@ def step_belief_protocol(
     ):
         human_belief = apply_effects(op, human_belief)
     human_belief = model.assess(human_belief, world_after)
-    return StepResult(world_after, human_belief)
+    return world_after, human_belief
 
 
 def legacy_step(
@@ -92,7 +86,7 @@ def legacy_step(
     op: GroundedOperator,
     actor_id: str,
     human_id: str,
-) -> StepResult:
+) -> tuple[BeliefState, BeliefState]:
     """Omniscient baseline update: every belief absorbs every effect."""
     _check_actor(world, human_belief, op, actor_id, human_id, protocol=False)
-    return StepResult(apply_effects(op, world), apply_effects(op, human_belief))
+    return apply_effects(op, world), apply_effects(op, human_belief)

@@ -45,10 +45,6 @@ class BadRule(BeliefHtnError):
     """A value-dependent placement rule referenced a non-place value."""
 
 
-class StaleComm(BeliefHtnError):
-    """Communication attempted for an attribute the receiver already agrees on."""
-
-
 class Unsolvable(BeliefHtnError):
     """No robot strategy covers every emulated human choice."""
 
@@ -74,4 +70,5 @@ class UnknownDomain(BeliefHtnError):
 
 
 class SpecMismatch(BeliefHtnError):
-    """Initial-state generator spec cannot realize the requested counts."""
+    """Initial-state generator spec names a flip outside its world
+    dimensions, or repeats an attribute within its world or flip ones."""

@@ -33,7 +33,7 @@ from .planner import (
     policy_comm_edges,
     simulate,
 )
-from .state import BeliefState
+from .state import BeliefState, follow_world
 
 CSV_SCHEMA_VERSION = 1
 
@@ -93,7 +93,8 @@ class Instance:
 
     @property
     def aligned(self) -> bool:
-        return not any(self.flip_bits)
+        """True iff the human's belief equals the world."""
+        return self.human.values == self.world.values
 
 
 def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[Instance]:
@@ -101,13 +102,13 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
 
     Each instance is what :meth:`ProblemBundle.with_world` with the world
     bits' values, then :meth:`ProblemBundle.with_human_belief` with the set
-    flips, would give: the human follows each world value where the start
-    beliefs agree, and a set flip gives the human the flip value that differs
-    from the world's.  Each dimension is resolved once, raising as those
-    methods raise, and every instance is written by index.  The world
-    dimensions must name distinct attributes, and so must the flip
-    dimensions.  The grid has ``2 ** (len(world_dims) + len(flip_dims))``
-    instances; the ``2 ** len(world_dims)`` with no flip set are aligned.
+    flips, would give: both write the world by :func:`follow_world`, and a
+    set flip gives the human the flip value that differs from the world's.
+    Each dimension is resolved once, raising as those methods raise, and
+    every instance is written by index.  The world dimensions must name
+    distinct attributes, and so must the flip dimensions.  The grid has
+    ``2 ** (len(world_dims) + len(flip_dims))`` instances; when the start
+    beliefs agree, the ``2 ** len(world_dims)`` with no flip set are aligned.
     """
     flip_names = {name for name, _ in spec.flip_dims}
     dim_names = {name for name, _ in spec.world_dims}
@@ -122,7 +123,6 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
         dims.append((index, (first, bundle.resolve(name, values[1])[1])))
     if len({index for index, _ in dims}) != len(dims):
         raise SpecMismatch("world dimensions must name distinct attributes")
-    follows = [human0.values[index] == world0.values[index] for index, _ in dims]
     # Per flip: (world dimension position, attribute index, the human's value
     # per world bit), the flip value that differs from the world's text.
     position = {name: k for k, (name, _) in enumerate(spec.world_dims)}
@@ -140,8 +140,7 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
     instances: list[Instance] = []
     for world_bits in itertools.product((0, 1), repeat=len(dims)):
         writes = [(index, values[bit]) for (index, values), bit in zip(dims, world_bits)]
-        world = world0.with_values_at(writes)
-        human = human0.with_values_at([w for w, follow in zip(writes, follows) if follow])
+        world, human = follow_world(world0, human0, writes)
         for flip_bits in itertools.product((0, 1), repeat=len(flips)):
             flipped = human.with_values_at(
                 [(index, values[world_bits[k]])

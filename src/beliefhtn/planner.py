@@ -37,8 +37,9 @@ One stall rule, :func:`_stall_run`, counts that run for the search and for
 replay (:func:`simulate`, :func:`enumerate_traces`), and both end it at the
 one :data:`STALL_THRESHOLD`, so a policy replays under the convention it was
 planned with.  Each :class:`PolicyNode` records whether its agenda is
-``done``; replay and export read that, not the task network.  One step
-rule, :func:`_step`, moves the beliefs along an edge for the search and for
+``done``; replay and export read that, not the task network.  One tell
+rule, ``apply_comm_plan``, and one step rule, :func:`_step`, which returns
+the mode's belief pair, move the beliefs along an edge for the search and
 a reloaded policy.
 """
 
@@ -249,10 +250,8 @@ def _step(
 ) -> tuple[BeliefState, BeliefState]:
     """Both beliefs after ``actor`` runs ``op`` under the mode's update."""
     if mode == MODE_NEW:
-        res = step_belief_protocol(world, human_belief, op, actor, robot, human, obs_model)
-    else:
-        res = legacy_step(world, human_belief, op, actor, human)
-    return res.world, res.human_belief
+        return step_belief_protocol(world, human_belief, op, actor, robot, human, obs_model)
+    return legacy_step(world, human_belief, op, actor, human)
 
 
 def choices(
@@ -605,19 +604,16 @@ def _classify_edge(
     The verdict is "" when the edge executes, else "na" or "idl" (the branch
     ends here).  ``run`` counts consecutive WAIT/IDLE turns.
     """
-    for ca in edge.comms:
-        h = h.with_value(ca.attr, ca.value)  # the same belief if already aligned
+    h = apply_comm_plan(edge.comms, h)
     op = edge.action
     new_run = _stall_run(run, op.is_pseudo)
     if op.is_pseudo and not node.done and new_run >= STALL_THRESHOLD:
         return "idl", f"{STALL_THRESHOLD} consecutive WAIT/IDLE turns", None, new_run
     try:
-        res = step_belief_protocol(
-            w, h, op, node.turn, policy.robot, policy.human, obs_model
-        )
+        nxt = step_belief_protocol(w, h, op, node.turn, policy.robot, policy.human, obs_model)
     except NotApplicable as exc:
         return "na", str(exc), None, new_run
-    return "", "", (res.world, res.human_belief), new_run
+    return "", "", nxt, new_run
 
 
 def simulate(
@@ -631,9 +627,9 @@ def simulate(
     Each prescribed action is checked against the ground truth and against
     its actor's true (protocol-evolved) belief; the first violation makes
     the trace NA.  A run of :data:`STALL_THRESHOLD` consecutive WAIT/IDLE
-    actions before the agenda is done makes it IDL.  The tells on an edge
-    are zero-time robot actions: each writes its value into the human's
-    belief before the action, and a fact already aligned stays as it is.
+    actions before the agenda is done makes it IDL.  Each edge's tells are
+    written by the one tell rule, ``apply_comm_plan``, and its action's belief
+    pair by the one step rule, ``step_belief_protocol``, is the child's.
 
     Shared policy subtrees are aggregated through a memo, so the walk is
     exhaustive over branches without materializing any action sequence;

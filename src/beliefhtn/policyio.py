@@ -133,14 +133,15 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
 
     A malformed file raises :class:`DomainSyntaxError`: a field missing or
     of the wrong JSON type, a node id listed twice, a tell of a value the
-    robot does not hold, an edge the beliefs its path derives cannot take,
-    or a node whose digests do not match them.  So does a policy the search
-    could not have built (:func:`_check_moves`): an edge that is not a move
-    of its node's agent, a robot node with two edges, a human node whose
-    edges are not the human's moves from any network its path allows, a
-    node whose edges carry different tells, or a node marked done or a
-    success leaf while work is left.  Any other node without edges ends its
-    branch, and replay reports that branch as a deadlock.
+    robot does not hold or the human already holds, an edge the beliefs its
+    path derives cannot take, or a node whose digests do not match them.
+    So does a policy the search could not have built (:func:`_check_moves`):
+    an edge that is not a move of its node's agent, a robot node with two
+    edges, a human node whose edges are not the human's moves from any
+    network its path allows, a node whose edges carry different tells, or a
+    node marked done or a success leaf while work is left.  Any other node
+    without edges ends its branch, and replay reports that branch as a
+    deadlock.
     """
     try:
         obj = json.loads(text)
@@ -294,13 +295,14 @@ def _load_node(
             CommAction(bundle.attr(_field(c, "attr", str)), _field(c, "value"))
             for c in _field(e, "comms", list)
         )
-        w2, h2 = _step(
-            mode, bundle.obs_model, robot, human, world,
-            apply_comm_plan(comms, human_belief), op, turn,
-        )
-        for ca in comms:
+        told = human_belief
+        for ca in comms:  # the search tells only what the robot holds and the human lacks
+            if told.get(ca.attr) == ca.value:
+                raise DomainSyntaxError(f"receiver already believes {ca.attr} = {ca.value}")
+            told = apply_comm_plan((ca,), told)
             if world.get(ca.attr) != ca.value:
                 raise DomainSyntaxError(f"node {nid}: the robot does not believe {ca}")
+        w2, h2 = _step(mode, bundle.obs_model, robot, human, world, told, op, turn)
         child = _load_node(bundle, mode, specs, nodes, _field(e, "child", int), w2, h2)
         edges.append(PolicyEdge(op, comms, child))
     node = nodes[nid] = PolicyNode(world, human_belief, done, turn, NodeKind(kind), tuple(edges))

@@ -330,3 +330,16 @@ def diverging_attributes(robot: BeliefState, human: BeliefState) -> tuple[int, .
     return tuple(
         i for i, (rv, hv) in enumerate(zip(robot.values, human.values)) if rv != hv
     )
+
+
+def follow_world(
+    world: BeliefState, human: BeliefState, writes: Iterable[tuple[int, Value]]
+) -> tuple[BeliefState, BeliefState]:
+    """Both beliefs after each ``(index, value)`` is written into the world,
+    in order; the human's belief takes the same value where it held the
+    world's value just before the write, and keeps its own elsewhere."""
+    for index, value in writes:
+        if human.values[index] == world.values[index]:
+            human = human.with_values_at(((index, value),))
+        world = world.with_values_at(((index, value),))
+    return world, human

@@ -5,6 +5,9 @@ rule of its own, and so checks from outside that replay's stall verdicts
 fall where :data:`beliefhtn.planner.STALL_THRESHOLD` puts them.
 ``available`` and ``task_of`` read a network's node tuples the plain way,
 for the reference enumerators of the differential tests.
+``trace_totals`` sums explicit traces into the totals ``report_totals``
+reads off a :func:`~beliefhtn.planner.simulate` report, and
+``replay_reaches_stored_beliefs`` walks a new-mode replay node by node.
 """
 
 from __future__ import annotations
@@ -42,3 +45,54 @@ def available(network: TaskNetwork) -> tuple[int, ...]:
 
 def task_of(network: TaskNetwork, node_id: int) -> TaskInstance:
     return network.tasks[network.ids.index(node_id)]
+
+
+def trace_totals(traces):
+    first = next((t for t in traces if t.outcome != "success"), None)
+    return (
+        len(traces),
+        sum(t.outcome == "success" for t in traces),
+        sum(t.outcome == "na" for t in traces),
+        sum(t.outcome == "idl" for t in traces),
+        sum(t.primitive_length for t in traces),
+        sum(len(t.comms) for t in traces),
+        first.outcome if first else "success",
+        first.detail if first else "",
+    )
+
+
+def report_totals(report):
+    return (
+        report.n_traces,
+        report.n_success,
+        report.n_na,
+        report.n_idl,
+        round(report.mean_primitive_length * report.n_traces),
+        round(report.mean_comm_count * report.n_traces),
+        report.outcome,
+        report.detail,
+    )
+
+
+def replay_reaches_stored_beliefs(policy: planner.PolicyTree, model) -> set[int]:
+    """Walk a new-mode replay of ``policy`` edge by edge, asserting that
+    every edge executes and every node is reached with the world and human
+    belief the search stored there; returns the ids of the nodes reached."""
+    world, human = planner._replay_start(policy, model, None, None)
+    stack = [(policy.root, world, human, 0)]
+    reached, expanded = set(), set()
+    while stack:
+        node, w, h, run = stack.pop()
+        assert (w.owner, w.values) == (node.world.owner, node.world.values)
+        assert (h.owner, h.values) == (node.human_belief.owner, node.human_belief.values)
+        reached.add(id(node))
+        if (id(node), run) in expanded:
+            continue  # the beliefs are the node's own, so the run is all that varies
+        expanded.add((id(node), run))
+        for edge in node.edges:
+            verdict, detail, nxt, new_run = planner._classify_edge(
+                policy, model, node, edge, w, h, run
+            )
+            assert verdict == "", detail
+            stack.append((edge.child, *nxt, new_run))
+    return reached

@@ -329,32 +329,32 @@ def test_criterion_7_belief_protocol_properties():
                 ]
                 op = rng.choice(ops) if ops else wait_op(turn)
                 before = human
-                res = step_belief_protocol(
+                world_after, human_after = step_belief_protocol(
                     world, human, op, turn, robot_id, human_id, model
                 )
                 bare = apply_effects(op, bare)
                 # Robot belief is exactly an independent effect replay.
-                assert res.world == bare
+                assert world_after == bare
                 # Frame axiom on the ground truth.
                 touched = {u.attributes[index] for index, _, _ in op.eff}
                 for attr in u.attributes:
                     if attr not in touched:
-                        assert res.world.get(attr) == world.get(attr)
+                        assert world_after.get(attr) == world.get(attr)
                 # Assessment idempotent; INF attributes never assessed in.
-                assert model.assess(res.human_belief, res.world) == res.human_belief
-                once = model.assess(before, res.world)
+                assert model.assess(human_after, world_after) == human_after
+                once = model.assess(before, world_after)
                 for attr in u.attributes:
                     if model.obs_class(attr) is ObsClass.INF:
                         assert once.get(attr) == before.get(attr)
                 # Post-step, observable attributes at the human's place agree.
-                here = model.agent_place(human_id, res.world)
+                here = model.agent_place(human_id, world_after)
                 for attr in u.attributes:
                     if (
                         model.obs_class(attr) is ObsClass.OBS
-                        and model.place_of(attr, res.world) == here
+                        and model.place_of(attr, world_after) == here
                     ):
-                        assert res.human_belief.get(attr) == res.world.get(attr)
-                world, human = res.world, res.human_belief
+                        assert human_after.get(attr) == world_after.get(attr)
+                world, human = world_after, human_after
                 turn = human_id if turn == robot_id else robot_id
             traces += 1
     assert traces >= 1000

@@ -3,18 +3,14 @@ from __future__ import annotations
 import itertools
 import random
 
-import pytest
-
 from beliefhtn import (
     BeliefState,
     CommAction,
-    apply_comm,
+    apply_comm_plan,
     diverging_attributes,
     is_relevant_divergence,
     min_comm_bfs,
 )
-from beliefhtn.communication import apply_comm_plan
-from beliefhtn.errors import StaleComm
 from beliefhtn.htn import ground_all_operators
 
 
@@ -33,21 +29,27 @@ def test_apply_comm_salt(cooking):
     world = cooking.problem.world.with_value(u.attr("SaltInPot"), "true")
     human = cooking.problem.human_belief
     ca = tell(world, human, u.attr("SaltInPot"))
-    updated = apply_comm(ca, human)
+    updated = apply_comm_plan((ca,), human)
     assert updated.get(u.attr("SaltInPot")) == "true"
     for attr in u.attributes:
         if str(attr) != "SaltInPot":
             assert updated.get(attr) == human.get(attr)
 
 
-def test_apply_comm_stale_rejected(cooking):
+def test_a_tell_of_a_held_value_writes_nothing(cooking):
+    # A tell is a write: of a value the human holds, it leaves the same
+    # belief object, and a tell said twice writes once.
     u = cooking.universe
+    world = cooking.problem.world.with_value(u.attr("SaltInPot"), "true")
     human = cooking.problem.human_belief
-    ca = CommAction(u.attr("SaltInPot"), human.get(u.attr("SaltInPot")))
-    with pytest.raises(StaleComm):
-        apply_comm(ca, human)
-    with pytest.raises(StaleComm):  # the human already holds the true value
-        apply_comm(tell(cooking.problem.world, human, u.attr("SaltInPot")), human)
+    held = CommAction(u.attr("SaltInPot"), human.get(u.attr("SaltInPot")))
+    assert apply_comm_plan((held,), human) is human
+    assert apply_comm_plan((), human) is human
+    ca = tell(world, human, u.attr("SaltInPot"))
+    once = apply_comm_plan((ca,), human)
+    assert once is not human
+    assert apply_comm_plan((ca, ca), human) == once
+    assert apply_comm_plan((ca,), once) is once
 
 
 def test_apply_comm_pasta_location(cooking):
@@ -55,7 +57,7 @@ def test_apply_comm_pasta_location(cooking):
     world = cooking.problem.world.with_value(u.attr("PastaLoc"), "Kitchen")
     human = cooking.problem.human_belief.with_value(u.attr("PastaLoc"), "Room")
     ca = tell(world, human, u.attr("PastaLoc"))
-    assert apply_comm(ca, human).get(u.attr("PastaLoc")) == "Kitchen"
+    assert apply_comm_plan((ca,), human).get(u.attr("PastaLoc")) == "Kitchen"
 
 
 def test_relevance_salt_blocks_pour(cooking):

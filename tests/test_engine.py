@@ -21,26 +21,42 @@ def step(bundle, world, human, op, actor):
     return step_belief_protocol(world, human, op, actor, "robot", "human", bundle.obs_model)
 
 
+def test_each_step_returns_the_belief_pair(cooking):
+    # Both steps return (world, human belief) as a plain pair.
+    add_salt = op_table(cooking)[("robot", "add-salt", ())]
+    world, human = cooking.problem.world, cooking.problem.human_belief
+    for after in (
+        step(cooking, world, human, add_salt, "robot"),
+        legacy_step(world, human, add_salt, "robot", "human"),
+    ):
+        assert type(after) is tuple and len(after) == 2
+        assert (after[0].owner, after[1].owner) == ("robot", "human")
+
+
 def test_update_on_act_applies_effects(cooking):
     u = cooking.universe
     add_salt = op_table(cooking)[("robot", "add-salt", ())]
-    res = step(cooking, cooking.problem.world, cooking.problem.human_belief, add_salt, "robot")
-    assert res.world.get(u.attr("SaltInPot")) == "true"
+    world_after, human_after = step(
+        cooking, cooking.problem.world, cooking.problem.human_belief, add_salt, "robot"
+    )
+    assert world_after.get(u.attr("SaltInPot")) == "true"
 
 
 def test_update_on_act_wait_is_identity(cooking):
     world = cooking.problem.world
     human = cooking.obs_model.assess(cooking.problem.human_belief, world)
-    res = step(cooking, world, human, wait_op("human"), "human")
-    assert res.world == world
-    assert res.human_belief == human
+    world_after, human_after = step(cooking, world, human, wait_op("human"), "human")
+    assert world_after == world
+    assert human_after == human
 
 
 def test_update_on_act_move(cooking):
     u = cooking.universe
     move = op_table(cooking)[("human", "move-to-pasta", ("Kitchen", "Room"))]
-    res = step(cooking, cooking.problem.world, cooking.problem.human_belief, move, "human")
-    assert res.human_belief.get(u.attr("AgtAt", "human")) == "Room"
+    world_after, human_after = step(
+        cooking, cooking.problem.world, cooking.problem.human_belief, move, "human"
+    )
+    assert human_after.get(u.attr("AgtAt", "human")) == "Room"
 
 
 def test_update_on_act_checks_own_belief(cooking):
@@ -61,8 +77,10 @@ def test_update_on_act_checks_own_belief(cooking):
 def test_observe_copresent_learns_inferrable(cooking):
     u = cooking.universe
     add_salt = op_table(cooking)[("robot", "add-salt", ())]
-    res = step(cooking, cooking.problem.world, cooking.problem.human_belief, add_salt, "robot")
-    assert res.human_belief.get(u.attr("SaltInPot")) == "true"
+    world_after, human_after = step(
+        cooking, cooking.problem.world, cooking.problem.human_belief, add_salt, "robot"
+    )
+    assert human_after.get(u.attr("SaltInPot")) == "true"
 
 
 def test_observe_away_learns_nothing(cooking):
@@ -70,8 +88,8 @@ def test_observe_away_learns_nothing(cooking):
     add_salt = op_table(cooking)[("robot", "add-salt", ())]
     world = cooking.problem.world.with_value(u.attr("AgtAt", "human"), "Room")
     away = cooking.problem.human_belief.with_value(u.attr("AgtAt", "human"), "Room")
-    res = step(cooking, world, away, add_salt, "robot")
-    assert res.human_belief.get(u.attr("SaltInPot")) == "false"
+    world_after, human_after = step(cooking, world, away, add_salt, "robot")
+    assert human_after.get(u.attr("SaltInPot")) == "false"
 
 
 def test_robot_observes_everything_from_anywhere(cooking):
@@ -83,8 +101,8 @@ def test_robot_observes_everything_from_anywhere(cooking):
         .with_value(u.attr("HumanHasPasta"), "false")
     )
     grab = op_table(cooking)[("human", "grab-pasta", ("Room",))]
-    res = step(cooking, world, world.with_owner("human"), grab, "human")
-    assert res.world.get(u.attr("HumanHasPasta")) == "true"
+    world_after, human_after = step(cooking, world, world.with_owner("human"), grab, "human")
+    assert world_after.get(u.attr("HumanHasPasta")) == "true"
 
 
 LEAVING_DOM = """\
@@ -125,18 +143,18 @@ def test_observation_needs_copresence_throughout():
     u = bundle.universe
     ops = {op.name: op for op in op_table(bundle).values()}
     world, human = bundle.problem.world, bundle.problem.human_belief
-    left = step(bundle, world, human, ops["salt-and-leave"], "robot")
-    assert left.world.get(u.attr("Salted")) == "true"
-    assert left.human_belief.get(u.attr("Salted")) == "false"
-    stayed = step(bundle, world, human, ops["salt-and-stay"], "robot")
-    assert stayed.human_belief.get(u.attr("Salted")) == "true"
+    left_world, left_human = step(bundle, world, human, ops["salt-and-leave"], "robot")
+    assert left_world.get(u.attr("Salted")) == "true"
+    assert left_human.get(u.attr("Salted")) == "false"
+    stayed_world, stayed_human = step(bundle, world, human, ops["salt-and-stay"], "robot")
+    assert stayed_human.get(u.attr("Salted")) == "true"
 
 
 def test_step_protocol_scenario_a_turn_on(cooking):
     # Both agents in Kitchen: the human knows the stove is on via observation.
     u = cooking.universe
     turn_on = op_table(cooking)[("robot", "turn-on", ())]
-    res = step_belief_protocol(
+    world_after, human_after = step_belief_protocol(
         cooking.problem.world,
         cooking.problem.human_belief,
         turn_on,
@@ -145,12 +163,12 @@ def test_step_protocol_scenario_a_turn_on(cooking):
         "human",
         cooking.obs_model,
     )
-    assert res.world.get(u.attr("Stove")) == "on"
-    assert res.human_belief.get(u.attr("Stove")) == "on"
+    assert world_after.get(u.attr("Stove")) == "on"
+    assert human_after.get(u.attr("Stove")) == "on"
 
 
 def test_step_protocol_idle_changes_nothing(cooking):
-    res = step_belief_protocol(
+    world_after, human_after = step_belief_protocol(
         cooking.problem.world,
         cooking.problem.human_belief,
         idle_op("robot"),
@@ -159,8 +177,8 @@ def test_step_protocol_idle_changes_nothing(cooking):
         "human",
         cooking.obs_model,
     )
-    assert res.world == cooking.problem.world
-    assert res.human_belief == cooking.problem.human_belief
+    assert world_after == cooking.problem.world
+    assert human_after == cooking.problem.human_belief
 
 
 def test_step_protocol_return_triggers_assessment(cooking):
@@ -178,11 +196,11 @@ def test_step_protocol_return_triggers_assessment(cooking):
         .with_value(u.attr("SaltInPot"), "false")
     )
     move_back = op_table(cooking)[("human", "move-to-kitchen", ())]
-    res = step_belief_protocol(
+    world_after, human_after = step_belief_protocol(
         world, human, move_back, "human", "robot", "human", cooking.obs_model
     )
-    assert res.human_belief.get(u.attr("Stove")) == "on"  # assessed
-    assert res.human_belief.get(u.attr("SaltInPot")) == "false"  # inferrable
+    assert human_after.get(u.attr("Stove")) == "on"  # assessed
+    assert human_after.get(u.attr("SaltInPot")) == "false"  # inferrable
 
 
 def test_legacy_step_updates_both_beliefs_unconditionally(cooking):
@@ -190,9 +208,9 @@ def test_legacy_step_updates_both_beliefs_unconditionally(cooking):
     world = cooking.problem.world.with_value(u.attr("AgtAt", "human"), "Room")
     human = cooking.problem.human_belief.with_value(u.attr("AgtAt", "human"), "Room")
     add_salt = op_table(cooking)[("robot", "add-salt", ())]
-    res = legacy_step(world, human, add_salt, "robot", "human")
-    assert res.world.get(u.attr("SaltInPot")) == "true"
-    assert res.human_belief.get(u.attr("SaltInPot")) == "true"  # omniscient
+    world_after, human_after = legacy_step(world, human, add_salt, "robot", "human")
+    assert world_after.get(u.attr("SaltInPot")) == "true"
+    assert human_after.get(u.attr("SaltInPot")) == "true"  # omniscient
 
 
 def random_trace_states(bundle, rng, steps=14):
@@ -212,10 +230,9 @@ def random_trace_states(bundle, rng, steps=14):
         ]
         op = rng.choice(ops) if ops else wait_op(actor)
         yield op, actor, world, human
-        res = step_belief_protocol(
+        world, human = step_belief_protocol(
             world, human, op, actor, bundle.problem.robot, bundle.problem.human, bundle.obs_model
         )
-        world, human = res.world, res.human_belief
         turn += 1
 
 
@@ -253,8 +270,7 @@ def test_omniscient_degenerate_case(cooking):
             if op.agent == actor and applicable(op, world) and applicable(op, human)
         ]
         op = rng.choice(ops) if ops else wait_op(actor)
-        res = step_belief_protocol(
+        world, human = step_belief_protocol(
             world, human, op, actor, "robot", "human", cooking.obs_model
         )
-        world, human = res.world, res.human_belief
         assert human.values == world.values

@@ -16,6 +16,7 @@ from beliefhtn.experiment import (
     run_experiment,
     run_instance,
 )
+from beliefhtn.state import follow_world
 
 
 def test_default_grid_counts(cooking):
@@ -32,6 +33,44 @@ def test_aligned_instances_have_equal_beliefs(cooking):
     for inst in instances:
         diverges = inst.world.values != inst.human.values
         assert diverges == (not inst.aligned)
+
+
+def test_aligned_reads_the_beliefs_not_the_flips(cooking):
+    # The human starts off believing the other Stove value, which no world
+    # write moves, so only the worlds with that value are aligned.
+    stove = "on" if cooking.problem.world.get(cooking.attr("Stove")) == "off" else "off"
+    bundle = cooking.with_human_belief({"Stove": stove})
+    instances = generate_initial_states(bundle, DEFAULT_SPECS["cooking"])
+    unflipped = [i for i in instances if not any(i.flip_bits)]
+    assert len(unflipped) == 64
+    assert sum(not i.aligned for i in unflipped) == 32
+    assert [i.aligned for i in instances] == [i.human.values == i.world.values for i in instances]
+
+
+def test_the_human_follows_each_world_write_it_agreed_with_just_before(cooking):
+    # follow_world, which with_world and the grid both call, against the
+    # rule written out, over writes that repeat one attribute.
+    stove = cooking.universe.index_of(cooking.attr("Stove"))
+    world0 = cooking.problem.world
+    for human_start in ("off", "on"):
+        human0 = cooking.problem.human_belief.with_values_at([(stove, human_start)])
+        for writes in itertools.product(("off", "on"), repeat=3):
+            world, human = follow_world(world0, human0, [(stove, v) for v in writes])
+            w, h = world0.values[stove], human0.values[stove]
+            for value in writes:
+                if h == w:
+                    h = value
+                w = value
+            assert (world.values[stove], human.values[stove]) == (w, h)
+            assert world.values == world0.with_values_at([(stove, w)]).values
+            assert human.values == human0.with_values_at([(stove, h)]).values
+    # The world's stove on, the human's off: the first write aligns them,
+    # so the human follows the second.
+    world, human = follow_world(
+        world0.with_values_at([(stove, "on")]), cooking.problem.human_belief,
+        [(stove, "off"), (stove, "on")],
+    )
+    assert (world.values[stove], human.values[stove]) == ("on", "on")
 
 
 def test_all_initial_states_distinct(cooking, box):

@@ -396,9 +396,7 @@ def result(fn, *args):
         return "raise", type(exc), str(exc)
     if isinstance(out, BeliefState):
         return "ok", (out,)
-    if isinstance(out, tuple):
-        return "ok", out
-    return "ok", (out.world, out.human_belief)
+    return "ok", out
 
 
 def agree(new, ref, inputs):

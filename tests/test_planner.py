@@ -18,6 +18,7 @@ from beliefhtn import (
     plan,
     simulate,
 )
+from beliefhtn.builtins import box_dom
 from beliefhtn.communication import apply_comm_plan
 from beliefhtn.errors import BadArgument, DepthExceeded, DomainSyntaxError, Unsolvable
 from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
@@ -36,8 +37,6 @@ from beliefhtn.planner import (
     PolicyEdge,
     PolicyNode,
     PolicyTree,
-    _classify_edge,
-    _replay_start,
     _Search,
     choices,
     moves,
@@ -45,7 +44,7 @@ from beliefhtn.planner import (
 )
 from beliefhtn.policyio import _collect, load_json, to_json, to_text
 
-from oracles import detect_deadlock
+from oracles import detect_deadlock, replay_reaches_stored_beliefs, report_totals, trace_totals
 
 
 # -- emulated human choices ---------------------------------------------------
@@ -189,33 +188,6 @@ def test_salt_already_achieved_legacy_deadlocks(cooking):
 
 
 # -- replay: the memoised aggregate against the explicit traces ---------------
-
-
-def trace_totals(traces):
-    first = next((t for t in traces if t.outcome != "success"), None)
-    return (
-        len(traces),
-        sum(t.outcome == "success" for t in traces),
-        sum(t.outcome == "na" for t in traces),
-        sum(t.outcome == "idl" for t in traces),
-        sum(t.primitive_length for t in traces),
-        sum(len(t.comms) for t in traces),
-        first.outcome if first else "success",
-        first.detail if first else "",
-    )
-
-
-def report_totals(report):
-    return (
-        report.n_traces,
-        report.n_success,
-        report.n_na,
-        report.n_idl,
-        round(report.mean_primitive_length * report.n_traces),
-        round(report.mean_comm_count * report.n_traces),
-        report.outcome,
-        report.detail,
-    )
 
 
 STUDY_STRIDE = 17
@@ -424,24 +396,16 @@ def test_new_mode_human_actions_applicable_in_both(cooking, box):
             policy = plan(b.problem, b.obs_model, MODE_NEW)
             # Re-walk the policy with the true protocol and check both sides.
             from beliefhtn.engine import step_belief_protocol
-            from beliefhtn.communication import apply_comm
-            from beliefhtn.errors import StaleComm
 
             def check(node, world, human):
                 for edge in node.edges:
-                    w, h = world, human
-                    for ca in edge.comms:
-                        try:
-                            h = apply_comm(ca, h)
-                        except StaleComm:
-                            pass
+                    h = apply_comm_plan(edge.comms, human)
                     if not edge.action.is_pseudo and node.turn == b.problem.human:
                         assert applicable(edge.action, h), edge.action
-                        assert applicable(edge.action, w), edge.action
-                    res = step_belief_protocol(
-                        w, h, edge.action, node.turn, b.problem.robot, b.problem.human, b.obs_model
-                    )
-                    check(edge.child, res.world, res.human_belief)
+                        assert applicable(edge.action, world), edge.action
+                    check(edge.child, *step_belief_protocol(
+                        world, h, edge.action, node.turn, "robot", "human", b.obs_model
+                    ))
 
             init_h = b.obs_model.assess(b.problem.human_belief, b.problem.world)
             check(policy.root, b.problem.world, init_h)
@@ -452,8 +416,6 @@ def test_comm_edges_only_on_relevant_divergence(cooking):
     # relevant divergence; where none appears, there is none.
     from beliefhtn import is_relevant_divergence
     from beliefhtn.engine import step_belief_protocol
-    from beliefhtn.communication import apply_comm
-    from beliefhtn.errors import StaleComm
     from beliefhtn.htn import ground_all_operators
 
     bundle = cooking.with_world({"SaltInPot": "true"}).with_human_belief(
@@ -471,19 +433,43 @@ def test_comm_edges_only_on_relevant_divergence(cooking):
         if not node.done:
             assert has_comms == is_relevant_divergence(world, human, ops)
         for edge in node.edges:
-            w, h = world, human
-            for ca in edge.comms:
-                try:
-                    h = apply_comm(ca, h)
-                except StaleComm:
-                    pass
-            res = step_belief_protocol(
-                w, h, edge.action, node.turn, "robot", "human", bundle.obs_model
-            )
-            check(edge.child, res.world, res.human_belief)
+            h = apply_comm_plan(edge.comms, human)
+            check(edge.child, *step_belief_protocol(
+                world, h, edge.action, node.turn, "robot", "human", bundle.obs_model
+            ))
 
     init_h = bundle.obs_model.assess(bundle.problem.human_belief, bundle.problem.world)
     check(policy.root, bundle.problem.world, init_h)
+
+
+def test_each_planned_tell_writes_a_value_the_human_lacks(cooking, box):
+    # Replay and the search write tells without checking them, so this pins
+    # what a tell rule that raised on a held value guarded at run time: each
+    # tell of a comm edge, applied in order to the node's stored human
+    # belief, names an attribute whose told value that belief does not hold.
+    policies = []
+    for bundle, domain in ((cooking, "cooking"), (box, "box")):
+        instances = generate_initial_states(bundle, DEFAULT_SPECS[domain])[::STUDY_STRIDE]
+        for start in ("robot", "human"):
+            started = bundle.with_start(start).problem
+            for inst in instances:
+                problem = replace(started, world=inst.world, human_belief=inst.human)
+                policies.append(plan(problem, bundle.obs_model, MODE_NEW))
+    diverged = parse_bundle(box_dom(3))
+    diverged = diverged.with_human_belief({f"BallsInBox(box{i})": 1 for i in (1, 2, 3)})
+    policies.append(plan(diverged.problem, diverged.obs_model, MODE_NEW))
+    edges = tells = 0
+    for policy in policies:
+        for node, edge in policy_comm_edges(policy):
+            belief = node.human_belief
+            for ca in edge.comms:
+                assert belief.get(ca.attr) != ca.value, str(ca)
+                belief = apply_comm_plan((ca,), belief)
+                tells += 1
+            edges += 1
+    # The box_dom(3) plan tells all three counts on one edge.
+    assert [len(edge.comms) for _, edge in policy_comm_edges(policies[-1])] == [3]
+    assert (edges, tells) == (17 + 18 + 24 + 24 + 1, 17 + 18 + 30 + 30 + 3)
 
 
 def network_graph(network):
@@ -607,25 +593,9 @@ def test_new_mode_replay_reaches_each_node_with_its_beliefs_on_study(study_polic
     for mode, index, _, policy in planned:
         if mode != MODE_NEW:
             continue
-        world, human = _replay_start(policy, bundle.obs_model, None, None)
-        stack = [(policy.root, world, human, 0)]
-        reached, expanded = set(), set()
-        while stack:
-            node, w, h, run = stack.pop()
-            assert (w.owner, w.values) == (node.world.owner, node.world.values), index
-            assert (h.owner, h.values) == (node.human_belief.owner, node.human_belief.values)
-            checks += 1
-            reached.add(id(node))
-            if (id(node), run) in expanded:
-                continue  # the beliefs are the node's own, so the run is all that varies
-            expanded.add((id(node), run))
-            for edge in node.edges:
-                verdict, detail, nxt, new_run = _classify_edge(
-                    policy, bundle.obs_model, node, edge, w, h, run
-                )
-                assert verdict == "", (index, detail)
-                stack.append((edge.child, *nxt, new_run))
+        reached = replay_reaches_stored_beliefs(policy, bundle.obs_model)
         assert reached == {id(node) for node in _collect(policy)[1]}, index
+        checks += len(reached)
     assert checks > 0
 
 

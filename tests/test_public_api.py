@@ -2,12 +2,19 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import beliefhtn
 from beliefhtn import (
     communication,
     domfile,
     engine,
+    errors,
     experiment,
     htn,
     observability,
@@ -18,8 +25,9 @@ from beliefhtn import (
 from oracles import detect_deadlock
 
 REMOVED = {
-    communication: ("CommPlan", "build_comm_action"),
-    engine: ("AgentModel", "update_on_act", "update_on_observe"),
+    communication: ("CommPlan", "build_comm_action", "apply_comm"),
+    engine: ("AgentModel", "update_on_act", "update_on_observe", "StepResult"),
+    errors: ("StaleComm",),
     observability: ("place_of", "copresent", "assess"),
     state: ("lookup", "DivergenceReport", "DivergenceEntry"),
     htn: ("enumerate_decompositions", "is_primitive", "Term", "Test", "Effect", "apply"),
@@ -135,3 +143,29 @@ def test_report_means_derive_from_its_sums():
     assert report.mean_comm_count == 3 / 4
     empty = planner.ExecutionReport("", "", 0, 0, 0, 0, 0, 0)
     assert (empty.mean_primitive_length, empty.mean_comm_count) == (0.0, 0.0)
+
+
+TEST_ONLY = ("hypothesis", "networkx")
+
+
+def test_the_library_loads_no_test_only_package():
+    # The test extra alone lists hypothesis and networkx, and importing every
+    # module of the library in a fresh interpreter loads neither.
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted(p.stem for p in (root / "src" / "beliefhtn").glob("*.py") if p.stem[0] != "_")
+    code = (
+        "import importlib, sys, beliefhtn\n"
+        f"for name in {modules!r}: importlib.import_module('beliefhtn.' + name)\n"
+        f"print(sorted(set({TEST_ONLY!r}) & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    extras = project["optional-dependencies"]
+    assert {name: set(TEST_ONLY) & set(listed) for name, listed in extras.items()} == {
+        "test": set(TEST_ONLY)
+    }
