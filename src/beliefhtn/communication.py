@@ -7,9 +7,11 @@ perform, or what some performable action would do.
 One function, :func:`min_comm_bfs`, decides both *if* and *what* to tell:
 it tries the subsets of the diverging attributes smallest first and tells
 the first whose alignment leaves no relevant divergence, which is none at
-all when the divergence is already irrelevant.  One rule applies tells,
-for the search, replay and the loader: :func:`apply_comm_plan` writes each
-told value into the human's belief, in order, and a value held stays.
+all when the divergence is already irrelevant.  The search calls it at
+each new-mode state, and the policy loader checks a saved node's tells by
+it.  One rule applies tells, for the search, replay and the loader:
+:func:`apply_comm_plan` writes each told value into the human's belief, in
+order, and a value held stays.
 """
 
 from __future__ import annotations

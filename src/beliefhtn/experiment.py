@@ -106,9 +106,10 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
     set flip gives the human the flip value that differs from the world's.
     Each dimension is resolved once, raising as those methods raise, and
     every instance is written by index.  The world dimensions must name
-    distinct attributes, and so must the flip dimensions.  The grid has
-    ``2 ** (len(world_dims) + len(flip_dims))`` instances; when the start
-    beliefs agree, the ``2 ** len(world_dims)`` with no flip set are aligned.
+    distinct attributes, and no two instances may share a (world, human)
+    pair.  The grid has ``2 ** (len(world_dims) + len(flip_dims))`` instances;
+    when the start beliefs agree, the ``2 ** len(world_dims)`` with no flip
+    set are aligned.
     """
     flip_names = {name for name, _ in spec.flip_dims}
     dim_names = {name for name, _ in spec.world_dims}
@@ -134,10 +135,10 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
             for text in spec.world_dims[k][1][:2]
         ]
         flips.append((k, per_bit[0][0], (per_bit[0][1], per_bit[1][1])))
-    if len({index for _, index, _ in flips}) != len(flips):
-        raise SpecMismatch("flip dimensions must name distinct attributes")
 
     instances: list[Instance] = []
+    seen: dict[tuple, tuple] = {}  # (world, human) values -> the first bits to give them
+    named = [("world", n) for n, _ in spec.world_dims] + [("flip", n) for n, _ in spec.flip_dims]
     for world_bits in itertools.product((0, 1), repeat=len(dims)):
         writes = [(index, values[bit]) for (index, values), bit in zip(dims, world_bits)]
         world, human = follow_world(world0, human0, writes)
@@ -146,6 +147,11 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
                 [(index, values[world_bits[k]])
                  for (k, index, values), bit in zip(flips, flip_bits) if bit]
             )
+            bits = world_bits + flip_bits
+            before = seen.setdefault((world.values, flipped.values), bits)
+            if before != bits:  # the first dimension they differ in writes a held value
+                kind, name = next(d for d, a, b in zip(named, before, bits) if a != b)
+                raise SpecMismatch(f"the {kind} dimension {name!r} repeats a (world, human) state")
             instances.append(Instance(len(instances), world_bits, flip_bits, world, flipped))
     return instances
 

@@ -20,7 +20,7 @@ import hashlib
 import json
 from typing import Optional
 
-from .communication import CommAction, apply_comm_plan
+from .communication import CommAction, apply_comm_plan, min_comm_bfs
 from .domfile import ProblemBundle, parse_bundle, serialize
 from .errors import BeliefHtnError, DomainSyntaxError
 from .htn import GroundedOperator, HtnProblem, TaskNetwork, idle_op, wait_op
@@ -65,6 +65,10 @@ def _preorder(node: PolicyNode, ids: dict[int, int], order: list[PolicyNode]) ->
         _preorder(edge.child, ids, order)
 
 
+def _tells(comms: tuple[CommAction, ...]) -> str:
+    return "; ".join(str(ca) for ca in comms)
+
+
 def to_text(policy: PolicyTree) -> str:
     ids, order = _collect(policy)
     lines = [
@@ -78,9 +82,7 @@ def to_text(policy: PolicyTree) -> str:
             f"world=#{_digest(node.world)} belief=#{_digest(node.human_belief)}"
         )
         for edge in node.edges:
-            comm = ""
-            if edge.comms:
-                comm = " [" + "; ".join(str(ca) for ca in edge.comms) + "]"
+            comm = f" [{_tells(edge.comms)}]" if edge.comms else ""
             lines.append(
                 f"n{nid} -> n{ids[id(edge.child)]} : {edge.action}{comm}"
             )
@@ -132,16 +134,18 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
     """Rebuild a problem bundle and policy DAG from an exported JSON policy.
 
     A malformed file raises :class:`DomainSyntaxError`: a field missing or
-    of the wrong JSON type, a node id listed twice, a tell of a value the
-    robot does not hold or the human already holds, an edge the beliefs its
-    path derives cannot take, or a node whose digests do not match them.
-    So does a policy the search could not have built (:func:`_check_moves`):
-    an edge that is not a move of its node's agent, a robot node with two
+    of the wrong JSON type, a node id listed twice, a told value outside its
+    domain, an edge the beliefs its path derives cannot take, or a node
+    whose digests do not match them.  So does a policy the search could not
+    have built: an edge whose tells are not the search's, which are
+    :func:`~beliefhtn.communication.min_comm_bfs` of the node's beliefs at a
+    new-mode node not done and none elsewhere; or (:func:`_check_moves`) an
+    edge that is not a move of its node's agent, a robot node with two
     edges, a human node whose edges are not the human's moves from any
-    network its path allows, a node whose edges carry different tells, or a
-    node marked done or a success leaf while work is left.  Any other node
-    without edges ends its branch, and replay reports that branch as a
-    deadlock.
+    network its path allows, or a node marked done or a success leaf while
+    work is left.  The robot's choice of move stays free: a file whose
+    robot takes another move that still succeeds loads.  Any other node
+    without edges ends its branch, which replay reports as a deadlock.
     """
     try:
         obj = json.loads(text)
@@ -227,12 +231,10 @@ def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -
                 raise DomainSyntaxError(f"node {nid}: done or a success while work is left")
         if not node.edges:
             continue
-        comms = node.edges[0].comms
-        if any(edge.comms != comms for edge in node.edges):
-            raise DomainSyntaxError(f"node {nid}: its edges carry different tells")
         is_human = node.turn == problem.human
         if not is_human and len(node.edges) > 1:
             raise DomainSyntaxError(f"node {nid}: the robot takes more than one move")
+        comms = node.edges[0].comms  # every edge's, by the tell rule
         belief = apply_comm_plan(comms, node.human_belief) if is_human else node.world
         actions = [edge.action for edge in node.edges]
         after: list[dict[int, TaskNetwork]] = [{} for _ in actions]
@@ -288,6 +290,8 @@ def _load_node(
     if (_field(spec, "world"), _field(spec, "belief")) != digests:
         raise DomainSyntaxError(f"node {nid}: digests do not match the beliefs its path derives")
     nodes[nid] = None
+    human_ops = tuple(bundle.problem.domain_of(human).ground_ops.values())
+    rule = min_comm_bfs(world, human_belief, human_ops) if mode == MODE_NEW and not done else ()
     edges = []
     for e in _field(spec, "edges", list):
         op = _operator(bundle, _field(e, "action", dict), turn)
@@ -295,13 +299,12 @@ def _load_node(
             CommAction(bundle.attr(_field(c, "attr", str)), _field(c, "value"))
             for c in _field(e, "comms", list)
         )
-        told = human_belief
-        for ca in comms:  # the search tells only what the robot holds and the human lacks
-            if told.get(ca.attr) == ca.value:
-                raise DomainSyntaxError(f"receiver already believes {ca.attr} = {ca.value}")
-            told = apply_comm_plan((ca,), told)
-            if world.get(ca.attr) != ca.value:
-                raise DomainSyntaxError(f"node {nid}: the robot does not believe {ca}")
+        told = apply_comm_plan(comms, human_belief)  # first: a value outside its domain raises
+        if comms != rule:
+            raise DomainSyntaxError(
+                f"node {nid}: {op} carries the tells [{_tells(comms)}], "
+                f"not the search's [{_tells(rule)}]"
+            )
         w2, h2 = _step(mode, bundle.obs_model, robot, human, world, told, op, turn)
         child = _load_node(bundle, mode, specs, nodes, _field(e, "child", int), w2, h2)
         edges.append(PolicyEdge(op, comms, child))

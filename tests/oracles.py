@@ -8,14 +8,20 @@ for the reference enumerators of the differential tests.
 ``trace_totals`` sums explicit traces into the totals ``report_totals``
 reads off a :func:`~beliefhtn.planner.simulate` report, and
 ``replay_reaches_stored_beliefs`` walks a new-mode replay node by node.
+``_subset_minimum`` counts the fewest tells that leave no relevant
+divergence by trying every subset, to check
+:func:`~beliefhtn.communication.min_comm_bfs` against.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 from beliefhtn import planner
+from beliefhtn.communication import is_relevant_divergence
 from beliefhtn.htn import GroundedOperator, TaskInstance, TaskNetwork
+from beliefhtn.state import diverging_attributes
 
 
 def detect_deadlock(actions: Iterable[GroundedOperator | str]) -> bool:
@@ -96,3 +102,15 @@ def replay_reaches_stored_beliefs(policy: planner.PolicyTree, model) -> set[int]
             assert verdict == "", detail
             stack.append((edge.child, *nxt, new_run))
     return reached
+
+
+def _subset_minimum(world, human, ops):
+    divergent = diverging_attributes(world, human)
+    if not is_relevant_divergence(world, human, ops):
+        return 0
+    for k in range(len(divergent) + 1):
+        for combo in itertools.combinations(divergent, k):
+            belief = human.with_values_at((i, world.values[i]) for i in combo)
+            if not is_relevant_divergence(world, belief, ops):
+                return k
+    raise AssertionError("full alignment must remove relevance")

@@ -9,7 +9,6 @@ modes, so it takes on the order of a minute.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 import time
 
@@ -21,7 +20,6 @@ from beliefhtn import (
     BeliefState,
     ObsClass,
     builtin_bundle,
-    diverging_attributes,
     enumerate_traces,
     is_relevant_divergence,
     min_comm_bfs,
@@ -40,7 +38,7 @@ from beliefhtn.experiment import (
 from beliefhtn.htn import applicable, apply_effects, ground_all_operators, wait_op
 from beliefhtn.planner import STALL_THRESHOLD, NodeKind, policy_comm_edges
 
-from oracles import detect_deadlock
+from oracles import _subset_minimum, detect_deadlock
 
 DOMAINS = ("cooking", "box")
 
@@ -250,18 +248,6 @@ def test_criterion_5_scenario_golden():
 def _human_ops(bundle):
     dom = bundle.problem.domain_of(bundle.problem.human)
     return ground_all_operators(bundle.universe, dom.operators)
-
-
-def _subset_minimum(world, human, ops):
-    divergent = diverging_attributes(world, human)
-    if not is_relevant_divergence(world, human, ops):
-        return 0
-    for k in range(len(divergent) + 1):
-        for combo in itertools.combinations(divergent, k):
-            belief = human.with_values_at((i, world.values[i]) for i in combo)
-            if not is_relevant_divergence(world, belief, ops):
-                return k
-    raise AssertionError("full alignment must remove relevance")
 
 
 def test_criterion_6_minimal_communication_oracle():

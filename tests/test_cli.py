@@ -5,16 +5,30 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import beliefhtn
-from beliefhtn import BOX_DOM, COOKING_DOM, builtin_bundle, parse, plan, serialize
+from beliefhtn import (
+    BOX_DOM,
+    COOKING_DOM,
+    MODE_LEGACY,
+    MODE_NEW,
+    builtin_bundle,
+    parse,
+    plan,
+    planner,
+    serialize,
+)
 from beliefhtn.cli import main
+from beliefhtn.communication import CommAction, apply_comm_plan
 from beliefhtn.errors import DomainSyntaxError
-from beliefhtn.planner import _step
+from beliefhtn.experiment import DEFAULT_SPECS, generate_initial_states
+from beliefhtn.planner import PolicyEdge, PolicyNode, _step
 from beliefhtn.policyio import _collect, _digest, load_json, to_json, to_text
+from beliefhtn.state import diverging_attributes
 
 from test_acceptance import STUDY_CSV_SHA256
 
@@ -365,6 +379,61 @@ def _mixed_tells(obj):
     spec["edges"].append(dict(twin, comms=[], child=leaf))
 
 
+def _tell_every_divergence(world, human_belief, human_ops):
+    attributes = world.universe.attributes
+    divergent = diverging_attributes(world, human_belief)
+    return tuple(CommAction(attributes[i], world.values[i]) for i in divergent)
+
+
+def _planned_with(index, rule):
+    """An edit that returns a whole file: cooking study instance ``index``
+    planned in the new mode with ``rule`` in place of ``min_comm_bfs``, on a
+    bundle of its own, so no other plan reads the states it solves."""
+
+    def edit(obj):
+        bundle = builtin_bundle("cooking")
+        inst = generate_initial_states(bundle, DEFAULT_SPECS["cooking"])[index]
+        problem = replace(bundle.problem, world=inst.world, human_belief=inst.human)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(planner, "min_comm_bfs", rule)
+            policy = plan(problem, bundle.obs_model, MODE_NEW)
+        return json.loads(to_json(policy, bundle))
+
+    return edit
+
+
+def _legacy_tell(obj):
+    """Cooking study instance 1 planned in the legacy mode, with a tell of the
+    robot's first diverging value on the root's one edge.  The beliefs after
+    it are re-derived the loader's way, so that only the tell rule can
+    reject the file."""
+    bundle = builtin_bundle("cooking")
+    inst = generate_initial_states(bundle, DEFAULT_SPECS["cooking"])[1]
+    problem = replace(bundle.problem, world=inst.world, human_belief=inst.human)
+    policy = plan(problem, bundle.obs_model, MODE_LEGACY)
+    root = policy.root
+    i = diverging_attributes(root.world, root.human_belief)[0]
+    tell = CommAction(root.world.universe.attributes[i], root.world.values[i])
+    built = {}
+
+    def rebuild(node, world, human):
+        key = (id(node), world.values, human.values)
+        if key not in built:
+            edges = []
+            for edge in node.edges:
+                comms = (tell,) if node is root else edge.comms
+                w2, h2 = _step(
+                    policy.mode, bundle.obs_model, policy.robot, policy.human, world,
+                    apply_comm_plan(comms, human), edge.action, node.turn,
+                )
+                edges.append(PolicyEdge(edge.action, comms, rebuild(edge.child, w2, h2)))
+            built[key] = PolicyNode(world, human, node.done, node.turn, node.kind, tuple(edges))
+        return built[key]
+
+    spliced = replace(policy, root=rebuild(root, root.world, root.human_belief))
+    return json.loads(to_json(spliced, bundle))
+
+
 # Each edit changes the saved object in place, or returns the whole file.
 POLICY_EDITS = {
     # The mode selects the step that re-derives each node's beliefs.
@@ -384,17 +453,41 @@ POLICY_EDITS = {
         _set(["nodes", 0, "edges", 0, "action"], "grab"), "the field 'action' has the wrong type"
     ),
     "tell-value": (_tell_value, "'purple' is not in the value domain of SaltInPot"),
-    "tell-twice": (_tell_twice, "receiver already believes SaltInPot = true"),
-    "tell-false": (_tell_false, r"node 1: the robot does not believe tell\(PastaLoc, Kitchen\)"),
+    # Each node's tells are the ones min_comm_bfs picks, none at a done node
+    # or in the legacy mode.
+    "tell-twice": (
+        _tell_twice,
+        r"node \d+: \S+ carries the tells \[tell\(SaltInPot, true\); tell\(SaltInPot, true\)\], "
+        r"not the search's \[tell\(SaltInPot, true\)\]",
+    ),
+    "tell-false": (
+        _tell_false,
+        r"node 1: add-salt carries the tells \[tell\(PastaLoc, Kitchen\)\], not the search's \[\]",
+    ),
+    "tell-extra": (
+        _planned_with(34, _tell_every_divergence),
+        r"node 0: add-salt carries the tells \[tell\(SaltInPot, false\)\], not the search's \[\]",
+    ),
+    "tell-missing": (
+        _planned_with(51, lambda world, human_belief, human_ops: ()),
+        r"node 0: add-salt carries the tells \[\], not the search's \[tell\(SaltInPot, false\)\]",
+    ),
+    "legacy-tell": (
+        _legacy_tell,
+        r"node 0: add-salt carries the tells \[tell\(Stove, off\)\], not the search's \[\]",
+    ),
+    "tells-mixed": (
+        _mixed_tells,
+        r"node \d+: \S+ carries the tells \[\], not the search's \[tell\(SaltInPot, true\)\]",
+    ),
     "id-twice": (_list_twice, r"node \d+ is listed twice"),
     "digest": (_set(["nodes", 0, "world"], "#00000000"), "node 0: digests do not match"),
     "args-type": (
         _set(["nodes", 0, "edges", 0, "action", "args"], [1]), "its arguments must be strings"
     ),
     # A policy the search could not have built: each edge is one of the
-    # agent's moves, the robot takes one, and the tells are fixed once per node.
+    # agent's moves, and the robot takes one.
     "non-move": (_idle_to_wait, r"node \d+: WAIT is not a move of 'robot'"),
-    "tells-mixed": (_mixed_tells, r"node \d+: its edges carry different tells"),
     "robot-twice": (
         lambda obj: obj["nodes"][0]["edges"].append(dict(obj["nodes"][0]["edges"][0])),
         "node 0: the robot takes more than one move",

@@ -13,6 +13,11 @@ for:
 (b) a new-mode plan raises :class:`Unsolvable` or :class:`DepthExceeded`,
     or its policy replays to success on every branch;
 (c) ``simulate``'s totals equal those of ``enumerate_traces``, in both modes;
+(d) each edge of a new-mode node that is not done carries as many tells as
+    the fewest that an exhaustive subset search finds, 0 included;
+(f) a new-mode plan through the bundle's shared state table, after a plan
+    from the other start agent filled it, equals a plan on a freshly
+    parsed bundle;
 (h) each saved policy loads through ``load_json`` and saves back the same,
     and new-mode replay reaches each node with the beliefs stored there.
 """
@@ -28,10 +33,10 @@ from beliefhtn.errors import DepthExceeded, Unsolvable
 from beliefhtn.htn import EffectOp, MethodSchema, OperatorSchema
 from beliefhtn.observability import PlacementRule
 from beliefhtn.planner import enumerate_traces
-from beliefhtn.policyio import load_json, to_json
+from beliefhtn.policyio import _collect, load_json, to_json, to_text
 from beliefhtn.state import AttrRef, Group, ObsClass, StateVariableDecl
 
-from oracles import replay_reaches_stored_beliefs, report_totals, trace_totals
+from oracles import _subset_minimum, replay_reaches_stored_beliefs, report_totals, trace_totals
 
 AGENTS = ("bot", "person")
 OP_NAMES = {"bot": ("r0", "r1", "r2"), "person": ("h0", "h1", "h2")}
@@ -108,6 +113,14 @@ def domain_files(draw) -> DomainFile:
     )
 
 
+def _plan_text(bundle, mode):
+    """The text of the bundle's plan, or the name of the failure it raises."""
+    try:
+        return to_text(plan(bundle.problem, bundle.obs_model, mode))
+    except (Unsolvable, DepthExceeded) as exc:
+        return type(exc).__name__
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(domain_files())
 def test_generated_domains(dom):
@@ -116,6 +129,10 @@ def test_generated_domains(dom):
     assert parsed == dom  # (a): the same text, and field by field
     assert vars(parsed) == vars(dom)
     bundle = parse_bundle(text)
+    other = next(agent for agent in AGENTS if agent != dom.start)
+    _plan_text(bundle.with_start(other), MODE_NEW)  # fills the table the bundle shares
+    assert _plan_text(bundle, MODE_NEW) == _plan_text(parse_bundle(text), MODE_NEW)  # (f)
+    human_ops = tuple(bundle.problem.domain_of("person").ground_ops.values())
     for mode in (MODE_NEW, MODE_LEGACY):
         try:
             policy = plan(bundle.problem, bundle.obs_model, mode)
@@ -125,6 +142,10 @@ def test_generated_domains(dom):
         if mode == MODE_NEW:  # (b), and replay meets the search's beliefs
             assert (report.outcome, report.n_success) == ("success", report.n_traces)
             replay_reaches_stored_beliefs(policy, bundle.obs_model)
+            for node in _collect(policy)[1]:  # (d)
+                if node.edges and not node.done:
+                    fewest = _subset_minimum(node.world, node.human_belief, human_ops)
+                    assert all(len(edge.comms) == fewest for edge in node.edges)
         traces = enumerate_traces(policy, bundle.obs_model)
         assert report_totals(report) == trace_totals(traces)  # (c)
         saved = to_json(policy, bundle)

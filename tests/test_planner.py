@@ -571,6 +571,15 @@ def test_every_human_choice_is_an_edge_on_study(study_policies):
     assert checks > 0
 
 
+def test_every_study_policy_loads_as_it_was_saved(study_policies):
+    # The loader re-derives each node's tells by min_comm_bfs, and its moves
+    # by the move rule, and accepts every policy the search built.
+    domain, bundle, planned = study_policies
+    for mode, index, _, policy in planned:
+        _, loaded = load_json(to_json(policy, bundle))
+        assert to_text(loaded) == to_text(policy), (mode, index)
+
+
 def test_a_policy_with_a_human_edge_dropped_does_not_load(box):
     # Dropping a human edge changes no remaining node's digests, and replay
     # walks only the edges left, so only the move check tells the file from
