@@ -147,16 +147,14 @@ def parse(text: str) -> DomainFile:
     Validation grounds the domain and discards the result; a caller that
     plans on the document uses :func:`parse_bundle`, which grounds it once.
     """
-    dom = _read(text)
-    dom.build()  # full cross-reference validation
-    return dom
+    return parse_bundle(text).domfile
 
 
 def parse_bundle(text: str) -> ProblemBundle:
     """Parse and build a domain document, grounding it once.
 
-    Rejects exactly the documents :func:`parse` rejects, with the same
-    errors; the parsed file is the bundle's ``domfile``.
+    :func:`parse` is this function's ``domfile``, so both reject the same
+    documents with the same errors.
     """
     return _read(text).build()
 

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import BadArgument, CycleIntroduced, NotRelevant
-from .state import AttrRef, BeliefState, GroundedAttribute, Universe, Value
+from .state import AttrRef, BeliefState, GroundedAttribute, Universe, Value, call_text
 
 if TYPE_CHECKING:
     from .planner import SearchCache
@@ -113,9 +113,7 @@ class GroundedOperator:
         object.__setattr__(self, "is_pseudo", self.kind in (OpKind.IDLE, OpKind.WAIT))
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return f"{self.name}({', '.join(self.args)})"
+        return call_text(self.name, self.args)
 
 
 def idle_op(agent: str) -> GroundedOperator:
@@ -224,9 +222,7 @@ class TaskInstance:
         return (TaskInstance, (self.symbol, self.args))
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({', '.join(self.args)})"
+        return call_text(self.symbol, self.args)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ attribute whose place (in the ground truth) equals the observer's current
 place (in the ground truth).  It is idempotent and never touches INF
 attributes.  The lifted rules are grounded, and placements and agent
 locations resolved to dense attribute indices, when the model is built;
-assessment reads beliefs by index.
+assessment reads beliefs by index, and raises :class:`BadRule` when it
+meets a reference whose value is not a place.
 """
 
 from __future__ import annotations
@@ -115,17 +116,6 @@ class ObservabilityModel:
 
     def obs_class(self, attr: GroundedAttribute) -> ObsClass:
         return self.universe.decls[attr.symbol].obs
-
-    def place_of(self, attr: GroundedAttribute, state: BeliefState) -> Optional[str]:
-        """The place where the attribute is currently assessable, if any."""
-        index = self.universe.index_of(attr)
-        placement = self.placements.get(index)
-        if placement is None:
-            return None
-        reference, place = placement
-        if reference is None:
-            return place
-        return self._referenced_place(index, reference, state.values)
 
     def _referenced_place(self, index: int, reference: int, values: tuple[Value, ...]) -> str:
         value = values[reference]

@@ -37,10 +37,11 @@ One stall rule, :func:`_stall_run`, counts that run for the search and for
 replay (:func:`simulate`, :func:`enumerate_traces`), and both end it at the
 one :data:`STALL_THRESHOLD`, so a policy replays under the convention it was
 planned with.  Each :class:`PolicyNode` records whether its agenda is
-``done``; replay and export read that, not the task network.  One tell
-rule, ``apply_comm_plan``, and one step rule, :func:`_step`, which returns
-the mode's belief pair, move the beliefs along an edge for the search and
-a reloaded policy.
+``done``; replay and export read that, not the task network.  For the
+search and a reloaded policy, the tell rule :func:`_tell_rule` picks a
+node's tells, ``apply_comm_plan`` writes them and the step rule :func:`_step`
+moves the belief pair along an edge.  One walk, :func:`_policy_walk`, serves
+:func:`policy_comm_edges` and the exporters' node numbering.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .communication import CommAction, apply_comm_plan, min_comm_bfs
 from .engine import legacy_step, step_belief_protocol
@@ -58,7 +59,6 @@ from .htn import (
     AgentDomain,
     GroundedOperator,
     HtnProblem,
-    OpKind,
     TaskInstance,
     TaskNetwork,
     applicable,
@@ -236,6 +236,18 @@ def _root_human(
     if mode == MODE_NEW:
         return obs_model.assess(human_belief, world)
     return human_belief
+
+
+def _tell_rule(
+    mode: str, world: BeliefState, human_belief: BeliefState,
+    human_ops: tuple[GroundedOperator, ...],
+) -> tuple[CommAction, ...]:
+    """The tells said before every move at a node: in the new mode the
+    fewest that leave the human's divergence irrelevant
+    (:func:`min_comm_bfs`, none when it already is), none in legacy."""
+    if mode == MODE_NEW:
+        return min_comm_bfs(world, human_belief, human_ops)
+    return ()
 
 
 def _step(
@@ -423,10 +435,10 @@ class _Search:
         ``tainted`` is true when the failure may be due to a depth or cycle
         prune on the current path rather than to the state itself, so the
         state is not recorded as failed.  A state is on :attr:`path` while
-        it is expanded, and reaching it again is a cycle.  In the new mode
-        :func:`min_comm_bfs` first fixes the tells for every outgoing edge,
-        none when the divergence is irrelevant.  Then one loop tries the
-        agent's moves, by the rule of :func:`moves`, in order: a robot (OR) node keeps the first
+        it is expanded, and reaching it again is a cycle.  The tell rule,
+        :func:`_tell_rule`, first fixes the tells for every outgoing edge.
+        Then one loop tries the agent's moves, by the rule of :func:`moves`,
+        in order: a robot (OR) node keeps the first
         move whose child is solved, a human (AND) node needs every move
         solved.  A WAIT/IDLE move leaves the network as it is;
         :func:`_stall_run` extends or resets the stall run.
@@ -456,11 +468,8 @@ class _Search:
             return self.states[key], False  # a solved node, or None for a known failure
         self.path.add(key)
 
-        comms: tuple[CommAction, ...] = ()
-        post_comm_belief = human_belief
-        if self.mode == MODE_NEW:
-            comms = min_comm_bfs(world, human_belief, self.human_ops)
-            post_comm_belief = apply_comm_plan(comms, human_belief)
+        comms = _tell_rule(self.mode, world, human_belief, self.human_ops)
+        post_comm_belief = apply_comm_plan(comms, human_belief)
 
         is_human = turn == self.human
         other = self.robot if is_human else self.human
@@ -532,10 +541,6 @@ class TraceResult:
     outcome: str = "success"  # "success" | "na" | "idl"
     detail: str = ""
 
-    @property
-    def primitive_length(self) -> int:
-        return sum(1 for a in self.actions if a.kind is OpKind.REGULAR)
-
 
 @dataclass(frozen=True)
 class ExecutionReport:
@@ -587,7 +592,7 @@ def _replay_start(
     """True initial beliefs of a replay; the human assesses before acting."""
     world = world0 if world0 is not None else policy.init_world
     human = human0 if human0 is not None else policy.init_human
-    return world, obs_model.assess(human, world)
+    return world, _root_human(MODE_NEW, obs_model, world, human)
 
 
 def _classify_edge(
@@ -737,17 +742,23 @@ def _traces(
 def policy_comm_edges(policy: PolicyTree) -> list[tuple[PolicyNode, PolicyEdge]]:
     """Every edge of the policy carrying at least one communication action."""
     out: list[tuple[PolicyNode, PolicyEdge]] = []
-    _comm_edges(policy.root, set(), out)
+
+    def keep(node: PolicyNode, edge: PolicyEdge) -> None:
+        if edge.comms:
+            out.append((node, edge))
+
+    _policy_walk(policy.root, keep, set())
     return out
 
 
-def _comm_edges(
-    node: PolicyNode, seen: set[int], out: list[tuple[PolicyNode, PolicyEdge]]
+def _policy_walk(
+    node: PolicyNode, visit: Callable[[PolicyNode, PolicyEdge], None], seen: set[PolicyNode]
 ) -> None:
-    if id(node) in seen:
-        return
-    seen.add(id(node))
+    """``visit`` each (node, edge) below ``node`` once, depth first: each
+    edge, then its child's subtree on the child's first visit.  ``seen``
+    holds the nodes visited; nodes hash by identity."""
+    seen.add(node)
     for edge in node.edges:
-        if edge.comms:
-            out.append((node, edge))
-        _comm_edges(edge.child, seen, out)
+        visit(node, edge)
+        if edge.child not in seen:
+            _policy_walk(edge.child, visit, seen)

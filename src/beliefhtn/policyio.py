@@ -20,7 +20,7 @@ import hashlib
 import json
 from typing import Optional
 
-from .communication import CommAction, apply_comm_plan, min_comm_bfs
+from .communication import CommAction, apply_comm_plan
 from .domfile import ProblemBundle, parse_bundle, serialize
 from .errors import BeliefHtnError, DomainSyntaxError
 from .htn import GroundedOperator, HtnProblem, TaskNetwork, idle_op, wait_op
@@ -32,8 +32,10 @@ from .planner import (
     PolicyNode,
     PolicyTree,
     _canonical,
+    _policy_walk,
     _root_human,
     _step,
+    _tell_rule,
     moves,
 )
 from .state import BeliefState
@@ -49,20 +51,18 @@ def _digest(belief: BeliefState) -> str:
 
 
 def _collect(policy: PolicyTree) -> tuple[dict[int, int], list[PolicyNode]]:
-    """Stable node numbering via preorder walk of the DAG."""
-    ids: dict[int, int] = {}
-    order: list[PolicyNode] = []
-    _preorder(policy.root, ids, order)
+    """Stable node numbering in preorder: the root, then each edge's child
+    where :func:`~beliefhtn.planner._policy_walk` first reaches it."""
+    ids = {id(policy.root): 0}
+    order = [policy.root]
+
+    def number(_: PolicyNode, edge: PolicyEdge) -> None:
+        if id(edge.child) not in ids:
+            ids[id(edge.child)] = len(order)
+            order.append(edge.child)
+
+    _policy_walk(policy.root, number, set())
     return ids, order
-
-
-def _preorder(node: PolicyNode, ids: dict[int, int], order: list[PolicyNode]) -> None:
-    if id(node) in ids:
-        return
-    ids[id(node)] = len(order)
-    order.append(node)
-    for edge in node.edges:
-        _preorder(edge.child, ids, order)
 
 
 def _tells(comms: tuple[CommAction, ...]) -> str:
@@ -137,10 +137,10 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
     of the wrong JSON type, a node id listed twice, a told value outside its
     domain, an edge the beliefs its path derives cannot take, or a node
     whose digests do not match them.  So does a policy the search could not
-    have built: an edge whose tells are not the search's, which are
-    :func:`~beliefhtn.communication.min_comm_bfs` of the node's beliefs at a
-    new-mode node not done and none elsewhere; or (:func:`_check_moves`) an
-    edge that is not a move of its node's agent, a robot node with two
+    have built: an edge whose tells are not the ones the search's tell
+    rule, :func:`~beliefhtn.planner._tell_rule`, gives for the node's
+    beliefs (none at a done node); or (:func:`_check_moves`) an edge that
+    is not a move of its node's agent, a robot node with two
     edges, a human node whose edges are not the human's moves from any
     network its path allows, or a node marked done or a success leaf while
     work is left.  The robot's choice of move stays free: a file whose
@@ -193,8 +193,9 @@ def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
             raise DomainSyntaxError(f"node {nid} is listed twice")
         specs[nid] = spec
     nodes: dict[int, Optional[PolicyNode]] = {}
+    human_ops = tuple(bundle.problem.domain_of(human).ground_ops.values())
     root = _load_node(
-        bundle, mode, specs, nodes, _field(obj, "root", int), init_world,
+        bundle, mode, human_ops, specs, nodes, _field(obj, "root", int), init_world,
         _root_human(mode, bundle.obs_model, init_world, init_human),
     )
     _check_moves(bundle.problem, root, {id(node): nid for nid, node in nodes.items()})
@@ -261,6 +262,7 @@ def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -
 def _load_node(
     bundle: ProblemBundle,
     mode: str,
+    human_ops: tuple[GroundedOperator, ...],
     specs: dict,
     nodes: dict[int, Optional[PolicyNode]],
     nid: int,
@@ -290,8 +292,7 @@ def _load_node(
     if (_field(spec, "world"), _field(spec, "belief")) != digests:
         raise DomainSyntaxError(f"node {nid}: digests do not match the beliefs its path derives")
     nodes[nid] = None
-    human_ops = tuple(bundle.problem.domain_of(human).ground_ops.values())
-    rule = min_comm_bfs(world, human_belief, human_ops) if mode == MODE_NEW and not done else ()
+    rule = () if done else _tell_rule(mode, world, human_belief, human_ops)
     edges = []
     for e in _field(spec, "edges", list):
         op = _operator(bundle, _field(e, "action", dict), turn)
@@ -306,7 +307,7 @@ def _load_node(
                 f"not the search's [{_tells(rule)}]"
             )
         w2, h2 = _step(mode, bundle.obs_model, robot, human, world, told, op, turn)
-        child = _load_node(bundle, mode, specs, nodes, _field(e, "child", int), w2, h2)
+        child = _load_node(bundle, mode, human_ops, specs, nodes, _field(e, "child", int), w2, h2)
         edges.append(PolicyEdge(op, comms, child))
     node = nodes[nid] = PolicyNode(world, human_belief, done, turn, NodeKind(kind), tuple(edges))
     return node

@@ -55,6 +55,11 @@ class ObsClass(Enum):
     INF = "inf"
 
 
+def call_text(symbol: str, args: tuple[str, ...]) -> str:
+    """The text of an attribute, task or operator: ``symbol(a, b)``, or ``symbol``."""
+    return f"{symbol}({', '.join(args)})" if args else symbol
+
+
 @dataclass(frozen=True)
 class AttrRef:
     """An attribute or task in a lifted schema or rule; each argument is a
@@ -64,9 +69,7 @@ class AttrRef:
     args: tuple[str, ...] = ()
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({', '.join(self.args)})"
+        return call_text(self.symbol, self.args)
 
 
 # A value range: "bool", the name of a group, or inclusive integer bounds.
@@ -112,9 +115,7 @@ class GroundedAttribute:
     args: tuple[str, ...] = ()
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({', '.join(self.args)})"
+        return call_text(self.symbol, self.args)
 
 
 class Universe:

@@ -38,7 +38,7 @@ from beliefhtn.experiment import (
 from beliefhtn.htn import applicable, apply_effects, ground_all_operators, wait_op
 from beliefhtn.planner import STALL_THRESHOLD, NodeKind, policy_comm_edges
 
-from oracles import _subset_minimum, detect_deadlock
+from oracles import _subset_minimum, detect_deadlock, place_of
 
 DOMAINS = ("cooking", "box")
 
@@ -337,7 +337,7 @@ def test_criterion_7_belief_protocol_properties():
                 for attr in u.attributes:
                     if (
                         model.obs_class(attr) is ObsClass.OBS
-                        and model.place_of(attr, world_after) == here
+                        and place_of(model, attr, world_after) == here
                     ):
                         assert human_after.get(attr) == world_after.get(attr)
                 world, human = world_after, human_after

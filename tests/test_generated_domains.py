@@ -15,28 +15,44 @@ for:
 (c) ``simulate``'s totals equal those of ``enumerate_traces``, in both modes;
 (d) each edge of a new-mode node that is not done carries as many tells as
     the fewest that an exhaustive subset search finds, 0 included;
+(e) ``plan`` finds a policy, in either mode, exactly when the memo-free
+    reference search ``oracles.solvable`` does;
 (f) a new-mode plan through the bundle's shared state table, after a plan
     from the other start agent filled it, equals a plan on a freshly
     parsed bundle;
+(g) no state that a certified plan expands lies at its bundle's
+    certifying depth (``SearchCache.depth``) or deeper, read through a
+    wrapper of ``_Search._solve``; the builtins are checked too;
 (h) each saved policy loads through ``load_json`` and saves back the same,
     and new-mode replay reaches each node with the beliefs stored there.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefhtn import MODE_LEGACY, MODE_NEW, parse, parse_bundle, plan, serialize, simulate
+from beliefhtn.builtins import builtin_bundle
 from beliefhtn.domfile import DomainFile
 from beliefhtn.errors import DepthExceeded, Unsolvable
 from beliefhtn.htn import EffectOp, MethodSchema, OperatorSchema
 from beliefhtn.observability import PlacementRule
-from beliefhtn.planner import enumerate_traces
+from beliefhtn.planner import _Search, enumerate_traces
 from beliefhtn.policyio import _collect, load_json, to_json, to_text
 from beliefhtn.state import AttrRef, Group, ObsClass, StateVariableDecl
 
-from oracles import _subset_minimum, replay_reaches_stored_beliefs, report_totals, trace_totals
+from oracles import (
+    _subset_minimum,
+    replay_reaches_stored_beliefs,
+    report_totals,
+    solvable,
+    trace_totals,
+)
+from test_search_cache import STRIDE, study_problems
 
 AGENTS = ("bot", "person")
 OP_NAMES = {"bot": ("r0", "r1", "r2"), "person": ("h0", "h1", "h2")}
@@ -113,12 +129,39 @@ def domain_files(draw) -> DomainFile:
     )
 
 
+@contextmanager
+def certified_depths():
+    """Collect (depth, certifying depth) for each state that a certified
+    search expands, through a wrapper of ``_Search._solve``."""
+    found: list[tuple[int, int]] = []
+    solve = _Search._solve
+
+    def recording(self, world, human_belief, network, turn, depth, stall):
+        if self.certified:
+            found.append((depth, self.problem.search_cache.depth))
+        return solve(self, world, human_belief, network, turn, depth, stall)
+
+    _Search._solve = recording
+    try:
+        yield found
+    finally:
+        _Search._solve = solve
+
+
 def _plan_text(bundle, mode):
     """The text of the bundle's plan, or the name of the failure it raises."""
     try:
         return to_text(plan(bundle.problem, bundle.obs_model, mode))
     except (Unsolvable, DepthExceeded) as exc:
         return type(exc).__name__
+
+
+def _policy(bundle, mode):
+    """The bundle's plan, or None when it raises a declared failure."""
+    try:
+        return plan(bundle.problem, bundle.obs_model, mode)
+    except (Unsolvable, DepthExceeded):
+        return None
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -130,13 +173,15 @@ def test_generated_domains(dom):
     assert vars(parsed) == vars(dom)
     bundle = parse_bundle(text)
     other = next(agent for agent in AGENTS if agent != dom.start)
-    _plan_text(bundle.with_start(other), MODE_NEW)  # fills the table the bundle shares
-    assert _plan_text(bundle, MODE_NEW) == _plan_text(parse_bundle(text), MODE_NEW)  # (f)
+    with certified_depths() as depths:
+        _plan_text(bundle.with_start(other), MODE_NEW)  # fills the table the bundle shares
+        assert _plan_text(bundle, MODE_NEW) == _plan_text(parse_bundle(text), MODE_NEW)  # (f)
+        policies = {mode: _policy(bundle, mode) for mode in (MODE_NEW, MODE_LEGACY)}
+    assert depths and all(depth < bound for depth, bound in depths)  # (g)
     human_ops = tuple(bundle.problem.domain_of("person").ground_ops.values())
-    for mode in (MODE_NEW, MODE_LEGACY):
-        try:
-            policy = plan(bundle.problem, bundle.obs_model, mode)
-        except (Unsolvable, DepthExceeded):
+    for mode, policy in policies.items():
+        assert solvable(bundle, mode) == (policy is not None)  # (e)
+        if policy is None:
             continue
         report = simulate(policy, bundle.obs_model)
         if mode == MODE_NEW:  # (b), and replay meets the search's beliefs
@@ -153,3 +198,15 @@ def test_generated_domains(dom):
         assert to_json(loaded, loaded_bundle) == saved
         assert simulate(loaded, loaded_bundle.obs_model) == report
 
+
+@pytest.mark.parametrize("domain", ["cooking", "box"])
+def test_builtin_certified_searches_stop_short_of_the_certifying_depth(domain):
+    # (g) on a fresh bundle, so the table starts cold: the default problem
+    # and the stride-17 study sample, in both modes.
+    bundle = builtin_bundle(domain)
+    problems = [bundle.problem] + [problem for _, problem in study_problems(bundle, domain, STRIDE)]
+    with certified_depths() as depths:
+        for mode in (MODE_NEW, MODE_LEGACY):
+            for problem in problems:
+                plan(problem, bundle.obs_model, mode)
+    assert depths and all(depth < bound for depth, bound in depths)

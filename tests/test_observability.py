@@ -11,25 +11,27 @@ from beliefhtn.errors import BadArgument, BadRule
 from beliefhtn.observability import ObservabilityModel, PlacementRule
 from beliefhtn.state import AttrRef, Group, StateVariableDecl, Universe
 
+from oracles import place_of
+
 
 def test_place_of_stove_is_fixed_kitchen(cooking):
     u = cooking.universe
     world = cooking.problem.world
-    assert cooking.obs_model.place_of(u.attr("Stove"), world) == "Kitchen"
+    assert place_of(cooking.obs_model, u.attr("Stove"), world) == "Kitchen"
 
 
 def test_place_of_agent_location_is_its_value(cooking):
     u = cooking.universe
     world = cooking.problem.world.with_value(u.attr("AgtAt", "human"), "Room")
-    assert cooking.obs_model.place_of(u.attr("AgtAt", "human"), world) == "Room"
+    assert place_of(cooking.obs_model, u.attr("AgtAt", "human"), world) == "Room"
 
 
 def test_place_of_pasta_follows_its_location(cooking):
     u = cooking.universe
     world = cooking.problem.world.with_value(u.attr("PastaLoc"), "Kitchen")
-    assert cooking.obs_model.place_of(u.attr("PastaLoc"), world) == "Kitchen"
+    assert place_of(cooking.obs_model, u.attr("PastaLoc"), world) == "Kitchen"
     moved = world.with_value(u.attr("PastaLoc"), "Room")
-    assert cooking.obs_model.place_of(u.attr("PastaLoc"), moved) == "Room"
+    assert place_of(cooking.obs_model, u.attr("PastaLoc"), moved) == "Room"
 
 
 def test_place_of_unruled_attribute_is_none():
@@ -42,7 +44,7 @@ def test_place_of_unruled_attribute_is_none():
     )
     model = ObservabilityModel(u, [])
     state = BeliefState("robot", u, ("Here", "Here", "false"))
-    assert model.place_of(u.attr("Hidden"), state) is None
+    assert place_of(model, u.attr("Hidden"), state) is None
 
 
 def test_a_rule_places_by_exactly_one_of_place_and_reference():
@@ -68,7 +70,7 @@ def test_bad_rule_when_reference_is_not_a_place():
     model = ObservabilityModel(u, [PlacementRule(AttrRef("Flag"), reference=AttrRef("Flag"))])
     state = BeliefState("robot", u, ("Here", "Here", "true"))
     with pytest.raises(BadRule):
-        model.place_of(u.attr("Flag"), state)
+        place_of(model, u.attr("Flag"), state)
 
 
 def test_rule_binds_template_variables_by_position():
@@ -186,7 +188,7 @@ def test_assess_aligns_obs_attributes_at_human_place(data):
     for attr in bundle.universe.attributes:
         if (
             model.obs_class(attr) is ObsClass.OBS
-            and model.place_of(attr, world) == here
+            and place_of(model, attr, world) == here
         ):
             assert assessed.get(attr) == world.get(attr)
 
@@ -206,7 +208,7 @@ def test_static_place_rule_constant_over_random_walk(box):
     rng = random.Random(7)
     state = box.problem.world
     for _ in range(60):
-        assert model.place_of(sticker, state) == "Workshop"
+        assert place_of(model, sticker, state) == "Workshop"
         candidates = [op for op in ops if applicable(op, state)]
         if not candidates:
             break

@@ -788,6 +788,46 @@ def test_known_failure_is_not_expanded_twice():
     assert nodes == policy.nodes_expanded == 8
 
 
+# The human picks `good` or `spoil`; after `spoil` the robot's `finish` can
+# never run.  The robot cannot steer that choice.
+CHOICE_DOM = PRUNE_HEAD.format(name="choice") + """\
+svar Spoiled -> bool : inf
+operator good for person
+end
+operator spoil for person
+  eff Spoiled = true
+end
+operator finish for bot
+  pre Spoiled = false
+end
+method pick-good for person
+  task Pick
+  sub g good
+end
+method pick-spoil for person
+  task Pick
+  sub s spoil
+end
+root p Pick
+root f finish
+rootorder p < f
+init AgtAt(bot) = Here
+init AgtAt(person) = Here
+init Spoiled = false
+start person
+"""
+
+
+def test_a_human_node_needs_every_move_solved():
+    # The new solver fails the human (AND) node on the spoiled branch; the
+    # legacy solver keeps both edges and closes that branch as a deadlock.
+    result, _ = search_outcome(CHOICE_DOM, MODE_NEW)
+    assert isinstance(result, Unsolvable)
+    policy, _ = search_outcome(CHOICE_DOM, MODE_LEGACY)
+    assert [str(edge.action) for edge in policy.root.edges] == ["good", "spoil"]
+    assert simulate(policy, parse_bundle(CHOICE_DOM).obs_model).n_idl == 1
+
+
 @pytest.mark.parametrize(
     "mode,digest",
     [

@@ -55,6 +55,9 @@ def test_removed_aliases_are_gone():
     assert not hasattr(htn.TaskNetwork, "available")
     assert not hasattr(htn.TaskNetwork, "task_of")
     assert not hasattr(htn.AgentDomain, "operator_names")
+    # Helpers only tests call live with the tests' oracles.
+    assert not hasattr(observability.ObservabilityModel, "place_of")
+    assert not hasattr(planner.TraceResult, "primitive_length")
     fields = {f.name for f in dataclasses.fields(planner.ExecutionReport)}
     assert "traces" not in fields
     # One lifted operator form: every schema is REGULAR and names its owner.
