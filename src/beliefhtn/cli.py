@@ -75,8 +75,8 @@ def _cmd_plan(args) -> int:
         f"outcome={report.outcome} branches={report.n_traces} "
         f"comm_edges={len(comm_edges)} mean_len={report.mean_primitive_length:.2f}"
     )
-    for _, edge in comm_edges:
-        for ca in edge.comms:
+    for node, _ in comm_edges:
+        for ca in node.comms:
             print(f"  communicates {ca}")
     if args.out:
         Path(args.out).write_text(to_json(policy, bundle), encoding="utf-8")

@@ -17,8 +17,7 @@ Two solver modes share the machinery:
 * ``new`` -- per-agent beliefs evolve through the act/observe/assess
   protocol; at every node :func:`min_comm_bfs` picks the fewest tells
   that leave the human's belief divergence irrelevant (none when it already
-  is), and the planner splices them onto the outgoing edge(s).  Stalled
-  branches fail and are backtracked.
+  is).  Stalled branches fail and are backtracked.
 * ``legacy`` -- the omniscient baseline: every effect updates both beliefs,
   no assessment, no communication, and the solver plans optimistically:
   a run of :data:`STALL_THRESHOLD` consecutive WAIT/IDLE turns closes the
@@ -33,14 +32,12 @@ own.  A plan that fails after a depth prune, or an uncertified plan after
 :data:`MAX_NODES` expansions, raises :class:`DepthExceeded`; any other
 failure raises :class:`Unsolvable`.
 
-One stall rule, :func:`_stall_run`, counts that run for the search and for
-replay (:func:`simulate`, :func:`enumerate_traces`), and both end it at the
-one :data:`STALL_THRESHOLD`, so a policy replays under the convention it was
-planned with.  Each :class:`PolicyNode` records whether its agenda is
-``done``; replay and export read that, not the task network.  For the
-search and a reloaded policy, the tell rule :func:`_tell_rule` picks a
-node's tells, ``apply_comm_plan`` writes them and the step rule :func:`_step`
-moves the belief pair along an edge.  One walk, :func:`_policy_walk`, serves
+A :class:`PolicyNode` holds its turn's tells and whether its agenda is
+``done``; its kind follows from ``done`` and its edges.  The search, replay
+and the policy loader end a branch's WAIT/IDLE run at
+:data:`STALL_THRESHOLD` by one rule, :func:`_stall_run`; the search and the
+loader pick a node's tells by :func:`_tell_rule` and step along an edge by
+:func:`_step`.  One walk, :func:`_policy_walk`, serves
 :func:`policy_comm_edges` and the exporters' node numbering.
 """
 
@@ -93,14 +90,15 @@ class PlannerConfig:
 
     A plan is *certified* when its bundle's method hierarchy is acyclic and
     its depth bound is at least the certifying depth.  Every turn then
-    either runs a primitive or extends a stall run shorter than
-    :data:`STALL_THRESHOLD`, so no state reaches the bound and no state
-    repeats on a path: no depth or cycle prune can occur, and a state's
-    result depends on its state key alone.  A certified plan reads and
-    extends its bundle's shared table, so it reuses every subtree any
-    earlier plan on the bundle solved, in the same mode.  Its search is
-    finite, so :data:`MAX_NODES` caps only uncertified plans.  A bound that
-    is not a positive int (a bool included) raises :class:`BadArgument`.
+    either runs a primitive or extends a stall run; only a turn completing a
+    run of :data:`STALL_THRESHOLD`, which the stall rule ends first, reaches
+    the bound, and no state repeats on a path: no depth or cycle prune can
+    occur, and a state's result depends on its state key alone.  A certified
+    plan reads and extends its bundle's shared table, so it reuses every
+    subtree any earlier plan on the bundle solved, in the same mode.  Its
+    search is finite, so :data:`MAX_NODES` caps only uncertified plans.  A
+    bound that is not a positive int (a bool included) raises
+    :class:`BadArgument`.
     """
 
     depth_bound: Optional[int] = None
@@ -121,19 +119,29 @@ class NodeKind(Enum):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PolicyEdge:
+    """One move of the node's agent and the node it leads to."""
+
     action: GroundedOperator
-    comms: tuple[CommAction, ...]  # the tells said just before the action
     child: "PolicyNode"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PolicyNode:
+    """One turn: its beliefs, the tells said before it (one list for all
+    its edges) and its moves.  Its kind follows from ``done`` and its edges."""
+
     world: BeliefState
     human_belief: BeliefState
     done: bool  # the agenda is empty: only the closing IDLE turns remain
     turn: str
-    kind: NodeKind = NodeKind.DECISION
+    comms: tuple[CommAction, ...] = ()
     edges: tuple[PolicyEdge, ...] = ()
+
+    @property
+    def kind(self) -> NodeKind:
+        if self.edges:
+            return NodeKind.DECISION
+        return NodeKind.SUCCESS if self.done else NodeKind.DEADLOCK
 
 
 @dataclass
@@ -436,7 +444,7 @@ class _Search:
         prune on the current path rather than to the state itself, so the
         state is not recorded as failed.  A state is on :attr:`path` while
         it is expanded, and reaching it again is a cycle.  The tell rule,
-        :func:`_tell_rule`, first fixes the tells for every outgoing edge.
+        :func:`_tell_rule`, first fixes the node's tells, said before its turn.
         Then one loop tries the agent's moves, by the rule of :func:`moves`,
         in order: a robot (OR) node keeps the first
         move whose child is solved, a human (AND) node needs every move
@@ -454,7 +462,7 @@ class _Search:
 
         if stall >= STALL_THRESHOLD:
             if self.mode == MODE_LEGACY:
-                return PolicyNode(world, human_belief, False, turn, NodeKind.DEADLOCK), False
+                return PolicyNode(world, human_belief, False, turn), False
             return None, False  # a stalled new-mode branch is a dead end
 
         if depth >= self.depth_bound:
@@ -492,13 +500,13 @@ class _Search:
                 if is_human:
                     break  # one uncovered human choice fails the AND node
                 continue
-            edges.append(PolicyEdge(move.op, comms, child))
+            edges.append(PolicyEdge(move.op, child))
             if not is_human:
                 break  # the OR node commits to its first solved move
 
         self.path.remove(key)
         if len(edges) == (len(options) if is_human else 1):
-            node = PolicyNode(world, human_belief, False, turn, NodeKind.DECISION, tuple(edges))
+            node = PolicyNode(world, human_belief, False, turn, comms, tuple(edges))
             self.states[key] = node
             return node, False
         if not tainted:
@@ -508,14 +516,14 @@ class _Search:
     def _terminal(self, world: BeliefState, human_belief: BeliefState, turn: str) -> PolicyNode:
         """All work done: each agent idles once, then the success leaf."""
         other = self.human if turn == self.robot else self.robot
-        leaf = PolicyNode(world, human_belief, True, turn, NodeKind.SUCCESS)
+        leaf = PolicyNode(world, human_belief, True, turn)
         second = PolicyNode(
-            world, human_belief, True, other, NodeKind.DECISION,
-            (PolicyEdge(idle_op(other), (), leaf),),
+            world, human_belief, True, other, (),
+            (PolicyEdge(idle_op(other), leaf),),
         )
         return PolicyNode(
-            world, human_belief, True, turn, NodeKind.DECISION,
-            (PolicyEdge(idle_op(turn), (), second),),
+            world, human_belief, True, turn, (),
+            (PolicyEdge(idle_op(turn), second),),
         )
 
 
@@ -575,7 +583,6 @@ _EMBEDDED_DEADLOCK = "plan-embedded inactivity deadlock"
 # order; :func:`simulate` builds the one report from the root's tuple.
 _Totals = tuple[str, str, int, int, int, int, int, int]
 _SUCCESS_END: _Totals = ("success", "", 1, 1, 0, 0, 0, 0)
-_DEADLOCK_END: _Totals = ("idl", _EMBEDDED_DEADLOCK, 1, 0, 0, 1, 0, 0)
 
 
 def _branch_end(verdict: str, detail: str) -> _Totals:
@@ -607,9 +614,9 @@ def _classify_edge(
     """Execute one prescribed edge; returns (verdict, detail, next state, run).
 
     The verdict is "" when the edge executes, else "na" or "idl" (the branch
-    ends here).  ``run`` counts consecutive WAIT/IDLE turns.
+    ends here).  ``h`` holds the node's tells; ``run`` counts consecutive
+    WAIT/IDLE turns.
     """
-    h = apply_comm_plan(edge.comms, h)
     op = edge.action
     new_run = _stall_run(run, op.is_pseudo)
     if op.is_pseudo and not node.done and new_run >= STALL_THRESHOLD:
@@ -632,9 +639,10 @@ def simulate(
     Each prescribed action is checked against the ground truth and against
     its actor's true (protocol-evolved) belief; the first violation makes
     the trace NA.  A run of :data:`STALL_THRESHOLD` consecutive WAIT/IDLE
-    actions before the agenda is done makes it IDL.  Each edge's tells are
-    written by the one tell rule, ``apply_comm_plan``, and its action's belief
-    pair by the one step rule, ``step_belief_protocol``, is the child's.
+    actions before the agenda is done makes it IDL, as does a leaf whose
+    agenda is not done.  Each node's tells are written once per visit, before
+    its edges, by ``apply_comm_plan``, and each action's belief pair by the
+    one step rule, ``step_belief_protocol``, is the child's.
 
     Shared policy subtrees are aggregated through a memo, so the walk is
     exhaustive over branches without materializing any action sequence;
@@ -660,11 +668,10 @@ def _replay(
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if node.kind is NodeKind.SUCCESS:
-        totals = _SUCCESS_END
-    elif node.kind is NodeKind.DEADLOCK or not node.edges:
-        totals = _DEADLOCK_END
+    if not node.edges:
+        totals = _SUCCESS_END if node.done else _branch_end("idl", _EMBEDDED_DEADLOCK)
     else:
+        h = apply_comm_plan(node.comms, h)
         n = s = na = idl = plen = comms = 0
         first, detail = "success", ""
         for edge in node.edges:
@@ -682,7 +689,7 @@ def _replay(
             na += sub_na
             idl += sub_idl
             plen += sub_plen if edge.action.is_pseudo else sub_plen + sub_n
-            comms += sub_comms + len(edge.comms) * sub_n
+            comms += sub_comms + len(node.comms) * sub_n
             if first == "success":
                 first, detail = sub_first, sub_detail
         totals = (first, detail, n, s, na, idl, plen, comms)
@@ -719,32 +726,30 @@ def _traces(
     run: int,
 ) -> None:
     """The :func:`enumerate_traces` walk from ``node``, appending to ``out``."""
-    if node.kind is NodeKind.SUCCESS:
-        out.append(TraceResult(actions, comms))
+    if not node.edges:
+        end = ("success", "") if node.done else ("idl", _EMBEDDED_DEADLOCK)
+        out.append(TraceResult(actions, comms, *end))
         return
-    if node.kind is NodeKind.DEADLOCK or not node.edges:
-        out.append(TraceResult(actions, comms, "idl", _EMBEDDED_DEADLOCK))
-        return
+    h = apply_comm_plan(node.comms, h)
+    comms = comms + node.comms
     for edge in node.edges:
         verdict, detail, nxt, new_run = _classify_edge(policy, obs_model, node, edge, w, h, run)
         edge_actions = actions + (edge.action,)
-        edge_comms = comms + tuple(edge.comms)
         if verdict:
-            out.append(TraceResult(edge_actions, edge_comms, verdict, detail))
+            out.append(TraceResult(edge_actions, comms, verdict, detail))
         else:
             assert nxt is not None
             _traces(
-                policy, obs_model, out, edge.child, nxt[0], nxt[1], edge_actions, edge_comms,
-                new_run,
+                policy, obs_model, out, edge.child, nxt[0], nxt[1], edge_actions, comms, new_run
             )
 
 
 def policy_comm_edges(policy: PolicyTree) -> list[tuple[PolicyNode, PolicyEdge]]:
-    """Every edge of the policy carrying at least one communication action."""
+    """Every edge leaving a node that tells, with its node, in walk order."""
     out: list[tuple[PolicyNode, PolicyEdge]] = []
 
     def keep(node: PolicyNode, edge: PolicyEdge) -> None:
-        if edge.comms:
+        if node.comms:
             out.append((node, edge))
 
     _policy_walk(policy.root, keep, set())

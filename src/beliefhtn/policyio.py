@@ -4,8 +4,8 @@ The JSON form embeds the domain text and the initial beliefs, so a saved
 policy is self-contained: reloading rebuilds the problem bundle and the
 policy DAG, enough to re-simulate or re-export.  Node beliefs are exported
 as short digests.  Reloading re-derives them as the search did: from the
-root beliefs, each edge applies its ``tell``s and then the mode's step, and
-checks each node's digests, so a reloaded policy prints exactly as the
+root beliefs, each node's ``tell``s and then each edge's step in the mode,
+and checks each node's digests, so a reloaded policy prints exactly as the
 original.  It also re-derives the task networks consistent with each path
 and asks :func:`~beliefhtn.planner.moves`, the search's own move rule,
 whether each edge is a move and whether each human node answers every
@@ -27,13 +27,14 @@ from .htn import GroundedOperator, HtnProblem, TaskNetwork, idle_op, wait_op
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
-    NodeKind,
+    STALL_THRESHOLD,
     PolicyEdge,
     PolicyNode,
     PolicyTree,
     _canonical,
     _policy_walk,
     _root_human,
+    _stall_run,
     _step,
     _tell_rule,
     moves,
@@ -42,7 +43,6 @@ from .state import BeliefState
 
 POLICY_FORMAT = "beliefhtn-policy"
 POLICY_VERSION = 1
-_KINDS = {kind.value for kind in NodeKind}
 
 
 def _digest(belief: BeliefState) -> str:
@@ -81,35 +81,35 @@ def to_text(policy: PolicyTree) -> str:
             f"n{nid} turn={node.turn} kind={node.kind.value} "
             f"world=#{_digest(node.world)} belief=#{_digest(node.human_belief)}"
         )
+        comm = f" [{_tells(node.comms)}]" if node.comms else ""
         for edge in node.edges:
-            comm = f" [{_tells(edge.comms)}]" if edge.comms else ""
             lines.append(
                 f"n{nid} -> n{ids[id(edge.child)]} : {edge.action}{comm}"
             )
     return "\n".join(lines) + "\n"
 
 
-def to_json_obj(policy: PolicyTree, bundle: Optional[ProblemBundle] = None) -> dict:
+def to_json(policy: PolicyTree, bundle: ProblemBundle) -> str:
+    """The policy as JSON with the bundle's domain text, as :func:`load_json` reads it."""
     ids, order = _collect(policy)
 
-    def edge_obj(edge: PolicyEdge) -> dict:
+    def edge_obj(edge: PolicyEdge, comms: list[dict]) -> dict:
         op = edge.action
         action = {"name": op.name, "agent": op.agent, "args": list(op.args), "kind": op.kind.value}
-        comms = [{"attr": str(ca.attr), "value": ca.value} for ca in edge.comms]
         return {"action": action, "comms": comms, "child": ids[id(edge.child)]}
 
-    nodes = [
-        {
+    def node_obj(node: PolicyNode) -> dict:
+        comms = [{"attr": str(ca.attr), "value": ca.value} for ca in node.comms]
+        return {
             "id": ids[id(node)],
             "turn": node.turn,
             "kind": node.kind.value,
             "done": node.done,
             "world": f"#{_digest(node.world)}",
             "belief": f"#{_digest(node.human_belief)}",
-            "edges": [edge_obj(edge) for edge in node.edges],
+            "edges": [edge_obj(edge, comms) for edge in node.edges],
         }
-        for node in order
-    ]
+
     obj = {
         "format": POLICY_FORMAT,
         "version": POLICY_VERSION,
@@ -119,15 +119,10 @@ def to_json_obj(policy: PolicyTree, bundle: Optional[ProblemBundle] = None) -> d
         "init_world": {str(a): v for a, v in policy.init_world.as_dict().items()},
         "init_human": {str(a): v for a, v in policy.init_human.as_dict().items()},
         "root": 0,
-        "nodes": nodes,
+        "nodes": [node_obj(node) for node in order],
+        "domain_text": serialize(bundle.domfile),
     }
-    if bundle is not None:
-        obj["domain_text"] = serialize(bundle.domfile)
-    return obj
-
-
-def to_json(policy: PolicyTree, bundle: Optional[ProblemBundle] = None) -> str:
-    return json.dumps(to_json_obj(policy, bundle), indent=2, sort_keys=False)
+    return json.dumps(obj, indent=2, sort_keys=False)
 
 
 def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
@@ -137,15 +132,14 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
     of the wrong JSON type, a node id listed twice, a told value outside its
     domain, an edge the beliefs its path derives cannot take, or a node
     whose digests do not match them.  So does a policy the search could not
-    have built: an edge whose tells are not the ones the search's tell
-    rule, :func:`~beliefhtn.planner._tell_rule`, gives for the node's
-    beliefs (none at a done node); or (:func:`_check_moves`) an edge that
-    is not a move of its node's agent, a robot node with two
-    edges, a human node whose edges are not the human's moves from any
-    network its path allows, or a node marked done or a success leaf while
-    work is left.  The robot's choice of move stays free: a file whose
-    robot takes another move that still succeeds loads.  Any other node
-    without edges ends its branch, which replay reports as a deadlock.
+    have built: tells other than :func:`~beliefhtn.planner._tell_rule`'s
+    for the node (none once done); a ``kind`` other than the one ``done``
+    and the edges give; a node with work left that ends its branch other
+    than after :data:`STALL_THRESHOLD` WAIT/IDLE turns in the legacy mode;
+    or (:func:`_check_moves`) an edge that is not a move of its node's
+    agent, a robot node with two edges, a human node whose edges are not
+    the human's moves from any network its path allows, or a node done
+    while work is left.  The robot's choice of move stays free.
     """
     try:
         obj = json.loads(text)
@@ -192,21 +186,20 @@ def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
         if nid in specs:
             raise DomainSyntaxError(f"node {nid} is listed twice")
         specs[nid] = spec
-    nodes: dict[int, Optional[PolicyNode]] = {}
+    nodes: dict[int, Optional[tuple[PolicyNode, int]]] = {}
     human_ops = tuple(bundle.problem.domain_of(human).ground_ops.values())
     root = _load_node(
         bundle, mode, human_ops, specs, nodes, _field(obj, "root", int), init_world,
-        _root_human(mode, bundle.obs_model, init_world, init_human),
+        _root_human(mode, bundle.obs_model, init_world, init_human), 0,
     )
-    _check_moves(bundle.problem, root, {id(node): nid for nid, node in nodes.items()})
+    _check_moves(bundle.problem, root, {id(hit[0]): nid for nid, hit in nodes.items()})
     return PolicyTree(mode, robot, human, init_world, init_human, root)
 
 
 def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -> None:
     """Check that each edge is a move (:func:`~beliefhtn.planner.moves`) of
     its node's agent, that a robot node has one edge and a human node's
-    edges are its moves, and that a node is ``done`` or a success leaf only
-    once the work is.
+    edges are its moves, and that a node is ``done`` only once the work is.
 
     The walk carries, with each node, the task networks consistent with its
     path from ``problem.network``, one per canonical key.  A robot's moves
@@ -215,7 +208,7 @@ def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -
     edge actions must be the moves, in the belief after the node's one set
     of tells, from at least one of them; the others are dropped, and edge i
     leads on to the network of move i.  A robot node's edge must be a move
-    from one of them, and a done or success node needs an empty one.
+    from one of them, and a done node needs an empty one.
     ``names`` maps each node's identity to its id in the file.
     """
     walked: set[tuple[int, frozenset]] = set()
@@ -227,16 +220,14 @@ def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -
             continue
         walked.add(seen)
         nid = names[id(node)]
-        if node.done or node.kind is NodeKind.SUCCESS:
-            if not any(network.is_empty for network in networks.values()):
-                raise DomainSyntaxError(f"node {nid}: done or a success while work is left")
+        if node.done and not any(network.is_empty for network in networks.values()):
+            raise DomainSyntaxError(f"node {nid}: done while work is left")
         if not node.edges:
             continue
         is_human = node.turn == problem.human
         if not is_human and len(node.edges) > 1:
             raise DomainSyntaxError(f"node {nid}: the robot takes more than one move")
-        comms = node.edges[0].comms  # every edge's, by the tell rule
-        belief = apply_comm_plan(comms, node.human_belief) if is_human else node.world
+        belief = apply_comm_plan(node.comms, node.human_belief) if is_human else node.world
         actions = [edge.action for edge in node.edges]
         after: list[dict[int, TaskNetwork]] = [{} for _ in actions]
         for network in networks.values():
@@ -264,37 +255,48 @@ def _load_node(
     mode: str,
     human_ops: tuple[GroundedOperator, ...],
     specs: dict,
-    nodes: dict[int, Optional[PolicyNode]],
+    nodes: dict[int, Optional[tuple[PolicyNode, int]]],
     nid: int,
     world: BeliefState,
     human_belief: BeliefState,
+    run: int,
 ) -> PolicyNode:
-    """Rebuild node ``nid`` reached with these beliefs, after its subtree.
+    """Rebuild node ``nid``, reached with these beliefs after ``run``
+    WAIT/IDLE turns by the search's stall rule, after its subtree.
 
-    ``nodes`` holds each node built so far, and None for each node on the
-    current path: a policy is acyclic, and each node has one pair of beliefs.
+    ``nodes`` holds each node built so far with its run, and None for each
+    node on the current path: a policy is acyclic, and each node has one
+    pair of beliefs and one run.
     """
     if nid in nodes:
-        node = nodes[nid]
-        if node is None:
+        hit = nodes[nid]
+        if hit is None:
             raise DomainSyntaxError(f"node {nid}: an edge leads back to it on its own path")
-        if (node.world, node.human_belief) != (world, human_belief):
-            raise DomainSyntaxError(f"node {nid}: reached with two different beliefs")
+        node, first_run = hit
+        if (node.world, node.human_belief, first_run) != (world, human_belief, run):
+            raise DomainSyntaxError(f"node {nid}: reached with two different beliefs or runs")
         return node
     if nid not in specs:
         raise DomainSyntaxError(f"policy file names no node {nid!r}")
     robot, human = bundle.problem.robot, bundle.problem.human
     spec = specs[nid]
     turn, done, kind = _field(spec, "turn", str), _field(spec, "done"), _field(spec, "kind", str)
-    if turn not in (robot, human) or not isinstance(done, bool) or kind not in _KINDS:
-        raise DomainSyntaxError(f"node {nid}: bad turn/done/kind {turn!r}/{done!r}/{kind!r}")
+    if turn not in (robot, human) or not isinstance(done, bool):
+        raise DomainSyntaxError(f"node {nid}: bad turn/done {turn!r}/{done!r}")
     digests = f"#{_digest(world)}", f"#{_digest(human_belief)}"
     if (_field(spec, "world"), _field(spec, "belief")) != digests:
         raise DomainSyntaxError(f"node {nid}: digests do not match the beliefs its path derives")
+    edge_specs = _field(spec, "edges", list)
+    stalled = run >= STALL_THRESHOLD
+    if not done and (stalled == bool(edge_specs) or stalled and mode == MODE_NEW):
+        raise DomainSyntaxError(
+            f"node {nid}: work is left, so it ends its branch exactly after "
+            f"{STALL_THRESHOLD} WAIT/IDLE turns, in the legacy mode"
+        )
     nodes[nid] = None
     rule = () if done else _tell_rule(mode, world, human_belief, human_ops)
     edges = []
-    for e in _field(spec, "edges", list):
+    for e in edge_specs:
         op = _operator(bundle, _field(e, "action", dict), turn)
         comms = tuple(
             CommAction(bundle.attr(_field(c, "attr", str)), _field(c, "value"))
@@ -307,9 +309,15 @@ def _load_node(
                 f"not the search's [{_tells(rule)}]"
             )
         w2, h2 = _step(mode, bundle.obs_model, robot, human, world, told, op, turn)
-        child = _load_node(bundle, mode, human_ops, specs, nodes, _field(e, "child", int), w2, h2)
-        edges.append(PolicyEdge(op, comms, child))
-    node = nodes[nid] = PolicyNode(world, human_belief, done, turn, NodeKind(kind), tuple(edges))
+        child = _load_node(
+            bundle, mode, human_ops, specs, nodes, _field(e, "child", int), w2, h2,
+            _stall_run(run, op.is_pseudo),
+        )
+        edges.append(PolicyEdge(op, child))
+    node = PolicyNode(world, human_belief, done, turn, rule, tuple(edges))
+    if kind != node.kind.value:  # the kind its done and edges give
+        raise DomainSyntaxError(f"node {nid}: kind {kind!r}, not {node.kind.value!r}")
+    nodes[nid] = (node, run)
     return node
 
 

@@ -17,6 +17,8 @@ divergence by trying every subset, to check
 :func:`~beliefhtn.planner._policy_walk` replaced, kept to check it against.
 ``solvable`` is a memo-free AND/OR search over the planner's own rules, to
 check :func:`~beliefhtn.planner.plan`'s table against.
+``STUCK_DOM`` is a domain whose agenda never empties, so every branch
+stalls: a legacy plan ends in a deadlock leaf, and a new-mode plan fails.
 """
 
 from __future__ import annotations
@@ -28,6 +30,30 @@ from beliefhtn import planner
 from beliefhtn.communication import apply_comm_plan, is_relevant_divergence
 from beliefhtn.htn import GroundedOperator, OpKind, TaskInstance, TaskNetwork
 from beliefhtn.state import diverging_attributes
+
+
+# The root task's one method has no subtasks, so no move ever empties the
+# agenda: P = 0, and the certifying depth is STALL_THRESHOLD.
+STUCK_DOM = """\
+beliefhtn-domain 1
+domain stuck
+group Places P1
+group Agents bot person
+agents bot person
+svar AgtAt (?a Agents) -> Places : obs
+place AgtAt(?a) value-of AgtAt(?a)
+operator r0 for bot
+end
+operator h0 for person
+end
+method m0 for both
+  task T0
+end
+root t0 T0
+init AgtAt(bot) = P1
+init AgtAt(person) = P1
+start bot
+"""
 
 
 def detect_deadlock(actions: Iterable[GroundedOperator | str]) -> bool:
@@ -101,9 +127,10 @@ def replay_reaches_stored_beliefs(policy: planner.PolicyTree, model) -> set[int]
         if (id(node), run) in expanded:
             continue  # the beliefs are the node's own, so the run is all that varies
         expanded.add((id(node), run))
+        told = apply_comm_plan(node.comms, h)
         for edge in node.edges:
             verdict, detail, nxt, new_run = planner._classify_edge(
-                policy, model, node, edge, w, h, run
+                policy, model, node, edge, w, told, run
             )
             assert verdict == "", detail
             stack.append((edge.child, *nxt, new_run))
@@ -140,7 +167,7 @@ def primitive_length(trace) -> int:
 
 
 def comm_edges(policy):
-    """Every (node, edge) carrying a tell: the recursive walk, each edge
+    """Every (node, edge) whose node tells: the recursive walk, each edge
     checked before its child's subtree."""
     out = []
     _comm_edges(policy.root, set(), out)
@@ -152,7 +179,7 @@ def _comm_edges(node, seen, out):
         return
     seen.add(id(node))
     for edge in node.edges:
-        if edge.comms:
+        if node.comms:
             out.append((node, edge))
         _comm_edges(edge.child, seen, out)
 
@@ -173,17 +200,18 @@ def _preorder(node, ids, order):
         _preorder(edge.child, ids, order)
 
 
-def solvable(bundle, mode=planner.MODE_NEW) -> bool:
+def solvable(bundle, mode=planner.MODE_NEW, depth=None) -> bool:
     """Whether the bundle's problem has a policy in ``mode``, by a plain
     AND/OR recursion with no table: the robot needs one move whose child is
     solvable, the human every move.  It asks the planner's move rule
     (:func:`~beliefhtn.planner.moves`), tell rule and step rule, stops a
     stall run at :data:`~beliefhtn.planner.STALL_THRESHOLD` (a deadlock leaf
     in legacy, a failure in the new mode), fails a state that repeats on its
-    path, and prunes at the bundle's certifying depth."""
+    path, and prunes at ``depth``, by default the bundle's certifying
+    depth."""
     problem, model = bundle.problem, bundle.obs_model
-    bound = problem.search_cache.depth
-    assert bound is not None, "the reference search needs an acyclic hierarchy"
+    bound = problem.search_cache.depth if depth is None else depth
+    assert bound is not None, "a recursive hierarchy needs an explicit depth"
     human_ops = tuple(problem.domain_of(problem.human).ground_ops.values())
 
     def solve(world, human, network, turn, depth, stall, path):

@@ -216,7 +216,7 @@ def test_criterion_5_scenario_golden():
     b_pol = plan(b.problem, b.obs_model, MODE_NEW)
     b_rep = simulate(b_pol, b.obs_model)
     assert b_rep.outcome == "success"
-    tells = [str(ca) for _, e in policy_comm_edges(b_pol) for ca in e.comms]
+    tells = [str(ca) for node, _ in policy_comm_edges(b_pol) for ca in node.comms]
     assert tells == ["tell(SaltInPot, true)"]
     (b_trace,) = enumerate_traces(b_pol, b.obs_model)
     acts = [str(a) for a in b_trace.actions]

@@ -3,7 +3,8 @@
 ``bench/worker.py`` patches the hot layers by name and reads the
 ``_canonical`` cache's counter; a name that is gone is recorded as missing
 and its metrics come out null.  This test loads the worker and its tracer
-as they are and checks every name they read, so a rename fails here first.
+as they are and checks every name they read, and that the rows a pass
+writes equal the golden rows, so a rename fails here first.
 """
 
 from __future__ import annotations
@@ -12,15 +13,18 @@ import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from beliefhtn import MODE_LEGACY, MODE_NEW, builtin_bundle, planner, policyio
-from beliefhtn.experiment import ExperimentConfig
+from beliefhtn import MODE_LEGACY, MODE_NEW, builtin_bundle, parse_bundle, planner
+from beliefhtn.builtins import box_dom
+from beliefhtn.experiment import DEFAULT_SPECS, ExperimentConfig, generate_initial_states
 from beliefhtn.planner import PlannerConfig, plan, simulate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+PASS_CONFIG = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)  # as in every pass
 
 
 def _load(name):
@@ -31,15 +35,19 @@ def _load(name):
 
 
 @pytest.fixture
-def tracer(monkeypatch):
-    """A tracer with the worker's layers patched, unpatched after the test."""
-    tracer_module = _load("tracer")
+def worker(monkeypatch):
+    """``bench/worker.py`` as it is, loaded as a module."""
     # worker.py imports its tracer by module name and prepends the source
     # tree to sys.path; both are restored after the test.
-    monkeypatch.setitem(sys.modules, "tracer", tracer_module)
+    monkeypatch.setitem(sys.modules, "tracer", _load("tracer"))
     monkeypatch.setattr(sys, "path", list(sys.path))
-    worker = _load("worker")
-    tracer = tracer_module.Tracer()
+    return _load("worker")
+
+
+@pytest.fixture
+def tracer(worker):
+    """A tracer with the worker's layers patched, unpatched after the test."""
+    tracer = sys.modules["tracer"].Tracer()
     try:
         worker._patch_layers(tracer)
         yield tracer
@@ -51,8 +59,7 @@ def test_the_benchmark_finds_every_layer_it_patches(tracer):
     assert tracer.missing == []
     assert callable(planner._canonical.cache_info)
     bundle = builtin_bundle("cooking")
-    config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
-    policy = plan(bundle.problem, bundle.obs_model, MODE_NEW, config)
+    policy = plan(bundle.problem, bundle.obs_model, MODE_NEW, PASS_CONFIG)
     assert policy.nodes_expanded > 0
     assert tracer.calls("planner.choices") > 0
 
@@ -63,12 +70,11 @@ STEP_LAYER = {MODE_NEW: "engine.step_belief_protocol", MODE_LEGACY: "engine.lega
 def test_the_traced_run_cross_checks_hold(tracer):
     # bench/run.py marks a traced run incorrect when a plan's step calls
     # differ from nodes_expanded - 1, or a layer's measure comes out null.
-    config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
     for domain in ("cooking", "box"):
         bundle = builtin_bundle(domain).with_start("human")
         for mode in (MODE_LEGACY, MODE_NEW):
             before = tracer.calls(STEP_LAYER[mode])
-            policy = plan(bundle.problem, bundle.obs_model, mode, config)
+            policy = plan(bundle.problem, bundle.obs_model, mode, PASS_CONFIG)
             # Every expanded node but the root is entered by one step.
             assert tracer.calls(STEP_LAYER[mode]) - before == policy.nodes_expanded - 1
     for layer in ("communication.is_relevant_divergence", "communication.min_comm_bfs"):
@@ -94,12 +100,11 @@ KERNEL_LAYERS = (
 def test_the_rewritten_kernel_layers_are_all_called(tracer):
     # The worker wraps simulate itself, as here, and patches the rest.
     simulate_fn = tracer.wrap("planner.simulate", simulate, lambda r: r.n_traces)
-    config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
     for domain in ("cooking", "box"):
         bundle = builtin_bundle(domain).with_start("human")
         for mode in (MODE_LEGACY, MODE_NEW):
             before = tracer.calls(STEP_LAYER[mode])
-            policy = plan(bundle.problem, bundle.obs_model, mode, config)
+            policy = plan(bundle.problem, bundle.obs_model, mode, PASS_CONFIG)
             assert tracer.calls(STEP_LAYER[mode]) - before == policy.nodes_expanded - 1
             assert simulate_fn(policy, bundle.obs_model).n_traces > 0
     assert tracer.missing == []
@@ -115,10 +120,9 @@ CHOICE_LAYERS = ("planner.choices", "htn.decompose", "htn.without_node")
 
 @pytest.mark.parametrize("domain", ["cooking", "box"])
 def test_the_choice_kernel_layers_are_all_called(tracer, domain):
-    config = PlannerConfig(depth_bound=ExperimentConfig().depth_bound)
     bundle = builtin_bundle(domain)
     for mode in (MODE_LEGACY, MODE_NEW):
-        plan(bundle.problem, bundle.obs_model, mode, config)
+        plan(bundle.problem, bundle.obs_model, mode, PASS_CONFIG)
     assert tracer.missing == []
     assert {layer: tracer.calls(layer) > 0 for layer in CHOICE_LAYERS} == dict.fromkeys(
         CHOICE_LAYERS, True
@@ -142,8 +146,27 @@ def test_the_worker_sets_up_each_study(workload):
     assert list(result) == ["setup_s"] and result["setup_s"] > 0
 
 
-def test_the_names_a_pass_imports_exist():
-    # study_fields and ladder_fields import these inside a pass, which
-    # --setup-only never reaches.
-    assert callable(planner.policy_comm_edges)
-    assert callable(policyio.to_text)
+@pytest.mark.parametrize("domain", ["cooking", "box"])
+def test_a_pass_writes_the_golden_study_rows(worker, domain):
+    # study_fields and ladder_fields read library names inside a pass, which
+    # --setup-only never reaches (policy_comm_edges, the report's means,
+    # to_text).  Instance 0 of the study, planned cold in both modes, must
+    # give its golden row.
+    harness = _load("harness")
+    golden = harness.load_golden(f"study-{domain}")
+    bundle = builtin_bundle(domain)
+    inst = generate_initial_states(bundle, DEFAULT_SPECS[domain])[0]
+    problem = replace(bundle.problem, world=inst.world, human_belief=inst.human)
+    for mode in (MODE_LEGACY, MODE_NEW):
+        policy = plan(problem, bundle.obs_model, mode, PASS_CONFIG)
+        key = harness.study_key({"mode": mode, "instance": inst.index})
+        assert worker.study_fields(policy, simulate(policy, bundle.obs_model)) == golden[key]
+
+
+def test_a_pass_writes_the_golden_ladder_row(worker):
+    # ladder_fields hashes to_text, so the policy's exact text is pinned.
+    harness = _load("harness")
+    bundle = parse_bundle(box_dom(boxes=2))
+    policy = plan(bundle.problem, bundle.obs_model, MODE_NEW, PASS_CONFIG)
+    fields = worker.ladder_fields(policy, simulate(policy, bundle.obs_model))
+    assert fields == harness.load_golden("ladder-box")[harness.ladder_key({"boxes": 2})]

@@ -18,6 +18,7 @@ from beliefhtn import (
     MODE_NEW,
     builtin_bundle,
     parse,
+    parse_bundle,
     plan,
     planner,
     serialize,
@@ -30,6 +31,7 @@ from beliefhtn.planner import PolicyEdge, PolicyNode, _step
 from beliefhtn.policyio import _collect, _digest, load_json, to_json, to_text
 from beliefhtn.state import diverging_attributes
 
+from oracles import STUCK_DOM
 from test_acceptance import STUDY_CSV_SHA256
 
 
@@ -363,8 +365,8 @@ def _mixed_tells(obj):
     success leaf with the beliefs the twin's step derives."""
     bundle, policy = load_json(json.dumps(obj))
     ids, order = _collect(policy)
-    node = next(n for n in order if any(e.comms for e in n.edges))
-    edge = next(e for e in node.edges if e.comms)
+    node = next(n for n in order if n.comms)
+    edge = node.edges[0]
     world, human = _step(
         policy.mode, bundle.obs_model, policy.robot, policy.human, node.world,
         node.human_belief, edge.action, node.turn,
@@ -419,27 +421,41 @@ def _legacy_tell(obj):
     def rebuild(node, world, human):
         key = (id(node), world.values, human.values)
         if key not in built:
+            comms = (tell,) if node is root else node.comms
             edges = []
             for edge in node.edges:
-                comms = (tell,) if node is root else edge.comms
                 w2, h2 = _step(
                     policy.mode, bundle.obs_model, policy.robot, policy.human, world,
                     apply_comm_plan(comms, human), edge.action, node.turn,
                 )
-                edges.append(PolicyEdge(edge.action, comms, rebuild(edge.child, w2, h2)))
-            built[key] = PolicyNode(world, human, node.done, node.turn, node.kind, tuple(edges))
+                edges.append(PolicyEdge(edge.action, rebuild(edge.child, w2, h2)))
+            built[key] = PolicyNode(world, human, node.done, node.turn, comms, tuple(edges))
         return built[key]
 
     spliced = replace(policy, root=rebuild(root, root.world, root.human_belief))
     return json.loads(to_json(spliced, bundle))
 
 
+def _legacy_leaf(obj):
+    """The cooking default problem planned in the legacy mode, with node 0
+    made a deadlock leaf."""
+    bundle = builtin_bundle("cooking")
+    obj = json.loads(to_json(plan(bundle.problem, bundle.obs_model, MODE_LEGACY), bundle))
+    obj["nodes"][0].update(kind="deadlock", edges=[])
+    return obj
+
+
+_EARLY_LEAF = "node 0: work is left, so it ends its branch exactly after 4 WAIT/IDLE turns"
+
+
 # Each edit changes the saved object in place, or returns the whole file.
 POLICY_EDITS = {
     # The mode selects the step that re-derives each node's beliefs.
     "mode": (_set(["mode"], "optimistic"), "unknown solver mode 'optimistic'"),
-    "done": (_set(["nodes", 0, "done"], "no"), "bad turn/done/kind"),
-    "kind": (_set(["nodes", 0, "kind"], "finished"), "bad turn/done/kind"),
+    "done": (_set(["nodes", 0, "done"], "no"), "bad turn/done"),
+    # A node's kind is the one its edges and done give.
+    "kind": (_set(["nodes", 0, "kind"], "finished"), "node 0: kind 'finished', not 'decision'"),
+    "kind-deadlock": (_set(["nodes", 0, "kind"], "deadlock"), "node 0: kind 'deadlock', not"),
     "child": (_set(["nodes", 0, "edges", 0, "child"], 99), "names no node 99"),
     "action": (_fly, r"regular action fly\(\) is not an operator of 'human'"),
     "nodes": (_drop("nodes"), "lacks the field 'nodes'"),
@@ -495,10 +511,15 @@ POLICY_EDITS = {
     # Replay counts a branch that reaches a success leaf as a success, and
     # does not end a done node's WAIT/IDLE run: neither may come early.
     "success-early": (
-        lambda obj: obj["nodes"][2].update(kind="success", edges=[]),
-        "node 2: done or a success while work is left",
+        lambda obj: obj["nodes"][2].update(kind="success", done=True, edges=[]),
+        "node 2: done while work is left",
     ),
-    "done-early": (_set(["nodes", 1, "done"], True), "node 1: done or a success while work"),
+    "done-early": (_set(["nodes", 1, "done"], True), "node 1: done while work is left"),
+    # A node with work left ends its branch only where the search ends one:
+    # after STALL_THRESHOLD WAIT/IDLE turns, in the legacy mode.
+    "leaf-new": (lambda obj: obj["nodes"][0].update(kind="deadlock", edges=[]), _EARLY_LEAF),
+    "leaf-legacy": (_legacy_leaf, _EARLY_LEAF),
+    "leaf-decision": (_set(["nodes", 0, "edges"], []), _EARLY_LEAF),
 }
 # The edits of a tell need a policy that communicates: cooking, the human first.
 COMMUNICATING = {"tell-value", "tell-twice", "tell-false", "tells-mixed"}
@@ -522,6 +543,30 @@ def test_policy_load_rejects_unknown_mode(edit, cooking, tmp_path, capsys):
     path.write_text(text)
     assert main(["simulate", "--policy", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_new_mode_file_does_not_end_a_branch_on_a_stall():
+    # The legacy plan idles into a deadlock leaf, node 4, after
+    # STALL_THRESHOLD turns.  Its beliefs never diverge, so the same file
+    # marked new re-derives the same beliefs and tells, and only the leaf
+    # rule rejects it: the new-mode search fails where the run ends.
+    bundle = parse_bundle(STUCK_DOM)
+    obj = json.loads(to_json(plan(bundle.problem, bundle.obs_model, MODE_LEGACY), bundle))
+    load_json(json.dumps(obj))
+    obj["mode"] = MODE_NEW
+    with pytest.raises(DomainSyntaxError, match="node 4: work is left, so it ends its branch"):
+        load_json(json.dumps(obj))
+
+
+def test_a_loaded_node_has_one_stall_run():
+    # A second IDLE edge leads node 1 straight to the deadlock leaf, node 4,
+    # with the beliefs the chain reaches it with but a shorter run.
+    bundle = parse_bundle(STUCK_DOM)
+    obj = json.loads(to_json(plan(bundle.problem, bundle.obs_model, MODE_LEGACY), bundle))
+    node = obj["nodes"][1]
+    node["edges"].append(dict(node["edges"][0], child=4))
+    with pytest.raises(DomainSyntaxError, match="node 4: reached with two different beliefs or"):
+        load_json(json.dumps(obj))
 
 
 def test_policy_load_rejects_text_that_is_not_json():

@@ -1,13 +1,15 @@
 """Generated domains: the reader, the search, replay and the policy loader
-agree on small acyclic domains that no hand-written test names.
+agree on small domains that no hand-written test names.
 
 Each example is a :class:`~beliefhtn.domfile.DomainFile` built in code on a
 fixed skeleton: the ``Places`` and ``Agents`` groups, and ``AgtAt`` with its
 place rule.  On top of it come at most 2 places, 3 more attributes of either
-observability class, 3 operators per agent, 2 methods and a method
-hierarchy 2 deep, and the human may start off believing otherwise.  Every
-example is read back through ``serialize`` and ``parse_bundle`` and checked
-for:
+observability class, each placed at a fixed place or ``value-of`` an
+agent's location, 3 operators per agent, and methods: at most 2 in a
+hierarchy 2 deep, or, in the recursive examples, a loop that calls itself
+and up to 3 more.  The human may start off believing otherwise.  Every
+acyclic example is read back through ``serialize`` and ``parse_bundle`` and
+checked for:
 
 (a) ``parse(serialize(d)) == d``;
 (b) a new-mode plan raises :class:`Unsolvable` or :class:`DepthExceeded`,
@@ -20,32 +22,52 @@ for:
 (f) a new-mode plan through the bundle's shared state table, after a plan
     from the other start agent filled it, equals a plan on a freshly
     parsed bundle;
-(g) no state that a certified plan expands lies at its bundle's
-    certifying depth (``SearchCache.depth``) or deeper, read through a
-    wrapper of ``_Search._solve``; the builtins are checked too;
+(g) no certified plan prunes at its depth bound, and no state that it
+    expands lies at its bundle's certifying depth (``SearchCache.depth``)
+    or deeper, read through a wrapper of ``_Search._solve``; the one
+    exception, a state that completes a stall run at that depth, is an
+    open ROADMAP item, and the builtins are checked with no exception;
 (h) each saved policy loads through ``load_json`` and saves back the same,
     and new-mode replay reaches each node with the beliefs stored there.
+
+A recursive example certifies no plan, so each plan searches with a table
+of its own, to a small drawn depth bound; it is checked for (a), (b), (c),
+(e) at that bound, and (h).  Its methods never put a recursive compound
+subtask beside a subtask it may precede: on that shape ``choices`` does not
+return, which :func:`test_choices_returns_on_an_unordered_loop` pins.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beliefhtn
 from beliefhtn import MODE_LEGACY, MODE_NEW, parse, parse_bundle, plan, serialize, simulate
 from beliefhtn.builtins import builtin_bundle
 from beliefhtn.domfile import DomainFile
 from beliefhtn.errors import DepthExceeded, Unsolvable
 from beliefhtn.htn import EffectOp, MethodSchema, OperatorSchema
 from beliefhtn.observability import PlacementRule
-from beliefhtn.planner import _Search, enumerate_traces
+from beliefhtn.planner import (
+    RECURSIVE_DEPTH,
+    STALL_THRESHOLD,
+    PlannerConfig,
+    _Search,
+    enumerate_traces,
+)
 from beliefhtn.policyio import _collect, load_json, to_json, to_text
 from beliefhtn.state import AttrRef, Group, ObsClass, StateVariableDecl
 
 from oracles import (
+    STUCK_DOM,
     _subset_minimum,
     replay_reaches_stored_beliefs,
     report_totals,
@@ -61,16 +83,65 @@ AGT_AT = StateVariableDecl("AgtAt", (("?a", "Agents"),), "Places", ObsClass.OBS)
 AGT_AT_RULE = PlacementRule(AttrRef("AgtAt", ("?a",)), reference=AttrRef("AgtAt", ("?a",)))
 
 
+def _rules(draw, facts, places):
+    """Each fact's place rule: a fixed place, or ``value-of`` an agent's
+    location, so the fact is assessable where that agent is."""
+    rules = [AGT_AT_RULE]
+    for fact in facts:
+        where = draw(st.sampled_from(places + AGENTS))
+        if where in AGENTS:
+            rules.append(PlacementRule(AttrRef(fact), reference=AttrRef("AgtAt", (where,))))
+        else:
+            rules.append(PlacementRule(AttrRef(fact), place=where))
+    return rules
+
+
+def _acyclic_methods(draw, tasks):
+    """T0's methods have only primitive subtasks; a method for T1 may also
+    call T0, so the hierarchy is acyclic and at most 2 deep."""
+    methods = []
+    for k in range(draw(st.integers(0, 2))):
+        symbol = draw(st.sampled_from(("T0", "T1"))) if methods else "T0"
+        pool = tasks + (["T0"] if symbol == "T1" else [])
+        subs = draw(st.lists(st.sampled_from(pool), max_size=2))
+        subtasks = tuple((f"s{i}", AttrRef(task)) for i, task in enumerate(subs))
+        order = (("s0", "s1"),) if len(subs) == 2 and draw(st.booleans()) else ()
+        owner = draw(st.sampled_from(("both",) + AGENTS))
+        methods.append(MethodSchema(f"m{k}", owner, symbol, subtasks=subtasks, order=order))
+    return methods
+
+
+def _recursive_methods(draw, tasks):
+    """T0 first calls a primitive and then itself, as a loop; each further
+    method, for T0 or T1, is a primitive, a compound task, both in that
+    order, or nothing.  A compound subtask thus never stands beside another
+    subtask it could run before: on that shape ``choices`` does not return
+    (:func:`test_choices_returns_on_an_unordered_loop`)."""
+    symbols = ["T0"] + [draw(st.sampled_from(("T0", "T1"))) for _ in range(draw(st.integers(1, 3)))]
+    compound = sorted(set(symbols))
+    methods = []
+    for k, symbol in enumerate(symbols):
+        if k == 0:
+            head, tail = draw(st.sampled_from(tasks)), "T0"
+        else:
+            head = draw(st.none() | st.sampled_from(tasks))
+            tail = draw(st.none() | st.sampled_from(compound))
+        subs = [task for task in (head, tail) if task is not None]
+        subtasks = tuple((f"s{i}", AttrRef(task)) for i, task in enumerate(subs))
+        order = (("s0", "s1"),) if len(subs) == 2 else ()
+        owner = draw(st.sampled_from(("both",) + AGENTS))
+        methods.append(MethodSchema(f"m{k}", owner, symbol, subtasks=subtasks, order=order))
+    return methods
+
+
 @st.composite
-def domain_files(draw) -> DomainFile:
+def domain_files(draw, recursive=False) -> DomainFile:
     places = ("P1", "P2")[: draw(st.integers(1, 2))]
     facts = [f"F{i}" for i in range(draw(st.integers(0, 3)))]
     svars = [AGT_AT] + [
         StateVariableDecl(fact, (), "bool", draw(st.sampled_from(ObsClass))) for fact in facts
     ]
-    rules = [AGT_AT_RULE] + [
-        PlacementRule(AttrRef(fact), place=draw(st.sampled_from(places))) for fact in facts
-    ]
+    rules = _rules(draw, facts, places)
     where = [(AttrRef("AgtAt", (agent,)), places) for agent in AGENTS]
     what = [(AttrRef(fact), BOOLS) for fact in facts]
 
@@ -90,18 +161,8 @@ def domain_files(draw) -> DomainFile:
                 eff=tuple((ref, EffectOp.SET, value) for ref, value in eff),
             ))
 
-    # T0's methods have only primitive subtasks; a method for T1 may also
-    # call T0, so the hierarchy is acyclic and at most 2 deep.
     tasks = [op.name for op in operators]
-    methods = []
-    for k in range(draw(st.integers(0, 2))):
-        symbol = draw(st.sampled_from(("T0", "T1"))) if methods else "T0"
-        pool = tasks + (["T0"] if symbol == "T1" else [])
-        subs = draw(st.lists(st.sampled_from(pool), max_size=2))
-        subtasks = tuple((f"s{i}", AttrRef(task)) for i, task in enumerate(subs))
-        order = (("s0", "s1"),) if len(subs) == 2 and draw(st.booleans()) else ()
-        owner = draw(st.sampled_from(("both",) + AGENTS))
-        methods.append(MethodSchema(f"m{k}", owner, symbol, subtasks=subtasks, order=order))
+    methods = (_recursive_methods if recursive else _acyclic_methods)(draw, tasks)
     compound = sorted({m.task_symbol for m in methods})
 
     roots = draw(st.lists(st.sampled_from(tasks + compound), min_size=1, max_size=2))
@@ -131,21 +192,35 @@ def domain_files(draw) -> DomainFile:
 
 @contextmanager
 def certified_depths():
-    """Collect (depth, certifying depth) for each state that a certified
-    search expands, through a wrapper of ``_Search._solve``."""
-    found: list[tuple[int, int]] = []
+    """Collect (depth, certifying depth, stall run, pruned so far) for each
+    state that a certified search expands, through a wrapper of
+    ``_Search._solve``."""
+    found: list[tuple[int, int, int, bool]] = []
     solve = _Search._solve
 
     def recording(self, world, human_belief, network, turn, depth, stall):
+        result = solve(self, world, human_belief, network, turn, depth, stall)
         if self.certified:
-            found.append((depth, self.problem.search_cache.depth))
-        return solve(self, world, human_belief, network, turn, depth, stall)
+            found.append((depth, self.problem.search_cache.depth, stall, self.depth_pruned))
+        return result
 
     _Search._solve = recording
     try:
         yield found
     finally:
         _Search._solve = solve
+
+
+def above_bound(found, stall_at_bound=False) -> bool:
+    """(g) over :func:`certified_depths`' records: no search pruned, and
+    each state lies above its certifying depth.  ``stall_at_bound`` admits
+    a state at that depth whose turn completes a stall run, which the stall
+    rule ends before the depth bound is read (open on the ROADMAP)."""
+    return bool(found) and all(
+        not pruned
+        and (depth < bound or stall_at_bound and (depth, stall) == (bound, STALL_THRESHOLD))
+        for depth, bound, stall, pruned in found
+    )
 
 
 def _plan_text(bundle, mode):
@@ -156,12 +231,26 @@ def _plan_text(bundle, mode):
         return type(exc).__name__
 
 
-def _policy(bundle, mode):
+def _policy(bundle, mode, config=PlannerConfig()):
     """The bundle's plan, or None when it raises a declared failure."""
     try:
-        return plan(bundle.problem, bundle.obs_model, mode)
+        return plan(bundle.problem, bundle.obs_model, mode, config)
     except (Unsolvable, DepthExceeded):
         return None
+
+
+def _check_policy(bundle, mode, policy):
+    """(b) for a new-mode policy, (c) and (h); returns its replay report."""
+    report = simulate(policy, bundle.obs_model)
+    if mode == MODE_NEW:  # (b), and replay meets the search's beliefs
+        assert (report.outcome, report.n_success) == ("success", report.n_traces)
+        replay_reaches_stored_beliefs(policy, bundle.obs_model)
+    traces = enumerate_traces(policy, bundle.obs_model)
+    assert report_totals(report) == trace_totals(traces)  # (c)
+    saved = to_json(policy, bundle)
+    loaded_bundle, loaded = load_json(saved)  # (h)
+    assert to_json(loaded, loaded_bundle) == saved
+    assert simulate(loaded, loaded_bundle.obs_model) == report
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -177,26 +266,39 @@ def test_generated_domains(dom):
         _plan_text(bundle.with_start(other), MODE_NEW)  # fills the table the bundle shares
         assert _plan_text(bundle, MODE_NEW) == _plan_text(parse_bundle(text), MODE_NEW)  # (f)
         policies = {mode: _policy(bundle, mode) for mode in (MODE_NEW, MODE_LEGACY)}
-    assert depths and all(depth < bound for depth, bound in depths)  # (g)
+    assert above_bound(depths, stall_at_bound=True)  # (g)
     human_ops = tuple(bundle.problem.domain_of("person").ground_ops.values())
     for mode, policy in policies.items():
         assert solvable(bundle, mode) == (policy is not None)  # (e)
         if policy is None:
             continue
-        report = simulate(policy, bundle.obs_model)
-        if mode == MODE_NEW:  # (b), and replay meets the search's beliefs
-            assert (report.outcome, report.n_success) == ("success", report.n_traces)
-            replay_reaches_stored_beliefs(policy, bundle.obs_model)
-            for node in _collect(policy)[1]:  # (d)
-                if node.edges and not node.done:
-                    fewest = _subset_minimum(node.world, node.human_belief, human_ops)
-                    assert all(len(edge.comms) == fewest for edge in node.edges)
-        traces = enumerate_traces(policy, bundle.obs_model)
-        assert report_totals(report) == trace_totals(traces)  # (c)
-        saved = to_json(policy, bundle)
-        loaded_bundle, loaded = load_json(saved)  # (h)
-        assert to_json(loaded, loaded_bundle) == saved
-        assert simulate(loaded, loaded_bundle.obs_model) == report
+        _check_policy(bundle, mode, policy)
+        for node in _collect(policy)[1] if mode == MODE_NEW else ():  # (d)
+            if node.edges and not node.done:
+                assert len(node.comms) == _subset_minimum(node.world, node.human_belief, human_ops)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(domain_files(recursive=True), st.integers(3, 8))
+def test_generated_recursive_domains(dom, bound):
+    # An uncertified plan: its default depth is RECURSIVE_DEPTH, and it
+    # searches with a table of its own, never the bundle's.  The examples
+    # plan with a small depth ``bound``, so the reference search stays
+    # cheap and some plans raise DepthExceeded.
+    text = serialize(dom)
+    parsed = parse(text)
+    assert parsed == dom  # (a)
+    assert vars(parsed) == vars(dom)
+    bundle = parse_bundle(text)
+    search = _Search(bundle.problem, bundle.obs_model, MODE_NEW, PlannerConfig())
+    assert (search.certified, search.depth_bound) == (False, RECURSIVE_DEPTH)
+    config = PlannerConfig(depth_bound=bound)
+    for mode in (MODE_NEW, MODE_LEGACY):
+        policy = _policy(bundle, mode, config)
+        assert solvable(bundle, mode, bound) == (policy is not None)  # (e)
+        if policy is not None:
+            _check_policy(bundle, mode, policy)
+    assert bundle.problem.search_cache.tables == {MODE_NEW: {}, MODE_LEGACY: {}}
 
 
 @pytest.mark.parametrize("domain", ["cooking", "box"])
@@ -209,4 +311,51 @@ def test_builtin_certified_searches_stop_short_of_the_certifying_depth(domain):
         for mode in (MODE_NEW, MODE_LEGACY):
             for problem in problems:
                 plan(problem, bundle.obs_model, mode)
-    assert depths and all(depth < bound for depth, bound in depths)
+    assert above_bound(depths)
+
+
+def test_only_a_stalling_turn_reaches_the_certifying_depth():
+    # (g)'s one exception, open on the ROADMAP: the turn that completes a
+    # stall run lies at the certifying depth, and the stall rule ends it
+    # before the depth bound is read, so the legacy plan ends in a deadlock
+    # leaf, not DepthExceeded, and no search prunes.
+    bundle = parse_bundle(STUCK_DOM)
+    assert bundle.problem.search_cache.depth == STALL_THRESHOLD
+    with certified_depths() as depths:
+        with pytest.raises(Unsolvable):
+            plan(bundle.problem, bundle.obs_model, MODE_NEW)
+        policy = plan(bundle.problem, bundle.obs_model, MODE_LEGACY)
+    assert (STALL_THRESHOLD,) * 3 + (False,) in depths
+    assert above_bound(depths, stall_at_bound=True) and not above_bound(depths)
+    assert simulate(policy, bundle.obs_model).outcome == "idl"
+
+
+
+# A recursive compound subtask beside a subtask it may precede: `T0`
+# decomposes again before `r0` runs, each network one task larger.
+UNORDERED_LOOP_DOM = STUCK_DOM.replace("domain stuck", "domain unordered").replace(
+    "method m0 for both\n  task T0\nend",
+    "method m0 for both\n  task T0\n  sub s0 r0\n  sub s1 T0\nend",
+)
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason="ROADMAP: choices hangs")
+def test_choices_returns_on_an_unordered_loop(tmp_path):
+    # The enumeration runs in a child process, killed at the timeout: its
+    # walk never ends, and its memory grows by several MB a second.
+    assert parse_bundle(UNORDERED_LOOP_DOM).problem.search_cache.depth is None  # recursive
+    path = tmp_path / "unordered.dom"
+    path.write_text(UNORDERED_LOOP_DOM)
+    script = (
+        "import sys\n"
+        "from beliefhtn import parse_bundle\n"
+        "from beliefhtn.planner import choices\n"
+        "p = parse_bundle(open(sys.argv[1]).read()).problem\n"
+        "print(len(choices(p.domains, p.world, p.network, p.robot)))\n"
+    )
+    src = str(Path(beliefhtn.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=1.5,
+    )
+    assert proc.returncode == 0, proc.stderr

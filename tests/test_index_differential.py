@@ -46,7 +46,6 @@ from beliefhtn.observability import LOCATION_SYMBOL
 from beliefhtn.planner import (
     STALL_THRESHOLD,
     ExecutionReport,
-    NodeKind,
     PlannerConfig,
     _replay_start,
     _stall_run,
@@ -346,16 +345,16 @@ def copying_replay(policy, model, memo, node, w, h, run):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if node.kind is NodeKind.SUCCESS:
+    if not node.edges and node.done:
         report = ExecutionReport("success", "", 1, 1, 0, 0, 0, 0)
-    elif node.kind is NodeKind.DEADLOCK or not node.edges:
+    elif not node.edges:
         report = ExecutionReport("idl", "plan-embedded inactivity deadlock", 1, 0, 0, 1, 0, 0)
     else:
         n = s = na = idl = plen = comms = 0
         first, detail = "success", ""
         for edge in node.edges:
-            hb = h
-            for ca in edge.comms:
+            hb = h  # the node's tells, written again for each edge
+            for ca in node.comms:
                 index = hb.universe.index_of(ca.attr)
                 hb = copying_with_values_at(hb, ((index, ca.value),))
             op = edge.action
@@ -380,7 +379,7 @@ def copying_replay(policy, model, memo, node, w, h, run):
             na += sub.n_na
             idl += sub.n_idl
             plen += sub.sum_primitive_len + step_len * sub.n_traces
-            comms += sub.sum_comms + len(edge.comms) * sub.n_traces
+            comms += sub.sum_comms + len(node.comms) * sub.n_traces
             if first == "success":
                 first, detail = sub.outcome, sub.detail
         report = ExecutionReport(first, detail, n, s, na, idl, plen, comms)

@@ -113,7 +113,7 @@ def test_scenario_b_one_salt_tell(cooking):
     report = simulate(policy, bundle.obs_model)
     assert report.outcome == "success"
     comm_edges = policy_comm_edges(policy)
-    tells = [str(ca) for _, edge in comm_edges for ca in edge.comms]
+    tells = [str(ca) for node, _ in comm_edges for ca in node.comms]
     assert tells == ["tell(SaltInPot, true)"]
     # The stove correction comes from assessment alone: the pour happens with
     # the stove believed on, yet no stove fact was ever communicated.
@@ -182,7 +182,7 @@ def test_salt_already_achieved_legacy_deadlocks(cooking):
     new_report = simulate(new_policy, bundle.obs_model)
     assert new_report.outcome == "success"
     tells = [
-        str(ca) for _, e in policy_comm_edges(new_policy) for ca in e.comms
+        str(ca) for node, _ in policy_comm_edges(new_policy) for ca in node.comms
     ]
     assert "tell(SaltInPot, true)" in tells
 
@@ -247,19 +247,18 @@ def test_simulate_totals_match_enumerated_traces_on_failures(cooking):
 
 
 def wait_chain(bundle, n_waits, idles=0, done=False):
-    """A hand-built policy of alternating WAIT turns over the full agenda;
-    the last ``idles`` turns IDLE instead, and every node records ``done``."""
+    """A hand-built policy of alternating WAIT turns over the full agenda
+    into a success leaf; the last ``idles`` turns IDLE instead, and every
+    node before the leaf records ``done``."""
     problem = bundle.problem
     world = problem.world
     human = bundle.obs_model.assess(problem.human_belief, world)
     turns = [problem.robot, problem.human] * n_waits
-    node = PolicyNode(
-        world=world, human_belief=human, done=done, turn=turns[n_waits], kind=NodeKind.SUCCESS
-    )
+    node = PolicyNode(world=world, human_belief=human, done=True, turn=turns[n_waits])
     for i in reversed(range(n_waits)):
         turn = turns[i]
         op = idle_op(turn) if i >= n_waits - idles else wait_op(turn)
-        edge = PolicyEdge(action=op, comms=(), child=node)
+        edge = PolicyEdge(action=op, child=node)
         node = PolicyNode(
             world=world, human_belief=human, done=done, turn=turn, edges=(edge,)
         )
@@ -310,12 +309,11 @@ def test_first_failure_follows_walk_order(cooking):
         op for op in ground_all_operators(cooking.universe, human_ops) if op.name == "pour-pasta"
     )
     success = PolicyNode(
-        world=root.world, human_belief=root.human_belief, done=False, turn="robot",
-        kind=NodeKind.SUCCESS,
+        world=root.world, human_belief=root.human_belief, done=True, turn="robot"
     )
     edges = (
-        PolicyEdge(action=pour, comms=(), child=success),
-        PolicyEdge(action=wait_op("human"), comms=(), child=root),
+        PolicyEdge(action=pour, child=success),
+        PolicyEdge(action=wait_op("human"), child=root),
     )
     human_root = PolicyNode(
         world=root.world, human_belief=root.human_belief, done=False, turn="human", edges=edges
@@ -330,20 +328,24 @@ def test_first_failure_follows_walk_order(cooking):
     assert report_totals(report) == trace_totals(enumerate_traces(policy, cooking.obs_model))
 
 
-@pytest.mark.parametrize("kind", ["deadlock", "decision"])
-def test_replay_ends_a_branch_at_a_loaded_node_without_edges(cooking, kind):
-    # The search enters a deadlock leaf only by the stalling turn replay
-    # already ends as IDL, so only a loaded file leads replay into one, or
-    # into a decision node with no edges: the branch ends there as an
-    # embedded deadlock.
+def test_replay_ends_a_branch_at_a_loaded_node_without_edges(cooking):
+    # A node with work left and no edges, which the loader rejects unless a
+    # legacy stall run ends there: replay ends a hand-built tree's branch at
+    # it as an embedded deadlock.
     policy = plan(cooking.problem, cooking.obs_model, MODE_NEW)
-    obj = json.loads(to_json(policy, cooking))
-    obj["nodes"][2].update(kind=kind, edges=[])
-    bundle, loaded = load_json(json.dumps(obj))
-    report = simulate(loaded, bundle.obs_model)
+    cut = _collect(policy)[1][2]
+
+    def rebuild(node):
+        if node is cut:
+            return PolicyNode(node.world, node.human_belief, node.done, node.turn)
+        edges = tuple(PolicyEdge(edge.action, rebuild(edge.child)) for edge in node.edges)
+        return replace(node, edges=edges)
+
+    cut_policy = replace(policy, root=rebuild(policy.root))
+    report = simulate(cut_policy, cooking.obs_model)
     assert (report.outcome, report.detail) == ("idl", "plan-embedded inactivity deadlock")
     assert (report.n_traces, report.n_idl) == (1, 1)
-    (trace,) = enumerate_traces(loaded, bundle.obs_model)
+    (trace,) = enumerate_traces(cut_policy, cooking.obs_model)
     assert (trace.outcome, trace.detail) == ("idl", report.detail)
     assert len(trace.actions) == 2
     assert report_totals(report) == trace_totals([trace])
@@ -398,8 +400,8 @@ def test_new_mode_human_actions_applicable_in_both(cooking, box):
             from beliefhtn.engine import step_belief_protocol
 
             def check(node, world, human):
+                h = apply_comm_plan(node.comms, human)
                 for edge in node.edges:
-                    h = apply_comm_plan(edge.comms, human)
                     if not edge.action.is_pseudo and node.turn == b.problem.human:
                         assert applicable(edge.action, h), edge.action
                         assert applicable(edge.action, world), edge.action
@@ -427,13 +429,12 @@ def test_comm_edges_only_on_relevant_divergence(cooking):
     )
 
     def check(node, world, human):
-        if node.kind is not NodeKind.DECISION or not node.edges:
+        if not node.edges:
             return
-        has_comms = bool(node.edges[0].comms)
         if not node.done:
-            assert has_comms == is_relevant_divergence(world, human, ops)
+            assert bool(node.comms) == is_relevant_divergence(world, human, ops)
+        h = apply_comm_plan(node.comms, human)
         for edge in node.edges:
-            h = apply_comm_plan(edge.comms, human)
             check(edge.child, *step_belief_protocol(
                 world, h, edge.action, node.turn, "robot", "human", bundle.obs_model
             ))
@@ -462,13 +463,13 @@ def test_each_planned_tell_writes_a_value_the_human_lacks(cooking, box):
     for policy in policies:
         for node, edge in policy_comm_edges(policy):
             belief = node.human_belief
-            for ca in edge.comms:
+            for ca in node.comms:
                 assert belief.get(ca.attr) != ca.value, str(ca)
                 belief = apply_comm_plan((ca,), belief)
                 tells += 1
             edges += 1
     # The box_dom(3) plan tells all three counts on one edge.
-    assert [len(edge.comms) for _, edge in policy_comm_edges(policies[-1])] == [3]
+    assert [len(node.comms) for node, _ in policy_comm_edges(policies[-1])] == [3]
     assert (edges, tells) == (17 + 18 + 24 + 24 + 1, 17 + 18 + 30 + 30 + 3)
 
 
@@ -518,7 +519,7 @@ def entered_networks(policy, problem, obs_model):
             if node.turn == problem.robot:
                 belief = node.world
             else:
-                belief = apply_comm_plan(edge.comms, node.human_belief)
+                belief = apply_comm_plan(node.comms, node.human_belief)
             after = []
             for w in networks:
                 for move in moves(problem.domains, belief, w, node.turn):
@@ -562,7 +563,7 @@ def test_every_human_choice_is_an_edge_on_study(study_policies):
         for node in _collect(policy)[1]:
             if node.turn != problem.human or not node.edges:
                 continue
-            belief = apply_comm_plan(node.edges[0].comms, node.human_belief)
+            belief = apply_comm_plan(node.comms, node.human_belief)
             actions = [edge.action for edge in node.edges]
             for network in entered[id(node)]:
                 found = moves(problem.domains, belief, network, problem.human)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from beliefhtn import (
     htn,
     observability,
     planner,
+    policyio,
     state,
 )
 
@@ -33,6 +35,7 @@ REMOVED = {
     htn: ("enumerate_decompositions", "is_primitive", "Term", "Test", "Effect", "apply"),
     domfile: ("OpEntry", "MethodEntry", "_build_effect", "SvarEntry", "PlaceEntry"),
     planner: ("_TRACE_LIMIT", "_SimStats", "detect_deadlock", "emulate_human_choices"),
+    policyio: ("to_json_obj", "_KINDS"),
 }
 
 
@@ -102,14 +105,17 @@ def test_stall_threshold_is_one_constant():
 
 
 def test_policy_node_records_done_instead_of_a_network():
+    # A node holds its turn's tells; its kind follows from done and its edges.
     fields = [f.name for f in dataclasses.fields(planner.PolicyNode)]
-    assert fields == ["world", "human_belief", "done", "turn", "kind", "edges"]
+    assert fields == ["world", "human_belief", "done", "turn", "comms", "edges"]
+    assert isinstance(planner.PolicyNode.kind, property)
 
 
 def test_policy_edge_holds_what_executes():
-    # Nothing path-dependent: no node ids of the network the search took.
+    # Nothing path-dependent: no node ids of the network the search took,
+    # and no tells, which are the node's.
     fields = [f.name for f in dataclasses.fields(planner.PolicyEdge)]
-    assert fields == ["action", "comms", "child"]
+    assert fields == ["action", "child"]
     fields = [f.name for f in dataclasses.fields(planner._Candidate)]
     assert fields == ["op", "network", "commits"]
     assert not hasattr(planner._Candidate, "signature")
@@ -172,3 +178,14 @@ def test_the_library_loads_no_test_only_package():
     assert {name: set(TEST_ONLY) & set(listed) for name, listed in extras.items()} == {
         "test": set(TEST_ONLY)
     }
+
+
+def test_a_policy_file_always_embeds_its_domain(cooking):
+    # One export function, whose bundle has no default: a file without the
+    # domain text does not load.
+    parameter = inspect.signature(policyio.to_json).parameters["bundle"]
+    assert parameter.default is inspect.Parameter.empty
+    obj = json.loads(policyio.to_json(planner.plan(cooking.problem, cooking.obs_model), cooking))
+    del obj["domain_text"]
+    with pytest.raises(errors.DomainSyntaxError, match="lacks the field 'domain_text'"):
+        policyio.load_json(json.dumps(obj))

@@ -2,15 +2,15 @@
 
 ``planner._policy_walk`` visits each (node, edge) of a policy DAG once,
 depth first, with each edge followed by its child's subtree on the child's
-first visit.  ``policy_comm_edges`` keeps the pairs whose edge carries a
-tell, and ``policyio._collect`` numbers the root and then each edge's child
+first visit.  ``policy_comm_edges`` keeps the pairs whose node tells,
+and ``policyio._collect`` numbers the root and then each edge's child
 where the walk first reaches it.  The references in ``oracles`` are the
 recursive walks they replaced: ``comm_edges`` and ``preorder``.  Both
 results must equal the references', order included, on the stride-17 study
 sample (both domains, both modes), on ``box_dom(2..4)``, and on a
-hand-built DAG whose shared child sits below two tell edges and holds a
-tell edge of its own, where a walk that visits all of a node's edges before
-descending would put that tell edge last.
+hand-built DAG whose shared child sits below two edges of a telling node
+and tells on its own edge, where a walk that visits all of a node's edges
+before descending would put that edge last.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from beliefhtn import MODE_LEGACY, MODE_NEW, builtin_bundle, parse_bundle, plan
 from beliefhtn.builtins import box_dom
 from beliefhtn.communication import CommAction
 from beliefhtn.htn import idle_op
-from beliefhtn.planner import NodeKind, PolicyEdge, PolicyNode, PolicyTree, policy_comm_edges
+from beliefhtn.planner import PolicyEdge, PolicyNode, PolicyTree, policy_comm_edges
 from beliefhtn.policyio import _collect
 
 from oracles import comm_edges, preorder
@@ -60,16 +60,12 @@ def test_walk_descends_before_the_next_edge_on_a_shared_child(cooking):
     attr = cooking.universe.attributes[0]
     tell = (CommAction(attr, world.get(attr)),)
 
-    def node(turn, *edges, kind=NodeKind.DECISION):
-        return PolicyNode(world, world.with_owner(human), False, turn, kind, edges)
+    def node(turn, *edges, done=False):
+        return PolicyNode(world, world.with_owner(human), done, turn, tell if edges else (), edges)
 
-    leaf = node(robot, kind=NodeKind.SUCCESS)
-    shared = node(human, PolicyEdge(idle_op(human), tell, leaf))
-    root = node(
-        robot,
-        PolicyEdge(idle_op(robot), tell, shared),
-        PolicyEdge(idle_op(robot), tell, shared),
-    )
+    leaf = node(robot, done=True)
+    shared = node(human, PolicyEdge(idle_op(human), leaf))
+    root = node(robot, PolicyEdge(idle_op(robot), shared), PolicyEdge(idle_op(robot), shared))
     policy = PolicyTree(MODE_NEW, robot, human, world, world.with_owner(human), root)
     assert_walks_agree(policy)
     first, second = root.edges
