@@ -9,7 +9,7 @@ communication sequences into the robot's policy.  An omniscient baseline
 solver and a reproducible experiment harness are included.
 """
 
-from .builtins import BOX_DOM, COOKING_DOM, builtin, builtin_bundle
+from .builtins import BOX_DOM, COOKING_DOM, builtin_bundle
 from .communication import (
     CommAction,
     apply_comm_plan,
@@ -85,7 +85,6 @@ __all__ = [
     "Universe",
     "applicable",
     "apply_comm_plan",
-    "builtin",
     "builtin_bundle",
     "decompose",
     "diverging_attributes",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .domfile import DomainFile, ProblemBundle, parse, parse_bundle
+from .domfile import ProblemBundle, parse_bundle
 from .errors import BadArgument, BeliefHtnError, UnknownDomain
 
 BUILTIN_NAMES = ("cooking", "box")
@@ -349,11 +349,6 @@ def _builtin_text(name: str) -> str:
     if name == "box":
         return BOX_DOM
     raise UnknownDomain(f"no builtin domain {name!r}; choose from {BUILTIN_NAMES}")
-
-
-def builtin(name: str) -> DomainFile:
-    """The parsed domain file of a built-in benchmark domain."""
-    return parse(_builtin_text(name))
 
 
 def builtin_bundle(name: str) -> ProblemBundle:

@@ -34,6 +34,8 @@ from .planner import (
 from .policyio import load_json, to_json, to_text
 
 OUT_DIR_ENV = "BELIEFHTN_OUT"
+# A bad input file: malformed, unreadable or not UTF-8.
+_FILE_ERRORS = (BeliefHtnError, OSError, UnicodeError)
 
 
 def _parse_assignments(pairs: list[str]) -> dict[str, str]:
@@ -124,11 +126,10 @@ def _cmd_experiment(args) -> int:
         domain=args.domain,
         modes=modes,
         start=args.start,
-        seed=args.seed,
         depth_bound=args.depth,
     )
     table, results = run_experiment(config)
-    csv_path = out_dir / f"experiment-{args.domain}-seed{args.seed}.csv"
+    csv_path = out_dir / f"experiment-{args.domain}-seed0.csv"
     csv_path.write_text(results_csv(config, results), encoding="utf-8")
     print(table.format())
     print(f"instances={len(results)} csv={csv_path}")
@@ -138,7 +139,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         bundle = parse_bundle(Path(args.file).read_text(encoding="utf-8"))
-    except (BeliefHtnError, OSError) as exc:
+    except _FILE_ERRORS as exc:
         print(f"INVALID: {exc}")
         return 1
     dom = bundle.domfile
@@ -177,10 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
+    def common(p):
         p.add_argument("--domain", required=True, help=f"builtin {BUILTIN_NAMES} or a .dom file")
-        if with_mode:
-            p.add_argument("--mode", choices=(MODE_NEW, MODE_LEGACY), default=MODE_NEW)
+        p.add_argument("--mode", choices=(MODE_NEW, MODE_LEGACY), default=MODE_NEW)
         p.add_argument("--start", choices=None, default=None, help="starting agent id")
         p.add_argument("--set", action="append", metavar="ATTR=VALUE",
                        help="override an initial world value (repeatable)")
@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_x.add_argument("--domain", required=True, choices=sorted(DEFAULT_SPECS))
     p_x.add_argument("--modes", help="comma list, default legacy,new")
     p_x.add_argument("--start", default=None)
-    p_x.add_argument("--seed", type=int, default=0)
     p_x.add_argument("--depth", type=int, help=_DEPTH_HELP)
     p_x.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p_x.set_defaults(func=_cmd_experiment)
@@ -229,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BeliefHtnError as exc:
+    except _FILE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -545,6 +545,8 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
     for agent in (dom.robot, dom.human):
         if agent not in universe.group_of_constant:
             raise DomainSyntaxError(f"agent {agent!r} is not a declared constant")
+    if dom.robot == dom.human:
+        raise DomainSyntaxError(f"agents: the robot and the human are both {dom.robot!r}")
     if dom.start not in (dom.robot, dom.human):
         raise DomainSyntaxError(f"starting agent {dom.start!r} is not an agent")
     obs_model = ObservabilityModel(universe, dom.places)
@@ -571,9 +573,6 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
         methods = methods_by_agent[agent]
         op_names = frozenset(o.name for o in ops)
         domains[agent] = AgentDomain(
-            agent,
-            tuple(ops),
-            tuple(methods),
             {(g.name, g.args): g for g in ground_all_operators(universe, ops)},
             ground_all_methods(universe, methods),
             op_names,

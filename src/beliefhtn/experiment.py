@@ -157,7 +157,7 @@ def generate_initial_states(bundle: ProblemBundle, spec: GeneratorSpec) -> list[
 
 
 # The replay report of an instance that planning failed: no branches.
-_NO_REPLAY = ExecutionReport("", "", 0, 0, 0, 0, 0, 0)
+_NO_REPLAY = ExecutionReport("", "", 0, 0, 0, 0, 0)
 
 
 @dataclass
@@ -245,7 +245,6 @@ class ExperimentConfig:
     domain: str = "cooking"
     modes: tuple[str, ...] = (MODE_LEGACY, MODE_NEW)
     start: Optional[str] = None  # None keeps the domain file's starting agent
-    seed: int = 0  # recorded in outputs; generation is exhaustive, not sampled
     depth_bound: Optional[int] = None  # None: PlannerConfig's default
     spec: Optional[GeneratorSpec] = None
 
@@ -341,7 +340,7 @@ def results_csv(config: ExperimentConfig, results: list[InstanceResult]) -> str:
                 "schema_version": CSV_SCHEMA_VERSION,
                 "domain": config.domain,
                 "mode": r.mode,
-                "seed": config.seed,
+                "seed": 0,  # generation is exhaustive, not sampled
                 "instance": r.instance.index,
                 "world_bits": "".join(map(str, r.instance.world_bits)),
                 "flip_bits": "".join(map(str, r.instance.flip_bits)),

@@ -315,25 +315,18 @@ def _has_cycle_pairs(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> 
     return _topological(succs) is None
 
 
-def unify_task(method: MethodSchema, task: TaskInstance) -> Optional[dict[str, str]]:
-    """Bind the method's task-head parameters against a task instance; a
-    :class:`MethodSchema` binds each variable once."""
-    if method.task_symbol != task.symbol or len(method.task_params) != len(task.args):
-        return None
-    return {var: arg for (var, _), arg in zip(method.task_params, task.args)}
-
-
 def ground_method(
     universe: Universe, method: MethodSchema, task: TaskInstance
 ) -> tuple[GroundedMethod, ...]:
     """All groundings of a method relevant for a task, in lexical order."""
-    base = unify_task(method, task)
-    if base is None:
+    if method.task_symbol != task.symbol or len(method.task_params) != len(task.args):
         return ()
     # Validate head-parameter types.
     for (var, group), arg in zip(method.task_params, task.args):
         if arg not in universe.groups[group]:
             return ()
+    # A MethodSchema binds each head variable once.
+    base = {var: arg for (var, _), arg in zip(method.task_params, task.args)}
     out: list[GroundedMethod] = []
     free = [(v, g) for v, g in method.free_params if v not in base]
     member_lists = [universe.groups[g].members for _, g in free]
@@ -557,18 +550,13 @@ def decompose(w: TaskNetwork, node_id: int, m: GroundedMethod) -> TaskNetwork:
 
 @dataclass(frozen=True)
 class AgentDomain:
-    """One agent's operators and methods, lifted and grounded.
-
-    Each lifted operator's ``owner`` is this agent; a method keeps the owner
-    it was declared with, which may be ``both``.
+    """One agent's grounded operators and methods; the lifted schemas stay
+    in the bundle's domain file.
 
     ``op_names`` are the agent's primitive task symbols; ``yields`` are the
     task symbols that can lead to one of them through the agent's methods.
     """
 
-    agent: str
-    operators: tuple[OperatorSchema, ...]
-    methods: tuple[MethodSchema, ...]
     ground_ops: Mapping[tuple[str, tuple[str, ...]], GroundedOperator]  # lexical
     ground_methods: Mapping[TaskInstance, tuple[GroundedMethod, ...]]
     op_names: frozenset[str]
@@ -630,6 +618,3 @@ class HtnProblem:
     human: str
     start_agent: str
     search_cache: Optional["SearchCache"] = field(default=None, compare=False, repr=False)
-
-    def domain_of(self, agent: str) -> AgentDomain:
-        return self.domains[agent]

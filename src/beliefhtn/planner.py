@@ -177,8 +177,7 @@ class SearchCache:
     ``network``, and held by its :class:`~beliefhtn.htn.HtnProblem`.  It keeps
     the ``primitives`` P it is built with, the bound
     :func:`~beliefhtn.htn.analyse_hierarchy` gives, or None for a recursive
-    hierarchy; its certifying ``depth`` is ``(P + 1) * STALL_THRESHOLD``, or
-    None.
+    hierarchy; its certifying :attr:`depth` follows from it.
     ``tables`` holds one table per mode, over the search's state key
     (:meth:`_Search._state_key`): a solved node, or None for a known
     failure.  A plan the cache does not certify (see :class:`PlannerConfig`)
@@ -188,7 +187,7 @@ class SearchCache:
     """
 
     __slots__ = (
-        "domains", "obs_model", "network", "primitives", "depth", "tables", "_beliefs", "_values"
+        "domains", "obs_model", "network", "primitives", "tables", "_beliefs", "_values"
     )
 
     def __init__(
@@ -202,10 +201,14 @@ class SearchCache:
         self.obs_model = obs_model
         self.network = network
         self.primitives = primitives
-        self.depth = None if primitives is None else (primitives + 1) * STALL_THRESHOLD
         self.tables: dict[str, dict[tuple, object]] = {MODE_NEW: {}, MODE_LEGACY: {}}
         self._beliefs: dict[str, dict[tuple, BeliefState]] = {}
         self._values: dict[tuple, tuple] = {}
+
+    @property
+    def depth(self) -> Optional[int]:
+        """The certifying depth ``(P + 1) * STALL_THRESHOLD``, or None."""
+        return None if self.primitives is None else (self.primitives + 1) * STALL_THRESHOLD
 
     def certifies(self, problem: HtnProblem, obs_model: ObservabilityModel) -> bool:
         """True iff plans of ``problem`` that search to :attr:`depth` or
@@ -382,7 +385,7 @@ class _Search:
         self.mode = mode
         self.robot = problem.robot
         self.human = problem.human
-        self.human_ops = tuple(problem.domain_of(self.human).ground_ops.values())
+        self.human_ops = tuple(problem.domains[self.human].ground_ops.values())
         self.nodes_expanded = 0
         cache = problem.search_cache
         least = cache.depth if cache is not None and cache.certifies(problem, obs_model) else None
@@ -555,18 +558,21 @@ class ExecutionReport:
     """Aggregated outcome of replaying every branch of a policy.
 
     ``outcome`` and ``detail`` are the first failure's in walk order, or
-    "success" and "".  The counts and sums run over every branch; the means
-    derive from the sums.
+    "success" and "".  The counts and sums run over every branch; the
+    branch count and the means derive from them.
     """
 
     outcome: str  # "success" | "na" | "idl"
     detail: str
-    n_traces: int
     n_success: int
     n_na: int
     n_idl: int
     sum_primitive_len: int
     sum_comms: int
+
+    @property
+    def n_traces(self) -> int:
+        return self.n_success + self.n_na + self.n_idl
 
     @property
     def mean_primitive_length(self) -> float:
@@ -580,14 +586,15 @@ class ExecutionReport:
 _EMBEDDED_DEADLOCK = "plan-embedded inactivity deadlock"
 
 # The replay walk sums plain tuples of the ExecutionReport fields, in field
-# order; :func:`simulate` builds the one report from the root's tuple.
+# order, and last the branch count its sums need; :func:`simulate` builds the
+# one report from the root's tuple.
 _Totals = tuple[str, str, int, int, int, int, int, int]
-_SUCCESS_END: _Totals = ("success", "", 1, 1, 0, 0, 0, 0)
+_SUCCESS_END: _Totals = ("success", "", 1, 0, 0, 0, 0, 1)
 
 
 def _branch_end(verdict: str, detail: str) -> _Totals:
     """The totals of one branch that fails here with ``verdict`` (na/idl)."""
-    return (verdict, detail, 1, 0, int(verdict == "na"), int(verdict == "idl"), 0, 0)
+    return (verdict, detail, 0, int(verdict == "na"), int(verdict == "idl"), 0, 0, 1)
 
 
 def _replay_start(
@@ -649,7 +656,7 @@ def simulate(
     :func:`enumerate_traces` lists the branches themselves.
     """
     world, human = _replay_start(policy, obs_model, world0, human0)
-    return ExecutionReport(*_replay(policy, obs_model, {}, policy.root, world, human, 0))
+    return ExecutionReport(*_replay(policy, obs_model, {}, policy.root, world, human, 0)[:-1])
 
 
 def _replay(
@@ -683,7 +690,7 @@ def _replay(
             else:
                 assert nxt is not None
                 sub = _replay(policy, obs_model, memo, edge.child, nxt[0], nxt[1], new_run)
-            sub_first, sub_detail, sub_n, sub_s, sub_na, sub_idl, sub_plen, sub_comms = sub
+            sub_first, sub_detail, sub_s, sub_na, sub_idl, sub_plen, sub_comms, sub_n = sub
             n += sub_n
             s += sub_s
             na += sub_na
@@ -692,7 +699,7 @@ def _replay(
             comms += sub_comms + len(node.comms) * sub_n
             if first == "success":
                 first, detail = sub_first, sub_detail
-        totals = (first, detail, n, s, na, idl, plen, comms)
+        totals = (first, detail, s, na, idl, plen, comms, n)
     memo[key] = totals
     return totals
 

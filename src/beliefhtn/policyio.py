@@ -129,17 +129,19 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
     """Rebuild a problem bundle and policy DAG from an exported JSON policy.
 
     A malformed file raises :class:`DomainSyntaxError`: a field missing or
-    of the wrong JSON type, a node id listed twice, a told value outside its
-    domain, an edge the beliefs its path derives cannot take, or a node
-    whose digests do not match them.  So does a policy the search could not
-    have built: tells other than :func:`~beliefhtn.planner._tell_rule`'s
+    of the wrong JSON type, a node id listed twice or that no edge reaches,
+    a WAIT or IDLE action with another name or with arguments, a told value
+    outside its domain, an edge the beliefs its path derives cannot take,
+    or a node whose digests do not match them.  So does a policy the search
+    could not have built: tells other than :func:`~beliefhtn.planner._tell_rule`'s
     for the node (none once done); a ``kind`` other than the one ``done``
     and the edges give; a node with work left that ends its branch other
     than after :data:`STALL_THRESHOLD` WAIT/IDLE turns in the legacy mode;
     or (:func:`_check_moves`) an edge that is not a move of its node's
     agent, a robot node with two edges, a human node whose edges are not
     the human's moves from any network its path allows, or a node done
-    while work is left.  The robot's choice of move stays free.
+    while work is left or not done once it is.  The robot's choice of move
+    stays free.
     """
     try:
         obj = json.loads(text)
@@ -187,19 +189,23 @@ def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
             raise DomainSyntaxError(f"node {nid} is listed twice")
         specs[nid] = spec
     nodes: dict[int, Optional[tuple[PolicyNode, int]]] = {}
-    human_ops = tuple(bundle.problem.domain_of(human).ground_ops.values())
+    human_ops = tuple(bundle.problem.domains[human].ground_ops.values())
     root = _load_node(
         bundle, mode, human_ops, specs, nodes, _field(obj, "root", int), init_world,
         _root_human(mode, bundle.obs_model, init_world, init_human), 0,
     )
     _check_moves(bundle.problem, root, {id(hit[0]): nid for nid, hit in nodes.items()})
+    for nid in specs:
+        if nid not in nodes:
+            raise DomainSyntaxError(f"node {nid}: no edge reaches it")
     return PolicyTree(mode, robot, human, init_world, init_human, root)
 
 
 def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -> None:
     """Check that each edge is a move (:func:`~beliefhtn.planner.moves`) of
     its node's agent, that a robot node has one edge and a human node's
-    edges are its moves, and that a node is ``done`` only once the work is.
+    edges are its moves, and that a node is ``done`` exactly once the work
+    is.
 
     The walk carries, with each node, the task networks consistent with its
     path from ``problem.network``, one per canonical key.  A robot's moves
@@ -208,7 +214,8 @@ def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -
     edge actions must be the moves, in the belief after the node's one set
     of tells, from at least one of them; the others are dropped, and edge i
     leads on to the network of move i.  A robot node's edge must be a move
-    from one of them, and a done node needs an empty one.
+    from one of them, and a done node needs an empty one, a node not done
+    one that is not empty.
     ``names`` maps each node's identity to its id in the file.
     """
     walked: set[tuple[int, frozenset]] = set()
@@ -220,8 +227,11 @@ def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -
             continue
         walked.add(seen)
         nid = names[id(node)]
-        if node.done and not any(network.is_empty for network in networks.values()):
-            raise DomainSyntaxError(f"node {nid}: done while work is left")
+        if not any(network.is_empty == node.done for network in networks.values()):
+            raise DomainSyntaxError(
+                f"node {nid}: done while work is left" if node.done
+                else f"node {nid}: not done, but no work is left"
+            )
         if not node.edges:
             continue
         is_human = node.turn == problem.human
@@ -327,9 +337,10 @@ def _operator(bundle: ProblemBundle, a: dict, turn: str) -> GroundedOperator:
     args = tuple(_field(a, "args", list))
     if any(type(arg) is not str for arg in args):
         raise DomainSyntaxError(f"action {name}: its arguments must be strings")
-    if kind in ("idle", "wait") and agent == turn:
-        return idle_op(turn) if kind == "idle" else wait_op(turn)
-    op = bundle.problem.domain_of(turn).ground_ops.get((name, args))
-    if op is None or agent != turn or op.kind.value != kind:
+    if kind in ("idle", "wait"):
+        op = idle_op(turn) if kind == "idle" else wait_op(turn)
+    else:
+        op = bundle.problem.domains[turn].ground_ops.get((name, args))
+    if op is None or (op.name, op.args, op.agent, op.kind.value) != (name, args, agent, kind):
         raise DomainSyntaxError(f"{kind} action {name}{args} is not an operator of {turn!r}")
     return op

@@ -19,11 +19,14 @@ divergence by trying every subset, to check
 check :func:`~beliefhtn.planner.plan`'s table against.
 ``STUCK_DOM`` is a domain whose agenda never empties, so every branch
 stalls: a legacy plan ends in a deadlock leaf, and a new-mode plan fails.
+``agent_schemas`` splits a bundle's lifted schemas by owner, the way a
+bundle's build does, for the references of the grounded agent tables.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Iterable
 
 from beliefhtn import planner
@@ -74,6 +77,14 @@ def detect_deadlock(actions: Iterable[GroundedOperator | str]) -> bool:
         if run >= planner.STALL_THRESHOLD:
             return True
     return False
+
+
+def agent_schemas(bundle, agent: str) -> tuple[tuple, tuple]:
+    """The lifted operators and methods of ``agent`` in the bundle's domain
+    file: those it owns or ``both`` do, each operator owned by ``agent``."""
+    dom = bundle.domfile
+    ops = tuple(replace(op, owner=agent) for op in dom.operators if op.owner in (agent, "both"))
+    return ops, tuple(m for m in dom.methods if m.owner in (agent, "both"))
 
 
 def available(network: TaskNetwork) -> tuple[int, ...]:
@@ -212,7 +223,7 @@ def solvable(bundle, mode=planner.MODE_NEW, depth=None) -> bool:
     problem, model = bundle.problem, bundle.obs_model
     bound = problem.search_cache.depth if depth is None else depth
     assert bound is not None, "a recursive hierarchy needs an explicit depth"
-    human_ops = tuple(problem.domain_of(problem.human).ground_ops.values())
+    human_ops = tuple(problem.domains[problem.human].ground_ops.values())
 
     def solve(world, human, network, turn, depth, stall, path):
         if network.is_empty:

@@ -35,7 +35,7 @@ from beliefhtn.experiment import (
     results_csv,
     run_experiment,
 )
-from beliefhtn.htn import applicable, apply_effects, ground_all_operators, wait_op
+from beliefhtn.htn import applicable, apply_effects, wait_op
 from beliefhtn.planner import STALL_THRESHOLD, NodeKind, policy_comm_edges
 
 from oracles import _subset_minimum, detect_deadlock, place_of
@@ -246,8 +246,7 @@ def test_criterion_5_scenario_golden():
 
 
 def _human_ops(bundle):
-    dom = bundle.problem.domain_of(bundle.problem.human)
-    return ground_all_operators(bundle.universe, dom.operators)
+    return tuple(bundle.problem.domains[bundle.problem.human].ground_ops.values())
 
 
 def test_criterion_6_minimal_communication_oracle():
@@ -294,7 +293,7 @@ def test_criterion_7_belief_protocol_properties():
         robot_id, human_id = bundle.problem.robot, bundle.problem.human
         table = {}
         for agent, dom in bundle.problem.domains.items():
-            for gop in ground_all_operators(u, dom.operators):
+            for gop in dom.ground_ops.values():
                 table.setdefault(agent, []).append(gop)
         for _ in range(500):
             w_vals = tuple(rng.choice(dom) for dom in u.value_domains)

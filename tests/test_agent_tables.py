@@ -3,7 +3,9 @@
 ``AgentDomain.op_names`` and ``AgentDomain.yields`` are filled once, when
 the bundle is built.  The reference functions below keep the per-search
 code they replace: the operator names read off the lifted schemas, and the
-yield closure grown over the agent's methods until nothing changes.
+yield closure grown over the agent's methods until nothing changes.  They
+take each agent's schemas from the bundle's domain file
+(``oracles.agent_schemas``), not from the tables under test.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import pytest
 
 from beliefhtn import COOKING_DOM, builtin_bundle, parse_bundle
 from beliefhtn.builtins import box_dom
+
+from oracles import agent_schemas
 
 # Every builtin method is declared for both agents, so the builtins alone
 # cannot tell one agent's methods from the other's.  This variant gives the
@@ -33,18 +37,17 @@ for _method, _owner in SPLIT_OWNERS.items():
     )
 
 
-def ref_operator_names(dom) -> frozenset[str]:
-    return frozenset(o.name for o in dom.operators)
+def ref_operator_names(bundle, agent) -> frozenset[str]:
+    return frozenset(o.name for o in agent_schemas(bundle, agent)[0])
 
 
-def ref_yield_closure(problem, agent) -> frozenset[str]:
+def ref_yield_closure(bundle, agent) -> frozenset[str]:
     """Task symbols that can lead to a primitive owned by the agent."""
-    dom = problem.domain_of(agent)
-    yields: set[str] = set(ref_operator_names(dom))
+    yields: set[str] = set(ref_operator_names(bundle, agent))
     changed = True
     while changed:
         changed = False
-        for m in dom.methods:
+        for m in agent_schemas(bundle, agent)[1]:
             if m.task_symbol in yields:
                 continue
             if any(ref.symbol in yields for _, ref in m.subtasks):
@@ -62,18 +65,17 @@ BUNDLES = {
 
 
 def test_split_variant_gives_the_agents_different_methods():
-    problem = parse_bundle(COOKING_SPLIT).problem
-    robot, human = (problem.domain_of(a) for a in (problem.robot, problem.human))
-    assert {m.name for m in robot.methods} ^ {m.name for m in human.methods} == set(
-        SPLIT_OWNERS
-    )
+    bundle = parse_bundle(COOKING_SPLIT)
+    robot, human = (agent_schemas(bundle, a)[1] for a in ("robot", "human"))
+    assert {m.name for m in robot} ^ {m.name for m in human} == set(SPLIT_OWNERS)
 
 
 @pytest.mark.parametrize("name", list(BUNDLES))
 def test_agent_tables_match_reference(name):
-    problem = BUNDLES[name]().problem
+    bundle = BUNDLES[name]()
+    problem = bundle.problem
     for agent in (problem.robot, problem.human):
-        dom = problem.domain_of(agent)
-        assert dom.op_names == ref_operator_names(dom)
-        assert dom.yields == ref_yield_closure(problem, agent)
+        dom = problem.domains[agent]
+        assert dom.op_names == ref_operator_names(bundle, agent)
+        assert dom.yields == ref_yield_closure(bundle, agent)
         assert dom.op_names <= dom.yields

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from beliefhtn import MODE_LEGACY, MODE_NEW, ObsClass, builtin, builtin_bundle, plan, simulate
+from beliefhtn import MODE_LEGACY, MODE_NEW, ObsClass, builtin_bundle, plan, simulate
 from beliefhtn.builtins import box_dom
 from beliefhtn.errors import BadArgument, UnknownDomain
 
@@ -47,7 +47,7 @@ def test_box_initial_state(box):
 
 def test_unknown_builtin():
     with pytest.raises(UnknownDomain):
-        builtin("garden")
+        builtin_bundle("garden")
 
 
 def test_box_knobs_change_text():

@@ -84,6 +84,46 @@ def test_validate_domain_reports_grounding_error(tmp_path, capsys):
     assert "maybe" in out
 
 
+def test_validate_domain_rejects_one_agent_named_twice(tmp_path, capsys):
+    from test_domfile import ONE_AGENT
+
+    path = tmp_path / "one-agent.dom"
+    path.write_text(ONE_AGENT)
+    assert main(["validate-domain", str(path)]) == 1
+    assert capsys.readouterr().out == "INVALID: agents: the robot and the human are both 'bot'\n"
+
+
+# A file the CLI cannot decode: the Latin-1 bytes of a non-ASCII name.
+NOT_UTF8 = "beliefhtn-domain 1\ndomain caf\u00e9\n".encode("latin-1")
+UTF8_ERROR = "'utf-8' codec can't decode byte 0xe9"
+
+
+def test_validate_domain_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.dom"
+    path.write_bytes(NOT_UTF8)
+    assert main(["validate-domain", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID: ") and UTF8_ERROR in out
+
+
+@pytest.mark.parametrize(
+    "option,content,fragment",
+    [
+        ("plan --domain", NOT_UTF8, UTF8_ERROR),
+        ("simulate --policy", None, "No such file or directory"),
+        ("simulate --policy", NOT_UTF8, UTF8_ERROR),
+    ],
+    ids=["plan-not-utf8", "simulate-missing", "simulate-not-utf8"],
+)
+def test_a_file_the_cli_cannot_read_is_an_error(option, content, fragment, tmp_path, capsys):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    assert main([*option.split(), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_validate_domain_reports_placement_defects(tmp_path, capsys):
     from test_domfile import PLACEMENT_DEFECTS
 
@@ -436,13 +476,23 @@ def _legacy_tell(obj):
     return json.loads(to_json(spliced, bundle))
 
 
-def _legacy_leaf(obj):
-    """The cooking default problem planned in the legacy mode, with node 0
-    made a deadlock leaf."""
-    bundle = builtin_bundle("cooking")
-    obj = json.loads(to_json(plan(bundle.problem, bundle.obs_model, MODE_LEGACY), bundle))
-    obj["nodes"][0].update(kind="deadlock", edges=[])
-    return obj
+def _legacy(change):
+    """An edit that returns a whole file: the cooking default problem planned
+    in the legacy mode, with the edit ``change`` made."""
+
+    def edit(obj):
+        bundle = builtin_bundle("cooking")
+        obj = json.loads(to_json(plan(bundle.problem, bundle.obs_model, MODE_LEGACY), bundle))
+        change(obj)
+        return obj
+
+    return edit
+
+
+def _idle_renamed(obj):
+    """Give the first IDLE edge an operator's name and an argument."""
+    edge = next(e for node in obj["nodes"] for e in node["edges"] if e["action"]["kind"] == "idle")
+    edge["action"].update(name="add-salt", args=["x"])
 
 
 _EARLY_LEAF = "node 0: work is left, so it ends its branch exactly after 4 WAIT/IDLE turns"
@@ -515,10 +565,24 @@ POLICY_EDITS = {
         "node 2: done while work is left",
     ),
     "done-early": (_set(["nodes", 1, "done"], True), "node 1: done while work is left"),
+    # Node 8 takes the first of the closing IDLE turns: its work is done.
+    "done-late": (_set(["nodes", 8, "done"], False), "node 8: not done, but no work is left"),
+    "done-late-legacy": (
+        _legacy(_set(["nodes", 8, "done"], False)), "node 8: not done, but no work is left"
+    ),
+    # Every listed node lies on some path, and a WAIT/IDLE action is named
+    # WAIT/IDLE and takes no arguments.
+    "unreached": (
+        lambda obj: obj["nodes"].append(dict(obj["nodes"][-1], id=999)),
+        "node 999: no edge reaches it",
+    ),
+    "idle-name": (_idle_renamed, r"idle action add-salt\('x',\) is not an operator of 'robot'"),
     # A node with work left ends its branch only where the search ends one:
     # after STALL_THRESHOLD WAIT/IDLE turns, in the legacy mode.
     "leaf-new": (lambda obj: obj["nodes"][0].update(kind="deadlock", edges=[]), _EARLY_LEAF),
-    "leaf-legacy": (_legacy_leaf, _EARLY_LEAF),
+    "leaf-legacy": (
+        _legacy(lambda obj: obj["nodes"][0].update(kind="deadlock", edges=[])), _EARLY_LEAF
+    ),
     "leaf-decision": (_set(["nodes", 0, "edges"], []), _EARLY_LEAF),
 }
 # The edits of a tell need a policy that communicates: cooking, the human first.

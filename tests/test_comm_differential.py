@@ -115,7 +115,7 @@ def test_random_diverged_beliefs_get_the_reference_tells(boxes):
     bundle = parse_bundle(box_dom(boxes))
     u = bundle.universe
     robot, human = bundle.problem.robot, bundle.problem.human
-    ops = tuple(bundle.problem.domain_of(human).ground_ops.values())
+    ops = tuple(bundle.problem.domains[human].ground_ops.values())
     rng = random.Random(boxes)
     relevant = 0
     for _ in range(RANDOM_PAIRS):

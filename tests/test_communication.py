@@ -11,7 +11,6 @@ from beliefhtn import (
     is_relevant_divergence,
     min_comm_bfs,
 )
-from beliefhtn.htn import ground_all_operators
 
 
 def tell(world, human, attr):
@@ -20,8 +19,7 @@ def tell(world, human, attr):
 
 
 def human_ops(bundle):
-    dom = bundle.problem.domain_of(bundle.problem.human)
-    return ground_all_operators(bundle.universe, dom.operators)
+    return tuple(bundle.problem.domains[bundle.problem.human].ground_ops.values())
 
 
 def test_apply_comm_salt(cooking):

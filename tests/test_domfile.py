@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from beliefhtn import BOX_DOM, COOKING_DOM, builtin, parse, parse_bundle, plan, serialize
+from beliefhtn import BOX_DOM, COOKING_DOM, builtin_bundle, parse, parse_bundle, plan, serialize
 from beliefhtn.domfile import FORMAT_VERSION
 from beliefhtn.errors import BadArgument, DomainSyntaxError
 from beliefhtn.policyio import load_json, to_json, to_text
@@ -38,6 +38,10 @@ init AgtAt(person) = Here
 init Flag = false
 start bot
 """
+# MINI with one id named twice on its `agents` line.
+ONE_AGENT = MINI.replace("agents bot person", "agents bot bot").replace(
+    "operator observe for person", "operator observe for bot"
+)
 
 
 def test_minimal_domain_parses():
@@ -46,6 +50,12 @@ def test_minimal_domain_parses():
     assert bundle.problem.robot == "bot"
     assert bundle.problem.human == "person"
     assert len(bundle.universe) == 3
+
+
+def test_the_robot_and_the_human_are_two_agents():
+    # One agent on both turns would leave the move rule no other agent.
+    with pytest.raises(DomainSyntaxError, match="agents: the robot and the human are both 'bot'"):
+        parse_bundle(ONE_AGENT)
 
 
 def test_round_trip_minimal():
@@ -289,7 +299,7 @@ def test_pre_lines_compare_lifted_references():
         "operator observe for person\n  param ?a Agents\n  param ?b Agents\n"
         "  pre AgtAt(?a) = Here\n  pre AgtAt(?b) = There\n",
     ).replace("sub b observe", "sub b observe(bot, person)")
-    ops = parse_bundle(text).problem.domain_of("person").ground_ops
+    ops = parse_bundle(text).problem.domains["person"].ground_ops
     assert ("observe", ("bot", "bot")) in ops
     assert ("observe", ("bot", "person")) in ops
 
@@ -332,7 +342,7 @@ def test_build_rejects_what_the_reader_rejects_as_repeated(name):
 def test_serialize_writes_the_one_format_version():
     # The version is no field of a document, so one made in code writes the
     # version the reader accepts, and its saved policy loads back.
-    dom = builtin("cooking")
+    dom = builtin_bundle("cooking").domfile
     with pytest.raises(TypeError):
         replace(dom, version=2)
     assert serialize(dom).startswith(f"beliefhtn-domain {FORMAT_VERSION}\n")

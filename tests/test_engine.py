@@ -6,13 +6,13 @@ import pytest
 
 from beliefhtn import legacy_step, parse, step_belief_protocol
 from beliefhtn.errors import NotApplicable
-from beliefhtn.htn import applicable, apply_effects, ground_all_operators, idle_op, wait_op
+from beliefhtn.htn import applicable, apply_effects, idle_op, wait_op
 
 
 def op_table(bundle):
     table = {}
     for agent, dom in bundle.problem.domains.items():
-        for gop in ground_all_operators(bundle.universe, dom.operators):
+        for gop in dom.ground_ops.values():
             table[(agent, gop.name, gop.args)] = gop
     return table
 

@@ -152,7 +152,7 @@ def test_small_sweep_metrics_identities(cooking):
 
 
 def test_sweep_csv_deterministic(cooking):
-    config = ExperimentConfig(domain="cooking", spec=SMALL_SPEC, seed=0)
+    config = ExperimentConfig(domain="cooking", spec=SMALL_SPEC)
     _, first = run_experiment(config)
     _, second = run_experiment(config)
     assert results_csv(config, first) == results_csv(config, second)

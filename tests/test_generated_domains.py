@@ -267,7 +267,7 @@ def test_generated_domains(dom):
         assert _plan_text(bundle, MODE_NEW) == _plan_text(parse_bundle(text), MODE_NEW)  # (f)
         policies = {mode: _policy(bundle, mode) for mode in (MODE_NEW, MODE_LEGACY)}
     assert above_bound(depths, stall_at_bound=True)  # (g)
-    human_ops = tuple(bundle.problem.domain_of("person").ground_ops.values())
+    human_ops = tuple(bundle.problem.domains["person"].ground_ops.values())
     for mode, policy in policies.items():
         assert solvable(bundle, mode) == (policy is not None)  # (e)
         if policy is None:

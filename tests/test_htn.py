@@ -21,18 +21,17 @@ from beliefhtn.htn import (
     applicable,
     apply_effects,
     decompose,
-    ground_all_operators,
     ground_method,
     idle_op,
 )
 
-from oracles import available, task_of
+from oracles import agent_schemas, available, task_of
 
 
 def op_table(bundle):
     table = {}
     for agent, dom in bundle.problem.domains.items():
-        for gop in ground_all_operators(bundle.universe, dom.operators):
+        for gop in dom.ground_ops.values():
             table[(agent, gop.name, gop.args)] = gop
     return table
 
@@ -140,10 +139,7 @@ def test_apply_frame_axiom_over_all_grounded_ops(box):
 
 
 def relevant_methods(bundle, agent, task):
-    out = []
-    for m in bundle.problem.domain_of(agent).methods:
-        out.extend(ground_method(bundle.universe, m, task))
-    return out
+    return bundle.problem.domains[agent].ground_methods.get(task, ())
 
 
 def test_decompose_make_pasta_expansion(cooking):
@@ -210,7 +206,7 @@ def test_decompose_retargets_to_all_subtasks():
 def test_a_method_grounds_only_for_tasks_of_its_head(box):
     # The head binds each argument once: a task of another arity or with an
     # argument outside the parameter's group grounds no method.
-    method = next(m for m in box.problem.domain_of("human").methods if m.task_params)
+    method = next(m for m in box.domfile.methods if m.task_params)
     arity = len(method.task_params)
     task = TaskInstance(method.task_symbol, ("box1",) * arity)
     (gm,) = ground_method(box.universe, method, task)
@@ -295,28 +291,30 @@ def test_ground_operator_rejects_double_assignment(cooking):
 
 
 def test_method_table_matches_per_schema_grounding():
-    # Reference: the loop over method schemas that the table replaces.
-    def reference(bundle, dom, task):
-        return tuple(gm for m in dom.methods for gm in ground_method(bundle.universe, m, task))
+    # Reference: the loop over method schemas that the table replaces, over
+    # each agent's schemas split from the domain file.
+    def reference(bundle, agent, task):
+        methods = agent_schemas(bundle, agent)[1]
+        return tuple(gm for m in methods for gm in ground_method(bundle.universe, m, task))
 
     texts = [COOKING_DOM, BOX_DOM] + [box_dom(boxes=n) for n in range(2, 6)]
     outside = TaskInstance("FillBox", ("Storage",))
     for text in texts:
         bundle = parse(text).build()
-        domains = bundle.problem.domains.values()
+        domains = bundle.problem.domains
         seen = {t for _, t in bundle.problem.network.nodes}
         frontier = list(seen)
         while frontier:
             task = frontier.pop()
-            for dom in domains:
-                expected = reference(bundle, dom, task)
-                assert dom.ground_methods.get(task, ()) == expected, (dom.agent, task)
+            for agent, dom in domains.items():
+                expected = reference(bundle, agent, task)
+                assert dom.ground_methods.get(task, ()) == expected, (agent, task)
                 for sub in {s for gm in expected for s in gm.subtasks} - seen:
                     seen.add(sub)
                     frontier.append(sub)
         assert len(seen) > len(bundle.problem.network.nodes)
         # A task whose argument lies outside the head's group has no method.
-        assert all(dom.ground_methods.get(outside, ()) == () for dom in domains)
+        assert all(dom.ground_methods.get(outside, ()) == () for dom in domains.values())
 
 
 # -- the network key: a known Weisfeiler-Lehman collision ---------------------

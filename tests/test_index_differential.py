@@ -51,6 +51,7 @@ from beliefhtn.planner import (
     _stall_run,
 )
 
+from oracles import agent_schemas
 from test_search_cache import STRIDE, study_problems
 
 PAIRS = 60
@@ -235,8 +236,8 @@ def test_index_access_matches_attribute_reference(text):
     u = bundle.universe
     ops = [
         (op, ref_op(u, schema, op))
-        for dom in bundle.problem.domains.values()
-        for schema in dom.operators
+        for agent, dom in bundle.problem.domains.items()
+        for schema in agent_schemas(bundle, agent)[0]
         for op in dom.ground_ops.values()
         if op.name == schema.name
     ]
@@ -346,11 +347,11 @@ def copying_replay(policy, model, memo, node, w, h, run):
     if hit is not None:
         return hit
     if not node.edges and node.done:
-        report = ExecutionReport("success", "", 1, 1, 0, 0, 0, 0)
+        report = ExecutionReport("success", "", 1, 0, 0, 0, 0)
     elif not node.edges:
-        report = ExecutionReport("idl", "plan-embedded inactivity deadlock", 1, 0, 0, 1, 0, 0)
+        report = ExecutionReport("idl", "plan-embedded inactivity deadlock", 0, 0, 1, 0, 0)
     else:
-        n = s = na = idl = plen = comms = 0
+        s = na = idl = plen = comms = 0
         first, detail = "success", ""
         for edge in node.edges:
             hb = h  # the node's tells, written again for each edge
@@ -362,7 +363,7 @@ def copying_replay(policy, model, memo, node, w, h, run):
             sub = None
             if op.is_pseudo and not node.done and new_run >= STALL_THRESHOLD:
                 sub = ExecutionReport(
-                    "idl", f"{STALL_THRESHOLD} consecutive WAIT/IDLE turns", 1, 0, 0, 1, 0, 0
+                    "idl", f"{STALL_THRESHOLD} consecutive WAIT/IDLE turns", 0, 0, 1, 0, 0
                 )
             else:
                 try:
@@ -370,11 +371,10 @@ def copying_replay(policy, model, memo, node, w, h, run):
                         w, hb, op, node.turn, policy.robot, policy.human, model
                     )
                 except NotApplicable as exc:
-                    sub = ExecutionReport("na", str(exc), 1, 0, 1, 0, 0, 0)
+                    sub = ExecutionReport("na", str(exc), 0, 1, 0, 0, 0)
             if sub is None:
                 sub = copying_replay(policy, model, memo, edge.child, w2, h2, new_run)
             step_len = 0 if op.is_pseudo else 1
-            n += sub.n_traces
             s += sub.n_success
             na += sub.n_na
             idl += sub.n_idl
@@ -382,7 +382,7 @@ def copying_replay(policy, model, memo, node, w, h, run):
             comms += sub.sum_comms + len(node.comms) * sub.n_traces
             if first == "success":
                 first, detail = sub.outcome, sub.detail
-        report = ExecutionReport(first, detail, n, s, na, idl, plen, comms)
+        report = ExecutionReport(first, detail, s, na, idl, plen, comms)
     memo[key] = report
     return report
 

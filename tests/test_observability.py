@@ -195,7 +195,7 @@ def test_assess_aligns_obs_attributes_at_human_place(data):
 
 def test_static_place_rule_constant_over_random_walk(box):
     # Fixed-place rules never move, whatever happens to the state.
-    from beliefhtn.htn import applicable, apply_effects, ground_all_operators
+    from beliefhtn.htn import applicable, apply_effects
 
     u = box.universe
     model = box.obs_model
@@ -203,7 +203,7 @@ def test_static_place_rule_constant_over_random_walk(box):
     ops = [
         op
         for dom in box.problem.domains.values()
-        for op in ground_all_operators(u, dom.operators)
+        for op in dom.ground_ops.values()
     ]
     rng = random.Random(7)
     state = box.problem.world

@@ -27,7 +27,6 @@ from beliefhtn.htn import (
     TaskInstance,
     TaskNetwork,
     applicable,
-    ground_all_operators,
     idle_op,
     wait_op,
 )
@@ -304,10 +303,8 @@ def test_first_failure_follows_walk_order(cooking):
     # stall; the report names the first failure in walk order.
     chain = wait_chain(cooking, 6)
     root = chain.root
-    human_ops = cooking.problem.domain_of("human").operators
-    pour = next(
-        op for op in ground_all_operators(cooking.universe, human_ops) if op.name == "pour-pasta"
-    )
+    human_ops = cooking.problem.domains["human"].ground_ops.values()
+    pour = next(op for op in human_ops if op.name == "pour-pasta")
     success = PolicyNode(
         world=root.world, human_belief=root.human_belief, done=True, turn="robot"
     )
@@ -418,15 +415,12 @@ def test_comm_edges_only_on_relevant_divergence(cooking):
     # relevant divergence; where none appears, there is none.
     from beliefhtn import is_relevant_divergence
     from beliefhtn.engine import step_belief_protocol
-    from beliefhtn.htn import ground_all_operators
 
     bundle = cooking.with_world({"SaltInPot": "true"}).with_human_belief(
         {"SaltInPot": "false"}
     )
     policy = plan(bundle.problem, bundle.obs_model, MODE_NEW)
-    ops = ground_all_operators(
-        bundle.universe, bundle.problem.domain_of("human").operators
-    )
+    ops = tuple(bundle.problem.domains["human"].ground_ops.values())
 
     def check(node, world, human):
         if not node.edges:

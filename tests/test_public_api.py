@@ -12,6 +12,7 @@ import pytest
 
 import beliefhtn
 from beliefhtn import (
+    builtins,
     communication,
     domfile,
     engine,
@@ -27,12 +28,16 @@ from beliefhtn import (
 from oracles import detect_deadlock
 
 REMOVED = {
+    beliefhtn: ("builtin",),
+    builtins: ("builtin",),
     communication: ("CommPlan", "build_comm_action", "apply_comm"),
     engine: ("AgentModel", "update_on_act", "update_on_observe", "StepResult"),
     errors: ("StaleComm",),
     observability: ("place_of", "copresent", "assess"),
     state: ("lookup", "DivergenceReport", "DivergenceEntry"),
-    htn: ("enumerate_decompositions", "is_primitive", "Term", "Test", "Effect", "apply"),
+    htn: (
+        "enumerate_decompositions", "is_primitive", "Term", "Test", "Effect", "apply", "unify_task"
+    ),
     domfile: ("OpEntry", "MethodEntry", "_build_effect", "SvarEntry", "PlaceEntry"),
     planner: ("_TRACE_LIMIT", "_SimStats", "detect_deadlock", "emulate_human_choices"),
     policyio: ("to_json_obj", "_KINDS"),
@@ -147,11 +152,28 @@ def test_instance_result_holds_the_report_instead_of_copies():
 
 
 def test_report_means_derive_from_its_sums():
-    report = planner.ExecutionReport("success", "", 4, 4, 0, 0, 18, 3)
+    # The branch count is the sum of the per-outcome counts, and not stored.
+    assert "n_traces" not in {f.name for f in dataclasses.fields(planner.ExecutionReport)}
+    assert isinstance(planner.ExecutionReport.n_traces, property)
+    report = planner.ExecutionReport("na", "", 2, 1, 1, 18, 3)
+    assert report.n_traces == 4
     assert report.mean_primitive_length == 18 / 4
     assert report.mean_comm_count == 3 / 4
-    empty = planner.ExecutionReport("", "", 0, 0, 0, 0, 0, 0)
+    empty = planner.ExecutionReport("", "", 0, 0, 0, 0, 0)
     assert (empty.mean_primitive_length, empty.mean_comm_count) == (0.0, 0.0)
+
+
+def test_derived_and_unread_facts_are_not_stored():
+    # The certifying depth follows from the bundle's primitive bound; an
+    # agent's domain holds the ground tables the search reads, while the
+    # lifted schemas stay in the domain file.
+    assert isinstance(planner.SearchCache.depth, property)
+    fields = [f.name for f in dataclasses.fields(htn.AgentDomain)]
+    assert fields == ["ground_ops", "ground_methods", "op_names", "yields"]
+    # The study is exhaustive, so it takes no seed; callers index a
+    # problem's domains directly.
+    assert "seed" not in {f.name for f in dataclasses.fields(experiment.ExperimentConfig)}
+    assert not hasattr(htn.HtnProblem, "domain_of")
 
 
 TEST_ONLY = ("hypothesis", "networkx")

@@ -107,11 +107,9 @@ def test_lookup_stove_after_turn_on(cooking):
 
 
 def _op_table(bundle):
-    from beliefhtn.htn import ground_all_operators
-
     table = {}
     for agent, dom in bundle.problem.domains.items():
-        for gop in ground_all_operators(bundle.universe, dom.operators):
+        for gop in dom.ground_ops.values():
             table[(agent, gop.name, gop.args)] = gop
     return table
 
