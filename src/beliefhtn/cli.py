@@ -120,7 +120,6 @@ def _cmd_export(args) -> int:
 
 def _cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     modes = tuple(args.modes.split(",")) if args.modes else (MODE_LEGACY, MODE_NEW)
     config = ExperimentConfig(
         domain=args.domain,
@@ -130,6 +129,7 @@ def _cmd_experiment(args) -> int:
     )
     table, results = run_experiment(config)
     csv_path = out_dir / f"experiment-{args.domain}-seed0.csv"
+    out_dir.mkdir(parents=True, exist_ok=True)  # after the run, so a rejected one leaves none
     csv_path.write_text(results_csv(config, results), encoding="utf-8")
     print(table.format())
     print(f"instances={len(results)} csv={csv_path}")

@@ -33,12 +33,12 @@ own.  A plan that fails after a depth prune, or an uncertified plan after
 failure raises :class:`Unsolvable`.
 
 A :class:`PolicyNode` holds its turn's tells and whether its agenda is
-``done``; its kind follows from ``done`` and its edges.  The search, replay
-and the policy loader end a branch's WAIT/IDLE run at
-:data:`STALL_THRESHOLD` by one rule, :func:`_stall_run`; the search and the
-loader pick a node's tells by :func:`_tell_rule` and step along an edge by
-:func:`_step`.  One walk, :func:`_policy_walk`, serves
-:func:`policy_comm_edges` and the exporters' node numbering.
+``done``; its kind follows from ``done`` and its edges.  One node rule,
+:func:`_leaf_rule` and then :func:`_turn_rule`, decides each state for the
+search and for the policy loader's one walk; both step along an edge by
+:func:`_step` and count a WAIT/IDLE run by :func:`_stall_run`, as replay
+does.  One walk, :func:`_policy_walk`, serves :func:`policy_comm_edges`
+and the exporters' node numbering.
 """
 
 from __future__ import annotations
@@ -249,16 +249,29 @@ def _root_human(
     return human_belief
 
 
-def _tell_rule(
-    mode: str, world: BeliefState, human_belief: BeliefState,
+def _leaf_rule(mode: str, network: TaskNetwork, run: int) -> Optional[str]:
+    """The node rule's first half: how a state ends its branch, or None when
+    it moves on.  "done" once no work is left (each agent then idles once
+    into the success leaf); else, after :data:`STALL_THRESHOLD` WAIT/IDLE
+    turns, a "deadlock" leaf in legacy and a "dead end", no node, in new."""
+    if network.is_empty:
+        return "done"
+    if run >= STALL_THRESHOLD:
+        return "deadlock" if mode == MODE_LEGACY else "dead end"
+    return None
+
+
+def _turn_rule(
+    mode: str, world: BeliefState, human_belief: BeliefState, turn: str, human: str,
     human_ops: tuple[GroundedOperator, ...],
-) -> tuple[CommAction, ...]:
-    """The tells said before every move at a node: in the new mode the
-    fewest that leave the human's divergence irrelevant
-    (:func:`min_comm_bfs`, none when it already is), none in legacy."""
-    if mode == MODE_NEW:
-        return min_comm_bfs(world, human_belief, human_ops)
-    return ()
+) -> tuple[tuple[CommAction, ...], BeliefState, BeliefState]:
+    """The node rule's second half, for a state that moves on: its tells, in
+    the new mode the fewest that leave the human's divergence irrelevant
+    (:func:`min_comm_bfs`) and none in legacy; the human's belief after
+    them; and the belief the moves read, that one on the human's turn."""
+    comms = min_comm_bfs(world, human_belief, human_ops) if mode == MODE_NEW else ()
+    told = apply_comm_plan(comms, human_belief)
+    return comms, told, told if turn == human else world
 
 
 def _step(
@@ -446,8 +459,8 @@ class _Search:
         ``tainted`` is true when the failure may be due to a depth or cycle
         prune on the current path rather than to the state itself, so the
         state is not recorded as failed.  A state is on :attr:`path` while
-        it is expanded, and reaching it again is a cycle.  The tell rule,
-        :func:`_tell_rule`, first fixes the node's tells, said before its turn.
+        it is expanded, and reaching it again is a cycle.  :func:`_leaf_rule`
+        may end the branch; on a table miss :func:`_turn_rule` fixes the tells.
         Then one loop tries the agent's moves, by the rule of :func:`moves`,
         in order: a robot (OR) node keeps the first
         move whose child is solved, a human (AND) node needs every move
@@ -460,13 +473,13 @@ class _Search:
         world = self.intern(world)
         human_belief = self.intern(human_belief)
 
-        if network.is_empty:
+        leaf = _leaf_rule(self.mode, network, stall)
+        if leaf == "done":
             return self._terminal(world, human_belief, turn), False
-
-        if stall >= STALL_THRESHOLD:
-            if self.mode == MODE_LEGACY:
-                return PolicyNode(world, human_belief, False, turn), False
-            return None, False  # a stalled new-mode branch is a dead end
+        if leaf == "deadlock":
+            return PolicyNode(world, human_belief, False, turn), False
+        if leaf == "dead end":
+            return None, False
 
         if depth >= self.depth_bound:
             self.depth_pruned = True
@@ -479,13 +492,13 @@ class _Search:
             return self.states[key], False  # a solved node, or None for a known failure
         self.path.add(key)
 
-        comms = _tell_rule(self.mode, world, human_belief, self.human_ops)
-        post_comm_belief = apply_comm_plan(comms, human_belief)
-
+        comms, post_comm_belief, belief = _turn_rule(
+            self.mode, world, human_belief, turn, self.human, self.human_ops
+        )
         is_human = turn == self.human
         other = self.robot if is_human else self.human
         # the rule of :func:`moves`, split so the choices pass the traced method
-        options = self._choices(post_comm_belief if is_human else world, network, turn)
+        options = self._choices(belief, network, turn)
         options = options or _no_choice(self.problem.domains, network, turn)
         tainted = False
         edges: list[PolicyEdge] = []

@@ -3,15 +3,12 @@
 The JSON form embeds the domain text and the initial beliefs, so a saved
 policy is self-contained: reloading rebuilds the problem bundle and the
 policy DAG, enough to re-simulate or re-export.  Node beliefs are exported
-as short digests.  Reloading re-derives them as the search did: from the
-root beliefs, each node's ``tell``s and then each edge's step in the mode,
-and checks each node's digests, so a reloaded policy prints exactly as the
-original.  It also re-derives the task networks consistent with each path
-and asks :func:`~beliefhtn.planner.moves`, the search's own move rule,
-whether each edge is a move and whether each human node answers every
-emulated human choice, and it lets no branch end in success, or count as
-done, before its work is; so a policy that replays successfully covers
-every emulated choice.
+as short digests.  The loader walks the file once from its root, carrying
+to each node the beliefs, WAIT/IDLE run and task networks its path
+derives, and checks the node's digests, turn, ``done``, tells and edges
+there against the search's own node rule and move rule.  So a reloaded
+policy prints exactly as the original, and one that replays successfully
+covers every emulated human choice.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Optional
 from .communication import CommAction, apply_comm_plan
 from .domfile import ProblemBundle, parse_bundle, serialize
 from .errors import BeliefHtnError, DomainSyntaxError
-from .htn import GroundedOperator, HtnProblem, TaskNetwork, idle_op, wait_op
+from .htn import GroundedOperator, TaskNetwork, idle_op, wait_op
 from .planner import (
     MODE_LEGACY,
     MODE_NEW,
@@ -32,11 +29,12 @@ from .planner import (
     PolicyNode,
     PolicyTree,
     _canonical,
+    _leaf_rule,
     _policy_walk,
     _root_human,
     _stall_run,
     _step,
-    _tell_rule,
+    _turn_rule,
     moves,
 )
 from .state import BeliefState
@@ -131,17 +129,11 @@ def load_json(text: str) -> tuple[ProblemBundle, PolicyTree]:
     A malformed file raises :class:`DomainSyntaxError`: a field missing or
     of the wrong JSON type, a node id listed twice or that no edge reaches,
     a WAIT or IDLE action with another name or with arguments, a told value
-    outside its domain, an edge the beliefs its path derives cannot take,
-    or a node whose digests do not match them.  So does a policy the search
-    could not have built: tells other than :func:`~beliefhtn.planner._tell_rule`'s
-    for the node (none once done); a ``kind`` other than the one ``done``
-    and the edges give; a node with work left that ends its branch other
-    than after :data:`STALL_THRESHOLD` WAIT/IDLE turns in the legacy mode;
-    or (:func:`_check_moves`) an edge that is not a move of its node's
-    agent, a robot node with two edges, a human node whose edges are not
-    the human's moves from any network its path allows, or a node done
-    while work is left or not done once it is.  The robot's choice of move
-    stays free.
+    outside its domain, or a node whose digests do not match the beliefs
+    its path derives.  So does a policy the search could not have built,
+    which the one walk (:class:`_Walk`) finds by the search's node rule: a
+    node whose turn, ``done``, tells, edges or ``kind`` differ from the
+    rule's answers on some path to it.  The robot's choice of move stays free.
     """
     try:
         obj = json.loads(text)
@@ -188,147 +180,141 @@ def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
         if nid in specs:
             raise DomainSyntaxError(f"node {nid} is listed twice")
         specs[nid] = spec
-    nodes: dict[int, Optional[tuple[PolicyNode, int]]] = {}
-    human_ops = tuple(bundle.problem.domains[human].ground_ops.values())
-    root = _load_node(
-        bundle, mode, human_ops, specs, nodes, _field(obj, "root", int), init_world,
+    walk = _Walk(bundle, mode, specs)
+    root = walk.node(
+        _field(obj, "root", int), None, init_world,
         _root_human(mode, bundle.obs_model, init_world, init_human), 0,
+        {id(_canonical(bundle.problem.network)): bundle.problem.network},
     )
-    _check_moves(bundle.problem, root, {id(hit[0]): nid for nid, hit in nodes.items()})
     for nid in specs:
-        if nid not in nodes:
+        if nid not in walk.nodes:
             raise DomainSyntaxError(f"node {nid}: no edge reaches it")
     return PolicyTree(mode, robot, human, init_world, init_human, root)
 
 
-def _check_moves(problem: HtnProblem, root: PolicyNode, names: dict[int, int]) -> None:
-    """Check that each edge is a move (:func:`~beliefhtn.planner.moves`) of
-    its node's agent, that a robot node has one edge and a human node's
-    edges are its moves, and that a node is ``done`` exactly once the work
-    is.
+class _Walk:
+    """The loader's one walk, from the root, which checks each node on every
+    path to it against the search's node rule.  ``nodes`` holds each node
+    built so far with its run, and None for each node on the current path:
+    a policy is acyclic, and each node has one pair of beliefs and one run.
+    ``walked`` holds each node with each set of networks it was checked
+    with, and ``found`` each node's moves from each network, asked once."""
 
-    The walk carries, with each node, the task networks consistent with its
-    path from ``problem.network``, one per canonical key.  A robot's moves
-    that share an action but leave different networks all stay in the set,
-    so it may hold networks the node was not planned from.  A human node's
-    edge actions must be the moves, in the belief after the node's one set
-    of tells, from at least one of them; the others are dropped, and edge i
-    leads on to the network of move i.  A robot node's edge must be a move
-    from one of them, and a done node needs an empty one, a node not done
-    one that is not empty.
-    ``names`` maps each node's identity to its id in the file.
-    """
-    walked: set[tuple[int, frozenset]] = set()
-    stack = [(root, {id(_canonical(problem.network)): problem.network})]
-    while stack:
-        node, networks = stack.pop()
-        seen = (id(node), frozenset(networks))
-        if seen in walked:
-            continue
-        walked.add(seen)
-        nid = names[id(node)]
-        if not any(network.is_empty == node.done for network in networks.values()):
-            raise DomainSyntaxError(
-                f"node {nid}: done while work is left" if node.done
-                else f"node {nid}: not done, but no work is left"
-            )
-        if not node.edges:
-            continue
-        is_human = node.turn == problem.human
-        if not is_human and len(node.edges) > 1:
-            raise DomainSyntaxError(f"node {nid}: the robot takes more than one move")
-        belief = apply_comm_plan(node.comms, node.human_belief) if is_human else node.world
-        actions = [edge.action for edge in node.edges]
-        after: list[dict[int, TaskNetwork]] = [{} for _ in actions]
-        for network in networks.values():
-            found = moves(problem.domains, belief, network, node.turn)
-            if is_human:
-                if [m.op for m in found] != actions:
-                    continue  # not a network this node was planned from
-                taken = zip(after, found)  # edge i is move i
-            else:
-                taken = ((after[0], m) for m in found if m.op == actions[0])
-            for reached, move in taken:
-                reached.setdefault(id(_canonical(move.network)), move.network)
-        if is_human and not after[0]:
-            raise DomainSyntaxError(f"node {nid}: the edges are not the human's moves")
-        for edge, reached in zip(node.edges, after):
-            if not reached:
-                raise DomainSyntaxError(
-                    f"node {nid}: {edge.action} is not a move of {node.turn!r}"
-                )
-            stack.append((edge.child, reached))
+    def __init__(self, bundle: ProblemBundle, mode: str, specs: dict[int, dict]):
+        self.bundle = bundle
+        self.problem = bundle.problem
+        self.mode = mode
+        self.specs = specs
+        self.human_ops = tuple(self.problem.domains[self.problem.human].ground_ops.values())
+        self.nodes: dict[int, Optional[tuple[PolicyNode, int]]] = {}
+        self.walked: set[tuple[int, frozenset]] = set()
+        self.found: dict[tuple[int, int], list] = {}
 
-
-def _load_node(
-    bundle: ProblemBundle,
-    mode: str,
-    human_ops: tuple[GroundedOperator, ...],
-    specs: dict,
-    nodes: dict[int, Optional[tuple[PolicyNode, int]]],
-    nid: int,
-    world: BeliefState,
-    human_belief: BeliefState,
-    run: int,
-) -> PolicyNode:
-    """Rebuild node ``nid``, reached with these beliefs after ``run``
-    WAIT/IDLE turns by the search's stall rule, after its subtree.
-
-    ``nodes`` holds each node built so far with its run, and None for each
-    node on the current path: a policy is acyclic, and each node has one
-    pair of beliefs and one run.
-    """
-    if nid in nodes:
-        hit = nodes[nid]
+    def node(
+        self, nid: int, mover: Optional[str], world: BeliefState, human_belief: BeliefState,
+        run: int, networks: dict[int, TaskNetwork],
+    ) -> PolicyNode:
+        """Node ``nid``, reached after ``mover``'s turn (None at the root) with
+        these beliefs, WAIT/IDLE ``run`` and ``networks``, one per canonical
+        key: a robot's moves that share an action but leave different
+        networks all stay.  The node rule keeps those that agree on ``done``."""
+        robot, human = self.problem.robot, self.problem.human
+        hit = self.nodes.get(nid, False)
         if hit is None:
             raise DomainSyntaxError(f"node {nid}: an edge leads back to it on its own path")
-        node, first_run = hit
-        if (node.world, node.human_belief, first_run) != (world, human_belief, run):
+        if hit and (hit[0].world, hit[0].human_belief, hit[1]) != (world, human_belief, run):
             raise DomainSyntaxError(f"node {nid}: reached with two different beliefs or runs")
-        return node
-    if nid not in specs:
-        raise DomainSyntaxError(f"policy file names no node {nid!r}")
-    robot, human = bundle.problem.robot, bundle.problem.human
-    spec = specs[nid]
-    turn, done, kind = _field(spec, "turn", str), _field(spec, "done"), _field(spec, "kind", str)
-    if turn not in (robot, human) or not isinstance(done, bool):
-        raise DomainSyntaxError(f"node {nid}: bad turn/done {turn!r}/{done!r}")
-    digests = f"#{_digest(world)}", f"#{_digest(human_belief)}"
-    if (_field(spec, "world"), _field(spec, "belief")) != digests:
-        raise DomainSyntaxError(f"node {nid}: digests do not match the beliefs its path derives")
-    edge_specs = _field(spec, "edges", list)
-    stalled = run >= STALL_THRESHOLD
-    if not done and (stalled == bool(edge_specs) or stalled and mode == MODE_NEW):
-        raise DomainSyntaxError(
-            f"node {nid}: work is left, so it ends its branch exactly after "
-            f"{STALL_THRESHOLD} WAIT/IDLE turns, in the legacy mode"
-        )
-    nodes[nid] = None
-    rule = () if done else _tell_rule(mode, world, human_belief, human_ops)
-    edges = []
-    for e in edge_specs:
-        op = _operator(bundle, _field(e, "action", dict), turn)
-        comms = tuple(
-            CommAction(bundle.attr(_field(c, "attr", str)), _field(c, "value"))
-            for c in _field(e, "comms", list)
-        )
-        told = apply_comm_plan(comms, human_belief)  # first: a value outside its domain raises
-        if comms != rule:
+        if nid not in self.specs:
+            raise DomainSyntaxError(f"policy file names no node {nid!r}")
+        spec = self.specs[nid]
+        turn, done, kind = _field(spec, "turn", str), _field(spec, "done"), _field(spec, "kind", str)
+        if turn not in (robot, human) or turn == mover or not isinstance(done, bool):
+            raise DomainSyntaxError(f"node {nid}: bad turn/done {turn!r}/{done!r}")
+        if (nid, frozenset(networks)) in self.walked:
+            return hit[0]
+        self.walked.add((nid, frozenset(networks)))
+        digests = f"#{_digest(world)}", f"#{_digest(human_belief)}"
+        if (_field(spec, "world"), _field(spec, "belief")) != digests:
+            raise DomainSyntaxError(f"node {nid}: digests do not match the beliefs its path derives")
+        networks = {
+            key: network for key, network in networks.items()
+            if (_leaf_rule(self.mode, network, run) == "done") == done
+        }
+        if not networks:
             raise DomainSyntaxError(
-                f"node {nid}: {op} carries the tells [{_tells(comms)}], "
-                f"not the search's [{_tells(rule)}]"
+                f"node {nid}: done while work is left" if done
+                else f"node {nid}: not done, but no work is left"
             )
-        w2, h2 = _step(mode, bundle.obs_model, robot, human, world, told, op, turn)
-        child = _load_node(
-            bundle, mode, human_ops, specs, nodes, _field(e, "child", int), w2, h2,
-            _stall_run(run, op.is_pseudo),
+        edge_specs = _field(spec, "edges", list)
+        leaf = _leaf_rule(self.mode, next(iter(networks.values())), run)
+        if leaf == "dead end" or leaf != "done" and (leaf is None) != bool(edge_specs):
+            raise DomainSyntaxError(
+                f"node {nid}: work is left, so it ends its branch exactly after "
+                f"{STALL_THRESHOLD} WAIT/IDLE turns, in the legacy mode"
+            )
+        # A leaf tells nothing, and a done node's one move, IDLE, reads no belief.
+        tells, told, belief = (
+            _turn_rule(self.mode, world, human_belief, turn, human, self.human_ops)
+            if leaf is None else ((), human_belief, world)
         )
-        edges.append(PolicyEdge(op, child))
-    node = PolicyNode(world, human_belief, done, turn, rule, tuple(edges))
-    if kind != node.kind.value:  # the kind its done and edges give
-        raise DomainSyntaxError(f"node {nid}: kind {kind!r}, not {node.kind.value!r}")
-    nodes[nid] = (node, run)
-    return node
+        ops = []
+        for e in edge_specs:
+            op = _operator(self.bundle, _field(e, "action", dict), turn)
+            comms = tuple(
+                CommAction(self.bundle.attr(_field(c, "attr", str)), _field(c, "value"))
+                for c in _field(e, "comms", list)
+            )
+            apply_comm_plan(comms, human_belief)  # first: a value outside its domain raises
+            if comms != tells:
+                raise DomainSyntaxError(
+                    f"node {nid}: {op} carries the tells [{_tells(comms)}], "
+                    f"not the search's [{_tells(tells)}]"
+                )
+            ops.append(op)
+        after = self._moves(nid, networks, belief, turn, ops)
+        self.nodes[nid] = None
+        edges = []
+        for e, op, reached in zip(edge_specs, ops, after):
+            w2, h2 = _step(self.mode, self.bundle.obs_model, robot, human, world, told, op, turn)
+            child = self.node(
+                _field(e, "child", int), turn, w2, h2, _stall_run(run, op.is_pseudo), reached
+            )
+            edges.append(PolicyEdge(op, child))
+        node = hit[0] if hit else PolicyNode(world, human_belief, done, turn, tells, tuple(edges))
+        if kind != node.kind.value:  # the kind its done and edges give
+            raise DomainSyntaxError(f"node {nid}: kind {kind!r}, not {node.kind.value!r}")
+        self.nodes[nid] = (node, run)
+        return node
+
+    def _moves(
+        self, nid: int, networks: dict[int, TaskNetwork], belief: BeliefState, turn: str,
+        ops: list[GroundedOperator],
+    ) -> list[dict[int, TaskNetwork]]:
+        """The networks each edge leads on to.  A robot (OR) node's one edge is
+        a move from one of ``networks`` at least; a human (AND) node's edges
+        are all the moves from one at least, edge i leading to move i's."""
+        is_human = turn == self.problem.human
+        if not is_human and len(ops) > 1:
+            raise DomainSyntaxError(f"node {nid}: the robot takes more than one move")
+        after: list[dict[int, TaskNetwork]] = [{} for _ in ops]
+        for key, network in networks.items() if ops else ():
+            found = self.found.get((nid, key))
+            if found is None:
+                found = self.found[nid, key] = moves(self.problem.domains, belief, network, turn)
+            if is_human:
+                if [m.op for m in found] != ops:
+                    continue  # not a network this node was planned from
+                taken = zip(after, found)
+            else:
+                taken = ((after[0], m) for m in found if m.op == ops[0])
+            for reached, move in taken:
+                reached.setdefault(id(_canonical(move.network)), move.network)
+        if ops and not after[0]:  # a human node that matches leads on along every edge
+            raise DomainSyntaxError(
+                f"node {nid}: the edges are not the human's moves" if is_human
+                else f"node {nid}: {ops[0]} is not a move of {turn!r}"
+            )
+        return after
 
 
 def _operator(bundle: ProblemBundle, a: dict, turn: str) -> GroundedOperator:

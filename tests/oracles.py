@@ -30,7 +30,7 @@ from dataclasses import replace
 from typing import Iterable
 
 from beliefhtn import planner
-from beliefhtn.communication import apply_comm_plan, is_relevant_divergence
+from beliefhtn.communication import apply_comm_plan, is_relevant_divergence, min_comm_bfs
 from beliefhtn.htn import GroundedOperator, OpKind, TaskInstance, TaskNetwork
 from beliefhtn.state import diverging_attributes
 
@@ -215,9 +215,10 @@ def solvable(bundle, mode=planner.MODE_NEW, depth=None) -> bool:
     """Whether the bundle's problem has a policy in ``mode``, by a plain
     AND/OR recursion with no table: the robot needs one move whose child is
     solvable, the human every move.  It asks the planner's move rule
-    (:func:`~beliefhtn.planner.moves`), tell rule and step rule, stops a
-    stall run at :data:`~beliefhtn.planner.STALL_THRESHOLD` (a deadlock leaf
-    in legacy, a failure in the new mode), fails a state that repeats on its
+    (:func:`~beliefhtn.planner.moves`) and step rule, restates its tell rule
+    (``min_comm_bfs`` in the new mode, none in legacy), stops a stall run
+    at :data:`~beliefhtn.planner.STALL_THRESHOLD` (a deadlock leaf in
+    legacy, a failure in the new mode), fails a state that repeats on its
     path, and prunes at ``depth``, by default the bundle's certifying
     depth."""
     problem, model = bundle.problem, bundle.obs_model
@@ -236,7 +237,8 @@ def solvable(bundle, mode=planner.MODE_NEW, depth=None) -> bool:
         if key in path:
             return False
         path = path | {key}
-        told = apply_comm_plan(planner._tell_rule(mode, world, human, human_ops), human)
+        tells = min_comm_bfs(world, human, human_ops) if mode == planner.MODE_NEW else ()
+        told = apply_comm_plan(tells, human)
         is_human = turn == problem.human
         other = problem.robot if is_human else problem.human
         found = planner.moves(problem.domains, told if is_human else world, network, turn)

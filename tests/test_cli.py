@@ -161,8 +161,9 @@ def test_plan_reads_a_domain_file(tmp_path, capsys):
 
 
 def test_experiment_writes_the_recorded_study_csv(tmp_path, capsys):
-    assert main(["experiment", "--domain", "box", "--out-dir", str(tmp_path)]) == 0
-    csv_path = tmp_path / "experiment-box-seed0.csv"
+    out_dir = tmp_path / "new" / "sub"  # made, parents and all, once the study has run
+    assert main(["experiment", "--domain", "box", "--out-dir", str(out_dir)]) == 0
+    csv_path = out_dir / "experiment-box-seed0.csv"
     digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert digest == STUDY_CSV_SHA256["box"]
     out = capsys.readouterr().out
@@ -355,7 +356,7 @@ def _fly(obj):
     obj["nodes"][1]["edges"][0]["action"].update(name="fly", args=[])
 
 
-def _merge_paths(obj):
+def _extra_wait(obj):
     """Give the first human node a second edge, a WAIT into the success leaf
     that its first edge's path reaches with other beliefs."""
     nodes, human = obj["nodes"], obj["human"]
@@ -363,6 +364,17 @@ def _merge_paths(obj):
     node = next(node for node in nodes if node["turn"] == human and node["edges"])
     wait = {"name": "WAIT", "agent": human, "args": [], "kind": "wait"}
     node["edges"].append({"action": wait, "comms": [], "child": leaf["id"]})
+
+
+def _merge_paths(obj):
+    """The box default plan, with the second edge of its first human node
+    with two edges led into its first edge's child, which the first edge
+    reaches with other beliefs: each edge is still one of the human's moves."""
+    bundle = builtin_bundle("box")
+    obj = json.loads(to_json(plan(bundle.problem, bundle.obs_model), bundle))
+    node = next(n for n in obj["nodes"] if n["turn"] == obj["human"] and len(n["edges"]) >= 2)
+    node["edges"][1]["child"] = node["edges"][0]["child"]
+    return obj
 
 
 def _tells(obj):
@@ -512,6 +524,8 @@ POLICY_EDITS = {
     "agents": (_swap_agents, "are not the domain's agents"),
     "cycle": (_set(["nodes", 1, "edges", 0, "child"], 0), "node 0: an edge leads back to it"),
     "beliefs": (_merge_paths, r"node \d+: reached with two different beliefs"),
+    # The walk checks each node's edges before it enters their children.
+    "human-extra": (_extra_wait, r"node \d+: the edges are not the human's moves"),
     "list": (lambda obj: [], "not a beliefhtn policy file"),
     "nodes-type": (_set(["nodes"], 5), "the field 'nodes' has the wrong type"),
     "root-type": (_set(["root"], [0]), "the field 'root' has the wrong type"),
@@ -622,20 +636,91 @@ def test_a_new_mode_file_does_not_end_a_branch_on_a_stall():
         load_json(json.dumps(obj))
 
 
+# The human finishes the work alone (h0), or starts it (h1) for the robot
+# to finish (r0).  No move writes a belief, and the agents then idle once
+# each into a success leaf.
+TWO_WAYS_DOM = """\
+beliefhtn-domain 1
+domain twoways
+group Places P1
+group Agents bot person
+agents bot person
+svar AgtAt (?a Agents) -> Places : obs
+place AgtAt(?a) value-of AgtAt(?a)
+operator r0 for bot
+end
+operator h0 for person
+end
+operator h1 for person
+end
+method m0 for both
+  task T0
+  sub s0 h0
+end
+method m1 for both
+  task T0
+  sub s0 h1
+  sub s1 r0
+  order s0 < s1
+end
+root t0 T0
+init AgtAt(bot) = P1
+init AgtAt(person) = P1
+start person
+"""
+
+
+def _two_ways():
+    """The saved plan of TWO_WAYS_DOM: h0 leads to node 1, whose IDLE turns
+    reach the success leaf, node 3, after a run of two; h1 and r0 lead to
+    node 5, whose IDLE turns reach node 7."""
+    bundle = parse_bundle(TWO_WAYS_DOM)
+    obj = json.loads(to_json(plan(bundle.problem, bundle.obs_model), bundle))
+    assert [[e["child"] for e in node["edges"]] for node in obj["nodes"]] == [
+        [1, 4], [2], [3], [], [5], [6], [7], []
+    ]
+    return obj
+
+
 def test_a_loaded_node_has_one_stall_run():
-    # A second IDLE edge leads node 1 straight to the deadlock leaf, node 4,
-    # with the beliefs the chain reaches it with but a shorter run.
-    bundle = parse_bundle(STUCK_DOM)
-    obj = json.loads(to_json(plan(bundle.problem, bundle.obs_model, MODE_LEGACY), bundle))
-    node = obj["nodes"][1]
-    node["edges"].append(dict(node["edges"][0], child=4))
-    with pytest.raises(DomainSyntaxError, match="node 4: reached with two different beliefs or"):
+    # Node 5's IDLE, led into node 3, reaches it with the beliefs the other
+    # branch reaches it with, and on the human's move, but after a run of one.
+    obj = _two_ways()
+    load_json(json.dumps(obj))
+    obj["nodes"][5]["edges"][0]["child"] = 3
+    with pytest.raises(DomainSyntaxError, match="node 3: reached with two different beliefs or"):
+        load_json(json.dumps(obj))
+
+
+def test_a_loaded_policy_alternates_turns():
+    # Node 2, the human's closing IDLE after h0, given to the robot with the
+    # robot's IDLE: that is the robot's move on an empty agenda, and no belief
+    # changes, but the robot took the turn before it.
+    obj = _two_ways()
+    node = obj["nodes"][2]
+    node["turn"] = node["edges"][0]["action"]["agent"] = "bot"
+    with pytest.raises(DomainSyntaxError, match="node 2: bad turn/done 'bot'/True"):
         load_json(json.dumps(obj))
 
 
 def test_policy_load_rejects_text_that_is_not_json():
     with pytest.raises(DomainSyntaxError, match="policy file is not JSON"):
         load_json('{"format": "beliefhtn-policy",')
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--modes", "neww"], "unknown solver mode 'neww'"),
+        (["--depth", "0"], "depth bound must be a positive int, got 0"),
+    ],
+)
+def test_a_rejected_experiment_makes_no_directory(option, message, tmp_path, capsys):
+    out_dir = tmp_path / "new" / "sub"
+    argv = ["experiment", "--domain", "cooking", *option, "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_experiment_rejects_unknown_mode(tmp_path, capsys):

@@ -28,7 +28,10 @@ checked for:
     exception, a state that completes a stall run at that depth, is an
     open ROADMAP item, and the builtins are checked with no exception;
 (h) each saved policy loads through ``load_json`` and saves back the same,
-    and new-mode replay reaches each node with the beliefs stored there.
+    and new-mode replay reaches each node with the beliefs stored there;
+    with one edge dropped from a human node that has two or more, with a
+    human node's first edge doubled, or with ``done`` flipped on a success
+    leaf, it does not load.
 
 A recursive example certifies no plan, so each plan searches with a table
 of its own, to a small drawn depth bound; it is checked for (a), (b), (c),
@@ -39,6 +42,7 @@ return, which :func:`test_choices_returns_on_an_unordered_loop` pins.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -53,7 +57,7 @@ import beliefhtn
 from beliefhtn import MODE_LEGACY, MODE_NEW, parse, parse_bundle, plan, serialize, simulate
 from beliefhtn.builtins import builtin_bundle
 from beliefhtn.domfile import DomainFile
-from beliefhtn.errors import DepthExceeded, Unsolvable
+from beliefhtn.errors import DepthExceeded, DomainSyntaxError, Unsolvable
 from beliefhtn.htn import EffectOp, MethodSchema, OperatorSchema
 from beliefhtn.observability import PlacementRule
 from beliefhtn.planner import (
@@ -251,6 +255,49 @@ def _check_policy(bundle, mode, policy):
     loaded_bundle, loaded = load_json(saved)  # (h)
     assert to_json(loaded, loaded_bundle) == saved
     assert simulate(loaded, loaded_bundle.obs_model) == report
+    for edit, message in EDITS:
+        obj = json.loads(saved)
+        if edit(obj):
+            with pytest.raises(DomainSyntaxError, match=message):
+                load_json(json.dumps(obj))
+
+
+def _drop_human_edge(obj) -> bool:
+    """Drop the last edge of the first human node with two or more; False
+    when there is none."""
+    for node in obj["nodes"]:
+        if node["turn"] == obj["human"] and len(node["edges"]) >= 2:
+            node["edges"].pop()
+            return True
+    return False
+
+
+def _double_human_edge(obj) -> bool:
+    """Double the first edge of the first human node with edges.  None of
+    the derandomised examples has a human node with two edges, so this is
+    the edit that runs the AND rule on them."""
+    for node in obj["nodes"]:
+        if node["turn"] == obj["human"] and node["edges"]:
+            node["edges"].append(dict(node["edges"][0]))
+            return True
+    return False
+
+
+def _flip_done(obj) -> bool:
+    """Mark the first success leaf not done."""
+    for node in obj["nodes"]:
+        if node["kind"] == "success":
+            node["done"] = False
+            return True
+    return False
+
+
+# (h)'s edits, each with the rule of the loader's walk that rejects it.
+EDITS = (
+    (_drop_human_edge, r"node \d+: the edges are not the human's moves"),
+    (_double_human_edge, r"node \d+: the edges are not the human's moves"),
+    (_flip_done, r"node \d+: not done, but no work is left"),
+)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
