@@ -44,6 +44,7 @@ from .htn import (
     TaskInstance,
     TaskNetwork,
     analyse_hierarchy,
+    growing_loop,
     ground_all_methods,
     ground_all_operators,
 )
@@ -489,7 +490,8 @@ def serialize(dom: DomainFile) -> str:
 class ProblemBundle:
     """Everything needed to plan: universe, problem, and observability model.
 
-    Building a bundle also bounds its method hierarchy and gives its problem
+    Building a bundle also bounds its method hierarchy, rejects a recursive
+    one with a :func:`~beliefhtn.htn.growing_loop`, and gives its problem
     the :class:`~beliefhtn.planner.SearchCache` its plans share.
     """
 
@@ -536,7 +538,7 @@ class ProblemBundle:
         if agent not in (self.problem.robot, self.problem.human):
             raise DomainSyntaxError(f"unknown starting agent {agent!r}")
         problem = replace(self.problem, start_agent=agent)
-        return replace(self, problem=problem)
+        return replace(self, domfile=replace(self.domfile, start=agent), problem=problem)
 
 
 def _build_bundle(dom: DomainFile) -> ProblemBundle:
@@ -620,7 +622,14 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
         believed.add(attr)
         human = human.with_value(attr, universe.parse_value(attr, val))
 
-    cache = SearchCache(domains, obs_model, network, analyse_hierarchy(domains.values(), network))
+    most = analyse_hierarchy(domains.values(), network)
+    loop = None if most is not None else growing_loop(domains.values())
+    if loop is not None:
+        raise DomainSyntaxError(
+            f"method {loop.name}: {loop.task} can decompose again, with a task more, "
+            "before any primitive runs, so its choices never end"
+        )
+    cache = SearchCache(domains, obs_model, network, most)
     problem = HtnProblem(
         universe, world, human, network, domains, dom.robot, dom.human, dom.start, cache
     )

@@ -18,7 +18,8 @@ expansion) in one pass over the masks.
 
 :func:`analyse_hierarchy` bounds, once per bundle at build, the primitives
 any run from the root network can execute; it returns None for a recursive
-method hierarchy.
+method hierarchy, which :func:`growing_loop` then checks for a loop that
+choice enumeration would follow forever.
 """
 
 from __future__ import annotations
@@ -597,6 +598,72 @@ def analyse_hierarchy(domains: Iterable[AgentDomain], network: TaskNetwork) -> O
     for task in reversed(order):
         most[task] = max((sum(map(yield_of, subs)) for subs in expansions[task]), default=0)
     return sum(map(yield_of, network.tasks))
+
+
+def growing_loop(domains: Iterable[AgentDomain]) -> Optional[GroundedMethod]:
+    """A method on a cycle of decompositions that adds a task on each turn
+    before any primitive runs, or None.  Only such a cycle keeps the choice
+    walk (:func:`beliefhtn.planner.choices`) from ending.
+
+    Per agent, over its ground methods: decomposing a task T by a method
+    makes a subtask S available at once when every subtask ordered before S,
+    directly or not, can decompose to nothing, an edge T -> S.  The walk can
+    follow a cycle of such edges without a primitive running.  Those
+    subtasks must be gone before S is available, so the edge adds a task
+    only when the method has yet another subtask; and when some edge of a
+    cycle adds one, the walk never meets a network twice.  ``Loop -> tick,
+    Loop`` with no order is such a cycle; ``Loop -> Loop`` alone, and
+    ``tick`` ordered before ``Loop``, are not.  No primitive is decomposed.
+    """
+    domains = tuple(domains)
+    op_names = frozenset().union(*(d.op_names for d in domains))
+    for dom in domains:
+        methods = {t: gms for t, gms in dom.ground_methods.items() if t.symbol not in op_names}
+        empty: set[TaskInstance] = set()  # the tasks that can decompose to nothing
+        while True:
+            more = {
+                t for t, gms in methods.items() if any(empty.issuperset(gm.subtasks) for gm in gms)
+            }
+            if more <= empty:
+                break
+            empty |= more
+        # task -> (subtask it makes available, whether that adds a task, method)
+        edges: dict[TaskInstance, list[tuple[TaskInstance, bool, GroundedMethod]]] = {}
+        for task, gms in methods.items():
+            edges[task] = []
+            for gm in gms:
+                full = (1 << len(gm.subtasks)) - 1
+                for k, (sub, before) in enumerate(zip(gm.subtasks, _preceding(gm.order_masks))):
+                    if sub in methods and all(gm.subtasks[j] in empty for j in _bits(before)):
+                        edges[task].append((sub, before | 1 << k != full, gm))
+        for task, out in edges.items():
+            for sub, grows, gm in out:
+                if grows and task in _reachable(edges, sub):
+                    return gm
+    return None
+
+
+def _preceding(masks: tuple[int, ...]) -> list[int]:
+    """Per subtask, the mask of the subtasks ordered before it, directly or
+    not, from its direct predecessors' ``masks``."""
+    closed = list(masks)
+    for _ in masks:  # each round closes one more link of every chain
+        for i, mask in enumerate(closed):
+            for j in _bits(mask):
+                closed[i] |= closed[j]
+    return closed
+
+
+def _reachable(edges: Mapping[Hashable, list], start: Hashable) -> set:
+    """The nodes that ``edges`` (node to (node, ...) tuples) lead to from
+    ``start``, ``start`` included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for target, *_ in edges[stack.pop()]:
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,10 @@ def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
             raise DomainSyntaxError(f"node {nid} is listed twice")
         specs[nid] = spec
     walk = _Walk(bundle, mode, specs)
+    # The root's turn is the domain's start: the other agent moved last.
+    last = human if bundle.problem.start_agent == robot else robot
     root = walk.node(
-        _field(obj, "root", int), None, init_world,
+        _field(obj, "root", int), last, init_world,
         _root_human(mode, bundle.obs_model, init_world, init_human), 0,
         {id(_canonical(bundle.problem.network)): bundle.problem.network},
     )
@@ -211,13 +213,14 @@ class _Walk:
         self.found: dict[tuple[int, int], list] = {}
 
     def node(
-        self, nid: int, mover: Optional[str], world: BeliefState, human_belief: BeliefState,
+        self, nid: int, mover: str, world: BeliefState, human_belief: BeliefState,
         run: int, networks: dict[int, TaskNetwork],
     ) -> PolicyNode:
-        """Node ``nid``, reached after ``mover``'s turn (None at the root) with
-        these beliefs, WAIT/IDLE ``run`` and ``networks``, one per canonical
-        key: a robot's moves that share an action but leave different
-        networks all stay.  The node rule keeps those that agree on ``done``."""
+        """Node ``nid``, reached after ``mover``'s turn (at the root, the agent
+        who does not start) with these beliefs, WAIT/IDLE ``run`` and
+        ``networks``, one per canonical key: a robot's moves that share an
+        action but leave different networks all stay.  The node rule keeps
+        those that agree on ``done``."""
         robot, human = self.problem.robot, self.problem.human
         hit = self.nodes.get(nid, False)
         if hit is None:

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines and the regenerated study table.  The full suite re-plans both
-built-in domains over all 512 generated initial states in both solver
-modes, so it takes on the order of a minute.
+lines and the regenerated study table.  The criteria on the study read
+the session's one run of it (``studies`` in ``tests/conftest.py``), which
+plans both built-in domains over all 512 generated initial states in both
+solver modes.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ from beliefhtn import (
 )
 from beliefhtn.communication import apply_comm_plan
 from beliefhtn.engine import step_belief_protocol
-from beliefhtn.experiment import (
-    DEFAULT_SPECS,
-    ExperimentConfig,
-    generate_initial_states,
-    results_csv,
-    run_experiment,
-)
 from beliefhtn.htn import applicable, apply_effects, wait_op
 from beliefhtn.planner import STALL_THRESHOLD, NodeKind, policy_comm_edges
 
@@ -53,37 +47,26 @@ STUDY_CSV_SHA256 = {
 
 
 @pytest.fixture(scope="module")
-def study():
-    """Both domains, both modes, all 512 initial states each; timed."""
-    out = {}
-    for domain in DOMAINS:
-        t0 = time.time()
-        table, results = run_experiment(ExperimentConfig(domain=domain))
-        out[domain] = {
-            "table": table,
-            "results": results,
-            "seconds": time.time() - t0,
-        }
-        print()
-        print(table.format())
-    return out
+def study(studies):
+    """Both domains, both modes, all 512 initial states each; timed: the
+    session's one run of each study (tests/conftest.py)."""
+    return studies.runs
 
 
 def test_study_csvs_byte_identical(study):
     """Both domains' experiment CSVs are byte for byte the recorded ones."""
     for domain in DOMAINS:
-        text = results_csv(ExperimentConfig(domain=domain), study[domain]["results"])
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(study[domain].csv.encode("utf-8")).hexdigest()
         assert digest == STUDY_CSV_SHA256[domain], domain
 
 
 def _row(study, domain, mode):
-    return study[domain]["table"].row(domain, mode)
+    return study[domain].table.row(domain, mode)
 
 
 def test_criterion_1_new_solver_full_success(study):
     """New solver: S = 100% (exact) on all 512 states in both domains."""
-    total_seconds = sum(study[d]["seconds"] for d in DOMAINS)
+    total_seconds = sum(study[d].seconds for d in DOMAINS)
     for domain in DOMAINS:
         row = _row(study, domain, MODE_NEW)
         assert row.n == 512
@@ -109,29 +92,20 @@ def test_criterion_2_legacy_aligned_legal_plans(study):
     """
     exec_ok = {}
     for domain in DOMAINS:
-        bundle = builtin_bundle(domain)
-        instances = [
-            i
-            for i in generate_initial_states(bundle, DEFAULT_SPECS[domain])
-            if i.aligned
+        aligned = [
+            r.instance
+            for r in study[domain].results
+            if r.mode == MODE_LEGACY and r.instance.aligned
         ]
-        assert len(instances) == 64
-        from dataclasses import replace
-
-        count = 0
-        for inst in instances:
-            problem = replace(
-                bundle.problem, world=inst.world, human_belief=inst.human
-            )
-            policy = plan(problem, bundle.obs_model, MODE_LEGACY)
+        assert len(aligned) == 64
+        for inst in aligned:
+            _, policy = study[domain].plans[(MODE_LEGACY, inst.index)]
             assert _policy_is_legal(policy), f"{domain} instance {inst.index}"
-            count += 1
         exec_ok[domain] = sum(
             1
-            for r in study[domain]["results"]
+            for r in study[domain].results
             if r.mode == MODE_LEGACY and r.instance.aligned and r.outcome == "success"
         )
-        assert count == 64
     print(
         "ACCEPTANCE 2: PASS - legacy finds a legal plan on 64/64 aligned states "
         f"per domain (execution success: cooking {exec_ok['cooking']}/64, "

@@ -271,6 +271,17 @@ def test_policy_json_round_trip(domain, start, mode):
     assert [n.done for n in reloaded] == [n.done for n in planned]
 
 
+def test_a_saved_policy_keeps_its_start_agent():
+    # The saved domain starts with the agent whose turn the root is, so the
+    # loaded bundle plans the same policy again.
+    bundle = builtin_bundle("cooking").with_start("human")
+    policy = plan(bundle.problem, bundle.obs_model, MODE_NEW)
+    loaded_bundle, loaded = load_json(to_json(policy, bundle))
+    assert loaded_bundle.problem.start_agent == loaded_bundle.domfile.start == "human"
+    again = plan(loaded_bundle.problem, loaded_bundle.obs_model, MODE_NEW)
+    assert to_text(again) == to_text(loaded) == to_text(policy)
+
+
 # `Mark` gives the human, and `Pick` the robot, two moves with one action,
 # `h` or `p`, that leave different networks: `z(a)` or `z(b)` to do next.
 MARKS_DOM = """\
@@ -350,6 +361,13 @@ def _drop(key):
 
 def _swap_agents(obj):
     obj["robot"], obj["human"] = obj["human"], obj["robot"]
+
+
+def _start_human(obj):
+    """Make the embedded domain start with the human; the saved plan's root
+    is still the robot's turn."""
+    assert "\nstart robot\n" in obj["domain_text"]
+    obj["domain_text"] = obj["domain_text"].replace("\nstart robot\n", "\nstart human\n")
 
 
 def _fly(obj):
@@ -522,6 +540,8 @@ POLICY_EDITS = {
     "action": (_fly, r"regular action fly\(\) is not an operator of 'human'"),
     "nodes": (_drop("nodes"), "lacks the field 'nodes'"),
     "agents": (_swap_agents, "are not the domain's agents"),
+    # The root's turn is the domain's start.
+    "start": (_start_human, "node 0: bad turn/done 'robot'/False"),
     "cycle": (_set(["nodes", 1, "edges", 0, "child"], 0), "node 0: an edge leads back to it"),
     "beliefs": (_merge_paths, r"node \d+: reached with two different beliefs"),
     # The walk checks each node's edges before it enters their children.

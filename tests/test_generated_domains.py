@@ -7,9 +7,11 @@ place rule.  On top of it come at most 2 places, 3 more attributes of either
 observability class, each placed at a fixed place or ``value-of`` an
 agent's location, 3 operators per agent, and methods: at most 2 in a
 hierarchy 2 deep, or, in the recursive examples, a loop that calls itself
-and up to 3 more.  The human may start off believing otherwise.  Every
-acyclic example is read back through ``serialize`` and ``parse_bundle`` and
-checked for:
+and up to 3 more.  Some acyclic examples (8 of the 30) are forks, whose
+roots are two of the human's operators with no precondition, in no order,
+so a saved policy has a human node with two edges.  The human may start
+off believing otherwise.  Every acyclic example is read back through
+``serialize`` and ``parse_bundle`` and checked for:
 
 (a) ``parse(serialize(d)) == d``;
 (b) a new-mode plan raises :class:`Unsolvable` or :class:`DepthExceeded`,
@@ -36,26 +38,23 @@ checked for:
 A recursive example certifies no plan, so each plan searches with a table
 of its own, to a small drawn depth bound; it is checked for (a), (b), (c),
 (e) at that bound, and (h).  Its methods never put a recursive compound
-subtask beside a subtask it may precede: on that shape ``choices`` does not
-return, which :func:`test_choices_returns_on_an_unordered_loop` pins.
+subtask beside a subtask it may precede: the bundle build rejects that
+shape, on which ``choices`` would not return
+(:func:`test_choices_returns_on_an_unordered_loop`).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import beliefhtn
 from beliefhtn import MODE_LEGACY, MODE_NEW, parse, parse_bundle, plan, serialize, simulate
 from beliefhtn.builtins import builtin_bundle
+from beliefhtn.cli import main
 from beliefhtn.domfile import DomainFile
 from beliefhtn.errors import DepthExceeded, DomainSyntaxError, Unsolvable
 from beliefhtn.htn import EffectOp, MethodSchema, OperatorSchema
@@ -65,6 +64,7 @@ from beliefhtn.planner import (
     STALL_THRESHOLD,
     PlannerConfig,
     _Search,
+    choices,
     enumerate_traces,
 )
 from beliefhtn.policyio import _collect, load_json, to_json, to_text
@@ -119,7 +119,7 @@ def _recursive_methods(draw, tasks):
     """T0 first calls a primitive and then itself, as a loop; each further
     method, for T0 or T1, is a primitive, a compound task, both in that
     order, or nothing.  A compound subtask thus never stands beside another
-    subtask it could run before: on that shape ``choices`` does not return
+    subtask it could run before, a shape the bundle build rejects
     (:func:`test_choices_returns_on_an_unordered_loop`)."""
     symbols = ["T0"] + [draw(st.sampled_from(("T0", "T1"))) for _ in range(draw(st.integers(1, 3)))]
     compound = sorted(set(symbols))
@@ -154,11 +154,18 @@ def domain_files(draw, recursive=False) -> DomainFile:
             lambda pair: st.tuples(st.just(pair[0]), st.sampled_from(pair[1]))
         )
 
+    # An acyclic fork: the roots are the human's first two operators, in no
+    # order and with no precondition, so the human has two moves that both
+    # succeed.  A recursive example keeps its loop at the root.
+    fork = not recursive and draw(st.sampled_from((False, False, True)))
     operators = []
     for agent in AGENTS:
         writes = [(AttrRef("AgtAt", (agent,)), places)] + what
-        for name in OP_NAMES[agent][: draw(st.integers(1, 3))]:
-            pre = draw(st.lists(assignment(where + what), max_size=2, unique_by=lambda p: p[0]))
+        forked = 2 if fork and agent == "person" else 0
+        for k, name in enumerate(OP_NAMES[agent][: draw(st.integers(max(forked, 1), 3))]):
+            pre = [] if k < forked else draw(
+                st.lists(assignment(where + what), max_size=2, unique_by=lambda p: p[0])
+            )
             eff = draw(st.lists(assignment(writes), max_size=2, unique_by=lambda p: p[0]))
             operators.append(OperatorSchema(
                 name, agent, pre=tuple(pre),
@@ -169,8 +176,11 @@ def domain_files(draw, recursive=False) -> DomainFile:
     methods = (_recursive_methods if recursive else _acyclic_methods)(draw, tasks)
     compound = sorted({m.task_symbol for m in methods})
 
-    roots = draw(st.lists(st.sampled_from(tasks + compound), min_size=1, max_size=2))
-    root_order = [("t0", "t1")] if len(roots) == 2 and draw(st.booleans()) else []
+    if fork:
+        roots, root_order = list(OP_NAMES["person"][:2]), []
+    else:
+        roots = draw(st.lists(st.sampled_from(tasks + compound), min_size=1, max_size=2))
+        root_order = [("t0", "t1")] if len(roots) == 2 and draw(st.booleans()) else []
     init = [(ref, draw(st.sampled_from(values))) for ref, values in where + what]
     beliefs = [
         ("person", ref, next(v for v in values if v != value))
@@ -244,7 +254,8 @@ def _policy(bundle, mode, config=PlannerConfig()):
 
 
 def _check_policy(bundle, mode, policy):
-    """(b) for a new-mode policy, (c) and (h); returns its replay report."""
+    """(b) for a new-mode policy, (c) and (h); returns the edits of (h) that
+    applied to the saved policy."""
     report = simulate(policy, bundle.obs_model)
     if mode == MODE_NEW:  # (b), and replay meets the search's beliefs
         assert (report.outcome, report.n_success) == ("success", report.n_traces)
@@ -255,11 +266,14 @@ def _check_policy(bundle, mode, policy):
     loaded_bundle, loaded = load_json(saved)  # (h)
     assert to_json(loaded, loaded_bundle) == saved
     assert simulate(loaded, loaded_bundle.obs_model) == report
+    applied = []
     for edit, message in EDITS:
         obj = json.loads(saved)
         if edit(obj):
+            applied.append(edit)
             with pytest.raises(DomainSyntaxError, match=message):
                 load_json(json.dumps(obj))
+    return applied
 
 
 def _drop_human_edge(obj) -> bool:
@@ -273,9 +287,8 @@ def _drop_human_edge(obj) -> bool:
 
 
 def _double_human_edge(obj) -> bool:
-    """Double the first edge of the first human node with edges.  None of
-    the derandomised examples has a human node with two edges, so this is
-    the edit that runs the AND rule on them."""
+    """Double the first edge of the first human node with edges: an AND
+    rule check on every policy where the human moves, forked or not."""
     for node in obj["nodes"]:
         if node["turn"] == obj["human"] and node["edges"]:
             node["edges"].append(dict(node["edges"][0]))
@@ -300,9 +313,21 @@ EDITS = (
 )
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(domain_files())
-def test_generated_domains(dom):
+def test_generated_domains():
+    dropped = []  # per saved policy: whether (h)'s drop edit applied
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(domain_files())
+    def check(dom):
+        dropped.extend(_check_domain(dom))
+
+    check()
+    assert any(dropped)  # some draw is a fork: the human node has two edges
+
+
+def _check_domain(dom):
+    """(a)-(h) on an acyclic example; yields, per saved policy, whether
+    (h)'s drop edit applied."""
     text = serialize(dom)
     parsed = parse(text)
     assert parsed == dom  # (a): the same text, and field by field
@@ -319,7 +344,7 @@ def test_generated_domains(dom):
         assert solvable(bundle, mode) == (policy is not None)  # (e)
         if policy is None:
             continue
-        _check_policy(bundle, mode, policy)
+        yield _drop_human_edge in _check_policy(bundle, mode, policy)
         for node in _collect(policy)[1] if mode == MODE_NEW else ():  # (d)
             if node.edges and not node.done:
                 assert len(node.comms) == _subset_minimum(node.world, node.human_belief, human_ops)
@@ -378,31 +403,40 @@ def test_only_a_stalling_turn_reaches_the_certifying_depth():
 
 
 
-# A recursive compound subtask beside a subtask it may precede: `T0`
-# decomposes again before `r0` runs, each network one task larger.
+# A recursive compound subtask beside a subtask it may precede: `T0` could
+# decompose again before `r0` runs, each network one task larger.
 UNORDERED_LOOP_DOM = STUCK_DOM.replace("domain stuck", "domain unordered").replace(
     "method m0 for both\n  task T0\nend",
     "method m0 for both\n  task T0\n  sub s0 r0\n  sub s1 T0\nend",
 )
 
 
-@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason="ROADMAP: choices hangs")
-def test_choices_returns_on_an_unordered_loop(tmp_path):
-    # The enumeration runs in a child process, killed at the timeout: its
-    # walk never ends, and its memory grows by several MB a second.
-    assert parse_bundle(UNORDERED_LOOP_DOM).problem.search_cache.depth is None  # recursive
+def test_choices_returns_on_an_unordered_loop(tmp_path, capsys):
+    # The choice walk would never return on this loop, so the bundle is not
+    # built and no plan meets it; validate-domain reports the method.
+    with pytest.raises(DomainSyntaxError, match=r"^method m0: T0 can decompose again"):
+        parse_bundle(UNORDERED_LOOP_DOM)
     path = tmp_path / "unordered.dom"
     path.write_text(UNORDERED_LOOP_DOM)
-    script = (
-        "import sys\n"
-        "from beliefhtn import parse_bundle\n"
-        "from beliefhtn.planner import choices\n"
-        "p = parse_bundle(open(sys.argv[1]).read()).problem\n"
-        "print(len(choices(p.domains, p.world, p.network, p.robot)))\n"
-    )
-    src = str(Path(beliefhtn.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(path)], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=1.5,
-    )
-    assert proc.returncode == 0, proc.stderr
+    assert main(["validate-domain", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID: method m0: T0 can decompose again")
+    # The loop alone meets its network again; ordered after `r0` it waits
+    # for a primitive, also behind an `E` that decomposes to nothing; and
+    # ordered after that `E` alone it finds `E` gone, no task more.  All
+    # build, and choices returns.
+    empty = "method mE for both\n  task E\nend\nroot"
+    after = UNORDERED_LOOP_DOM.replace("  sub s1 T0\n", "  sub s1 T0\n  order s0 < s1\n")
+    shapes = {
+        "alone": (UNORDERED_LOOP_DOM.replace("  sub s0 r0\n", ""), []),
+        "ordered": (after, ["r0"]),
+        "behind E": (
+            after.replace("  sub s0 r0\n", "  sub s0 r0\n  sub s2 E\n  order s0 < s2\n")
+            .replace("order s0 < s1", "order s2 < s1").replace("root", empty),
+            ["r0"],
+        ),
+        "after E": (after.replace("  sub s0 r0\n", "  sub s0 E\n").replace("root", empty), []),
+    }
+    for name, (text, found) in shapes.items():
+        p = parse_bundle(text).problem
+        assert p.search_cache.depth is None, name  # recursive
+        assert [c.op.name for c in choices(p.domains, p.world, p.network, p.robot)] == found, name

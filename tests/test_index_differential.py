@@ -31,11 +31,9 @@ from beliefhtn import (
     MODE_NEW,
     BeliefState,
     ObsClass,
-    builtin_bundle,
     legacy_step,
     parse,
     parse_bundle,
-    plan,
     simulate,
     step_belief_protocol,
 )
@@ -46,13 +44,12 @@ from beliefhtn.observability import LOCATION_SYMBOL
 from beliefhtn.planner import (
     STALL_THRESHOLD,
     ExecutionReport,
-    PlannerConfig,
     _replay_start,
     _stall_run,
 )
 
 from oracles import agent_schemas
-from test_search_cache import STRIDE, study_problems
+from test_search_cache import STRIDE
 
 PAIRS = 60
 
@@ -534,9 +531,9 @@ def test_an_actor_with_no_location_raises_in_both_kernels():
 
 @pytest.mark.parametrize("domain", ["cooking", "box"])
 @pytest.mark.parametrize("mode", [MODE_NEW, MODE_LEGACY])
-def test_replay_totals_match_one_report_per_node(domain, mode):
-    bundle = builtin_bundle(domain)
-    model = bundle.obs_model
-    for _, problem in study_problems(bundle, domain, STRIDE):
-        policy = plan(problem, model, mode, PlannerConfig())
+def test_replay_totals_match_one_report_per_node(domain, mode, studies):
+    # The stride-17 study sample, as the session's one run planned it.
+    study = studies.runs[domain]
+    model = study.bundle.obs_model
+    for _, _, policy in study.in_order(mode)[::STRIDE]:
         assert simulate(policy, model) == copying_simulate(policy, model)

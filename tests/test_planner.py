@@ -193,19 +193,18 @@ STUDY_STRIDE = 17
 
 
 @pytest.fixture(scope="module", params=["cooking", "box"])
-def study_policies(request, cooking, box):
-    """Every STUDY_STRIDE-th study state planned in both modes:
+def study_policies(request, studies):
+    """Every STUDY_STRIDE-th study state in both modes, as the session's one
+    run of the study planned it (tests/conftest.py):
     (domain, bundle, [(mode, instance index, problem, policy), ...])."""
     domain = request.param
-    bundle = cooking if domain == "cooking" else box
-    instances = generate_initial_states(bundle, DEFAULT_SPECS[domain])[::STUDY_STRIDE]
-    planned = []
-    for mode in (MODE_LEGACY, MODE_NEW):
-        for inst in instances:
-            problem = replace(bundle.problem, world=inst.world, human_belief=inst.human)
-            policy = plan(problem, bundle.obs_model, mode, PlannerConfig(depth_bound=128))
-            planned.append((mode, inst.index, problem, policy))
-    return domain, bundle, planned
+    study = studies.runs[domain]
+    planned = [
+        (mode, index, problem, policy)
+        for mode in (MODE_LEGACY, MODE_NEW)
+        for index, problem, policy in study.in_order(mode)[::STUDY_STRIDE]
+    ]
+    return domain, study.bundle, planned
 
 
 def test_simulate_totals_match_enumerated_traces_on_study(study_policies):

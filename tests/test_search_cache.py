@@ -222,35 +222,18 @@ def test_warm_plans_equal_cold_plans(domain):
 
 
 @pytest.fixture(scope="module")
-def full_studies(monkeypatch_module):
+def full_studies(studies):
     """Every study instance planned through one bundle per domain, mode by
-    mode in index order: ({(domain, mode): digest}, {state key: networks})."""
-    networks: dict[tuple, set] = {}
-    state_key = _Search._state_key
-
-    def recording(self, world, hb, network, turn, stall):
-        key = state_key(self, world, hb, network, turn, stall)
-        networks.setdefault(key, set()).add(network)
-        return key
-
-    monkeypatch_module.setattr(_Search, "_state_key", recording)
+    mode in index order, as the session's one run of each study planned it
+    (tests/conftest.py): ({(domain, mode): digest}, {state key: networks})."""
     digests = {}
-    for domain in ("cooking", "box"):
-        bundle = builtin_bundle(domain)
-        problems = study_problems(bundle, domain)
+    for domain, study in studies.runs.items():
         for mode in MODES:
             h = hashlib.sha256()
-            for _, problem in problems:
-                h.update(to_text(plan(problem, bundle.obs_model, mode, STUDY)).encode())
+            for _, _, policy in study.in_order(mode):
+                h.update(to_text(policy).encode())
             digests[(domain, mode)] = h.hexdigest()
-    monkeypatch_module.undo()
-    return digests, networks
-
-
-@pytest.fixture(scope="module")
-def monkeypatch_module():
-    with pytest.MonkeyPatch.context() as mp:
-        yield mp
+    return digests, studies.networks
 
 
 def test_full_study_policies_are_unchanged(full_studies):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from beliefhtn import MODE_LEGACY, MODE_NEW, builtin_bundle, parse_bundle, plan
+from beliefhtn import MODE_LEGACY, MODE_NEW, parse_bundle, plan
 from beliefhtn.builtins import box_dom
 from beliefhtn.communication import CommAction
 from beliefhtn.htn import idle_op
@@ -25,7 +25,7 @@ from beliefhtn.planner import PolicyEdge, PolicyNode, PolicyTree, policy_comm_ed
 from beliefhtn.policyio import _collect
 
 from oracles import comm_edges, preorder
-from test_search_cache import STRIDE, study_problems
+from test_search_cache import STRIDE
 
 MODES = (MODE_LEGACY, MODE_NEW)
 
@@ -36,12 +36,11 @@ def assert_walks_agree(policy: PolicyTree) -> None:
 
 
 @pytest.mark.parametrize("domain", ["cooking", "box"])
-def test_walk_matches_the_recursive_walks_on_the_study_sample(domain):
-    bundle = builtin_bundle(domain)
+def test_walk_matches_the_recursive_walks_on_the_study_sample(domain, studies):
+    # The stride-17 study sample, as the session's one run planned it.
     told = 0
     for mode in MODES:
-        for _, problem in study_problems(bundle, domain, STRIDE):
-            policy = plan(problem, bundle.obs_model, mode)
+        for _, _, policy in studies.runs[domain].in_order(mode)[::STRIDE]:
             assert_walks_agree(policy)
             told += bool(comm_edges(policy))
     assert told > 0  # the sample has tell edges to order
