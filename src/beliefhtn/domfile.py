@@ -496,9 +496,12 @@ class ProblemBundle:
     """
 
     domfile: DomainFile
-    universe: Universe
     problem: HtnProblem
     obs_model: ObservabilityModel
+
+    @property
+    def universe(self) -> Universe:
+        return self.problem.universe
 
     def attr(self, text: str) -> GroundedAttribute:
         ref = _parse_attr_ref(text)
@@ -633,7 +636,7 @@ def _build_bundle(dom: DomainFile) -> ProblemBundle:
     problem = HtnProblem(
         universe, world, human, network, domains, dom.robot, dom.human, dom.start, cache
     )
-    return ProblemBundle(dom, universe, problem, obs_model)
+    return ProblemBundle(dom, problem, obs_model)
 
 
 def _yield_closure(op_names: frozenset[str], methods: list[MethodSchema]) -> frozenset[str]:

@@ -29,6 +29,7 @@ from .planner import (
     MODE_NEW,
     ExecutionReport,
     PlannerConfig,
+    check_mode,
     plan,
     policy_comm_edges,
     simulate,
@@ -273,6 +274,7 @@ def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[MetricsTable, list[InstanceResult]]:
     for i, mode in enumerate(config.modes):
+        check_mode(mode)  # a bad mode raises before any plan
         if mode in config.modes[:i]:
             raise BadArgument(f"solver mode {mode!r} is given twice")
     PlannerConfig(depth_bound=config.depth_bound)  # a bad bound raises before any plan

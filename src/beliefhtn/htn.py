@@ -10,11 +10,12 @@ is built, into the tables of :class:`AgentDomain`; grounding raises for
 every bad value and argument, and stores each precondition and effect by
 its dense ``Universe`` index.
 
-Task networks are immutable and hold one predecessor bitmask per node:
-decomposition returns a new network with fresh node ids, re-targeting every
-precedence constraint that touched the expanded node onto all of the
-method's subtasks (or contracting it through the node for an empty
-expansion) in one pass over the masks.
+Task networks are immutable, a node is its position, and each node holds
+one predecessor bitmask: decomposition returns a new network with the
+subtasks appended in place of the expanded node, re-targeting every
+precedence constraint that touched it onto all of the method's subtasks
+(or contracting it through the node for an empty expansion) in one pass
+over the masks.
 
 :func:`analyse_hierarchy` bounds, once per bundle at build, the primitives
 any run from the root network can execute; it returns None for a recursive
@@ -25,7 +26,6 @@ choice enumeration would follow forever.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional
@@ -372,49 +372,40 @@ _LABELS: dict[tuple, tuple] = {}
 class TaskNetwork:
     """Partially ordered multiset of task nodes; immutable.
 
-    Three parallel tuples sorted by node id: ``ids``, their ``tasks``, and
-    one predecessor bitmask per node in ``preds``, where bit j of
-    ``preds[k]`` is set iff node j must run before node ``ids[k]``.  So the
-    available nodes are those whose mask is 0, and removing node j clears
-    bit j.  Ids are never reused: decomposition numbers new nodes from
-    ``next_id`` on, which keeps the tuples sorted.  No method rebinds a
-    field after construction.
+    A node is its position.  Two parallel tuples: the ``tasks`` and one
+    predecessor bitmask per node in ``preds``, where bit j of ``preds[k]``
+    is set iff node j must run before node k.  So the available nodes are
+    those whose mask is 0.  Removing node k drops slot k and bit k of every
+    mask, and the bits above k move down by one; decomposition appends the
+    subtasks at the end.  No method rebinds a field after construction.
 
-    Equality is by value -- the same ids, tasks, precedence pairs and
-    ``next_id`` -- and the hash, computed once, agrees with it.  ``nodes``
-    and ``constraints`` give the (id, task) pairs and the (before, after)
-    pairs.
+    Equality is by value -- the same tasks in the same order and the same
+    precedence pairs -- and the hash, computed once, agrees with it.
+    ``nodes`` and ``constraints`` give the (position, task) pairs and the
+    (before, after) pairs.
     """
 
-    __slots__ = ("ids", "tasks", "preds", "next_id", "_hash")
+    __slots__ = ("tasks", "preds", "_hash")
 
-    def __init__(
-        self,
-        ids: tuple[int, ...],
-        tasks: tuple[TaskInstance, ...],
-        preds: tuple[int, ...],
-        next_id: int,
-    ):
-        self.ids = ids
+    def __init__(self, tasks: tuple[TaskInstance, ...], preds: tuple[int, ...]):
         self.tasks = tasks
         self.preds = preds
-        self.next_id = next_id
-        self._hash = hash((ids, tasks, preds, next_id))
+        self._hash = hash((tasks, preds))
 
     @staticmethod
     def build(tasks: Iterable[TaskInstance], order: Iterable[tuple[int, int]] = ()) -> "TaskNetwork":
         tasks = tuple(tasks)
-        ids = range(len(tasks))
+        nodes = range(len(tasks))
         constraints = frozenset((a, b) for a, b in order)
         for a, b in constraints:
-            if a not in ids or b not in ids:
+            if a not in nodes or b not in nodes:
                 raise BadArgument("ordering references unknown task node")
-        if _has_cycle_pairs(ids, constraints):
+        if _has_cycle_pairs(nodes, constraints):
             raise CycleIntroduced("initial task network ordering is cyclic")
         preds = [0] * len(tasks)
         for a, b in constraints:
             preds[b] |= 1 << a
-        return TaskNetwork(tuple(ids), tasks, tuple(preds), len(tasks))
+        return TaskNetwork(tasks, tuple(preds))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -423,8 +414,6 @@ class TaskNetwork:
             return NotImplemented
         return (
             self._hash == other._hash
-            and self.next_id == other.next_id
-            and self.ids == other.ids
             and self.preds == other.preds
             and self.tasks == other.tasks
         )
@@ -435,51 +424,39 @@ class TaskNetwork:
     def __reduce__(self) -> tuple:
         # Rebuilt through the constructor, which recomputes the hash for the
         # loading process's hash seed.
-        return (TaskNetwork, (self.ids, self.tasks, self.preds, self.next_id))
+        return (TaskNetwork, (self.tasks, self.preds))
 
     def __repr__(self) -> str:
-        return (
-            f"TaskNetwork(nodes={self.nodes!r}, "
-            f"constraints={sorted(self.constraints)!r}, next_id={self.next_id!r})"
-        )
+        return f"TaskNetwork(nodes={self.nodes!r}, constraints={sorted(self.constraints)!r})"
 
     @property
     def nodes(self) -> tuple[tuple[int, TaskInstance], ...]:
-        """(id, task) pairs in id order."""
-        return tuple(zip(self.ids, self.tasks))
+        """(position, task) pairs in order."""
+        return tuple(enumerate(self.tasks))
 
     @property
     def constraints(self) -> frozenset[tuple[int, int]]:
-        """(before, after) node-id pairs."""
-        return frozenset(
-            (j, i) for i, mask in zip(self.ids, self.preds) for j in _bits(mask)
-        )
+        """(before, after) node pairs."""
+        return frozenset((j, k) for k, mask in enumerate(self.preds) for j in _bits(mask))
 
     @property
     def is_empty(self) -> bool:
-        return not self.ids
+        return not self.tasks
 
-    def _slot(self, node_id: int) -> int:
-        k = bisect_left(self.ids, node_id)
-        if k == len(self.ids) or self.ids[k] != node_id:
-            raise BadArgument(f"no task node {node_id}")
-        return k
+    def _check_node(self, k: int) -> None:
+        if not 0 <= k < len(self.tasks):
+            raise BadArgument(f"no task node {k}")
 
-    def without_node(self, node_id: int) -> "TaskNetwork":
+    def without_node(self, k: int) -> "TaskNetwork":
         """Remove an executed node; its ordering edges dissolve."""
-        k = self._slot(node_id)
-        keep = ~(1 << node_id)
-        preds = [mask & keep for mask in self.preds]
+        self._check_node(k)
+        low = (1 << k) - 1
+        preds = [(mask & low) | ((mask >> 1) & ~low) for mask in self.preds]
         del preds[k]
-        return TaskNetwork(
-            self.ids[:k] + self.ids[k + 1 :],
-            self.tasks[:k] + self.tasks[k + 1 :],
-            tuple(preds),
-            self.next_id,
-        )
+        return TaskNetwork(self.tasks[:k] + self.tasks[k + 1 :], tuple(preds))
 
     def canonical_key(self) -> tuple:
-        """Id-free structural key; isomorphic networks share keys.
+        """Position-free structural key; isomorphic networks share keys.
 
         Two refinement rounds over (task, predecessor/successor label
         multisets) distinguish every network shape arising from acyclic
@@ -489,9 +466,8 @@ class TaskNetwork:
         one object: two keys are equal iff they are identical, and the id of
         a key is never reused in the process's life.
         """
-        slot = {i: k for k, i in enumerate(self.ids)}
-        preds = [[slot[j] for j in _bits(mask)] for mask in self.preds]
-        succs: list[list[int]] = [[] for _ in self.ids]
+        preds = [list(_bits(mask)) for mask in self.preds]
+        succs: list[list[int]] = [[] for _ in preds]
         for k, before in enumerate(preds):
             for p in before:
                 succs[p].append(k)
@@ -511,42 +487,43 @@ class TaskNetwork:
         return intern(key, key)
 
 
-def decompose(w: TaskNetwork, node_id: int, m: GroundedMethod) -> TaskNetwork:
-    """Replace a task node with a grounded method's sub-network.
+def decompose(w: TaskNetwork, k: int, m: GroundedMethod) -> TaskNetwork:
+    """Replace task node k with a grounded method's sub-network.
 
-    The subtasks take new ids from ``w.next_id`` on.  Each subtask inherits
-    the node's predecessors plus its own method-order predecessors, and
-    every successor of the node waits for all of the subtasks instead; with
-    zero subtasks a successor inherits the node's predecessors (the
-    constraint is contracted through the node).  One pass over the masks
-    does both.
+    Slot k goes, as in :meth:`TaskNetwork.without_node`, and the subtasks
+    take the positions from ``n - 1`` on, for the ``n`` nodes of ``w``.
+    Each subtask inherits the node's predecessors plus its own method-order
+    predecessors, and every successor of the node waits for all of the
+    subtasks instead; with zero subtasks a successor inherits the node's
+    predecessors (the constraint is contracted through the node).  One pass
+    over the masks does both.
 
     The result cannot hold a cycle when ``w`` holds none: a node of an
     acyclic graph is replaced by an acyclic sub-network (every
     :class:`GroundedMethod` order is checked at construction) that sits
     after all of the node's predecessors and before all of its successors,
     and a contraction p -> s only adds an edge where the path
-    p -> node -> s already existed.  So no cycle check runs here.
+    p -> node -> s already existed.  Renumbering the nodes by position
+    renames them without adding or dropping an edge.  So no cycle check
+    runs here.
     """
-    k = w._slot(node_id)
+    w._check_node(k)
     task = w.tasks[k]
     if m.task is not task and m.task != task:
         raise NotRelevant(f"method {m.name} does not decompose {task}")
-    base = w.next_id
+    base = len(w.tasks) - 1
     n = len(m.subtasks)
-    own = w.preds[k]
-    bit = 1 << node_id
-    clear = ~bit
+    bit = 1 << k
+    low, high = bit - 1, ~(bit - 1)
+    own = (w.preds[k] & low) | ((w.preds[k] >> 1) & high)  # no bit k: w is acyclic
     replacement = (((1 << n) - 1) << base) if n else own
-    preds = [((mask & clear) | replacement) if mask & bit else mask for mask in w.preds]
+    preds = [
+        (mask & low) | ((mask >> 1) & high) | (replacement if mask & bit else 0)
+        for mask in w.preds
+    ]
     del preds[k]
     preds.extend(own | (order << base) for order in m.order_masks)
-    return TaskNetwork(
-        w.ids[:k] + w.ids[k + 1 :] + tuple(range(base, base + n)),
-        w.tasks[:k] + w.tasks[k + 1 :] + m.subtasks,
-        tuple(preds),
-        base + n,
-    )
+    return TaskNetwork(w.tasks[:k] + w.tasks[k + 1 :] + m.subtasks, tuple(preds))
 
 
 @dataclass(frozen=True)

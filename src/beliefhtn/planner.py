@@ -329,20 +329,20 @@ def choices(
         if key in visited:
             continue
         visited.add(key)
-        for node_id, task, mask in zip(w.ids, w.tasks, w.preds):
+        for k, (task, mask) in enumerate(zip(w.tasks, w.preds)):
             if mask:
                 continue  # a predecessor is pending
             if task.symbol in own_ops:
                 op = ground_ops.get((task.symbol, task.args))
                 if op is not None and applicable(op, belief):
-                    after = w.without_node(node_id)
+                    after = w.without_node(k)
                     group = by_action.setdefault((op.name, op.args), {})
                     after_key = id(_canonical(after))
                     if after_key not in group:
                         group[after_key] = _Candidate(op, after, commits)
             elif task.symbol not in other_ops:
                 for gm in ground_methods.get(task, ()):
-                    stack.append((decompose(w, node_id, gm), commits + ((task, gm.name),)))
+                    stack.append((decompose(w, k, gm), commits + ((task, gm.name),)))
     minimal: list[_Candidate] = []
     for group in by_action.values():
         if len(group) == 1:
@@ -380,6 +380,12 @@ def _no_choice(
     return [_Candidate(pseudo(agent), network, ())]
 
 
+def check_mode(mode: str) -> None:
+    """Raise BadArgument unless ``mode`` names a solver mode."""
+    if mode not in (MODE_NEW, MODE_LEGACY):
+        raise BadArgument(f"unknown solver mode {mode!r}")
+
+
 class _Search:
     def __init__(
         self,
@@ -388,8 +394,7 @@ class _Search:
         mode: str,
         config: PlannerConfig,
     ):
-        if mode not in (MODE_NEW, MODE_LEGACY):
-            raise BadArgument(f"unknown solver mode {mode!r}")
+        check_mode(mode)
         if not (problem.world.universe is problem.human_belief.universe is problem.universe):
             # another bundle's beliefs would enter this bundle's shared table
             raise UniverseMismatch("the problem's beliefs are not over its universe")

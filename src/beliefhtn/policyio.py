@@ -19,11 +19,9 @@ from typing import Optional
 
 from .communication import CommAction, apply_comm_plan
 from .domfile import ProblemBundle, parse_bundle, serialize
-from .errors import BeliefHtnError, DomainSyntaxError
+from .errors import BadArgument, BeliefHtnError, DomainSyntaxError
 from .htn import GroundedOperator, TaskNetwork, idle_op, wait_op
 from .planner import (
-    MODE_LEGACY,
-    MODE_NEW,
     STALL_THRESHOLD,
     PolicyEdge,
     PolicyNode,
@@ -35,6 +33,7 @@ from .planner import (
     _stall_run,
     _step,
     _turn_rule,
+    check_mode,
     moves,
 )
 from .state import BeliefState
@@ -163,8 +162,10 @@ def _field(obj: object, key: str, *types: type):
 
 def _load_policy(obj: dict, bundle: ProblemBundle) -> PolicyTree:
     mode, robot, human = (_field(obj, key, str) for key in ("mode", "robot", "human"))
-    if mode not in (MODE_NEW, MODE_LEGACY):
-        raise DomainSyntaxError(f"unknown solver mode {mode!r}")
+    try:
+        check_mode(mode)
+    except BadArgument as exc:
+        raise DomainSyntaxError(str(exc)) from exc
     if (robot, human) != (bundle.problem.robot, bundle.problem.human):
         raise DomainSyntaxError(f"robot/human {robot!r}/{human!r} are not the domain's agents")
 

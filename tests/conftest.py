@@ -12,8 +12,8 @@ on which plans filled the bundle's shared table first.
 A test must not read these plans, but plan on a bundle of its own, when it
 checks how a search fills or reads its table: a search from a cold table
 (check (g)'s depth records, warm against cold plans, the nodes a cold plan
-expands), a table that must stay apart (the foreign-universe check), a
-table per plan, the calls a search makes under a wrapper (the choice and
+expands), a table that must stay apart (the foreign-universe check, which
+then compares its own plans with these), a table per plan, the calls a search makes under a wrapper (the choice and
 tell differentials), or the CLI's own study run.  On the studies' bundle
 such a search would find each of its states already solved.
 """

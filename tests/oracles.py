@@ -19,6 +19,8 @@ divergence by trying every subset, to check
 check :func:`~beliefhtn.planner.plan`'s table against.
 ``STUCK_DOM`` is a domain whose agenda never empties, so every branch
 stalls: a legacy plan ends in a deadlock leaf, and a new-mode plan fails.
+``EITHER_ORDER_DOM`` is a domain whose plan reaches one state with two
+distinct exact networks, isomorphic ones.
 ``agent_schemas`` splits a bundle's lifted schemas by owner, the way a
 bundle's build does, for the references of the grounded agent tables.
 """
@@ -59,6 +61,52 @@ start bot
 """
 
 
+# Two unordered root tasks, X -> {h0, r0} and Y -> {h1, r1}; the robot's
+# r0 and r1 wait for both of the human's counts.  The human starts with h0
+# or with h1, the robot WAITs, and the human runs the other one: after h0
+# then h1 the network is [r0, r1], after h1 then h0 it is [r1, r0], with the
+# same beliefs on the same turn, so one state key and one policy node are
+# reached with both networks.
+EITHER_ORDER_DOM = """\
+beliefhtn-domain 1
+domain either
+group Places P1
+group Agents bot person
+agents bot person
+svar AgtAt (?a Agents) -> Places : obs
+place AgtAt(?a) value-of AgtAt(?a)
+svar Count -> int 0 2 : obs
+operator h0 for person
+  eff Count += 1
+end
+operator h1 for person
+  eff Count += 1
+end
+operator r0 for bot
+  pre Count = 2
+end
+operator r1 for bot
+  pre Count = 2
+end
+method mx for both
+  task X
+  sub h h0
+  sub r r0
+end
+method my for both
+  task Y
+  sub h h1
+  sub r r1
+end
+root x X
+root y Y
+init AgtAt(bot) = P1
+init AgtAt(person) = P1
+init Count = 0
+start person
+"""
+
+
 def detect_deadlock(actions: Iterable[GroundedOperator | str]) -> bool:
     """True iff the trace stalls for :data:`STALL_THRESHOLD` or more
     consecutive WAIT/IDLE turns, the run :func:`simulate` reports as IDL.
@@ -88,12 +136,12 @@ def agent_schemas(bundle, agent: str) -> tuple[tuple, tuple]:
 
 
 def available(network: TaskNetwork) -> tuple[int, ...]:
-    """Nodes with no pending predecessor, in id order."""
-    return tuple(i for i, mask in zip(network.ids, network.preds) if not mask)
+    """Positions of the nodes with no pending predecessor, in order."""
+    return tuple(k for k, mask in enumerate(network.preds) if not mask)
 
 
-def task_of(network: TaskNetwork, node_id: int) -> TaskInstance:
-    return network.tasks[network.ids.index(node_id)]
+def task_of(network: TaskNetwork, k: int) -> TaskInstance:
+    return network.tasks[k]
 
 
 def trace_totals(traces):

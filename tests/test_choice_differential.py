@@ -92,7 +92,7 @@ def ref_choices(domains, belief, network: TaskNetwork, agent: str):
 
 def summary(cands):
     return [
-        (c.op, c.commits, c.network.ids, c.network.tasks, c.network.preds, c.network.next_id)
+        (c.op, c.commits, c.network.tasks, c.network.preds)
         for c in cands
     ]
 

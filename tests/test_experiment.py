@@ -232,6 +232,23 @@ def test_run_experiment_rejects_a_repeated_mode():
         run_experiment(ExperimentConfig(modes=("new", "legacy", "new")))
 
 
+@pytest.mark.parametrize("modes", [("new", "neww"), ("legacy", "")])
+def test_run_experiment_rejects_an_unknown_mode_before_any_plan(modes, monkeypatch):
+    # Not after planning every instance of the modes before it.
+    calls = 0
+    run = experiment.run_instance
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return run(*args)
+
+    monkeypatch.setattr(experiment, "run_instance", counted)
+    with pytest.raises(BadArgument, match=f"unknown solver mode {modes[1]!r}"):
+        run_experiment(ExperimentConfig(domain="cooking", modes=modes))
+    assert calls == 0
+
+
 @pytest.mark.parametrize("bound", [0, -1, True])
 def test_run_experiment_rejects_a_bad_depth_bound(bound):
     # Before any plan runs, not as one error row per instance.

@@ -166,7 +166,16 @@ def test_decompose_empty_method_contracts_constraints():
     empty = GroundedMethod("m-empty", TaskInstance("Mid"), (), ())
     w2 = decompose(w, 1, empty)
     assert sorted(str(t) for _, t in w2.nodes) == ["A", "B"]
-    assert w2.constraints == frozenset({(0, 2)})
+    assert w2.constraints == frozenset({(0, 1)})
+
+
+def test_networks_reached_by_different_decompositions_are_equal():
+    # A node is its position: a task decomposed into one subtask leaves the
+    # network that lists the same tasks in the same order from the start.
+    x, a, b = TaskInstance("X"), TaskInstance("A"), TaskInstance("B")
+    w = decompose(TaskNetwork.build([x, b]), 0, GroundedMethod("m-x", x, (a,), ()))
+    assert w == TaskNetwork.build([b, a])
+    assert hash(w) == hash(TaskNetwork.build([b, a]))
 
 
 def transitive_closure(pairs, nodes):

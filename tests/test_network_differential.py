@@ -1,15 +1,19 @@
-"""Differential test: bitmask task networks against the pair-set networks.
+"""Differential test: positional bitmask task networks against the
+id-based pair-set networks.
 
-``TaskNetwork`` holds three id-sorted tuples (ids, tasks, one predecessor
-bitmask per node) and ``decompose`` rewrites the masks in one pass without
-a cycle check.  The reference below keeps the earlier representation: a
-frozen dataclass of ``(id, TaskInstance)`` pairs and a frozenset of
-``(before, after)`` pairs, with ``decompose`` rescanning every constraint
-and running a Kahn cycle check.  Seeded random walks of decompositions
-(through both agents' grounded methods) and node removals run on both
-representations side by side, and every observable must agree after every
-step.  Since ``decompose`` no longer checks for cycles, the walks also
-assert that the precedence relation stays acyclic.
+``TaskNetwork`` holds two tuples indexed by node position (tasks, one
+predecessor bitmask per node) and ``decompose`` rewrites the masks in one
+pass without a cycle check.  The reference below keeps the earlier
+representation: a frozen dataclass of ``(id, TaskInstance)`` pairs sorted
+by node ids that are never reused, a frozenset of ``(before, after)``
+pairs and a ``next_id``, with ``decompose`` rescanning every constraint
+and running a Kahn cycle check.  Since the reference appends new ids at
+the end, a node's position is its rank among the reference's ids: every
+observable must agree with the reference renumbered by rank.  Seeded
+random walks of decompositions (through both agents' grounded methods)
+and node removals run on both representations side by side and compare
+after every step.  Since ``decompose`` does not check for cycles, the
+walks also assert that the precedence relation stays acyclic.
 """
 
 from __future__ import annotations
@@ -78,6 +82,15 @@ class RefNetwork:
         blocked = {b for _, b in self.constraints}
         return tuple(i for i, _ in self.nodes if i not in blocked)
 
+    def renumbered(self) -> "RefNetwork":
+        """The same network with each node id replaced by its rank."""
+        rank = {i: k for k, (i, _) in enumerate(self.nodes)}
+        return RefNetwork(
+            tuple((rank[i], t) for i, t in self.nodes),
+            frozenset((rank[a], rank[b]) for a, b in self.constraints),
+            len(self.nodes),
+        )
+
     def without_node(self, node_id: int) -> "RefNetwork":
         nodes = tuple((i, t) for i, t in self.nodes if i != node_id)
         constraints = frozenset(
@@ -136,13 +149,13 @@ def ref_decompose(w: RefNetwork, node_id: int, m: GroundedMethod) -> RefNetwork:
 
 
 def assert_same(new: TaskNetwork, ref: RefNetwork) -> None:
-    assert new.nodes == ref.nodes
-    assert new.constraints == ref.constraints
-    assert new.next_id == ref.next_id
+    pos = ref.renumbered()
+    assert new.nodes == pos.nodes
+    assert new.constraints == pos.constraints
     assert new.is_empty == ref.is_empty
-    assert available(new) == ref.available()
-    for i, _ in ref.nodes:
-        assert task_of(new, i) == ref.task_of(i)
+    assert available(new) == pos.available()
+    for i, _ in pos.nodes:
+        assert task_of(new, i) == pos.task_of(i)
     assert new.canonical_key() == ref.canonical_key()
 
 
@@ -156,7 +169,8 @@ def walk(bundle, seed: int) -> list[tuple[TaskNetwork, RefNetwork]]:
     plus an empty one per task, so that every walk also contracts
     constraints through nodes (box has no empty method).  Decomposing by
     every method makes equal-shaped networks over different tasks meet in
-    the equality check.
+    the equality check.  A node is drawn by position and names the
+    reference node of the same rank.
     """
     rng = random.Random(seed)
     methods: dict[TaskInstance, list[GroundedMethod]] = {}
@@ -176,19 +190,19 @@ def walk(bundle, seed: int) -> list[tuple[TaskNetwork, RefNetwork]]:
         executable = [i for i in available(new) if not methods.get(task_of(new, i))]
         r = rng.random()
         if r < 0.1 or not (expandable or executable):
-            node_id = rng.choice(new.ids if r < 0.1 else available(new))
-            options = [(new.without_node(node_id), ref.without_node(node_id))]
+            k = rng.choice(range(len(new.tasks)) if r < 0.1 else available(new))
+            options = [(new.without_node(k), ref.without_node(ref.nodes[k][0]))]
         elif expandable and (r < 0.6 or not executable):
-            node_id = rng.choice(expandable)
+            k = rng.choice(expandable)
             options = [
-                (decompose(new, node_id, gm), ref_decompose(ref, node_id, gm))
-                for gm in methods[task_of(new, node_id)]
+                (decompose(new, k, gm), ref_decompose(ref, ref.nodes[k][0], gm))
+                for gm in methods[task_of(new, k)]
             ]
             for option, _ in options:
-                assert not ref_has_cycle(option.ids, option.constraints)
+                assert not ref_has_cycle(range(len(option.tasks)), option.constraints)
         else:
-            node_id = rng.choice(executable)
-            options = [(new.without_node(node_id), ref.without_node(node_id))]
+            k = rng.choice(executable)
+            options = [(new.without_node(k), ref.without_node(ref.nodes[k][0]))]
         steps += options
         new, ref = rng.choice(options)
     for new, ref in steps:
@@ -212,8 +226,9 @@ def test_walks_match_reference(name):
         # A second run of the same walk builds equal networks as new objects.
         visited += walk(bundle, seed)[::5]
     assert sum(len(ref.constraints) > 2 for _, ref in visited) > len(visited) // 4
-    for a_new, a_ref in visited:
-        for b_new, b_ref in visited:
+    positional = [(new, ref.renumbered()) for new, ref in visited]
+    for a_new, a_ref in positional:
+        for b_new, b_ref in positional:
             assert (a_new == b_new) == (a_ref == b_ref)
             if a_new == b_new:
                 assert hash(a_new) == hash(b_new)
@@ -221,7 +236,9 @@ def test_walks_match_reference(name):
 
 def test_unknown_node_is_rejected(cooking):
     w = cooking.problem.network
-    with pytest.raises(BadArgument):
-        decompose(w, w.next_id, GroundedMethod("skip", w.tasks[0], (), ()))
-    with pytest.raises(BadArgument):
-        w.without_node(w.next_id)
+    # -1 would index the last node if a position were not checked
+    for k in (len(w.tasks), -1):
+        with pytest.raises(BadArgument):
+            decompose(w, k, GroundedMethod("skip", w.tasks[k % len(w.tasks)], (), ()))
+        with pytest.raises(BadArgument):
+            w.without_node(k)

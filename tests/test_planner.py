@@ -43,7 +43,13 @@ from beliefhtn.planner import (
 )
 from beliefhtn.policyio import _collect, load_json, to_json, to_text
 
-from oracles import detect_deadlock, replay_reaches_stored_beliefs, report_totals, trace_totals
+from oracles import (
+    EITHER_ORDER_DOM,
+    detect_deadlock,
+    replay_reaches_stored_beliefs,
+    report_totals,
+    trace_totals,
+)
 
 
 # -- emulated human choices ---------------------------------------------------
@@ -540,9 +546,19 @@ def test_every_study_path_is_a_sequence_of_search_moves(study_policies):
     for _, _, problem, policy in planned:
         entered = entered_networks(policy, problem, bundle.obs_model)
         shared += any(len(networks) > 1 for networks in entered.values())
-    # In the cooking sample some memo-shared nodes are entered with two
-    # different exact networks, so no edge may hold a path's node ids.
-    assert shared > 0 or domain == "box"
+    # A node is its position, so no node of the sample is entered with two
+    # different exact networks (test_a_node_is_entered_with_either_order).
+    assert shared == 0
+
+
+def test_a_node_is_entered_with_either_order():
+    # A memo-shared node can be entered with two isomorphic exact networks,
+    # so no edge may hold a path's node positions.
+    bundle = parse_bundle(EITHER_ORDER_DOM)
+    policy = plan(bundle.problem, bundle.obs_model, MODE_NEW)
+    entered = entered_networks(policy, bundle.problem, bundle.obs_model)
+    counts = Counter(len(networks) for networks in entered.values())
+    assert counts[2] == 1 and set(counts) == {1, 2}
 
 
 def test_every_human_choice_is_an_edge_on_study(study_policies):

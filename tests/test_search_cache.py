@@ -43,6 +43,8 @@ from beliefhtn.planner import (
 )
 from beliefhtn.policyio import load_json, to_json, to_text
 
+from oracles import EITHER_ORDER_DOM
+
 STUDY = PlannerConfig()  # the experiment's depth bound: the certifying depth
 MODES = (MODE_LEGACY, MODE_NEW)
 STRIDE = 17
@@ -241,9 +243,10 @@ def test_full_study_policies_are_unchanged(full_studies):
     assert digests == STUDY_DIGESTS
 
 
-def test_networks_sharing_a_state_key_are_isomorphic(full_studies):
-    # The state key holds a 2-round Weisfeiler-Lehman label of the network,
-    # which can collide (tests/test_htn.py); on the studies it must not.
+def shared_keys(networks):
+    """How many state keys of ``networks`` (key -> the exact networks it was
+    reached with) were reached with two or more; asserts that the networks
+    of each key are isomorphic."""
     import networkx as nx
 
     def graph(network):
@@ -255,14 +258,35 @@ def test_networks_sharing_a_state_key_are_isomorphic(full_studies):
     def same_task(a, b):
         return a["task"] == b["task"]
 
-    _, networks = full_studies
     shared = 0
     for nets in networks.values():
         first, *rest = [graph(n) for n in nets]
         shared += bool(rest)
         for other in rest:
             assert nx.is_isomorphic(first, other, node_match=same_task)
-    assert shared > 0  # some keys are reached through distinct exact networks
+    return shared
+
+
+def test_networks_sharing_a_state_key_are_isomorphic(full_studies, monkeypatch):
+    # The state key holds a 2-round Weisfeiler-Lehman label of the network,
+    # which can collide (tests/test_htn.py); on the studies it must not.
+    _, networks = full_studies
+    # A node is its position, so on the studies no key is reached through
+    # two distinct exact networks.
+    assert shared_keys(networks) == 0
+    # Decompositions that finish in either order do reach one key with two.
+    either: dict[tuple, set] = {}
+    state_key = _Search._state_key
+
+    def keying(self, world, hb, network, turn, stall):
+        key = state_key(self, world, hb, network, turn, stall)
+        either.setdefault(key, set()).add(network)
+        return key
+
+    monkeypatch.setattr(_Search, "_state_key", keying)
+    bundle = parse_bundle(EITHER_ORDER_DOM)
+    plan(bundle.problem, bundle.obs_model, MODE_NEW, STUDY)
+    assert shared_keys(either) == 1
 
 
 # -- a plan cut short ---------------------------------------------------------
@@ -327,7 +351,7 @@ def test_shared_policy_nodes_cannot_be_changed():
 # -- only beliefs over the bundle's universe reach its table ------------------
 
 
-def test_beliefs_of_another_bundle_raise_before_the_table_is_read():
+def test_beliefs_of_another_bundle_raise_before_the_table_is_read(studies):
     # The foreign beliefs equal the bundle's own in value, so a table that
     # took them would hand them to the bundle's later plans, whose tells then
     # mix two universes.
@@ -338,10 +362,14 @@ def test_beliefs_of_another_bundle_raise_before_the_table_is_read():
             with pytest.raises(UniverseMismatch, match="not over its universe"):
                 run_instance(bundle, inst, mode)
     assert bundle.problem.search_cache.tables == {MODE_NEW: {}, MODE_LEGACY: {}}
-    own = generate_initial_states(bundle, spec)
-    results = [run_instance(bundle, inst, mode) for mode in MODES for inst in own]
-    assert len(results) == 1024
-    assert all(not r.outcome.startswith("error:") for r in results)
+    # The bundle's own beliefs then plan what the session's study planned.
+    study = studies.runs["cooking"]
+    own = study_problems(bundle, "cooking", STRIDE)
+    assert len(own) == 31
+    for mode in MODES:
+        for index, problem in own:
+            policy = plan(problem, bundle.obs_model, mode, STUDY)
+            assert to_text(policy) == to_text(study.plans[mode, index][1]), (mode, index)
 
 
 # -- replay walks free their memos on return ----------------------------------
